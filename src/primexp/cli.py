@@ -224,12 +224,16 @@ def _cmd_iso(args) -> int:
     return EXIT_OK
 
 
+def _csv_path(out: str) -> str:
+    """Summary CSV path beside a report: r.jsonl -> r.csv; any other path gets .csv appended."""
+    return out.removesuffix(".jsonl") + ".csv"
+
+
 def _write_report(report: Report, out: str | None) -> int:
     if out is None:
         sys.stdout.write(report.to_jsonl())
     else:
-        csv_path = out[: -len(".jsonl")] + ".csv" if out.endswith(".jsonl") else out + ".csv"
-        report.write(out, csv_path)
+        report.write(out, _csv_path(out))
     if not report.all_asserts_pass:
         for row in report.failures():
             print(f"assert failed: {row.claim} {row.instance}: "
@@ -268,10 +272,9 @@ def _cmd_verify(args) -> int:
             if args.out is None:
                 sys.stdout.write(census_to_jsonl(rows))
             else:
-                csv_path = (args.out[: -len(".jsonl")] if args.out.endswith(".jsonl") else args.out) + ".csv"
                 with open(args.out, "w", encoding="utf-8", newline="") as fh:
                     fh.write(census_to_jsonl(rows))
-                with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+                with open(_csv_path(args.out), "w", encoding="utf-8", newline="") as fh:
                     fh.write(census_to_csv(rows))
             return EXIT_OK
     except ValueError as exc:

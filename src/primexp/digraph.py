@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .boolmat import BoolMatrix, pow_rows, rows_all_positive, transpose_rows
+from .boolmat import BoolMatrix, transpose_rows
 
 DEFAULT_CYCLE_CAP = 10**6
 
@@ -375,12 +375,3 @@ def simple_cycles(d: Digraph, cap: int = DEFAULT_CYCLE_CAP) -> tuple[list[list[i
         cap_hit=cap_hit,
     )
     return cycles, profile
-
-
-# -- matrix-backed reachability oracle -------------------------------------
-
-def closure_strongly_connected(d: Digraph) -> bool:
-    """Strong connectivity via the (A OR I)^(n-1) all-positive criterion."""
-    n = d.order
-    rows = tuple(r | (1 << i) for i, r in enumerate(d.successor_rows()))
-    return rows_all_positive(pow_rows(rows, n - 1, n), n)

@@ -2,9 +2,15 @@
 and the closed-form bound/prediction evaluators.
 
 The exponent of a primitive digraph is the least k >= 1 whose k-th Boolean
-matrix power is entirely positive.  ``c_walk_distances`` computes, for every
-ordered vertex pair, the length of the shortest walk that shares a vertex
-with at least one simple cycle of each length occurring in the digraph.
+matrix power is entirely positive.  One kernel computes it for both
+``exponent`` and ``exponent_of_rows`` in O(log k) Boolean products: it
+squares the matrix until a square is all-positive, keeping every square,
+then binary-searches below that square with the stored ones.  The search
+ends on the power k - 1, whose least zero entry is the witness pair.
+
+``c_walk_distances`` computes, for every ordered vertex pair, the length of
+the shortest walk that shares a vertex with at least one simple cycle of
+each length occurring in the digraph.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .boolmat import mul_rows, pow_rows, rows_all_positive
+from .boolmat import mul_rows, pow_rows
 from .digraph import (
     DEFAULT_CYCLE_CAP,
     CycleProfile,
@@ -72,38 +78,62 @@ class CWalkResult:
         return self.per_pair[i - 1][j - 1]
 
 
-def exponent_of_rows(rows: tuple[int, ...], n: int) -> int | None:
-    """Smallest k >= 1 with rows^k all-positive, or None past the Wielandt cap.
+def _exponent_kernel(rows: tuple[int, ...], n: int) -> tuple[int, tuple[int, ...]] | None:
+    """(k, rows^(k-1)) for the least k >= 1 with rows^k all-positive, or None.
 
-    Linear scan with early exit: the all-positive predicate is monotone in k
-    for primitive matrices, and the scan keeps the last failing power on
-    hand for witness extraction.
+    Squares A until A^(2^m) is all-positive, keeping every square, then
+    binary-searches below it: the largest non-positive power is assembled
+    from the stored squares one bit at a time, which is exact because the
+    all-positive predicate is monotone in k for primitive matrices.  A
+    non-primitive matrix has no all-positive power, so a non-positive square
+    whose index reaches the Wielandt cap is the not-primitive verdict.
     """
     cap = wielandt_bound(n)
-    power = rows
-    for k in range(1, cap + 1):
-        if rows_all_positive(power, n):
-            return k
-        power = mul_rows(power, rows)
-    return None
+    # One tuple comparison per test: the per-call overhead matters at small
+    # orders, where exhaustive scans call this with exponents of 10 or less.
+    positive = ((1 << n) - 1,) * n
+    squares = [tuple(rows)]
+    index = 1
+    while squares[-1] != positive:
+        if index >= cap:
+            return None
+        squares.append(mul_rows(squares[-1], squares[-1]))
+        index *= 2
+    if index == 1:
+        return 1, tuple(1 << i for i in range(n))
+    below = squares[-2]
+    k = index // 2
+    for bit in range(len(squares) - 3, -1, -1):
+        # Powers of A commute; the sparser stored square goes on the left,
+        # because mul_rows costs one row OR per set bit of its left operand.
+        candidate = mul_rows(squares[bit], below)
+        if candidate != positive:
+            below = candidate
+            k += 1 << bit
+    return k + 1, below
+
+
+def exponent_of_rows(rows: tuple[int, ...], n: int) -> int | None:
+    """Smallest k >= 1 with rows^k all-positive, or None if not primitive.
+
+    About 2*log2(k) Boolean products; see ``_exponent_kernel``.
+    """
+    found = _exponent_kernel(rows, n)
+    return None if found is None else found[0]
 
 
 def exponent(d: Digraph) -> ExponentResult:
     """Exponent with a lower-bound witness; raises on non-primitive input."""
     n = d.order
-    rows = d.successor_rows()
-    if not rows_primitive(rows, n):
+    found = _exponent_kernel(d.successor_rows(), n)
+    if found is None:
         raise NotPrimitiveError(f"digraph of order {n} is not primitive")
-    cap = wielandt_bound(n)
-    prev = tuple(1 << i for i in range(n))
-    power = rows
-    for k in range(1, cap + 1):
-        if rows_all_positive(power, n):
-            pair = _least_zero_entry(prev, n)
-            return ExponentResult(value=k, certificate_pair=pair, certificate_length=k - 1)
-        prev = power
-        power = mul_rows(power, rows)
-    raise NotPrimitiveError(f"no all-positive power up to the cap {cap}; input not primitive")
+    value, below = found
+    return ExponentResult(
+        value=value,
+        certificate_pair=_least_zero_entry(below, n),
+        certificate_length=value - 1,
+    )
 
 
 def _least_zero_entry(rows: tuple[int, ...], n: int) -> tuple[int, int] | None:

@@ -186,6 +186,17 @@ def test_verify_census_verb(capsys, tmp_path):
     assert (tmp_path / "census.csv").read_text().startswith("n,canonical")
 
 
+@pytest.mark.parametrize("verb", [
+    ("census", "--n", "2"),
+    ("lemma34", "--n-max", "6"),
+], ids=["census", "lemma34"])
+def test_verify_csv_path_beside_a_non_jsonl_out(capsys, tmp_path, verb):
+    out = tmp_path / "r.txt"
+    code, _, _ = run_cli(capsys, "verify", *verb, "--out", str(out))
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.txt", "r.txt.csv"]
+
+
 def test_verify_files_are_byte_identical_across_invocations(capsys, tmp_path):
     first = tmp_path / "one.jsonl"
     second = tmp_path / "two.jsonl"

@@ -5,10 +5,9 @@ import random
 
 import pytest
 
-from primexp.boolmat import BoolMatrix, identity, is_all_positive, power
+from primexp.boolmat import BoolMatrix, identity, is_all_positive, pow_rows, power, rows_all_positive
 from primexp.digraph import (
     Digraph,
-    closure_strongly_connected,
     digraph,
     distance,
     from_matrix,
@@ -32,6 +31,13 @@ def random_digraph(rng: random.Random, n: int, p: float) -> Digraph:
         if rng.random() < p
     }
     return Digraph(n, frozenset(arcs))
+
+
+def closure_strongly_connected(d: Digraph) -> bool:
+    """Oracle: strong connectivity via the (A OR I)^(n-1) all-positive criterion."""
+    n = d.order
+    rows = tuple(r | (1 << i) for i, r in enumerate(d.successor_rows()))
+    return rows_all_positive(pow_rows(rows, n - 1, n), n)
 
 
 def random_permutation(rng: random.Random, n: int) -> tuple[int, ...]:

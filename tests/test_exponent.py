@@ -4,14 +4,34 @@ import random
 
 import pytest
 
-from primexp.boolmat import all_ones, is_all_positive, power
-from primexp.digraph import Digraph, digraph, distance, from_matrix, relabel, simple_cycles, to_matrix
+from primexp.boolmat import (
+    all_ones,
+    is_all_positive,
+    mul_rows,
+    pow_rows,
+    power,
+    rows_all_positive,
+    serialize_matrix,
+)
+from primexp.cli import main
+from primexp.digraph import (
+    Digraph,
+    digraph,
+    distance,
+    from_matrix,
+    relabel,
+    rows_primitive,
+    simple_cycles,
+    to_matrix,
+)
 from primexp.exponent import (
     NotPrimitiveError,
     TooManyCycleLengthsError,
     TruncatedProfileError,
+    _exponent_kernel,
     c_walk_distances,
     exponent,
+    exponent_of_rows,
     formula_thm33,
     lemma22_bound,
     lemma23_bound,
@@ -26,6 +46,32 @@ from primexp.exponent import (
 )
 from primexp.families import d1, d2, d_gN, q1, standard_cycle
 from primexp.verify import random_primitive_digraph
+
+
+def linear_exponent_scan(rows: tuple[int, ...], n: int) -> tuple[int, tuple[int, ...]] | None:
+    """Oracle: scan A, A^2, ... up to the Wielandt cap, one product per step.
+
+    Returns (k, rows^(k-1)) for the least all-positive power k, or None.
+    Each step multiplies A on the left of the running power: powers of A
+    commute, and mul_rows costs one row OR per set bit of its left operand.
+    """
+    previous = tuple(1 << i for i in range(n))
+    current = rows
+    for k in range(1, wielandt_bound(n) + 1):
+        if rows_all_positive(current, n):
+            return k, previous
+        previous = current
+        current = mul_rows(rows, current)
+    return None
+
+
+def least_zero_pair(rows: tuple[int, ...], n: int) -> tuple[int, int] | None:
+    """Oracle: row-major first 0 entry, as a 1-based (row, column) pair."""
+    for i in range(n):
+        for j in range(n):
+            if not (rows[i] >> j) & 1:
+                return (i + 1, j + 1)
+    return None
 
 
 def exponent_by_all_pairs_walks(d: Digraph) -> int:
@@ -151,6 +197,109 @@ def test_spanning_subgraph_monotonicity():
         g = Digraph(n, d.arcs | frozenset(extra))
         assert exponent(g).value <= exponent(d).value
         checked += 1
+
+
+# -- logarithmic kernel against the linear scan -------------------------------
+
+def test_kernel_matches_linear_scan_on_every_order4_code():
+    primitive = 0
+    for code in range(1 << 16):
+        rows = tuple((code >> (4 * i)) & 0xF for i in range(4))
+        found = _exponent_kernel(rows, 4)
+        assert found == linear_exponent_scan(rows, 4), rows
+        assert (found is not None) == rows_primitive(rows, 4), rows
+        assert exponent_of_rows(rows, 4) == (None if found is None else found[0])
+        primitive += found is not None
+    assert primitive == 25575
+
+
+@pytest.mark.parametrize("family, closed_form", [
+    (d1, lambda n: (n - 1) ** 2 + 1),
+    (d2, lambda n: (n - 1) ** 2),
+], ids=["d1", "d2"])
+def test_extremal_families_match_closed_form_and_linear_scan(family, closed_form):
+    for n in range(3, 65):  # both constructors need n >= 3
+        d = family(n)
+        rows = d.successor_rows()
+        assert _exponent_kernel(rows, n) == linear_exponent_scan(rows, n), n
+        result = exponent(d)
+        assert result.value == exponent_of_rows(rows, n) == closed_form(n), n
+        below = pow_rows(rows, result.value - 1, n)
+        assert result.certificate_pair == least_zero_pair(below, n), n
+        assert result.certificate_length == result.value - 1
+
+
+# (digraph, exponent): exponent 1, every 2^k and 2^k + 1 up to 2^11 + 1,
+# and the Wielandt cap at orders 2 and 64.
+KERNEL_BOUNDARY_CASES = [
+    (from_matrix(all_ones(2)), 1),
+    (from_matrix(all_ones(64)), 1),
+    (digraph(2, [(1, 1), (1, 2), (2, 1)]), 2),
+    (digraph(3, [(1, 1), (1, 2), (1, 3), (2, 3), (3, 1)]), 3),
+    (d_gN(3, 1, {1}), 4),
+    (d_gN(3, 2, {1}), 5),
+    (d_gN(5, 1, {1}), 8),
+    (d_gN(4, 3, {1, 2}), 9),
+    (d2(5), 16),
+    (d1(5), 17),
+    (d_gN(7, 5, {1}), 32),
+    (d_gN(10, 3, {1, 2}), 33),
+    (d2(9), 64),
+    (d1(9), 65),
+    (d_gN(18, 7, {1, 2, 3}), 128),
+    (d_gN(18, 7, {1, 2}), 129),
+    (d2(17), 256),
+    (d1(17), 257),
+    (d_gN(29, 18, {1, 2, 3, 4}), 512),
+    (d_gN(28, 19, set(range(1, 11))), 513),
+    (d2(33), 1024),
+    (d1(33), 1025),
+    (d_gN(56, 37, set(range(1, 8))), 2048),
+    (d_gN(56, 37, set(range(1, 7))), 2049),
+    (d1(64), wielandt_bound(64)),
+]
+
+
+@pytest.mark.parametrize("d, value", KERNEL_BOUNDARY_CASES,
+                         ids=[str(value) for _, value in KERNEL_BOUNDARY_CASES])
+def test_kernel_at_power_of_two_boundaries(d, value):
+    rows = d.successor_rows()
+    found = _exponent_kernel(rows, d.order)
+    assert found == linear_exponent_scan(rows, d.order)
+    assert found[0] == value
+    assert exponent(d).certificate_pair == least_zero_pair(found[1], d.order)
+
+
+def _period_two_64() -> Digraph:
+    # The descending 64-cycle plus v_1 -> v_2 closes a 2-cycle: lengths {2, 64}.
+    return Digraph(64, standard_cycle(64).arcs | {(1, 2)})
+
+
+def _zero_row_64() -> Digraph:
+    return Digraph(64, frozenset((i, j) for i, j in d1(64).arcs if i != 64))
+
+
+NONPRIMITIVE_EDGE_CASES = {
+    "cycle64": standard_cycle(64),
+    "period2_64": _period_two_64(),
+    "zero_row_64": _zero_row_64(),
+    "zero_row_2": digraph(2, [(1, 1), (1, 2)]),
+    "two_loops_2": digraph(2, [(1, 1), (2, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NONPRIMITIVE_EDGE_CASES))
+def test_nonprimitive_edge_inputs(name, tmp_path, capsys):
+    d = NONPRIMITIVE_EDGE_CASES[name]
+    rows = d.successor_rows()
+    assert exponent_of_rows(rows, d.order) is None
+    assert linear_exponent_scan(rows, d.order) is None
+    with pytest.raises(NotPrimitiveError, match="not primitive"):
+        exponent(d)
+    path = tmp_path / "m.txt"
+    path.write_text(serialize_matrix(to_matrix(d)))
+    assert main(["exp", "-f", str(path)]) == 3
+    assert "not primitive" in capsys.readouterr().err
 
 
 # -- walk existence ------------------------------------------------------------
