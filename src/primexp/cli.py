@@ -8,6 +8,7 @@ unless --verbose.  Exit codes: 0 success / all asserted rows agree,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import families
@@ -393,9 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on first use; parsing does not change it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except InputError as exc:

@@ -5,18 +5,26 @@ Backtracking over vertex bijections with cheap invariant pruning
 vertex); practical for the near-cycle digraphs this package works with.
 Canonical forms are the lexicographically minimal row-major adjacency
 bit-string over all relabelings, found by branch-and-bound.
+
+The exhaustive scans of small orders compute the same code from tables
+instead: one table per row index maps a row value to its relabeled bits
+under each of the n! relabelings, so the code of a matrix is n lookups,
+summed per relabeling, and the least of the n! sums.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import getitem
 
 from .digraph import Digraph, simple_cycles
 from .boolmat import transpose_rows
 
 ISO_ORDER_CAP = 14
 CANONICAL_ORDER_CAP = 12
+TABLE_CODE_ORDER_CAP = 6
 _INVARIANT_CYCLE_CAP = 200_000
 
 
@@ -186,6 +194,43 @@ def canonical_form(d: Digraph) -> CanonicalForm:
     descend(0)
     bits = format(best, f"0{total}b")
     return CanonicalForm(order=n, canonical_bits=bits)
+
+
+def canonical_code_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Relabeling tables for ``canonical_code``: one table per row index.
+
+    Table i maps a value r of row i to a tuple with one entry per relabeling
+    p of the n! (p[v] is the new position of vertex v): the bits of row i
+    after relabeling, where bit j of r lands at bit n*n-1-(p[i]*n+p[j]) of
+    the row-major, most-significant-first code.  The tables hold
+    n * 2^n * n! entries, hence the small order cap.
+    """
+    if n > TABLE_CODE_ORDER_CAP:
+        raise OrderCapError(f"order exceeds the cap {TABLE_CODE_ORDER_CAP}")
+    top = n * n - 1
+    perms = list(itertools.permutations(range(n)))
+    tables = []
+    for i in range(n):
+        table = [(0,) * len(perms)]
+        for r in range(1, 1 << n):
+            low = r & -r
+            j = low.bit_length() - 1
+            table.append(tuple(
+                bits | 1 << (top - p[i] * n - p[j])
+                for bits, p in zip(table[r ^ low], perms)
+            ))
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def canonical_code(rows: tuple[int, ...], tables) -> int:
+    """Least relabeled row-major code of the successor rows, as an integer.
+
+    ``tables`` comes from ``canonical_code_tables(len(rows))``; the result
+    equals ``int(canonical_form(d).canonical_bits, 2)`` for the digraph d
+    with these rows.
+    """
+    return min(map(sum, zip(*map(getitem, tables, rows))))
 
 
 def classify_against(d: Digraph, family: Iterable[Digraph]) -> int | None:

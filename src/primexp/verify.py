@@ -13,8 +13,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from .boolmat import BoolMatrix, serialize_matrix
 from .digraph import (
@@ -50,7 +48,13 @@ from .families import (
     q1,
     q2,
 )
-from .iso import automorphism_count, canonical_form, classify_against, find_isomorphism
+from .iso import (
+    automorphism_count,
+    canonical_code,
+    canonical_code_tables,
+    canonical_form,
+    classify_against,
+)
 from .report import CensusRow, Report, make_row
 from .semigroup import frobenius
 
@@ -166,19 +170,28 @@ def verify_bounds(
     return report
 
 
-# -- exhaustive extremal-class check ----------------------------------------
+# -- exhaustive scan -----------------------------------------------------------
 
 def _decode_rows(code: int, n: int) -> tuple[int, ...]:
     mask = (1 << n) - 1
     return tuple((code >> (i * n)) & mask for i in range(n))
 
 
-def _extremal_scan_block(args: tuple[int, int, int, tuple[int, ...]]):
-    """Scan matrix codes [start, end): exponent histogram + target matches."""
-    n, start, end, targets = args
+def _scan_block(args: tuple[int, int, int, tuple[int, ...] | None]):
+    """Scan matrix codes [start, end) of order n.
+
+    Codes with a zero row or a zero column cannot be primitive and are
+    skipped; the exponent kernel's None verdict rejects the other
+    non-primitive ones.  Returns the exponent histogram of the primitive
+    codes and, per canonical code, [exponent, labeled count, representative
+    rows].  Canonical codes are taken for every primitive code, or, when
+    ``keyed`` is given, only for those whose exponent is in it.
+    """
+    n, start, end, keyed = args
     full = (1 << n) - 1
+    tables = canonical_code_tables(n)
     counts: dict[int, int] = {}
-    hits: dict[int, list[int]] = {t: [] for t in targets}
+    classes: dict[int, list] = {}
     for code in range(start, end):
         rows = _decode_rows(code, n)
         union = 0
@@ -190,18 +203,30 @@ def _extremal_scan_block(args: tuple[int, int, int, tuple[int, ...]]):
             union |= row
         if not ok or union != full:
             continue
-        if not rows_primitive(rows, n):
-            continue
         exp = exponent_of_rows(rows, n)
+        if exp is None:
+            continue
         counts[exp] = counts.get(exp, 0) + 1
-        if exp in hits:
-            hits[exp].append(code)
-    return counts, hits
+        if keyed is not None and exp not in keyed:
+            continue
+        form = canonical_code(rows, tables)
+        entry = classes.get(form)
+        if entry is None:
+            classes[form] = [exp, 1, rows]
+        else:
+            if entry[0] != exp:
+                raise RuntimeError(f"canonical class {form} saw exponents {entry[0]} and {exp}")
+            entry[1] += 1
+    return counts, classes
 
 
 def _run_blocks(worker, argses, jobs: int):
     if jobs <= 1 or len(argses) <= 1:
         return [worker(a) for a in argses]
+    # Imported here because only --jobs > 1 needs it, and loading the
+    # process-pool machinery costs every CLI call about 2 MB and some start-up.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, argses))
 
@@ -213,6 +238,27 @@ def _block_ranges(total: int, blocks: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
+def _scan(n: int, start: int, end: int, jobs: int, keyed: tuple[int, ...] | None = None):
+    """``_scan_block`` over [start, end) in 4 * jobs blocks, merged."""
+    blocks = max(jobs * 4, 1)
+    argses = [(n, start + lo, start + hi, keyed)
+              for lo, hi in _block_ranges(end - start, blocks)]
+    counts: dict[int, int] = {}
+    merged: dict[int, list] = {}
+    for block_counts, classes in _run_blocks(_scan_block, argses, jobs):
+        for exp, count in block_counts.items():
+            counts[exp] = counts.get(exp, 0) + count
+        for form, (exp, count, rows) in classes.items():
+            entry = merged.get(form)
+            if entry is None:
+                merged[form] = [exp, count, rows]
+            else:
+                if entry[0] != exp:
+                    raise RuntimeError(f"canonical class {form} disagrees across blocks")
+                entry[1] += count
+    return counts, merged
+
+
 def verify_lemma24(n: int = 4, jobs: int = 1) -> Report:
     """Exhaustive check that the two highest exponent classes are exactly the
     isomorphism classes of d1(n) and d2(n), over all 2^(n^2) matrices."""
@@ -220,26 +266,14 @@ def verify_lemma24(n: int = 4, jobs: int = 1) -> Report:
         raise ValueError(f"supported orders are 4 (full) and 5 (long mode), got {n}")
     t1 = (n - 1) ** 2 + 1
     t2 = (n - 1) ** 2
-    total = 1 << (n * n)
-    blocks = max(jobs * 4, 1)
-    argses = [(n, lo, hi, (t1, t2)) for lo, hi in _block_ranges(total, blocks)]
-    results = _run_blocks(_extremal_scan_block, argses, jobs)
-
-    counts: dict[int, int] = {}
-    hits: dict[int, list[int]] = {t1: [], t2: []}
-    for block_counts, block_hits in results:
-        for k, v in block_counts.items():
-            counts[k] = counts.get(k, 0) + v
-        for t, codes in block_hits.items():
-            hits[t].extend(codes)
+    counts, classes = _scan(n, 0, 1 << (n * n), jobs, keyed=(t1, t2))
 
     report = Report()
     for target, reference in ((t1, d1(n)), (t2, d2(n))):
-        offenders = 0
-        for code in hits[target]:
-            d = from_matrix(BoolMatrix(n, _decode_rows(code, n)))
-            if find_isomorphism(d, reference) is None:
-                offenders += 1
+        # The branch-and-bound form of the reference cross-checks the table code.
+        form = int(canonical_form(reference).canonical_bits, 2)
+        offenders = sum(count for key, (exp, count, _) in classes.items()
+                        if exp == target and key != form)
         orbit = math.factorial(n) // automorphism_count(reference)
         report.add(make_row(
             "L2.4", f"n={n}:exp={target}:membership", 0, offenders,
@@ -247,7 +281,7 @@ def verify_lemma24(n: int = 4, jobs: int = 1) -> Report:
             notes="count of matrices at this exponent not isomorphic to the reference",
         ))
         report.add(make_row(
-            "L2.4", f"n={n}:exp={target}:class-size", orbit, len(hits[target]),
+            "L2.4", f"n={n}:exp={target}:class-size", orbit, counts.get(target, 0),
             asserted=True, n=n, target=target,
             notes="labeled matrices at this exponent vs n!/|Aut| of the reference",
         ))
@@ -458,45 +492,6 @@ def verify_thm36(n: int, g: int) -> Report:
 
 # -- census -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _ClassData:
-    girth: int
-    lengths: tuple[int, ...]
-    exponent: int
-
-
-def _census_block(args: tuple[int, int, int]):
-    n, start, end = args
-    full = (1 << n) - 1
-    classes: dict[str, list] = {}
-    for code in range(start, end):
-        rows = _decode_rows(code, n)
-        union = 0
-        ok = True
-        for row in rows:
-            if row == 0:
-                ok = False
-                break
-            union |= row
-        if not ok or union != full:
-            continue
-        if not rows_primitive(rows, n):
-            continue
-        exp = exponent_of_rows(rows, n)
-        d = from_matrix(BoolMatrix(n, rows))
-        form = canonical_form(d).canonical_bits
-        entry = classes.get(form)
-        if entry is None:
-            girth = rows_girth(rows, n)
-            _, profile = simple_cycles(d)
-            classes[form] = [_ClassData(girth, profile.lengths, exp), 1]
-        else:
-            if entry[0].exponent != exp:
-                raise RuntimeError(f"canonical class {form} saw exponents {entry[0].exponent} and {exp}")
-            entry[1] += 1
-    return classes
-
-
 def census(n: int, long_mode: bool = False, jobs: int = 1,
            start: int = 0, end: int | None = None) -> list[CensusRow]:
     """Exhaustive isomorphism-class table of primitive digraphs of order n.
@@ -513,29 +508,16 @@ def census(n: int, long_mode: bool = False, jobs: int = 1,
         end = total
     if not 0 <= start <= end <= total:
         raise ValueError(f"invalid index range [{start}, {end}) for total {total}")
-    blocks = max(jobs * 4, 1)
-    argses = [(n, start + lo, start + hi) for lo, hi in _block_ranges(end - start, blocks)]
-    results = _run_blocks(_census_block, argses, jobs)
-
-    merged: dict[str, list] = {}
-    for classes in results:
-        for form, (data, count) in classes.items():
-            entry = merged.get(form)
-            if entry is None:
-                merged[form] = [data, count]
-            else:
-                if entry[0] != data:
-                    raise RuntimeError(f"canonical class {form} disagrees across blocks")
-                entry[1] += count
-    rows = [
-        CensusRow(
+    _, classes = _scan(n, start, end, jobs)
+    rows = []
+    for form, (exp, count, rep) in sorted(classes.items()):
+        _, profile = simple_cycles(from_matrix(BoolMatrix(n, rep)))
+        rows.append(CensusRow(
             order=n,
-            canonical_bits=form,
-            girth=data.girth,
-            cycle_lengths=data.lengths,
-            exponent=data.exponent,
+            canonical_bits=format(form, f"0{n * n}b"),
+            girth=rows_girth(rep, n),
+            cycle_lengths=profile.lengths,
+            exponent=exp,
             labeled_count=count,
-        )
-        for form, (data, count) in merged.items()
-    ]
-    return sorted(rows, key=lambda r: (r.order, r.canonical_bits))
+        ))
+    return rows

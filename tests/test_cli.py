@@ -59,6 +59,15 @@ def test_exp_on_nonprimitive_is_input_error(capsys, tmp_path):
     assert "not primitive" in err
 
 
+def test_options_do_not_carry_over_between_calls(capsys, d1_file):
+    # main reuses one parser across calls
+    _, verbose, _ = run_cli(capsys, "exp", "-f", d1_file, "--verbose")
+    code, plain, _ = run_cli(capsys, "exp", "-f", d1_file)
+    assert code == 0
+    assert verbose.startswith(plain) and len(verbose.splitlines()) == 2
+    assert plain == "17\n"
+
+
 def test_girth_and_cycles_verbs(capsys, d1_file):
     code, out, _ = run_cli(capsys, "girth", "-f", d1_file)
     assert (code, out) == (0, "4\n")

@@ -5,18 +5,22 @@ import random
 
 import pytest
 
-from primexp.digraph import Digraph, digraph, girth, relabel, simple_cycles
+from primexp.boolmat import BoolMatrix
+from primexp.digraph import Digraph, digraph, from_matrix, girth, relabel, simple_cycles
 from primexp.exponent import exponent
 from primexp.families import d1, d2, d_gN, enumerate_Dr, q1, standard_cycle
 from primexp.iso import (
     OrderCapError,
     are_isomorphic,
     automorphism_count,
+    canonical_code,
+    canonical_code_tables,
     canonical_form,
     classify_against,
     find_isomorphism,
     perm_cycle_notation,
 )
+from primexp.verify import census
 
 
 def random_digraph(rng: random.Random, n: int, p: float) -> Digraph:
@@ -135,6 +139,48 @@ def test_canonical_form_matches_brute_force():
         assert canonical_form(d).canonical_bits == brute_canonical_bits(d)
 
 
+def rows_of_code(code: int, n: int) -> tuple[int, ...]:
+    return tuple((code >> (i * n)) & ((1 << n) - 1) for i in range(n))
+
+
+def table_bits(rows: tuple[int, ...], tables) -> str:
+    n = len(rows)
+    return format(canonical_code(rows, tables), f"0{n * n}b")
+
+
+def test_table_code_matches_brute_force_on_every_small_code():
+    for n in (2, 3):
+        tables = canonical_code_tables(n)
+        for code in range(1 << (n * n)):
+            rows = rows_of_code(code, n)
+            d = from_matrix(BoolMatrix(n, rows))
+            assert table_bits(rows, tables) == brute_canonical_bits(d), (n, code)
+
+
+def test_table_code_matches_brute_force_on_sampled_codes():
+    rng = random.Random(67)
+    for n in (4, 5):
+        tables = canonical_code_tables(n)
+        for _ in range(150):
+            rows = rows_of_code(rng.getrandbits(n * n), n)
+            d = from_matrix(BoolMatrix(n, rows))
+            assert table_bits(rows, tables) == brute_canonical_bits(d), (n, rows)
+
+
+def test_table_code_matches_canonical_form_on_order_four_classes():
+    # Each census class, moved off its canonical labeling, must get the
+    # census code from both the table code and the branch-and-bound form.
+    rng = random.Random(71)
+    tables = canonical_code_tables(4)
+    classes = census(4)
+    assert len(classes) == 1159
+    for row in classes:
+        rows = rows_of_code(int(row.canonical_bits[::-1], 2), 4)
+        moved = relabel(from_matrix(BoolMatrix(4, rows)), random_permutation(rng, 4))
+        assert table_bits(moved.successor_rows(), tables) == row.canonical_bits
+        assert canonical_form(moved).canonical_bits == row.canonical_bits
+
+
 def test_cycle_canonical_form_is_rotation_stable():
     rng = random.Random(59)
     d = standard_cycle(5)
@@ -160,6 +206,8 @@ def test_order_caps():
         find_isomorphism(big, big)
     with pytest.raises(OrderCapError):
         canonical_form(standard_cycle(13))
+    with pytest.raises(OrderCapError):
+        canonical_code_tables(7)
 
 
 def test_automorphism_counts():

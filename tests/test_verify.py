@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from primexp.digraph import is_primitive
@@ -107,6 +109,13 @@ def test_verify_lemma24_jobs_do_not_change_output():
     sequential = verify_lemma24(4, jobs=1)
     parallel = verify_lemma24(4, jobs=3)
     assert sequential.to_jsonl() == parallel.to_jsonl()
+
+
+def test_verify_lemma24_report_bytes_are_pinned():
+    text = verify_lemma24(4).to_jsonl()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d6b2ba0fcda8fa3d033433dda5017ec136577abd9ac3e787832bfb868b1d19b4"
+    )
 
 
 def test_verify_lemma24_rejects_other_orders():
@@ -222,6 +231,40 @@ def test_census_order_four_extremal_row():
     assert extremal[0].girth == 3
     assert extremal[0].cycle_lengths == (3, 4)
     assert len([r for r in rows if r.exponent == 9]) == 1
+
+
+def test_census_order_four_bytes_are_pinned():
+    text = census_to_jsonl(census(4))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2beb86970af1df7fefc985939bbe42837f6c3f88afe06b12903ca21ef1898cb0"
+    )
+
+
+def test_census_jobs_do_not_change_output():
+    assert census_to_jsonl(census(4, jobs=3)) == census_to_jsonl(census(4, jobs=1))
+
+
+def test_census_rejects_a_class_with_two_exponents(monkeypatch):
+    import primexp.verify as verify_module
+
+    real = verify_module.exponent_of_rows
+
+    def by_first_row(rows, n):
+        e = real(rows, n)
+        return None if e is None else e + (rows[0] & 1)
+
+    def by_block(rows, n):
+        # constant inside each of the four blocks of census(3), whose codes
+        # share the top two bits of the last row
+        e = real(rows, n)
+        return None if e is None else e + (rows[-1] >> (n - 2))
+
+    monkeypatch.setattr(verify_module, "exponent_of_rows", by_first_row)
+    with pytest.raises(RuntimeError, match="saw exponents"):
+        census(3)
+    monkeypatch.setattr(verify_module, "exponent_of_rows", by_block)
+    with pytest.raises(RuntimeError, match="disagrees across blocks"):
+        census(3)
 
 
 def test_census_guards():
