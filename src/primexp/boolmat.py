@@ -128,12 +128,6 @@ def is_all_positive(a: BoolMatrix) -> bool:
     return rows_all_positive(a.rows, a.order)
 
 
-def entrywise_le(a: BoolMatrix, b: BoolMatrix) -> bool:
-    if a.order != b.order:
-        raise ValueError(f"order mismatch: {a.order} != {b.order}")
-    return all(ra & ~rb == 0 for ra, rb in zip(a.rows, b.rows))
-
-
 # -- text format ----------------------------------------------------------
 #
 # Line 1: decimal order n.  Lines 2..n+1: exactly n characters from {0,1};

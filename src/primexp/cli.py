@@ -15,9 +15,6 @@ from . import families
 from .boolmat import BoolMatrix, MatrixParseError, parse_matrix, serialize_matrix
 from .digraph import Digraph, from_matrix, girth, simple_cycles
 from .exponent import (
-    NotPrimitiveError,
-    TooManyCycleLengthsError,
-    TruncatedProfileError,
     c_walk_distances,
     exponent,
     formula_thm33,
@@ -31,7 +28,7 @@ from .exponent import (
 )
 from .iso import find_isomorphism, perm_cycle_notation
 from .report import Report, census_to_csv, census_to_jsonl
-from .semigroup import frobenius, gcd_set
+from .semigroup import frobenius
 from .verify import (
     census,
     verify_bounds,
@@ -46,9 +43,19 @@ EXIT_ASSERT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 
+# bound name -> (evaluator, its options in call order); lemma22 reads -f instead
+BOUNDS = {
+    "lemma23": (lemma23_bound, ("n", "g")),
+    "lemma25": (lemma25_bound, ("n",)),
+    "lemma26": (lemma26_bound, ("n", "g", "q")),
+    "lemma32": (lemma32_bound, ("n", "g")),
+    "lemma34": (lemma34_bound, ("n", "g")),
+    "formula-thm33": (formula_thm33, ("n", "g", "r")),
+    "range-thm36": (thm36_range, ("n", "g")),
+}
 
-class InputError(Exception):
-    """Unusable input file or a computation undefined for the given input."""
+# FamilySpec field -> the family option that sets it
+_FAMILY_OPTIONS = {"n": "--n", "g": "--g", "N": "--N", "k": "--k", "chord_mask": "--mask"}
 
 
 def _load_digraph(path: str) -> Digraph:
@@ -56,25 +63,54 @@ def _load_digraph(path: str) -> Digraph:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     try:
         return from_matrix(parse_matrix(text))
     except MatrixParseError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _emit(value) -> None:
     print(value)
 
 
+def _required(args, names) -> list:
+    """Values of the named options, in order; a missing one is an input error."""
+    values = [getattr(args, name) for name in names]
+    for name, value in zip(names, values):
+        if value is None:
+            raise ValueError(f"missing required option {_FAMILY_OPTIONS.get(name, '--' + name)}")
+    return values
+
+
+def _parse_position_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(sorted({int(part) for part in text.split(",") if part != ""}))
+    except ValueError as exc:
+        raise ValueError(f"bad position list {text!r}") from exc
+
+
+def _parse_chord_pairs(text: str) -> tuple[tuple[int, int], ...]:
+    """"n:g,n:g,..." as (n, g) pairs; the empty string means no pairs."""
+    if not text:
+        return ()
+    try:
+        return tuple((int(n), int(g)) for n, g in (part.split(":") for part in text.split(",")))
+    except ValueError as exc:
+        raise ValueError(f"bad chord pair list {text!r}") from exc
+
+
+def _jobs(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 # -- verb handlers -----------------------------------------------------------
 
 def _cmd_exp(args) -> int:
-    d = _load_digraph(args.file)
-    try:
-        result = exponent(d)
-    except NotPrimitiveError as exc:
-        raise InputError(str(exc)) from exc
+    result = exponent(_load_digraph(args.file))
     _emit(result.value)
     if args.verbose:
         pair = result.certificate_pair
@@ -103,21 +139,12 @@ def _cmd_cycles(args) -> int:
 
 
 def _cmd_frobenius(args) -> int:
-    try:
-        if gcd_set(args.values) != 1:
-            raise InputError(f"gcd of {sorted(set(args.values))} is not 1; conductor undefined")
-        _emit(frobenius(args.values))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    _emit(frobenius(args.values))
     return EXIT_OK
 
 
 def _cmd_cwalk(args) -> int:
-    d = _load_digraph(args.file)
-    try:
-        result = c_walk_distances(d)
-    except (NotPrimitiveError, TruncatedProfileError, TooManyCycleLengthsError) as exc:
-        raise InputError(str(exc)) from exc
+    result = c_walk_distances(_load_digraph(args.file))
     _emit(result.max)
     if args.verbose:
         _emit(f"arg_max=({result.arg_max[0]},{result.arg_max[1]})")
@@ -127,82 +154,23 @@ def _cmd_cwalk(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    try:
-        if args.which == "lemma22":
-            if args.file is None:
-                raise InputError("bound lemma22 requires -f MATRIX")
-            d = _load_digraph(args.file)
-            _emit(lemma22_bound(d))
-        elif args.which == "lemma23":
-            _require(args, "n", "g")
-            _emit(lemma23_bound(args.n, args.g))
-        elif args.which == "lemma25":
-            _require(args, "n")
-            _emit(lemma25_bound(args.n))
-        elif args.which == "lemma26":
-            _require(args, "n", "g", "q")
-            _emit(lemma26_bound(args.n, args.g, args.q))
-        elif args.which == "lemma32":
-            _require(args, "n", "g")
-            _emit(lemma32_bound(args.n, args.g))
-        elif args.which == "lemma34":
-            _require(args, "n", "g")
-            _emit(lemma34_bound(args.n, args.g))
-        elif args.which == "formula-thm33":
-            _require(args, "n", "g", "r")
-            _emit(formula_thm33(args.n, args.g, args.r))
-        elif args.which == "range-thm36":
-            _require(args, "n", "g")
-            low, high = thm36_range(args.n, args.g)
-            _emit(f"{low},{high}")
-    except (ValueError, NotPrimitiveError, TruncatedProfileError, TooManyCycleLengthsError) as exc:
-        raise InputError(str(exc)) from exc
+    if args.which == "lemma22":
+        if args.file is None:
+            raise ValueError("bound lemma22 requires -f MATRIX")
+        _emit(lemma22_bound(_load_digraph(args.file)))
+        return EXIT_OK
+    evaluator, names = BOUNDS[args.which]
+    value = evaluator(*_required(args, names))
+    _emit(",".join(map(str, value)) if isinstance(value, tuple) else value)
     return EXIT_OK
 
 
-def _require(args, *names) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise InputError(f"missing required option --{name}")
-
-
-def _parse_position_list(text: str) -> set[int]:
-    try:
-        return {int(part) for part in text.split(",") if part != ""}
-    except ValueError as exc:
-        raise InputError(f"bad position list {text!r}") from exc
-
-
 def _cmd_family(args) -> int:
-    try:
-        if args.kind == "cycle":
-            _require(args, "n")
-            d = families.standard_cycle(args.n)
-        elif args.kind == "d1":
-            _require(args, "n")
-            d = families.d1(args.n)
-        elif args.kind == "d2":
-            _require(args, "n")
-            d = families.d2(args.n)
-        elif args.kind == "d_gN":
-            _require(args, "n", "g")
-            if args.N is None:
-                raise InputError("family d_gN requires --N")
-            d = families.d_gN(args.n, args.g, _parse_position_list(args.N))
-        elif args.kind == "q1":
-            _require(args, "n", "g")
-            d = families.q1(args.n, args.g)
-        elif args.kind == "q2":
-            _require(args, "n", "g")
-            d = families.q2(args.n, args.g)
-        elif args.kind == "h":
-            _require(args, "n", "g", "k")
-            d = families.h_graph(args.n, args.g, args.k)
-        else:  # chord
-            _require(args, "n", "g", "mask")
-            d = families.chord_member(args.n, args.g, args.mask)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    fields = families.KINDS[args.kind][1]
+    values = dict(zip(fields, _required(args, fields)))
+    if "N" in values:
+        values["N"] = _parse_position_list(values["N"])
+    d = families.FamilySpec(args.kind, **values).build()
     text = serialize_matrix(BoolMatrix(d.order, d.successor_rows()))
     if args.output is None:
         sys.stdout.write(text)
@@ -215,10 +183,7 @@ def _cmd_family(args) -> int:
 def _cmd_iso(args) -> int:
     a = _load_digraph(args.a)
     b = _load_digraph(args.b)
-    try:
-        witness = find_isomorphism(a, b)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    witness = find_isomorphism(a, b)
     _emit("true" if witness is not None else "false")
     if args.verbose and witness is not None:
         _emit(perm_cycle_notation(witness))
@@ -243,44 +208,20 @@ def _write_report(report: Report, out: str | None) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    try:
-        if args.what == "bounds":
-            if args.seed is None:
-                raise InputError("verify bounds is randomized; --seed is required")
-            pairs = tuple(
-                tuple(int(x) for x in pair.split(":"))
-                for pair in args.chord_pairs.split(",")
-            ) if args.chord_pairs else ()
-            report = verify_bounds(
-                n_max=args.n_max, samples=args.samples, seed=args.seed,
-                chord_pairs=pairs,
-            )
-        elif args.what == "lemma24":
-            report = verify_lemma24(n=args.n, jobs=args.jobs)
-        elif args.what == "thm33":
-            report = verify_thm33(n_min=args.n_min, n_max=args.n_max)
-        elif args.what == "lemma34":
-            report = verify_lemma34(n_max=args.n_max)
-        elif args.what == "thm36":
-            _require(args, "n", "g")
-            report = verify_thm36(args.n, args.g)
-        else:  # census
-            rows = census(
-                args.n, long_mode=args.long, jobs=args.jobs,
-                start=args.start, end=args.end,
-            )
-            if args.out is None:
-                sys.stdout.write(census_to_jsonl(rows))
-            else:
-                with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                    fh.write(census_to_jsonl(rows))
-                with open(_csv_path(args.out), "w", encoding="utf-8", newline="") as fh:
-                    fh.write(census_to_csv(rows))
-            return EXIT_OK
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    return _write_report(report, args.out)
+def _cmd_report(args) -> int:
+    return _write_report(args.run(args), args.out)
+
+
+def _cmd_census(args) -> int:
+    rows = census(args.n, long_mode=args.long, jobs=args.jobs, start=args.start, end=args.end)
+    if args.out is None:
+        sys.stdout.write(census_to_jsonl(rows))
+    else:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(census_to_jsonl(rows))
+        with open(_csv_path(args.out), "w", encoding="utf-8", newline="") as fh:
+            fh.write(census_to_csv(rows))
+    return EXIT_OK
 
 
 # -- parser ------------------------------------------------------------------
@@ -317,10 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_cwalk)
 
     p = sub.add_parser("bound", help="closed-form bound and window evaluators")
-    p.add_argument("which", choices=[
-        "lemma22", "lemma23", "lemma25", "lemma26",
-        "lemma32", "lemma34", "formula-thm33", "range-thm36",
-    ])
+    p.add_argument("which", choices=["lemma22", *BOUNDS])
     p.add_argument("-f", "--file")
     p.add_argument("--n", type=int)
     p.add_argument("--g", type=int)
@@ -329,12 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bound)
 
     p = sub.add_parser("family", help="serialize a constructed family member")
-    p.add_argument("kind", choices=["cycle", "d1", "d2", "d_gN", "q1", "q2", "h", "chord"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--g", type=int)
-    p.add_argument("--N")
-    p.add_argument("--k", type=int)
-    p.add_argument("--mask", type=int)
+    p.add_argument("kind", choices=list(families.KINDS))
+    for field, flag in _FAMILY_OPTIONS.items():
+        p.add_argument(flag, dest=field, type=None if field == "N" else int)
     p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_family)
 
@@ -347,49 +282,45 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="claim-check harness runs")
     vsub = p.add_subparsers(dest="what", required=True)
 
-    v = vsub.add_parser("bounds", help="bound suite: chord families + random sweep")
+    def verb(name, help, run=None, handler=_cmd_report):
+        v = vsub.add_parser(name, help=help)
+        v.add_argument("--out")
+        v.set_defaults(handler=handler, run=run)
+        return v
+
+    v = verb("bounds", "bound suite: chord families + random sweep", lambda a: verify_bounds(
+        n_max=a.n_max, samples=a.samples, seed=a.seed,
+        chord_pairs=_parse_chord_pairs(a.chord_pairs), jobs=a.jobs))
     v.add_argument("--n-max", dest="n_max", type=int, default=8)
     v.add_argument("--samples", type=int, default=1000)
     v.add_argument("--seed", type=int, required=True)
     v.add_argument("--chord-pairs", dest="chord_pairs", default="10:3,10:7,10:9,11:3")
-    v.add_argument("--out")
-    v.add_argument("--jobs", type=int, default=1)
-    v.set_defaults(handler=_cmd_verify)
+    v.add_argument("--jobs", type=_jobs, default=1)
 
-    v = vsub.add_parser("lemma24", help="exhaustive extremal-class census check")
+    v = verb("lemma24", "exhaustive extremal-class census check",
+             lambda a: verify_lemma24(n=a.n, jobs=a.jobs))
     v.add_argument("--n", type=int, default=4, choices=[4, 5])
-    v.add_argument("--out")
-    v.add_argument("--jobs", type=int, default=1)
-    v.set_defaults(handler=_cmd_verify)
+    v.add_argument("--jobs", type=_jobs, default=1)
 
-    v = vsub.add_parser("thm33", help="chord-set exact-formula report")
+    v = verb("thm33", "chord-set exact-formula report",
+             lambda a: verify_thm33(n_min=a.n_min, n_max=a.n_max))
     v.add_argument("--n-min", dest="n_min", type=int, default=5)
     v.add_argument("--n-max", dest="n_max", type=int, default=12)
-    v.add_argument("--out")
-    v.add_argument("--jobs", type=int, default=1)
-    v.set_defaults(handler=_cmd_verify)
 
-    v = vsub.add_parser("lemma34", help="two-disjoint-cycle bound sweep")
+    v = verb("lemma34", "two-disjoint-cycle bound sweep", lambda a: verify_lemma34(n_max=a.n_max))
     v.add_argument("--n-max", dest="n_max", type=int, default=12)
-    v.add_argument("--out")
-    v.add_argument("--jobs", type=int, default=1)
-    v.set_defaults(handler=_cmd_verify)
 
-    v = vsub.add_parser("thm36", help="window characterization over the chord universe")
+    v = verb("thm36", "window characterization over the chord universe",
+             lambda a: verify_thm36(a.n, a.g))
     v.add_argument("--n", type=int, required=True)
     v.add_argument("--g", type=int, required=True)
-    v.add_argument("--out")
-    v.add_argument("--jobs", type=int, default=1)
-    v.set_defaults(handler=_cmd_verify)
 
-    v = vsub.add_parser("census", help="isomorphism-class table of primitive digraphs")
+    v = verb("census", "isomorphism-class table of primitive digraphs", handler=_cmd_census)
     v.add_argument("--n", type=int, required=True)
     v.add_argument("--long", action="store_true")
     v.add_argument("--start", type=int, default=0)
     v.add_argument("--end", type=int, default=None)
-    v.add_argument("--out")
-    v.add_argument("--jobs", type=int, default=1)
-    v.set_defaults(handler=_cmd_verify)
+    v.add_argument("--jobs", type=_jobs, default=1)
 
     return parser
 
@@ -404,7 +335,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except InputError as exc:
+    except ValueError as exc:
+        # Every library error is a ValueError: an input the computation is undefined for.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

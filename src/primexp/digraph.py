@@ -36,9 +36,6 @@ class Digraph:
             rows[i - 1] |= 1 << (j - 1)
         return tuple(rows)
 
-    def has_arc(self, i: int, j: int) -> bool:
-        return (i, j) in self.arcs
-
 
 def digraph(order: int, arcs) -> Digraph:
     return Digraph(order, frozenset(arcs))

@@ -26,9 +26,9 @@ def _chord_target(n: int, g: int, i: int) -> int:
 class FamilySpec:
     """Parameters selecting one constructed digraph.
 
-    kind is one of standard_cycle/d1/d2/d_gN/q1/q2/h/chord; only the fields
-    meaningful for that kind are set.  chord_mask is a bitmask over cyclic
-    chord positions 1..n (bit i-1 for position i).
+    kind is a key of KINDS; only the fields that KINDS lists for it are
+    set.  chord_mask is a bitmask over cyclic chord positions 1..n (bit i-1
+    for position i).
     """
 
     kind: str
@@ -43,23 +43,11 @@ class FamilySpec:
         return max(self.N) if self.N else None
 
     def build(self) -> Digraph:
-        if self.kind == "standard_cycle":
-            return standard_cycle(self.n)
-        if self.kind == "d1":
-            return d1(self.n)
-        if self.kind == "d2":
-            return d2(self.n)
-        if self.kind == "d_gN":
-            return d_gN(self.n, self.g, set(self.N))
-        if self.kind == "q1":
-            return q1(self.n, self.g)
-        if self.kind == "q2":
-            return q2(self.n, self.g)
-        if self.kind == "h":
-            return h_graph(self.n, self.g, self.k)
-        if self.kind == "chord":
-            return chord_member(self.n, self.g, self.chord_mask)
-        raise ValueError(f"unknown family kind {self.kind!r}")
+        try:
+            constructor, fields = KINDS[self.kind]
+        except KeyError:
+            raise ValueError(f"unknown family kind {self.kind!r}") from None
+        return constructor(*(getattr(self, name) for name in fields))
 
     def label(self) -> str:
         parts = [f"n={self.n}"]
@@ -166,6 +154,19 @@ def chord_member(n: int, g: int, mask: int) -> Digraph:
         m ^= low
         arcs.add((i, _chord_target(n, g, i)))
     return Digraph(n, frozenset(arcs))
+
+
+# kind -> (constructor, the FamilySpec fields it takes, in call order)
+KINDS = {
+    "cycle": (standard_cycle, ("n",)),
+    "d1": (d1, ("n",)),
+    "d2": (d2, ("n",)),
+    "d_gN": (d_gN, ("n", "g", "N")),
+    "q1": (q1, ("n", "g")),
+    "q2": (q2, ("n", "g")),
+    "h": (h_graph, ("n", "g", "k")),
+    "chord": (chord_member, ("n", "g", "chord_mask")),
+}
 
 
 def _mask_positions(mask: int) -> tuple[int, ...]:

@@ -100,9 +100,6 @@ class Report:
     def add(self, row: VerificationRow) -> None:
         self.rows.append(row)
 
-    def extend(self, rows) -> None:
-        self.rows.extend(rows)
-
     def sorted_rows(self) -> list[VerificationRow]:
         return sorted(self.rows, key=lambda r: (r.claim, r.instance))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import random
 
 from .boolmat import BoolMatrix, serialize_matrix
@@ -150,20 +151,33 @@ def bound_rows_for(d: Digraph, instance: str, report: Report, **params) -> None:
             ))
 
 
+def _chord_universe_rows(pair: tuple[int, int]) -> list:
+    """Bound rows for every primitive member of the (n, g) chord universe."""
+    n, g = pair
+    report = Report()
+    for spec in chord_family(n, g):
+        d = spec.build()
+        if not rows_primitive(d.successor_rows(), n):
+            continue
+        bound_rows_for(d, spec.label(), report, n=n, g=g, mask=spec.chord_mask)
+    return report.rows
+
+
 def verify_bounds(
     n_max: int = 8,
     samples: int = 1000,
     seed: int = 0,
     chord_pairs=DEFAULT_CHORD_PAIRS,
+    jobs: int = 1,
 ) -> Report:
-    """Bound suite over exhaustive chord families plus a seeded random sweep."""
+    """Bound suite over exhaustive chord families plus a seeded random sweep.
+
+    With jobs > 1 the chord universes run in worker processes, one per
+    (n, g) pair; the random sweep always runs here.
+    """
     report = Report()
-    for n, g in chord_pairs:
-        for spec in chord_family(n, g):
-            d = spec.build()
-            if not rows_primitive(d.successor_rows(), n):
-                continue
-            bound_rows_for(d, spec.label(), report, n=n, g=g, mask=spec.chord_mask)
+    for rows in _run_blocks(_chord_universe_rows, list(chord_pairs), jobs):
+        report.rows += rows
     for idx, n, p, d in random_instances(seed, samples, n_max):
         instance = f"rand:{idx:06d}:{matrix_digest(d)}"
         bound_rows_for(d, instance, report, n=n, p=p, seed=seed)
@@ -221,13 +235,15 @@ def _scan_block(args: tuple[int, int, int, tuple[int, ...] | None]):
 
 
 def _run_blocks(worker, argses, jobs: int):
-    if jobs <= 1 or len(argses) <= 1:
+    """``worker`` over ``argses`` in order, on at most min(jobs, CPUs) processes."""
+    workers = min(jobs, len(argses), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(a) for a in argses]
     # Imported here because only --jobs > 1 needs it, and loading the
     # process-pool machinery costs every CLI call about 2 MB and some start-up.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, argses))
 
 

@@ -6,10 +6,20 @@ import sys
 
 import pytest
 
+from primexp import families
 from primexp.boolmat import serialize_matrix
-from primexp.cli import main
+from primexp.cli import BOUNDS, main
 from primexp.digraph import to_matrix
-from primexp.families import d1, q1, standard_cycle
+from primexp.exponent import (
+    formula_thm33,
+    lemma23_bound,
+    lemma25_bound,
+    lemma26_bound,
+    lemma32_bound,
+    lemma34_bound,
+    thm36_range,
+)
+from primexp.families import KINDS, d1, q1, standard_cycle
 
 
 @pytest.fixture
@@ -95,6 +105,36 @@ def test_bound_verbs(capsys):
     assert (code, out) == (0, "32,34\n")
 
 
+# bound name -> (evaluator, options); the evaluator is named here, not read from BOUNDS
+BOUND_CASES = {
+    "lemma23": (lemma23_bound, {"n": 10, "g": 3}),
+    "lemma25": (lemma25_bound, {"n": 10}),
+    "lemma26": (lemma26_bound, {"n": 10, "g": 3, "q": 7}),
+    "lemma32": (lemma32_bound, {"n": 10, "g": 3}),
+    "lemma34": (lemma34_bound, {"n": 11, "g": 3}),
+    "formula-thm33": (formula_thm33, {"n": 10, "g": 3, "r": 2}),
+    "range-thm36": (thm36_range, {"n": 10, "g": 3}),
+}
+
+
+def test_bound_cases_cover_the_table():
+    assert set(BOUND_CASES) == set(BOUNDS)
+
+
+@pytest.mark.parametrize("which", sorted(BOUND_CASES))
+def test_bound_verb_prints_the_evaluator(capsys, which):
+    evaluator, options = BOUND_CASES[which]
+    argv = [x for name, value in options.items() for x in (f"--{name}", str(value))]
+    code, out, _ = run_cli(capsys, "bound", which, *argv)
+    value = evaluator(**options)
+    assert code == 0
+    assert out == (",".join(map(str, value)) if isinstance(value, tuple) else str(value)) + "\n"
+    # dropping the last option is an input error naming it
+    code, out, err = run_cli(capsys, "bound", which, *argv[:-2])
+    assert (code, out) == (3, "")
+    assert err == f"error: missing required option {argv[-2]}\n"
+
+
 def test_bound_missing_option_is_input_error(capsys):
     code, _, err = run_cli(capsys, "bound", "lemma23", "--n", "10")
     assert code == 3
@@ -124,6 +164,36 @@ def test_family_verb_to_stdout(capsys):
     assert out == "3\n001\n100\n010\n"
 
 
+# kind -> (constructor, options); the constructor is named here, not read from KINDS
+FAMILY_CASES = {
+    "cycle": (families.standard_cycle, {"--n": 5}),
+    "d1": (families.d1, {"--n": 6}),
+    "d2": (families.d2, {"--n": 6}),
+    "d_gN": (families.d_gN, {"--n": 10, "--g": 3, "--N": (1, 3)}),
+    "q1": (families.q1, {"--n": 10, "--g": 3}),
+    "q2": (families.q2, {"--n": 10, "--g": 3}),
+    "h": (families.h_graph, {"--n": 10, "--g": 3, "--k": 5}),
+    "chord": (families.chord_member, {"--n": 7, "--g": 3, "--mask": 5}),
+}
+
+
+def test_family_cases_cover_the_table():
+    assert set(FAMILY_CASES) == set(KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY_CASES))
+def test_family_verb_prints_the_constructor(capsys, kind):
+    constructor, options = FAMILY_CASES[kind]
+    argv = [x for flag, value in options.items()
+            for x in (flag, ",".join(map(str, value)) if flag == "--N" else str(value))]
+    code, out, _ = run_cli(capsys, "family", kind, *argv)
+    assert code == 0
+    assert out == serialize_matrix(to_matrix(constructor(*options.values())))
+    code, out, err = run_cli(capsys, "family", kind, *argv[:-2])
+    assert (code, out) == (3, "")
+    assert err == f"error: missing required option {argv[-2]}\n"
+
+
 def test_family_invariant_violation_is_input_error(capsys):
     code, _, err = run_cli(capsys, "family", "d_gN", "--n", "10", "--g", "5", "--N", "1")
     assert code == 3
@@ -149,6 +219,35 @@ def test_matrix_parse_error_is_input_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "girth", "-f", str(path))
     assert code == 3
     assert "line 2" in err
+
+
+def test_cycles_cap_below_one_is_input_error(capsys, d1_file):
+    code, out, err = run_cli(capsys, "cycles", "-f", d1_file, "--cap", "0")
+    assert (code, out) == (3, "")
+    assert err == "error: cap must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("pairs", ["10", "10:3:1", "10:x", "10:3,"])
+def test_verify_bounds_bad_chord_pairs_is_input_error(capsys, pairs):
+    code, out, err = run_cli(capsys, "verify", "bounds", "--samples", "0", "--seed", "1",
+                             "--chord-pairs", pairs)
+    assert (code, out) == (3, "")
+    assert err == f"error: bad chord pair list {pairs!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--seed", "1", "--jobs", "0"),
+    ("lemma24", "--jobs", "-1"),
+    ("census", "--n", "2", "--jobs", "0"),
+    ("thm33", "--jobs", "2"),
+    ("lemma34", "--jobs", "2"),
+    ("thm36", "--n", "7", "--g", "3", "--jobs", "2"),
+], ids=["bounds-0", "lemma24-neg", "census-0", "thm33", "lemma34", "thm36"])
+def test_jobs_below_one_or_on_a_serial_verb_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_missing_file_is_input_error(capsys, tmp_path):

@@ -93,6 +93,42 @@ def test_verify_bounds_small_run_passes_and_is_deterministic():
     assert chord_rows
 
 
+def test_verify_bounds_jobs_do_not_change_output():
+    kwargs = dict(n_max=5, samples=20, seed=11, chord_pairs=((7, 3), (7, 4), (6, 5)))
+    sequential = verify_bounds(**kwargs, jobs=1)
+    parallel = verify_bounds(**kwargs, jobs=2)
+    assert [r for r in sequential.rows if r.instance.startswith("chord:")]
+    assert parallel.to_jsonl() == sequential.to_jsonl()
+    assert parallel.to_summary_csv() == sequential.to_summary_csv()
+
+
+def test_run_blocks_starts_at_most_one_worker_per_cpu(monkeypatch):
+    import concurrent.futures
+    import primexp.verify as verify_module
+
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, argses):
+            return map(worker, argses)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(verify_module.os, "cpu_count", lambda: 3)
+    assert verify_module._run_blocks(abs, [-1, -2, -3, -4, -5], 10**6) == [1, 2, 3, 4, 5]
+    assert verify_module._run_blocks(abs, [-1, -2], 10**6) == [1, 2]
+    assert verify_module._run_blocks(abs, [-1, -2], 1) == [1, 2]
+    assert started == [3, 2]
+
+
 # -- exhaustive extremal classes -----------------------------------------------------
 
 def test_verify_lemma24_order_four():
