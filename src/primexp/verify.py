@@ -6,6 +6,11 @@ are report-only: every instance is compared against the oracle and the
 agreement pattern is itself the deliverable.  All randomness is seeded and
 all row streams are sorted, so identical parameters reproduce identical
 reports byte for byte.
+
+The bound suite and the thm36 converse sweep evaluate each rotation orbit
+of a chord universe once: rotating a chord mask relabels its member, and
+every checked value is an isomorphism invariant, so the members of an orbit
+differ only in their label and mask.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .exponent import (
 )
 from .families import (
     chord_family,
+    chord_member,
     chord_position_cap,
     d1,
     d2,
@@ -99,67 +105,88 @@ def matrix_digest(d: Digraph) -> str:
 
 # -- bound suite -------------------------------------------------------------
 
-def bound_rows_for(d: Digraph, instance: str, report: Report, **params) -> None:
-    """Append one row per applicable established bound for one primitive digraph.
+# make_row options of an asserted upper bound
+_LE = {"asserted": True, "rule": "le"}
 
-    The instance must be primitive.  A truncated cycle profile excludes the
-    cycle-set-dependent checks (logged as a skip row, not fatal).
+
+def _bound_facts(d: Digraph) -> list[tuple]:
+    """(claim, predicted, oracle, make_row options) per applicable established bound.
+
+    The digraph must be primitive.  Every value is an isomorphism invariant.
+    A truncated cycle profile excludes the cycle-set-dependent checks
+    (logged as a skip fact, not fatal).
     """
     n = d.order
     _, profile = simple_cycles(d)
     exp = exponent(d).value
     if profile.cap_hit:
-        report.add(make_row(
-            "L2.2", instance, None, None, asserted=False,
-            notes="skipped: cycle profile truncated at its cap", **params,
-        ))
-        return
+        return [("L2.2", None, None,
+                 {"asserted": False, "notes": "skipped: cycle profile truncated at its cap"})]
     lengths = profile.lengths
     g = lengths[0]
 
+    facts = []
     try:
         cw = c_walk_distances(d, profile=profile)
-        bound22 = cw.max + frobenius(lengths)
-        report.add(make_row(
-            "L2.2", instance, bound22, exp, asserted=True, rule="le", **params,
-        ))
+        facts.append(("L2.2", cw.max + frobenius(lengths), exp, _LE))
     except (TruncatedProfileError, TooManyCycleLengthsError) as exc:
-        report.add(make_row(
-            "L2.2", instance, None, None, asserted=False,
-            notes=f"skipped: {exc}", **params,
-        ))
-
-    report.add(make_row(
-        "L2.3", instance, lemma23_bound(n, g), exp, asserted=True, rule="le", **params,
-    ))
+        facts.append(("L2.2", None, None, {"asserted": False, "notes": f"skipped: {exc}"}))
+    facts.append(("L2.3", lemma23_bound(n, g), exp, _LE))
     if len(lengths) >= 3:
-        report.add(make_row(
-            "L2.5", instance, lemma25_bound(n), exp, asserted=True, rule="le", **params,
-        ))
+        facts.append(("L2.5", lemma25_bound(n), exp, _LE))
     if exp > lemma25_bound(n):
-        report.add(make_row(
-            "C2.1", instance, 2, len(lengths), asserted=True, **params,
-        ))
+        facts.append(("C2.1", 2, len(lengths), {"asserted": True}))
     if len(lengths) == 2:
         q = lengths[1]
-        report.add(make_row(
-            "L2.6", instance, lemma26_bound(n, g, q), exp, asserted=True, rule="le", **params,
-        ))
+        facts.append(("L2.6", lemma26_bound(n, g, q), exp, _LE))
         if n >= 6 and q <= n - 1:
-            report.add(make_row(
-                "L3.2", instance, lemma32_bound(n, g), exp, asserted=True, rule="le", **params,
-            ))
+            facts.append(("L3.2", lemma32_bound(n, g), exp, _LE))
+    return facts
+
+
+def _add_fact_rows(report: Report, facts, instance: str, params: dict) -> None:
+    for claim, predicted, oracle, options in facts:
+        report.add(make_row(claim, instance, predicted, oracle, **options, **params))
+
+
+def bound_rows_for(d: Digraph, instance: str, report: Report, **params) -> None:
+    """Append one row per applicable established bound for one primitive digraph."""
+    _add_fact_rows(report, _bound_facts(d), instance, params)
+
+
+def _least_rotation(mask: int, n: int) -> int:
+    """Smallest of the n cyclic rotations of an n-bit chord mask."""
+    full = (1 << n) - 1
+    least = rotated = mask
+    for _ in range(n - 1):
+        rotated = ((rotated << 1) | (rotated >> (n - 1))) & full
+        least = min(least, rotated)
+    return least
+
+
+def _per_orbit(n: int, g: int, evaluate):
+    """(spec, evaluate(member)) for every member of the (n, g) chord universe.
+
+    Relabeling v_i -> v_{i+1} maps the member of a mask onto the member of
+    the mask rotated by one position, so ``evaluate``, which must return an
+    isomorphism invariant, runs once per rotation orbit: on the member of
+    its least mask, which comes first because masks ascend.
+    """
+    orbit_values: dict[int, object] = {}
+    for spec in chord_family(n, g):
+        least = _least_rotation(spec.chord_mask, n)
+        if least not in orbit_values:
+            orbit_values[least] = evaluate(chord_member(n, g, least))
+        yield spec, orbit_values[least]
 
 
 def _chord_universe_rows(pair: tuple[int, int]) -> list:
     """Bound rows for every primitive member of the (n, g) chord universe."""
     n, g = pair
     report = Report()
-    for spec in chord_family(n, g):
-        d = spec.build()
-        if not rows_primitive(d.successor_rows(), n):
-            continue
-        bound_rows_for(d, spec.label(), report, n=n, g=g, mask=spec.chord_mask)
+    for spec, facts in _per_orbit(
+            n, g, lambda d: _bound_facts(d) if rows_primitive(d.successor_rows(), n) else []):
+        _add_fact_rows(report, facts, spec.label(), {"n": n, "g": g, "mask": spec.chord_mask})
     return report.rows
 
 
@@ -175,6 +202,10 @@ def verify_bounds(
     With jobs > 1 the chord universes run in worker processes, one per
     (n, g) pair; the random sweep always runs here.
     """
+    if not 2 <= n_max <= 10:
+        raise ValueError(f"n_max must be in 2..10, got {n_max}")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     report = Report()
     for rows in _run_blocks(_chord_universe_rows, list(chord_pairs), jobs):
         report.rows += rows
@@ -255,8 +286,8 @@ def _block_ranges(total: int, blocks: int) -> list[tuple[int, int]]:
 
 
 def _scan(n: int, start: int, end: int, jobs: int, keyed: tuple[int, ...] | None = None):
-    """``_scan_block`` over [start, end) in 4 * jobs blocks, merged."""
-    blocks = max(jobs * 4, 1)
+    """``_scan_block`` over [start, end) in 4 blocks per worker, merged."""
+    blocks = 4 * max(min(jobs, os.cpu_count() or 1), 1)
     argses = [(n, start + lo, start + hi, keyed)
               for lo, hi in _block_ranges(end - start, blocks)]
     counts: dict[int, int] = {}
@@ -415,15 +446,38 @@ def proof_threshold_min_g(n: int) -> int:
     return g
 
 
+def _converse_facts(d: Digraph, g: int, low: int, high: int,
+                    reference_families: dict[int, list[Digraph]]):
+    """Isomorphism-invariant converse facts of one chord member.
+
+    None unless d is primitive with girth g; otherwise (exponent, cycle
+    lengths when the exponent exceeds low, window index z and the
+    classify_against index when the exponent is in (low, high]).
+    """
+    n = d.order
+    rows = d.successor_rows()
+    if not rows_primitive(rows, n) or rows_girth(rows, n) != g:
+        return None
+    oracle = exponent(d).value
+    lengths = simple_cycles(d)[1].lengths if oracle > low else None
+    z = match = None
+    if low < oracle <= high:
+        z = z_of_w(n, g, oracle)
+        if z not in reference_families:
+            reference_families[z] = [s.build() for s in enumerate_Dr(n, g, z)]
+        match = classify_against(d, reference_families[z])
+    return oracle, lengths, z, match
+
+
 def verify_thm36(n: int, g: int) -> Report:
     """Window characterization over the full rotational chord universe.
 
     Phase a (forward): oracle exponents of every admissible-position chord
     set with maximum z, against the window value w(z).  Phase b (converse):
     every primitive girth-g chord member with exponent inside the window is
-    classified against the corresponding max-z family.  Phase c: audit of
-    the two competing girth thresholds.  Only the forced cycle-set condition
-    is asserted; everything else is reported.
+    classified against the corresponding max-z family, once per rotation
+    orbit.  Phase c: audit of the two competing girth thresholds.  Only the
+    forced cycle-set condition is asserted; everything else is reported.
     """
     if math.gcd(n, g) != 1:
         raise ValueError(f"need gcd(n, g) = 1, got gcd({n}, {g})")
@@ -455,30 +509,22 @@ def verify_thm36(n: int, g: int) -> Report:
     processed = 0
     eligible = 0
     in_window = 0
-    for spec in chord_family(n, g):
+    for spec, facts in _per_orbit(
+            n, g, lambda d: _converse_facts(d, g, low, high, reference_families)):
         processed += 1
-        d = spec.build()
-        rows = d.successor_rows()
-        if not rows_primitive(rows, n):
-            continue
-        if rows_girth(rows, n) != g:
+        if facts is None:
             continue
         eligible += 1
-        oracle = exponent(d).value
+        oracle, lengths, z, match = facts
         mask = spec.chord_mask
-        if oracle > low:
-            _, profile = simple_cycles(d)
+        if lengths is not None:
             report.add(make_row(
-                "T3.6", f"cycleset:mask={mask:05d}", [g, n], list(profile.lengths),
+                "T3.6", f"cycleset:mask={mask:05d}", [g, n], list(lengths),
                 asserted=True, n=n, g=g, mask=mask,
                 notes="cycle set forced to {girth, order} above the window floor",
             ))
-        if low < oracle <= high:
+        if z is not None:
             in_window += 1
-            z = z_of_w(n, g, oracle)
-            if z not in reference_families:
-                reference_families[z] = [s.build() for s in enumerate_Dr(n, g, z)]
-            match = classify_against(d, reference_families[z])
             report.add(make_row(
                 "C3.7", f"converse:mask={mask:05d}",
                 f"member-of-D^{z}", "none" if match is None else match,

@@ -235,6 +235,21 @@ def test_verify_bounds_bad_chord_pairs_is_input_error(capsys, pairs):
     assert err == f"error: bad chord pair list {pairs!r}\n"
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--n-max", "1", "n_max must be in 2..10, got 1"),
+    ("--samples", "-3", "samples must be >= 0, got -3"),
+], ids=["n-max", "samples"])
+def test_verify_bounds_bad_size_is_input_error(capsys, monkeypatch, option, value, message):
+    import primexp.verify as verify_module
+
+    def no_universe(*args):
+        raise AssertionError("the chord universes ran before the input check")
+
+    monkeypatch.setattr(verify_module, "_run_blocks", no_universe)
+    code, out, err = run_cli(capsys, "verify", "bounds", "--seed", "1", option, value)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("bounds", "--seed", "1", "--jobs", "0"),
     ("lemma24", "--jobs", "-1"),

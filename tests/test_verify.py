@@ -6,9 +6,11 @@ import pytest
 
 from primexp.digraph import is_primitive
 from primexp.exponent import exponent, lemma25_bound
-from primexp.families import d1, q1
+from primexp.families import chord_family, chord_member, d1, q1
 from primexp.report import Report, census_to_jsonl
 from primexp.verify import (
+    _chord_universe_rows,
+    _least_rotation,
     bound_rows_for,
     census,
     printed_threshold_min_g,
@@ -102,6 +104,72 @@ def test_verify_bounds_jobs_do_not_change_output():
     assert parallel.to_summary_csv() == sequential.to_summary_csv()
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_verify_bounds_report_bytes_are_pinned():
+    report = verify_bounds(n_max=6, samples=60, seed=3)
+    assert _sha256(report.to_jsonl()) == (
+        "32fb8b4aa9b088e2c87a068f4461e40534a07391014e82b514ad9e482e0039e3"
+    )
+    assert _sha256(report.to_summary_csv()) == (
+        "422a809105fad5f0d2f9de649a9e24954af8cca5ebbe5760807a1bccd247822e"
+    )
+
+
+@pytest.mark.parametrize("kwargs, option", [
+    (dict(n_max=1), "n_max"),
+    (dict(n_max=11), "n_max"),
+    (dict(samples=-3), "samples"),
+])
+def test_verify_bounds_rejects_bad_sizes_before_any_universe(monkeypatch, kwargs, option):
+    import primexp.verify as verify_module
+
+    def no_universe(pair):
+        raise AssertionError("a chord universe ran before the input check")
+
+    monkeypatch.setattr(verify_module, "_chord_universe_rows", no_universe)
+    with pytest.raises(ValueError, match=option):
+        verify_bounds(seed=1, **kwargs)
+
+
+def _rotate(mask: int, n: int) -> int:
+    """The chord mask moved one position up: position i becomes i % n + 1."""
+    return ((mask << 1) | (mask >> (n - 1))) & ((1 << n) - 1)
+
+
+def test_rotating_a_chord_mask_relabels_its_member():
+    for n in range(3, 10):
+        for g in range(2, n):
+            for mask in range(1, 1 << n):
+                shifted = {(i % n + 1, j % n + 1) for i, j in chord_member(n, g, mask).arcs}
+                assert shifted == set(chord_member(n, g, _rotate(mask, n)).arcs), (n, g, mask)
+
+
+def test_least_rotation_counts_the_orbits():
+    assert len({_least_rotation(mask, 10) for mask in range(1, 1 << 10)}) == 107
+    assert len({_least_rotation(mask, 11) for mask in range(1, 1 << 11)}) == 187
+    for mask in range(1, 1 << 7):
+        orbit = [mask]
+        for _ in range(6):
+            orbit.append(_rotate(orbit[-1], 7))
+        assert _least_rotation(mask, 7) == min(orbit) <= mask
+
+
+@pytest.mark.parametrize("pair", [(7, 3), (8, 3), (9, 2), (9, 4)])
+def test_chord_universe_rows_equal_the_per_member_loop(pair):
+    from primexp.digraph import rows_primitive
+
+    n, g = pair
+    oracle = Report()
+    for spec in chord_family(n, g):
+        d = spec.build()
+        if rows_primitive(d.successor_rows(), n):
+            bound_rows_for(d, spec.label(), oracle, n=n, g=g, mask=spec.chord_mask)
+    assert Report(_chord_universe_rows(pair)).to_jsonl() == oracle.to_jsonl()
+
+
 def test_run_blocks_starts_at_most_one_worker_per_cpu(monkeypatch):
     import concurrent.futures
     import primexp.verify as verify_module
@@ -127,6 +195,34 @@ def test_run_blocks_starts_at_most_one_worker_per_cpu(monkeypatch):
     assert verify_module._run_blocks(abs, [-1, -2], 10**6) == [1, 2]
     assert verify_module._run_blocks(abs, [-1, -2], 1) == [1, 2]
     assert started == [3, 2]
+
+
+def test_scan_sizes_its_blocks_from_the_cpu_count(monkeypatch):
+    import concurrent.futures
+    import primexp.verify as verify_module
+
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append([max_workers])
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, argses):
+            argses = list(argses)
+            pools[-1].append(len(argses))
+            return map(worker, argses)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(verify_module.os, "cpu_count", lambda: 2)
+    assert census_to_jsonl(census(3, jobs=10**6)) == census_to_jsonl(census(3, jobs=1))
+    [(workers, blocks)] = pools
+    assert workers == 2 and blocks <= 8
 
 
 # -- exhaustive extremal classes -----------------------------------------------------
@@ -226,6 +322,12 @@ def test_verify_thm36_structure_at_ten_three():
 
     universe = [r for r in report.rows if r.instance == "summary:universe"]
     assert len(universe) == 1 and "1023 chord subsets" in universe[0].notes
+
+
+def test_verify_thm36_report_bytes_are_pinned():
+    assert _sha256(verify_thm36(11, 4).to_jsonl()) == (
+        "a97c95c086d650b68e2e0c92f1f56271cd85317513be12761edc4d20370cbf40"
+    )
 
 
 def test_verify_thm36_rejects_gcd_violation():
