@@ -213,7 +213,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    rows = census(args.n, long_mode=args.long, jobs=args.jobs, start=args.start, end=args.end)
+    rows = census(args.n, jobs=args.jobs)
     if args.out is None:
         sys.stdout.write(census_to_jsonl(rows))
     else:
@@ -297,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--chord-pairs", dest="chord_pairs", default="10:3,10:7,10:9,11:3")
     v.add_argument("--jobs", type=_jobs, default=1)
 
-    v = verb("lemma24", "exhaustive extremal-class census check",
+    v = verb("lemma24", "exhaustive extremal-class check",
              lambda a: verify_lemma24(n=a.n, jobs=a.jobs))
-    v.add_argument("--n", type=int, default=4, choices=[4, 5])
+    v.add_argument("--n", type=int, default=4, choices=[4, 5, 6])
     v.add_argument("--jobs", type=_jobs, default=1)
 
     v = verb("thm33", "chord-set exact-formula report",
@@ -317,9 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = verb("census", "isomorphism-class table of primitive digraphs", handler=_cmd_census)
     v.add_argument("--n", type=int, required=True)
-    v.add_argument("--long", action="store_true")
-    v.add_argument("--start", type=int, default=0)
-    v.add_argument("--end", type=int, default=None)
     v.add_argument("--jobs", type=_jobs, default=1)
 
     return parser

@@ -6,10 +6,11 @@ vertex); practical for the near-cycle digraphs this package works with.
 Canonical forms are the lexicographically minimal row-major adjacency
 bit-string over all relabelings, found by branch-and-bound.
 
-The exhaustive scans of small orders compute the same code from tables
+The census and the Lemma 2.4 check compute the same code from tables
 instead: one table per row index maps a row value to its relabeled bits
 under each of the n! relabelings, so the code of a matrix is n lookups,
-summed per relabeling, and the least of the n! sums.
+summed per relabeling, and the least of the n! sums.  The sums equal to
+the identity's count the automorphisms.
 """
 
 from __future__ import annotations
@@ -223,6 +224,16 @@ def canonical_code_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(tables)
 
 
+def relabeled_codes(rows: tuple[int, ...], tables) -> list[int]:
+    """Row-major code of the successor rows under each of the n! relabelings.
+
+    ``tables`` comes from ``canonical_code_tables(len(rows))``.  The first
+    entry is the identity's, so the entries equal to it count the
+    automorphisms.
+    """
+    return list(map(sum, zip(*map(getitem, tables, rows))))
+
+
 def canonical_code(rows: tuple[int, ...], tables) -> int:
     """Least relabeled row-major code of the successor rows, as an integer.
 
@@ -230,7 +241,7 @@ def canonical_code(rows: tuple[int, ...], tables) -> int:
     equals ``int(canonical_form(d).canonical_bits, 2)`` for the digraph d
     with these rows.
     """
-    return min(map(sum, zip(*map(getitem, tables, rows))))
+    return min(relabeled_codes(rows, tables))
 
 
 def classify_against(d: Digraph, family: Iterable[Digraph]) -> int | None:

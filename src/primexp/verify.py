@@ -16,9 +16,12 @@ differ only in their label and mask.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 import random
+from functools import reduce
+from operator import or_
 
 from .boolmat import BoolMatrix, serialize_matrix
 from .digraph import (
@@ -61,6 +64,7 @@ from .iso import (
     canonical_code_tables,
     canonical_form,
     classify_against,
+    relabeled_codes,
 )
 from .report import CensusRow, Report, make_row
 from .semigroup import frobenius
@@ -215,55 +219,7 @@ def verify_bounds(
     return report
 
 
-# -- exhaustive scan -----------------------------------------------------------
-
-def _decode_rows(code: int, n: int) -> tuple[int, ...]:
-    mask = (1 << n) - 1
-    return tuple((code >> (i * n)) & mask for i in range(n))
-
-
-def _scan_block(args: tuple[int, int, int, tuple[int, ...] | None]):
-    """Scan matrix codes [start, end) of order n.
-
-    Codes with a zero row or a zero column cannot be primitive and are
-    skipped; the exponent kernel's None verdict rejects the other
-    non-primitive ones.  Returns the exponent histogram of the primitive
-    codes and, per canonical code, [exponent, labeled count, representative
-    rows].  Canonical codes are taken for every primitive code, or, when
-    ``keyed`` is given, only for those whose exponent is in it.
-    """
-    n, start, end, keyed = args
-    full = (1 << n) - 1
-    tables = canonical_code_tables(n)
-    counts: dict[int, int] = {}
-    classes: dict[int, list] = {}
-    for code in range(start, end):
-        rows = _decode_rows(code, n)
-        union = 0
-        ok = True
-        for row in rows:
-            if row == 0:
-                ok = False
-                break
-            union |= row
-        if not ok or union != full:
-            continue
-        exp = exponent_of_rows(rows, n)
-        if exp is None:
-            continue
-        counts[exp] = counts.get(exp, 0) + 1
-        if keyed is not None and exp not in keyed:
-            continue
-        form = canonical_code(rows, tables)
-        entry = classes.get(form)
-        if entry is None:
-            classes[form] = [exp, 1, rows]
-        else:
-            if entry[0] != exp:
-                raise RuntimeError(f"canonical class {form} saw exponents {entry[0]} and {exp}")
-            entry[1] += 1
-    return counts, classes
-
+# -- worker processes ---------------------------------------------------------
 
 def _run_blocks(worker, argses, jobs: int):
     """``worker`` over ``argses`` in order, on at most min(jobs, CPUs) processes."""
@@ -278,49 +234,99 @@ def _run_blocks(worker, argses, jobs: int):
         return list(pool.map(worker, argses))
 
 
-def _block_ranges(total: int, blocks: int) -> list[tuple[int, int]]:
-    if total <= 0:
-        return []
-    size = (total + blocks - 1) // blocks
-    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
+# -- top exponent classes (Lemma 2.4) ---------------------------------------------
 
+def _girth_floor_block(args: tuple[int, int, int, tuple[int, ...]]):
+    """Walk the order-n matrices with no cycle shorter than ``floor`` and row 0 ``row0``.
 
-def _scan(n: int, start: int, end: int, jobs: int, keyed: tuple[int, ...] | None = None):
-    """``_scan_block`` over [start, end) in 4 blocks per worker, merged."""
-    blocks = 4 * max(min(jobs, os.cpu_count() or 1), 1)
-    argses = [(n, start + lo, start + hi, keyed)
-              for lo, hi in _block_ranges(end - start, blocks)]
+    Those matrices form a down-set: deleting an arc creates no cycle.  A
+    depth-first walk adds the off-diagonal arcs of rows 1..n-1 in index
+    order and refuses arc i -> j when a walk j -> i of length <= floor - 2
+    exists, so it visits every member once.  ``floor`` must be at least 2
+    and ``row0`` must leave bit 0 clear: the walk adds no loops.  Returns
+    the exponent histogram of the primitive members and, per exponent in
+    ``keyed``, their rows.
+    """
+    n, floor, row0, keyed = args
+    full = (1 << n) - 1
+    arcs = [(i, j) for i in range(1, n) for j in range(n) if i != j]
+    rows = [row0] + [0] * (n - 1)
     counts: dict[int, int] = {}
-    merged: dict[int, list] = {}
-    for block_counts, classes in _run_blocks(_scan_block, argses, jobs):
+    hits: dict[int, list] = {exp: [] for exp in keyed}
+
+    def closes_short_cycle(i: int, j: int) -> bool:
+        seen = frontier = 1 << j
+        for _ in range(floor - 2):
+            reached = 0
+            while frontier:
+                low = frontier & -frontier
+                reached |= rows[low.bit_length() - 1]
+                frontier ^= low
+            if (reached >> i) & 1:
+                return True
+            frontier = reached & ~seen
+            if not frontier:
+                return False
+            seen |= reached
+        return False
+
+    def descend(first: int, arc_count: int) -> None:
+        # A primitive matrix is strongly connected and not a single n-cycle,
+        # so it has more than n arcs, no zero row and no zero column.
+        if arc_count > n and all(rows) and reduce(or_, rows) == full:
+            exp = exponent_of_rows(tuple(rows), n)
+            if exp is not None:
+                counts[exp] = counts.get(exp, 0) + 1
+                if exp in hits:
+                    hits[exp].append(tuple(rows))
+        for k in range(first, len(arcs)):
+            i, j = arcs[k]
+            if not closes_short_cycle(i, j):
+                rows[i] |= 1 << j
+                descend(k + 1, arc_count + 1)
+                rows[i] ^= 1 << j
+
+    descend(0, bin(row0).count("1"))
+    return counts, hits
+
+
+def _girth_floor_walk(n: int, floor: int, keyed: tuple[int, ...], jobs: int = 1):
+    """``_girth_floor_block`` over every loop-free row 0, one block each, merged."""
+    argses = [(n, floor, row0, keyed) for row0 in range(0, 1 << n, 2)]
+    counts: dict[int, int] = {}
+    hits: dict[int, list] = {exp: [] for exp in keyed}
+    for block_counts, block_hits in _run_blocks(_girth_floor_block, argses, jobs):
         for exp, count in block_counts.items():
             counts[exp] = counts.get(exp, 0) + count
-        for form, (exp, count, rows) in classes.items():
-            entry = merged.get(form)
-            if entry is None:
-                merged[form] = [exp, count, rows]
-            else:
-                if entry[0] != exp:
-                    raise RuntimeError(f"canonical class {form} disagrees across blocks")
-                entry[1] += count
-    return counts, merged
+        for exp, rows in block_hits.items():
+            hits[exp] += rows
+    return counts, hits
 
 
 def verify_lemma24(n: int = 4, jobs: int = 1) -> Report:
     """Exhaustive check that the two highest exponent classes are exactly the
-    isomorphism classes of d1(n) and d2(n), over all 2^(n^2) matrices."""
-    if n not in (4, 5):
-        raise ValueError(f"supported orders are 4 (full) and 5 (long mode), got {n}")
+    isomorphism classes of d1(n) and d2(n).
+
+    A primitive matrix of girth g has exp <= n + g(n-2) (Lemma 2.3,
+    Dulmage-Mendelsohn), so for n >= 4 an exponent of at least
+    t2 = (n-1)^2 needs girth >= n-1.  Only the matrices without a shorter
+    cycle are walked; every other primitive matrix has exponent at most
+    n^2-3n+4 < t2, so the rows equal those of a scan over all 2^(n^2)
+    matrices.  With jobs > 1 the walk is split by row 0.
+    """
+    if n not in (4, 5, 6):
+        raise ValueError(f"supported orders are 4..6, got {n}")
     t1 = (n - 1) ** 2 + 1
     t2 = (n - 1) ** 2
-    counts, classes = _scan(n, 0, 1 << (n * n), jobs, keyed=(t1, t2))
+    floor = min(g for g in range(1, n) if lemma23_bound(n, g) >= t2)
+    counts, hits = _girth_floor_walk(n, floor, (t1, t2), jobs)
+    tables = canonical_code_tables(n)
 
     report = Report()
     for target, reference in ((t1, d1(n)), (t2, d2(n))):
         # The branch-and-bound form of the reference cross-checks the table code.
         form = int(canonical_form(reference).canonical_bits, 2)
-        offenders = sum(count for key, (exp, count, _) in classes.items()
-                        if exp == target and key != form)
+        offenders = sum(canonical_code(rows, tables) != form for rows in hits[target])
         orbit = math.factorial(n) // automorphism_count(reference)
         report.add(make_row(
             "L2.4", f"n={n}:exp={target}:membership", 0, offenders,
@@ -554,32 +560,84 @@ def verify_thm36(n: int, g: int) -> Report:
 
 # -- census -------------------------------------------------------------------
 
-def census(n: int, long_mode: bool = False, jobs: int = 1,
-           start: int = 0, end: int | None = None) -> list[CensusRow]:
+def _degree_sorted_rows(n: int, degrees: tuple[int, ...]):
+    """Every row tuple of order n whose row i has popcount degrees[i]."""
+    by_degree: list[list[int]] = [[] for _ in range(n + 1)]
+    for row in range(1 << n):
+        by_degree[bin(row).count("1")].append(row)
+    return itertools.product(*(by_degree[d] for d in degrees))
+
+
+def _census_block(args: tuple[int, tuple[tuple[int, ...], ...]]):
+    """Census rows of the classes with a sorted out-degree sequence in ``sequences``.
+
+    Relabeling the vertices by out-degree gives every class a member whose
+    row popcounts do not decrease, so only those codes are scanned, and
+    only those without a zero row or column.  The n! relabeled codes give
+    the class key (their least) and |Aut| (how many equal the code itself);
+    the class holds n!/|Aut| labeled matrices.  The exponent, girth and
+    cycle lengths are computed once per class, on its first code.  Returns
+    the rows of the primitive classes and the labeled total of every class
+    found, primitive or not.
+    """
+    n, sequences = args
+    full = (1 << n) - 1
+    tables = canonical_code_tables(n)
+    relabelings = math.factorial(n)
+    seen: set[int] = set()
+    rows_out = []
+    labeled = 0
+    for degrees in sequences:
+        for rows in _degree_sorted_rows(n, degrees):
+            if reduce(or_, rows) != full:
+                continue
+            codes = relabeled_codes(rows, tables)
+            form = min(codes)
+            if form in seen:
+                continue
+            seen.add(form)
+            count = relabelings // codes.count(codes[0])
+            labeled += count
+            exp = exponent_of_rows(rows, n)
+            if exp is None:
+                continue
+            _, profile = simple_cycles(from_matrix(BoolMatrix(n, rows)))
+            rows_out.append(CensusRow(
+                order=n,
+                canonical_bits=format(form, f"0{n * n}b"),
+                girth=rows_girth(rows, n),
+                cycle_lengths=profile.lengths,
+                exponent=exp,
+                labeled_count=count,
+            ))
+    return rows_out, labeled
+
+
+def census(n: int, jobs: int = 1) -> list[CensusRow]:
     """Exhaustive isomorphism-class table of primitive digraphs of order n.
 
-    Index range [start, end) makes partial runs resumable; the full range is
-    the default.  Order 5 is gated behind long_mode.
+    The sorted out-degree sequence is a class invariant, so the work splits
+    by it into blocks with disjoint classes, 4 per worker.  The labeled
+    class sizes must add up to the number of matrices with no zero row and
+    no zero column, sum_k (-1)^k C(n,k) (2^(n-k) - 1)^n; a census that
+    misses a class or miscounts one raises RuntimeError.
     """
     if n not in (2, 3, 4, 5):
         raise ValueError(f"census supports orders 2..5, got {n}")
-    if n == 5 and not long_mode:
-        raise ValueError("order 5 census requires long mode")
-    total = 1 << (n * n)
-    if end is None:
-        end = total
-    if not 0 <= start <= end <= total:
-        raise ValueError(f"invalid index range [{start}, {end}) for total {total}")
-    _, classes = _scan(n, start, end, jobs)
+    # Dealt out largest first, so that the blocks scan similar numbers of codes.
+    sequences = sorted(
+        itertools.combinations_with_replacement(range(1, n + 1), n),
+        key=lambda degrees: -math.prod(math.comb(n, d) for d in degrees),
+    )
+    blocks = 4 * max(min(jobs, os.cpu_count() or 1), 1)
+    argses = [(n, tuple(sequences[b::blocks])) for b in range(min(blocks, len(sequences)))]
     rows = []
-    for form, (exp, count, rep) in sorted(classes.items()):
-        _, profile = simple_cycles(from_matrix(BoolMatrix(n, rep)))
-        rows.append(CensusRow(
-            order=n,
-            canonical_bits=format(form, f"0{n * n}b"),
-            girth=rows_girth(rep, n),
-            cycle_lengths=profile.lengths,
-            exponent=exp,
-            labeled_count=count,
-        ))
-    return rows
+    labeled = 0
+    for block_rows, block_labeled in _run_blocks(_census_block, argses, jobs):
+        rows += block_rows
+        labeled += block_labeled
+    expected = sum((-1) ** k * math.comb(n, k) * ((1 << (n - k)) - 1) ** n for k in range(n + 1))
+    if labeled != expected:
+        raise RuntimeError(
+            f"census classes cover {labeled} labeled matrices, expected {expected}")
+    return sorted(rows, key=lambda row: row.canonical_bits)

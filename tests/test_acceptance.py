@@ -1,8 +1,9 @@
 """Acceptance gate: every exit criterion at its stated tolerance.
 
 Each test prints one pass/fail line (visible with ``pytest -s``).  Time
-limits are part of the criteria and asserted.  The optional long-running
-order-5 exhaustive mode is gated behind PRIMEXP_ACCEPT_LONG=1.
+limits are part of the criteria and asserted.  The exhaustive extremal
+classes run at orders 4 and 5 here; the order-6 check (tens of seconds)
+is gated behind PRIMEXP_ACCEPT_LONG=1.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from primexp.verify import (
 
 
 @contextmanager
-def criterion(number: int, name: str, limit_s: float):
+def criterion(number: int | str, name: str, limit_s: float):
     start = time.perf_counter()
     try:
         yield
@@ -64,14 +65,22 @@ def test_criterion_2_extremal_classes_order_four():
         assert report.all_asserts_pass, [r.instance for r in report.failures()]
 
 
+def test_criterion_2_long_extremal_classes_order_five():
+    with criterion("2-long", "exhaustive extremal classes at order 5", 10):
+        report = verify_lemma24(5)
+        assert report.all_asserts_pass, [r.instance for r in report.failures()]
+
+
 @pytest.mark.skipif(
     os.environ.get("PRIMEXP_ACCEPT_LONG") != "1",
-    reason="order-5 exhaustive scan is the optional long mode (PRIMEXP_ACCEPT_LONG=1)",
+    reason="order-6 extremal classes are the optional long mode (PRIMEXP_ACCEPT_LONG=1)",
 )
-def test_criterion_2_long_extremal_classes_order_five():
-    report = verify_lemma24(5, jobs=os.cpu_count() or 1)
-    assert report.all_asserts_pass, [r.instance for r in report.failures()]
-    print("[acceptance 2-long] exhaustive extremal classes at order 5: PASS")
+def test_criterion_2_long_extremal_classes_order_six():
+    with criterion("2-long", "exhaustive extremal classes at order 6", 120):
+        report = verify_lemma24(6, jobs=os.cpu_count() or 1)
+        assert report.all_asserts_pass, [r.instance for r in report.failures()]
+        sizes = {r.instance: r.oracle for r in report.rows if r.instance.endswith("class-size")}
+        assert sizes == {"n=6:exp=26:class-size": 720, "n=6:exp=25:class-size": 720}
 
 
 def test_criterion_3_conductor_pair_law():

@@ -309,6 +309,23 @@ def test_verify_census_verb(capsys, tmp_path):
     assert (tmp_path / "census.csv").read_text().startswith("n,canonical")
 
 
+@pytest.mark.parametrize("argv", [
+    ("census", "--n", "4", "--long"),
+    ("census", "--n", "3", "--start", "0"),
+    ("census", "--n", "3", "--end", "8"),
+    ("lemma24", "--n", "7"),
+], ids=["census-long", "census-start", "census-end", "lemma24-7"])
+def test_removed_census_range_options_and_lemma24_order_seven_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+
+
+def test_verify_census_order_six_is_input_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "census", "--n", "6")
+    assert (code, out, err) == (3, "", "error: census supports orders 2..5, got 6\n")
+
+
 @pytest.mark.parametrize("verb", [
     ("census", "--n", "2"),
     ("lemma34", "--n-max", "6"),

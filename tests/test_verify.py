@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 
 import pytest
 
+import primexp.verify as verify_module
 from primexp.digraph import is_primitive
-from primexp.exponent import exponent, lemma25_bound
+from primexp.exponent import exponent, exponent_of_rows, lemma25_bound
 from primexp.families import chord_family, chord_member, d1, q1
+from primexp.iso import canonical_code, canonical_code_tables
 from primexp.report import Report, census_to_jsonl
 from primexp.verify import (
     _chord_universe_rows,
+    _girth_floor_walk,
     _least_rotation,
     bound_rows_for,
     census,
@@ -124,8 +129,6 @@ def test_verify_bounds_report_bytes_are_pinned():
     (dict(samples=-3), "samples"),
 ])
 def test_verify_bounds_rejects_bad_sizes_before_any_universe(monkeypatch, kwargs, option):
-    import primexp.verify as verify_module
-
     def no_universe(pair):
         raise AssertionError("a chord universe ran before the input check")
 
@@ -172,7 +175,6 @@ def test_chord_universe_rows_equal_the_per_member_loop(pair):
 
 def test_run_blocks_starts_at_most_one_worker_per_cpu(monkeypatch):
     import concurrent.futures
-    import primexp.verify as verify_module
 
     started = []
 
@@ -199,7 +201,6 @@ def test_run_blocks_starts_at_most_one_worker_per_cpu(monkeypatch):
 
 def test_scan_sizes_its_blocks_from_the_cpu_count(monkeypatch):
     import concurrent.futures
-    import primexp.verify as verify_module
 
     pools = []
 
@@ -215,14 +216,76 @@ def test_scan_sizes_its_blocks_from_the_cpu_count(monkeypatch):
 
         def map(self, worker, argses):
             argses = list(argses)
-            pools[-1].append(len(argses))
+            pools[-1].append(argses)
             return map(worker, argses)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(verify_module.os, "cpu_count", lambda: 2)
     assert census_to_jsonl(census(3, jobs=10**6)) == census_to_jsonl(census(3, jobs=1))
-    [(workers, blocks)] = pools
-    assert workers == 2 and blocks <= 8
+    [(workers, argses)] = pools
+    assert workers == 2 and len(argses) <= 8
+    # every sorted out-degree sequence without a zero lands in exactly one block
+    sequences = [degrees for _, block in argses for degrees in block]
+    assert sorted(sequences) == list(itertools.combinations_with_replacement(range(1, 4), 3))
+
+
+# -- full-scan oracle ----------------------------------------------------------------
+# The decode-and-filter scan over all 2^(n^2) codes that the girth-pruned walk
+# and the degree-sorted census replace.
+
+def _decode_rows(code: int, n: int) -> tuple[int, ...]:
+    mask = (1 << n) - 1
+    return tuple((code >> (i * n)) & mask for i in range(n))
+
+
+def _scan_block(args: tuple[int, int, int]):
+    """Exponent histogram and per canonical code [exponent, labeled count]
+    of the primitive codes in [start, end) of order n."""
+    n, start, end = args
+    full = (1 << n) - 1
+    tables = canonical_code_tables(n)
+    counts: dict[int, int] = {}
+    classes: dict[int, list] = {}
+    for code in range(start, end):
+        rows = _decode_rows(code, n)
+        if not all(rows) or functools.reduce(int.__or__, rows) != full:
+            continue
+        exp = exponent_of_rows(rows, n)
+        if exp is None:
+            continue
+        counts[exp] = counts.get(exp, 0) + 1
+        form = canonical_code(rows, tables)
+        entry = classes.setdefault(form, [exp, 0])
+        if entry[0] != exp:
+            raise RuntimeError(f"canonical class {form} saw exponents {entry[0]} and {exp}")
+        entry[1] += 1
+    return counts, classes
+
+
+def _block_ranges(total: int, blocks: int) -> list[tuple[int, int]]:
+    size = (total + blocks - 1) // blocks
+    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
+
+
+@functools.cache
+def _scan(n: int, blocks: int = 4):
+    """``_scan_block`` over every code of order n in ``blocks`` blocks, merged.
+
+    Cached because several tests read the order-4 scan, which takes about a
+    second; callers must not mutate the result.
+    """
+    counts: dict[int, int] = {}
+    merged: dict[int, list] = {}
+    for lo, hi in _block_ranges(1 << (n * n), blocks):
+        block_counts, classes = _scan_block((n, lo, hi))
+        for exp, count in block_counts.items():
+            counts[exp] = counts.get(exp, 0) + count
+        for form, (exp, count) in classes.items():
+            entry = merged.setdefault(form, [exp, 0])
+            if entry[0] != exp:
+                raise RuntimeError(f"canonical class {form} disagrees across blocks")
+            entry[1] += count
+    return counts, merged
 
 
 # -- exhaustive extremal classes -----------------------------------------------------
@@ -251,8 +314,35 @@ def test_verify_lemma24_report_bytes_are_pinned():
 
 
 def test_verify_lemma24_rejects_other_orders():
-    with pytest.raises(ValueError):
-        verify_lemma24(6)
+    for n in (3, 7):
+        with pytest.raises(ValueError):
+            verify_lemma24(n)
+
+
+def test_girth_floor_walk_matches_the_full_scan_above_the_skip_bound():
+    # Girth <= n-2 caps the exponent at n + (n-2)^2 = n^2-3n+4 (Lemma 2.3),
+    # so a walk with girth floor n-1 must see every exponent above that.
+    n = 4
+    walk, _ = _girth_floor_walk(n, n - 1, ())
+    scan, _ = _scan(n)
+    skip_bound = n * n - 3 * n + 4
+    assert {e: c for e, c in walk.items() if e > skip_bound} == {
+        e: c for e, c in scan.items() if e > skip_bound}
+    assert all(count <= scan[e] for e, count in walk.items())
+
+
+def test_girth_floor_walk_at_order_five():
+    # A full order-5 scan found 120 matrices each at exponents 16 and 17
+    # and none at 15, the first gap in the order-5 exponent set.
+    counts, hits = _girth_floor_walk(5, 4, (16, 17))
+    assert counts[16] == counts[17] == 120
+    assert len(hits[16]) == len(hits[17]) == 120
+    assert 15 not in counts and max(counts) == 17
+    report = verify_lemma24(5)
+    assert report.all_asserts_pass
+    by_instance = {r.instance: r for r in report.rows}
+    assert by_instance["n=5:exp=17:class-size"].oracle == 120
+    assert by_instance["n=5:exp=16:class-size"].oracle == 120
 
 
 # -- chord-set formula ------------------------------------------------------------
@@ -347,18 +437,15 @@ def test_census_order_two_classes():
     assert all(r.girth == 1 and r.cycle_lengths == (1, 2) for r in rows)
 
 
-def test_census_is_deterministic_and_resumable():
-    full = census(3)
-    again = census(3)
-    assert census_to_jsonl(full) == census_to_jsonl(again)
-    # split the index space and merge counts
-    half = 1 << (3 * 3 - 1)
-    first = census(3, start=0, end=half)
-    second = census(3, start=half, end=None)
-    merged: dict[str, int] = {}
-    for row in first + second:
-        merged[row.canonical_bits] = merged.get(row.canonical_bits, 0) + row.labeled_count
-    assert merged == {r.canonical_bits: r.labeled_count for r in full}
+def test_census_is_deterministic():
+    assert census_to_jsonl(census(3)) == census_to_jsonl(census(3))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_census_matches_the_full_scan_oracle(n):
+    _, classes = _scan(n)
+    assert {(int(r.canonical_bits, 2), r.exponent, r.labeled_count) for r in census(n)} == {
+        (form, exp, count) for form, (exp, count) in classes.items()}
 
 
 def test_census_order_four_extremal_row():
@@ -382,36 +469,50 @@ def test_census_jobs_do_not_change_output():
     assert census_to_jsonl(census(4, jobs=3)) == census_to_jsonl(census(4, jobs=1))
 
 
-def test_census_rejects_a_class_with_two_exponents(monkeypatch):
-    import primexp.verify as verify_module
+def test_census_rejects_a_wrong_automorphism_count(monkeypatch):
+    real = verify_module.relabeled_codes
+    calls = []
 
-    real = verify_module.exponent_of_rows
+    def one_extra_automorphism_once(rows, tables):
+        codes = real(rows, tables)
+        calls.append(rows)
+        return codes + [codes[0]] if len(calls) == 1 else codes
 
-    def by_first_row(rows, n):
-        e = real(rows, n)
-        return None if e is None else e + (rows[0] & 1)
-
-    def by_block(rows, n):
-        # constant inside each of the four blocks of census(3), whose codes
-        # share the top two bits of the last row
-        e = real(rows, n)
-        return None if e is None else e + (rows[-1] >> (n - 2))
-
-    monkeypatch.setattr(verify_module, "exponent_of_rows", by_first_row)
-    with pytest.raises(RuntimeError, match="saw exponents"):
-        census(3)
-    monkeypatch.setattr(verify_module, "exponent_of_rows", by_block)
-    with pytest.raises(RuntimeError, match="disagrees across blocks"):
+    monkeypatch.setattr(verify_module, "relabeled_codes", one_extra_automorphism_once)
+    with pytest.raises(RuntimeError, match="labeled matrices"):
         census(3)
 
 
-def test_census_guards():
-    with pytest.raises(ValueError):
+def test_census_rejects_a_dropped_code(monkeypatch):
+    # Out-degrees 1, 2, 3 are all distinct, so this primitive class has no
+    # other degree-sorted code: dropping this one loses the class.
+    dropped = (0b010, 0b101, 0b111)
+    real = verify_module._degree_sorted_rows
+    assert dropped in set(real(3, (1, 2, 3)))
+
+    def without_one(n, degrees):
+        return (rows for rows in real(n, degrees) if rows != dropped)
+
+    monkeypatch.setattr(verify_module, "_degree_sorted_rows", without_one)
+    with pytest.raises(RuntimeError, match="labeled matrices"):
+        census(3)
+
+
+def test_census_guards(monkeypatch):
+    for n in (1, 6):
+        with pytest.raises(ValueError):
+            census(n)
+
+    class Reached(Exception):
+        pass
+
+    def reached(args):
+        raise Reached
+
+    # order 5 passes the guard and starts the scan
+    monkeypatch.setattr(verify_module, "_census_block", reached)
+    with pytest.raises(Reached):
         census(5)
-    with pytest.raises(ValueError):
-        census(6, long_mode=True)
-    with pytest.raises(ValueError):
-        census(3, start=10, end=2)
 
 
 def test_census_exhausts_the_order_four_bounds():
