@@ -26,7 +26,7 @@ from operator import or_
 from .boolmat import BoolMatrix, serialize_matrix
 from .digraph import (
     Digraph,
-    from_matrix,
+    rows_cycle_lengths,
     rows_girth,
     rows_primitive,
     simple_cycles,
@@ -457,7 +457,7 @@ def _converse_facts(d: Digraph, g: int, low: int, high: int,
     """Isomorphism-invariant converse facts of one chord member.
 
     None unless d is primitive with girth g; otherwise (exponent, cycle
-    lengths when the exponent exceeds low, window index z and the
+    profile when the exponent exceeds low, window index z and the
     classify_against index when the exponent is in (low, high]).
     """
     n = d.order
@@ -465,14 +465,14 @@ def _converse_facts(d: Digraph, g: int, low: int, high: int,
     if not rows_primitive(rows, n) or rows_girth(rows, n) != g:
         return None
     oracle = exponent(d).value
-    lengths = simple_cycles(d)[1].lengths if oracle > low else None
+    profile = simple_cycles(d)[1] if oracle > low else None
     z = match = None
     if low < oracle <= high:
         z = z_of_w(n, g, oracle)
         if z not in reference_families:
             reference_families[z] = [s.build() for s in enumerate_Dr(n, g, z)]
         match = classify_against(d, reference_families[z])
-    return oracle, lengths, z, match
+    return oracle, profile, z, match
 
 
 def verify_thm36(n: int, g: int) -> Report:
@@ -521,11 +521,17 @@ def verify_thm36(n: int, g: int) -> Report:
         if facts is None:
             continue
         eligible += 1
-        oracle, lengths, z, match = facts
+        oracle, profile, z, match = facts
         mask = spec.chord_mask
-        if lengths is not None:
+        if profile is not None and profile.cap_hit:
             report.add(make_row(
-                "T3.6", f"cycleset:mask={mask:05d}", [g, n], list(lengths),
+                "T3.6", f"cycleset:mask={mask:05d}", None, None,
+                asserted=False, n=n, g=g, mask=mask,
+                notes="skipped: cycle profile truncated at its cap",
+            ))
+        elif profile is not None:
+            report.add(make_row(
+                "T3.6", f"cycleset:mask={mask:05d}", [g, n], list(profile.lengths),
                 asserted=True, n=n, g=g, mask=mask,
                 notes="cycle set forced to {girth, order} above the window floor",
             ))
@@ -560,12 +566,17 @@ def verify_thm36(n: int, g: int) -> Report:
 
 # -- census -------------------------------------------------------------------
 
-def _degree_sorted_rows(n: int, degrees: tuple[int, ...]):
-    """Every row tuple of order n whose row i has popcount degrees[i]."""
-    by_degree: list[list[int]] = [[] for _ in range(n + 1)]
+def _rows_by_popcount(n: int) -> list[list[int]]:
+    """The n-bit row values, bucketed by popcount 0..n."""
+    by_popcount: list[list[int]] = [[] for _ in range(n + 1)]
     for row in range(1 << n):
-        by_degree[bin(row).count("1")].append(row)
-    return itertools.product(*(by_degree[d] for d in degrees))
+        by_popcount[bin(row).count("1")].append(row)
+    return by_popcount
+
+
+def _degree_sorted_rows(by_popcount: list[list[int]], degrees: tuple[int, ...]):
+    """Every row tuple whose row i has popcount degrees[i]."""
+    return itertools.product(*(by_popcount[d] for d in degrees))
 
 
 def _census_block(args: tuple[int, tuple[tuple[int, ...], ...]]):
@@ -575,20 +586,21 @@ def _census_block(args: tuple[int, tuple[tuple[int, ...], ...]]):
     row popcounts do not decrease, so only those codes are scanned, and
     only those without a zero row or column.  The n! relabeled codes give
     the class key (their least) and |Aut| (how many equal the code itself);
-    the class holds n!/|Aut| labeled matrices.  The exponent, girth and
-    cycle lengths are computed once per class, on its first code.  Returns
-    the rows of the primitive classes and the labeled total of every class
-    found, primitive or not.
+    the class holds n!/|Aut| labeled matrices.  The exponent and the cycle
+    lengths are computed once per class, on its first code, and the girth
+    is the least length.  Returns the rows of the primitive classes and the
+    labeled total of every class found, primitive or not.
     """
     n, sequences = args
     full = (1 << n) - 1
     tables = canonical_code_tables(n)
+    by_popcount = _rows_by_popcount(n)
     relabelings = math.factorial(n)
     seen: set[int] = set()
     rows_out = []
     labeled = 0
     for degrees in sequences:
-        for rows in _degree_sorted_rows(n, degrees):
+        for rows in _degree_sorted_rows(by_popcount, degrees):
             if reduce(or_, rows) != full:
                 continue
             codes = relabeled_codes(rows, tables)
@@ -601,12 +613,12 @@ def _census_block(args: tuple[int, tuple[tuple[int, ...], ...]]):
             exp = exponent_of_rows(rows, n)
             if exp is None:
                 continue
-            _, profile = simple_cycles(from_matrix(BoolMatrix(n, rows)))
+            lengths = rows_cycle_lengths(rows, n)
             rows_out.append(CensusRow(
                 order=n,
                 canonical_bits=format(form, f"0{n * n}b"),
-                girth=rows_girth(rows, n),
-                cycle_lengths=profile.lengths,
+                girth=lengths[0],
+                cycle_lengths=lengths,
                 exponent=exp,
                 labeled_count=count,
             ))

@@ -16,6 +16,8 @@ from primexp.digraph import (
     is_spanning_subgraph,
     is_strongly_connected,
     relabel,
+    rows_cycle_lengths,
+    rows_girth,
     simple_cycles,
     to_matrix,
 )
@@ -238,6 +240,27 @@ def test_johnson_matches_brute_force_enumeration():
         normalized = {normalize_cycle(c) for c in cycles}
         assert len(normalized) == len(cycles)  # no duplicates up to rotation
         assert normalized == brute_force_cycles(d)
+
+
+def assert_lengths_match_the_oracles(rows: tuple[int, ...], n: int) -> None:
+    lengths = rows_cycle_lengths(rows, n)
+    assert lengths == simple_cycles(from_matrix(BoolMatrix(n, rows)))[1].lengths
+    assert (lengths[0] if lengths else None) == rows_girth(rows, n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_subset_dp_lengths_match_enumeration_on_every_small_matrix(n):
+    mask = (1 << n) - 1
+    for code in range(1 << (n * n)):
+        assert_lengths_match_the_oracles(tuple((code >> (i * n)) & mask for i in range(n)), n)
+
+
+def test_subset_dp_lengths_match_enumeration_on_random_digraphs():
+    rng = random.Random(41)
+    for n in range(2, 9):
+        for p in (0.15, 0.3, 0.5):
+            for _ in range(20):
+                assert_lengths_match_the_oracles(random_digraph(rng, n, p).successor_rows(), n)
 
 
 # -- primitivity -------------------------------------------------------------------

@@ -3,11 +3,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import os
 
 import pytest
 
 import primexp.verify as verify_module
-from primexp.digraph import is_primitive
+from primexp.boolmat import BoolMatrix
+from primexp.digraph import from_matrix, is_primitive, rows_girth, simple_cycles
 from primexp.exponent import exponent, exponent_of_rows, lemma25_bound
 from primexp.families import chord_family, chord_member, d1, q1
 from primexp.iso import canonical_code, canonical_code_tables
@@ -420,6 +422,18 @@ def test_verify_thm36_report_bytes_are_pinned():
     )
 
 
+def test_verify_thm36_skips_the_cycle_set_of_a_truncated_profile(monkeypatch):
+    real = verify_module.simple_cycles
+    monkeypatch.setattr(verify_module, "simple_cycles", lambda d: real(d, cap=1))
+    report = verify_thm36(10, 3)
+    cyclesets = [r for r in report.rows if r.instance.startswith("cycleset:")]
+    assert cyclesets
+    for row in cyclesets:
+        assert not row.asserted
+        assert row.notes == "skipped: cycle profile truncated at its cap"
+    assert report.all_asserts_pass
+
+
 def test_verify_thm36_rejects_gcd_violation():
     with pytest.raises(ValueError):
         verify_thm36(10, 5)
@@ -435,6 +449,14 @@ def test_census_order_two_classes():
     assert by_count[2].exponent == 2  # single loop, either position
     assert max(r.exponent for r in rows) == 2
     assert all(r.girth == 1 and r.cycle_lengths == (1, 2) for r in rows)
+
+
+def test_census_girth_and_cycle_lengths_match_the_oracles():
+    # The census reads both from one subset DP; neither oracle runs inside it.
+    for row in census(4):
+        rows = _decode_rows(int(row.canonical_bits[::-1], 2), 4)
+        assert row.girth == rows_girth(rows, 4)
+        assert row.cycle_lengths == simple_cycles(from_matrix(BoolMatrix(4, rows)))[1].lengths
 
 
 def test_census_is_deterministic():
@@ -465,6 +487,17 @@ def test_census_order_four_bytes_are_pinned():
     )
 
 
+@pytest.mark.skipif(
+    os.environ.get("PRIMEXP_ACCEPT_LONG") != "1",
+    reason="the order-5 census takes about 30 s on two workers (PRIMEXP_ACCEPT_LONG=1)",
+)
+def test_census_order_five_bytes_are_pinned():
+    text = census_to_jsonl(census(5, jobs=2))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "0a9db7c0e5b2d69a68efcb5c71c2ee7edcd7db8fb593d52b5282338b4b69bf84"
+    )
+
+
 def test_census_jobs_do_not_change_output():
     assert census_to_jsonl(census(4, jobs=3)) == census_to_jsonl(census(4, jobs=1))
 
@@ -488,10 +521,10 @@ def test_census_rejects_a_dropped_code(monkeypatch):
     # other degree-sorted code: dropping this one loses the class.
     dropped = (0b010, 0b101, 0b111)
     real = verify_module._degree_sorted_rows
-    assert dropped in set(real(3, (1, 2, 3)))
+    assert dropped in set(real(verify_module._rows_by_popcount(3), (1, 2, 3)))
 
-    def without_one(n, degrees):
-        return (rows for rows in real(n, degrees) if rows != dropped)
+    def without_one(by_popcount, degrees):
+        return (rows for rows in real(by_popcount, degrees) if rows != dropped)
 
     monkeypatch.setattr(verify_module, "_degree_sorted_rows", without_one)
     with pytest.raises(RuntimeError, match="labeled matrices"):
