@@ -172,21 +172,23 @@ def rows_girth(rows: tuple[int, ...], n: int) -> int | None:
     return best
 
 
-def rows_cycle_lengths(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Sorted simple-cycle lengths by a subset DP; () for acyclic digraphs.
+def _cycle_cover(rows: tuple[int, ...], n: int) -> list[int]:
+    """cover[k] is the bit-set of vertices on some simple k-cycle, k = 0..n.
 
     Each cycle is found from its least vertex s.  Simple paths out of s
     grow one vertex at a time through vertices above s, keeping per vertex
     set the bit-set of path endpoints, and a k-vertex set with an endpoint
-    that has an arc back to s closes a k-cycle (k = 1 is a loop at s).  The
-    sets of all starts number at most 2^n and each grows through at most n
-    endpoints, so the cost is O(2^n * n) time and O(2^n) memory, with no
-    cycle stored and no cap; the census calls it at n <= 5 only.
+    that has an arc back to s is the vertex set of a k-cycle (k = 1 is a
+    loop at s), so it is ORed into cover[k].  The cost is one step per
+    endpoint of each vertex set that a simple path from its least vertex
+    spans: up to 2^n * n time and 2^n memory on dense input, but d1(64)
+    spans only 189 such sets.  No cycle is stored and there is no cap.  The census (n <= 5) and the bound suite
+    (n <= 11) use it; simple_cycles stays the enumerator for other input.
     Independent of simple_cycles and of the BFS girth, so they cross-check.
     """
     into = transpose_rows(rows, n)
     full = (1 << n) - 1
-    found = 0
+    cover = [0] * (n + 1)
     for s in range(n):
         if not into[s]:
             continue
@@ -197,7 +199,7 @@ def rows_cycle_lengths(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
             grown: dict[int, int] = {}
             for members, ends in level.items():
                 if ends & into[s]:
-                    found |= 1 << size
+                    cover[size] |= members
                 reach = 0
                 while ends:
                     low = ends & -ends
@@ -211,7 +213,25 @@ def rows_cycle_lengths(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
                     reach ^= low
             level = grown
             size += 1
-    return tuple(k for k in range(1, n + 1) if (found >> k) & 1)
+    return cover
+
+
+def rows_cycle_lengths(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Sorted simple-cycle lengths by the subset DP of ``_cycle_cover``; () if acyclic."""
+    cover = _cycle_cover(rows, n)
+    return tuple(k for k in range(1, n + 1) if cover[k])
+
+
+def rows_cycle_profile(rows: tuple[int, ...], n: int) -> CycleProfile:
+    """``simple_cycles(d)[1]`` by the subset DP, without listing a cycle.
+
+    Never capped, so ``cap_hit`` is False; see ``_cycle_cover`` for the cost.
+    """
+    cover = _cycle_cover(rows, n)
+    lengths = tuple(k for k in range(1, n + 1) if cover[k])
+    per_vertex = tuple(
+        frozenset(k for k in lengths if (cover[k] >> v) & 1) for v in range(n))
+    return CycleProfile(lengths=lengths, per_vertex=per_vertex, cap_hit=False)
 
 
 def girth(d: Digraph) -> int | None:

@@ -16,7 +16,6 @@ each length occurring in the digraph.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .boolmat import mul_rows, pow_rows
@@ -163,9 +162,9 @@ def c_walk_distances(
 ) -> CWalkResult:
     """All-pairs shortest walks meeting one cycle of every occurring length.
 
-    BFS over product states (vertex, subset of cycle lengths already met).
     A walk meets a p-cycle when it shares a vertex with some simple cycle of
-    length p; the zero-length walk at v meets every cycle through v.
+    length p; the zero-length walk at v meets every cycle through v.  Checks
+    primitivity and the profile's cap, then runs ``cwalk_of_rows``.
     """
     n = d.order
     rows = d.successor_rows()
@@ -175,6 +174,18 @@ def c_walk_distances(
         _, profile = simple_cycles(d, cap=cap)
     if profile.cap_hit:
         raise TruncatedProfileError("cycle profile truncated at its cap")
+    return cwalk_of_rows(rows, n, profile)
+
+
+def cwalk_of_rows(rows: tuple[int, ...], n: int, profile: CycleProfile) -> CWalkResult:
+    """``c_walk_distances`` of a primitive digraph and its complete profile, unchecked.
+
+    A level-by-level BFS from each start over (vertex, met-mask) states,
+    where the met-mask is the subset of cycle lengths already met.  The
+    visited set maps a met-mask to the bit-set of vertices seen with it, in
+    a dict rather than a list of 2^u entries: u can be 20, and few of the
+    masks occur.
+    """
     lengths = profile.lengths
     u = len(lengths)
     if u > MAX_CYCLE_LENGTHS:
@@ -185,27 +196,43 @@ def c_walk_distances(
         for length in profile.per_vertex[v]:
             met[v] |= 1 << index[length]
     full = (1 << u) - 1
+    # (successor, its bit, its met-mask) per vertex, so the BFS peels no bits.
+    succ = []
+    for v in range(n):
+        row = rows[v]
+        out = []
+        while row:
+            low = row & -row
+            w = low.bit_length() - 1
+            out.append((w, low, met[w]))
+            row ^= low
+        succ.append(out)
 
     per_pair: list[tuple[int, ...]] = []
     for start in range(n):
         dist: list[int] = [-1] * n
-        seen = {(start, met[start])}
-        queue = deque([(start, met[start], 0)])
+        frontier = [(start, met[start])]
+        seen = {met[start]: 1 << start}
         remaining = n
-        while queue and remaining:
-            v, mask, steps = queue.popleft()
-            if mask == full and dist[v] < 0:
-                dist[v] = steps
-                remaining -= 1
-            row = rows[v]
-            while row:
-                low = row & -row
-                w = low.bit_length() - 1
-                row ^= low
-                state = (w, mask | met[w])
-                if state not in seen:
-                    seen.add(state)
-                    queue.append((w, state[1], steps + 1))
+        if met[start] == full:
+            dist[start] = 0
+            remaining -= 1
+        steps = 0
+        while remaining and frontier:
+            steps += 1
+            grown = []
+            for v, mask in frontier:
+                for w, bit, w_met in succ[v]:
+                    m = mask | w_met
+                    old = seen.get(m, 0)
+                    if not old & bit:
+                        seen[m] = old | bit
+                        grown.append((w, m))
+                        # The first full-mask state at w is found at its least level.
+                        if m == full:
+                            dist[w] = steps
+                            remaining -= 1
+            frontier = grown
         if remaining:
             raise NotPrimitiveError("product-state search could not reach every pair")
         per_pair.append(tuple(dist))

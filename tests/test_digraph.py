@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primexp.boolmat import BoolMatrix, identity, is_all_positive, pow_rows, power, rows_all_positive
 from primexp.digraph import (
@@ -17,12 +20,13 @@ from primexp.digraph import (
     is_strongly_connected,
     relabel,
     rows_cycle_lengths,
+    rows_cycle_profile,
     rows_girth,
     simple_cycles,
     to_matrix,
 )
 from primexp.exponent import wielandt_bound
-from primexp.families import d1, d2, d_gN, h_graph, standard_cycle
+from primexp.families import d1, d2, d_gN, h_graph, q1, standard_cycle
 
 
 def random_digraph(rng: random.Random, n: int, p: float) -> Digraph:
@@ -261,6 +265,26 @@ def test_subset_dp_lengths_match_enumeration_on_random_digraphs():
         for p in (0.15, 0.3, 0.5):
             for _ in range(20):
                 assert_lengths_match_the_oracles(random_digraph(rng, n, p).successor_rows(), n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 9).flatmap(
+    lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+def test_subset_dp_profile_matches_enumeration(rows):
+    n = len(rows)
+    profile = rows_cycle_profile(tuple(rows), n)
+    assert profile == simple_cycles(from_matrix(BoolMatrix(n, tuple(rows))))[1]
+    assert not profile.cap_hit
+
+
+@pytest.mark.parametrize("d", [d1(64), q1(64, 5)], ids=["d1(64)", "q1(64,5)"])
+def test_subset_dp_profile_is_fast_on_sparse_order_64(d):
+    # A sparse digraph spans few vertex sets with simple paths (d1(64): 189),
+    # so the DP's 2^n worst case does not arise.
+    start = time.perf_counter()
+    profile = rows_cycle_profile(d.successor_rows(), d.order)
+    assert time.perf_counter() - start < 1.0
+    assert profile == simple_cycles(d)[1]
 
 
 # -- primitivity -------------------------------------------------------------------

@@ -20,6 +20,7 @@ from primexp.digraph import (
     distance,
     from_matrix,
     relabel,
+    rows_cycle_profile,
     rows_primitive,
     simple_cycles,
     to_matrix,
@@ -30,6 +31,7 @@ from primexp.exponent import (
     TruncatedProfileError,
     _exponent_kernel,
     c_walk_distances,
+    cwalk_of_rows,
     exponent,
     exponent_of_rows,
     formula_thm33,
@@ -44,7 +46,7 @@ from primexp.exponent import (
     wielandt_bound,
     z_of_w,
 )
-from primexp.families import d1, d2, d_gN, q1, standard_cycle
+from primexp.families import chord_member, d1, d2, d_gN, q1, standard_cycle
 from primexp.verify import random_primitive_digraph
 
 
@@ -359,6 +361,22 @@ def test_cwalk_matches_length_dp_oracle():
         assert c_walk_distances(d).per_pair == cwalk_by_length_dp(d)
 
 
+def test_cwalk_kernel_on_the_dp_profile_matches_length_dp_oracle():
+    # The bound suite's path: the unchecked kernel fed the subset-DP profile.
+    rng = random.Random(131)
+    digraphs = [random_primitive_digraph(rng, rng.randint(2, 10), rng.choice([0.05, 0.1, 0.2]))
+                for _ in range(60)]
+    digraphs += [chord_member(10, 3, mask) for mask in (1, 5, 77, 1000)]
+    digraphs += [d1(11), d2(11), q1(11, 4)]
+    for d in digraphs:
+        rows, n = d.successor_rows(), d.order
+        if not rows_primitive(rows, n):
+            continue
+        result = cwalk_of_rows(rows, n, rows_cycle_profile(rows, n))
+        assert result == c_walk_distances(d)
+        assert result.per_pair == cwalk_by_length_dp(d)
+
+
 def test_cwalk_rejects_nonprimitive_and_truncated():
     with pytest.raises(NotPrimitiveError):
         c_walk_distances(standard_cycle(5))
@@ -378,6 +396,8 @@ def test_cwalk_rejects_too_many_lengths():
     )
     with pytest.raises(TooManyCycleLengthsError):
         c_walk_distances(d, profile=fake)
+    with pytest.raises(TooManyCycleLengthsError):
+        cwalk_of_rows(d.successor_rows(), 4, fake)
 
 
 # -- bound evaluators ----------------------------------------------------------------

@@ -175,6 +175,19 @@ def test_chord_universe_rows_equal_the_per_member_loop(pair):
     assert Report(_chord_universe_rows(pair)).to_jsonl() == oracle.to_jsonl()
 
 
+def test_random_sweep_rows_equal_the_per_instance_loop():
+    # Orders 2..3 repeat often, so most instances reuse an earlier one's facts.
+    kwargs = dict(seed=5, samples=300, n_max=3)
+    instances = list(random_instances(**kwargs))
+    assert len({d.successor_rows() for _, _, _, d in instances}) < len(instances) // 4
+    oracle = Report()
+    for idx, n, p, d in instances:
+        bound_rows_for(d, f"rand:{idx:06d}:{verify_module.matrix_digest(d)}", oracle,
+                       n=n, p=p, seed=kwargs["seed"])
+    report = verify_bounds(**kwargs, chord_pairs=())
+    assert report.rows == oracle.rows
+
+
 def test_run_blocks_starts_at_most_one_worker_per_cpu(monkeypatch):
     import concurrent.futures
 
