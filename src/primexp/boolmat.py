@@ -169,5 +169,5 @@ def serialize_matrix(a: BoolMatrix) -> str:
     n = a.order
     lines = [str(n)]
     for row in a.rows:
-        lines.append("".join("1" if (row >> j) & 1 else "0" for j in range(n)))
+        lines.append(format(row, f"0{n}b")[::-1])
     return "\n".join(lines) + "\n"

@@ -182,9 +182,10 @@ def _cycle_cover(rows: tuple[int, ...], n: int) -> list[int]:
     loop at s), so it is ORed into cover[k].  The cost is one step per
     endpoint of each vertex set that a simple path from its least vertex
     spans: up to 2^n * n time and 2^n memory on dense input, but d1(64)
-    spans only 189 such sets.  No cycle is stored and there is no cap.  The census (n <= 5) and the bound suite
-    (n <= 11) use it; simple_cycles stays the enumerator for other input.
-    Independent of simple_cycles and of the BFS girth, so they cross-check.
+    spans only 189 such sets.  No cycle is stored and there is no cap.
+    The census (n <= 5) and the bound suite (n <= 11) use it; simple_cycles
+    stays the enumerator for other input.  Independent of simple_cycles and
+    of the BFS girth, so they cross-check.
     """
     into = transpose_rows(rows, n)
     full = (1 << n) - 1

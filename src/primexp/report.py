@@ -5,6 +5,13 @@ against one oracle value under a stated comparison rule.  Rows marked
 ``asserted`` are hard checks: any disagreement makes the whole run fail.
 Everything else is reported as data.  Output is deterministic: rows are
 sorted by (claim, instance) and serialized with sorted keys.
+
+Each JSON line equals ``json.dumps(row.to_json_obj(), sort_keys=True,
+separators=(",", ":"))`` but is built from cached fragments: one
+``str.format`` pattern per tuple of param names, with the keys already in
+sorted order, and the encoded fields of each distinct check (claim,
+predicted, oracle, agree, asserted, rule, notes), so that each row encodes
+only its instance and its param values.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 CLAIM_IDS = (
     "L2.2", "L2.3", "L2.4", "L2.5", "C2.1", "L2.6",
@@ -23,7 +32,7 @@ Scalar = int | str | None
 Value = Scalar | list
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VerificationRow:
     """One claim-check record: predicted vs oracle plus an agree flag.
 
@@ -93,6 +102,44 @@ def make_row(
     )
 
 
+# The fields of a row that do not depend on its instance.
+_CHECK_FIELDS = ("claim", "predicted", "oracle", "agree", "asserted", "rule", "notes")
+_check_of = attrgetter(*_CHECK_FIELDS)
+# A check's encoding is cached only when each value is of one of these
+# classes.  True == 1 == 1.0 in a dict, so the key holds each value's class
+# too, and floats stay out because 0.0 == -0.0 encode differently.
+_CACHEABLE = frozenset((str, int, bool, type(None)))
+_encode_other = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _encode(value) -> str:
+    """``json.dumps(value, sort_keys=True, separators=(",", ":"))``."""
+    cls = type(value)
+    if cls is str:
+        return encode_basestring_ascii(value)
+    if cls is int:
+        return int.__repr__(value)
+    return _encode_other(value)
+
+
+def _line_pattern(names: tuple[str, ...]) -> str:
+    """``str.format`` pattern of a JSON line with params ``names``.
+
+    Fields 0..6 are the encoded check, 7 the instance and 8 + i param i.
+    The keys are in sorted order, and a param replaces the base key of the
+    same name, as ``obj.update(params)`` does in ``to_json_obj``.
+    """
+    fields = {key: i for i, key in enumerate(_CHECK_FIELDS)}
+    fields["instance"] = len(_CHECK_FIELDS)
+    for i, name in enumerate(names, start=len(fields)):
+        fields[name] = i
+    members = ",".join(
+        encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}") + f":{{{fields[key]}}}"
+        for key in sorted(fields)
+    )
+    return "{{" + members + "}}"
+
+
 @dataclass
 class Report:
     rows: list[VerificationRow] = field(default_factory=list)
@@ -101,7 +148,7 @@ class Report:
         self.rows.append(row)
 
     def sorted_rows(self) -> list[VerificationRow]:
-        return sorted(self.rows, key=lambda r: (r.claim, r.instance))
+        return sorted(self.rows, key=attrgetter("claim", "instance"))
 
     @property
     def all_asserts_pass(self) -> bool:
@@ -111,10 +158,33 @@ class Report:
         return [r for r in self.sorted_rows() if r.asserted and not r.agree]
 
     def to_jsonl(self) -> str:
-        lines = [
-            json.dumps(row.to_json_obj(), sort_keys=True, separators=(",", ":"))
-            for row in self.sorted_rows()
-        ]
+        patterns: dict[tuple[str, ...], str] = {}
+        # Rows of one instance often share a params dict; every dict stays
+        # alive in self.rows, so its id is a key for the call.
+        by_params: dict[int, tuple[str, list[str]]] = {}
+        checks: dict[tuple, tuple[str, ...]] = {}
+        lines = []
+        for row in self.sorted_rows():
+            params = row.params
+            entry = by_params.get(id(params))
+            if entry is None:
+                names = tuple(params)
+                pattern = patterns.get(names)
+                if pattern is None:
+                    pattern = patterns[names] = _line_pattern(names)
+                entry = by_params[id(params)] = (pattern, list(map(_encode, params.values())))
+            pattern, encoded_params = entry
+            check = _check_of(row)
+            key = check + tuple(map(type, check))
+            try:
+                encoded = checks.get(key)
+            except TypeError:  # a list value: encode it for this row alone
+                encoded = key = None
+            if encoded is None:
+                encoded = tuple(map(_encode, check))
+                if key is not None and _CACHEABLE.issuperset(key[len(check):]):
+                    checks[key] = encoded
+            lines.append(pattern.format(*encoded, _encode(row.instance), *encoded_params))
         return "\n".join(lines) + ("\n" if lines else "")
 
     def summary_counts(self) -> list[tuple[str, int, int, int]]:

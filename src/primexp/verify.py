@@ -10,9 +10,14 @@ reports byte for byte.
 The bound suite and the thm36 converse sweep evaluate each rotation orbit
 of a chord universe once: rotating a chord mask relabels its member, and
 every checked value is an isomorphism invariant, so the members of an orbit
-differ only in their label and mask.  In the same way the bound suite's
+differ only in their label and mask.  The first mask of an orbit is its
+least, because masks ascend; its value is stored under all n rotations, so
+every later member is one lookup.  In the same way the bound suite's
 random sweep evaluates each distinct labeled matrix once and re-emits its
 facts under the label and params of every later instance with equal rows.
+The bound suite's facts are template rows with an empty instance, built
+(and their claim checked and agree flag computed) once per evaluation;
+each instance gets copies under its label that share one params dict.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ from .iso import (
     classify_against,
     relabeled_codes,
 )
-from .report import CensusRow, Report, make_row
+from .report import CensusRow, Report, VerificationRow, make_row
 from .semigroup import frobenius
 
 BERNOULLI_SWEEP = (0.05, 0.1, 0.2)
@@ -79,18 +84,26 @@ DEFAULT_CHORD_PAIRS = ((10, 3), (10, 7), (10, 9), (11, 3))
 # -- random instance generation --------------------------------------------
 
 def random_primitive_digraph(rng: random.Random, n: int, p: float, max_tries: int = 100_000) -> Digraph:
-    """Random Hamiltonian cycle plus Bernoulli(p) arcs, retained if primitive."""
+    """Random Hamiltonian cycle plus Bernoulli(p) arcs, retained if primitive.
+
+    Each try shuffles the n vertices into a cycle, then draws rng.random()
+    once for every arc not on it, in row-major order, and adds the arc when
+    the draw is below p.
+    """
+    draw = rng.random
     for _ in range(max_tries):
-        perm = list(range(1, n + 1))
+        perm = list(range(n))
         rng.shuffle(perm)
-        arcs = {(perm[i], perm[(i + 1) % n]) for i in range(n)}
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if (i, j) not in arcs and rng.random() < p:
-                    arcs.add((i, j))
-        d = Digraph(n, frozenset(arcs))
-        if rows_primitive(d.successor_rows(), n):
-            return d
+        cycle = [0] * n
+        for i in range(n):
+            cycle[perm[i - 1]] = perm[i]
+        rows = tuple(
+            sum(1 << j for j in range(n) if j != c and draw() < p) | (1 << c)
+            for c in cycle
+        )
+        if rows_primitive(rows, n):
+            return Digraph(n, frozenset(
+                (i + 1, j + 1) for i, row in enumerate(rows) for j in range(n) if (row >> j) & 1))
     raise RuntimeError(f"no primitive digraph found in {max_tries} tries (n={n}, p={p})")
 
 
@@ -116,8 +129,8 @@ def matrix_digest(d: Digraph) -> str:
 _LE = {"asserted": True, "rule": "le"}
 
 
-def _bound_facts(d: Digraph) -> list[tuple]:
-    """(claim, predicted, oracle, make_row options) per applicable established bound.
+def _bound_facts(d: Digraph) -> list[VerificationRow]:
+    """One template row per applicable established bound, with an empty instance.
 
     The digraph must be primitive; ``exponent`` raises otherwise.  Every
     value is an isomorphism invariant.  The cycle profile comes from the
@@ -146,27 +159,22 @@ def _bound_facts(d: Digraph) -> list[tuple]:
         facts.append(("L2.6", lemma26_bound(n, g, q), exp, _LE))
         if n >= 6 and q <= n - 1:
             facts.append(("L3.2", lemma32_bound(n, g), exp, _LE))
-    return facts
+    return [make_row(claim, "", predicted, oracle, **options)
+            for claim, predicted, oracle, options in facts]
 
 
-def _add_fact_rows(report: Report, facts, instance: str, params: dict) -> None:
-    for claim, predicted, oracle, options in facts:
-        report.add(make_row(claim, instance, predicted, oracle, **options, **params))
+def _add_fact_rows(report: Report, templates, instance: str, params: dict) -> None:
+    """A copy of each template row under ``instance``; the copies share ``params``."""
+    report.rows += [
+        VerificationRow(t.claim, instance, t.predicted, t.oracle, t.agree,
+                        t.asserted, t.rule, t.notes, params)
+        for t in templates
+    ]
 
 
 def bound_rows_for(d: Digraph, instance: str, report: Report, **params) -> None:
     """Append one row per applicable established bound for one primitive digraph."""
     _add_fact_rows(report, _bound_facts(d), instance, params)
-
-
-def _least_rotation(mask: int, n: int) -> int:
-    """Smallest of the n cyclic rotations of an n-bit chord mask."""
-    full = (1 << n) - 1
-    least = rotated = mask
-    for _ in range(n - 1):
-        rotated = ((rotated << 1) | (rotated >> (n - 1))) & full
-        least = min(least, rotated)
-    return least
 
 
 def _per_orbit(n: int, g: int, evaluate):
@@ -175,14 +183,21 @@ def _per_orbit(n: int, g: int, evaluate):
     Relabeling v_i -> v_{i+1} maps the member of a mask onto the member of
     the mask rotated by one position, so ``evaluate``, which must return an
     isomorphism invariant, runs once per rotation orbit: on the member of
-    its least mask, which comes first because masks ascend.
+    its least mask, which comes first because masks ascend.  The value is
+    then stored under all n rotations of that mask, so every later member
+    of the orbit is one lookup.
     """
+    full = (1 << n) - 1
     orbit_values: dict[int, object] = {}
     for spec in chord_family(n, g):
-        least = _least_rotation(spec.chord_mask, n)
-        if least not in orbit_values:
-            orbit_values[least] = evaluate(chord_member(n, g, least))
-        yield spec, orbit_values[least]
+        mask = spec.chord_mask
+        if mask not in orbit_values:
+            value = evaluate(chord_member(n, g, mask))
+            rotated = mask
+            for _ in range(n):
+                orbit_values[rotated] = value
+                rotated = ((rotated << 1) | (rotated >> (n - 1))) & full
+        yield spec, orbit_values[mask]
 
 
 def _chord_universe_rows(pair: tuple[int, int]) -> list:
@@ -216,7 +231,7 @@ def verify_bounds(
         report.rows += rows
     # Small orders repeat: at seed 1, 657 of 2 000 instances have the rows of
     # an earlier one.  Their facts are evaluated once, keyed by rows.
-    facts_by_rows: dict[tuple[int, ...], list[tuple]] = {}
+    facts_by_rows: dict[tuple[int, ...], list[VerificationRow]] = {}
     for idx, n, p, d in random_instances(seed, samples, n_max):
         rows = d.successor_rows()
         if rows not in facts_by_rows:

@@ -122,6 +122,17 @@ def test_serialize_parse_round_trip_random():
         assert serialize_matrix(parse_matrix(messy)) == text
 
 
+def test_serialize_matrix_matches_the_per_bit_join():
+    rng = random.Random(3)
+    for n in range(2, 65):
+        full = (1 << n) - 1
+        rows = (0, full, 1, 1 << (n - 1)) + tuple(rng.getrandbits(n) for _ in range(n - 4))
+        m = BoolMatrix(n, rows[:n])
+        lines = [str(n)] + [
+            "".join("1" if (row >> j) & 1 else "0" for j in range(n)) for row in m.rows]
+        assert serialize_matrix(m) == "\n".join(lines) + "\n", n
+
+
 @settings(max_examples=60)
 @given(matrices(5), st.data())
 def test_multiply_is_associative(a, data):

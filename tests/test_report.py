@@ -3,10 +3,14 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primexp.report import (
+    CLAIM_IDS,
     CensusRow,
     Report,
+    VerificationRow,
     census_to_csv,
     census_to_jsonl,
     compare,
@@ -72,3 +76,78 @@ def test_census_serialization_round_trip():
     assert [o["canonical"] for o in objs] == ["0111", "1111"]
     csv_text = census_to_csv(rows)
     assert csv_text.splitlines()[0] == "n,canonical,girth,cycles,exp,count"
+
+
+# -- JSON-line encoder ----------------------------------------------------------
+# The oracle is the plain encoder: one json.dumps per row, with sorted keys.
+
+def _dumps(row) -> str:
+    return json.dumps(row.to_json_obj(), sort_keys=True, separators=(",", ":"))
+
+
+def _dumps_jsonl(report: Report) -> str:
+    lines = [_dumps(row) for row in sorted(report.rows, key=lambda r: (r.claim, r.instance))]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _assert_lines_match_the_oracle(report: Report) -> None:
+    text = report.to_jsonl()
+    assert text.split("\n")[:-1] == [_dumps(row) for row in report.sorted_rows()]
+    assert text == _dumps_jsonl(report)
+
+
+def test_jsonl_lines_equal_json_dumps_of_each_row():
+    shared = {"n": 6, "p": 0.1, "seed": 3}
+    report = Report([
+        # equal values of different classes under one claim
+        make_row("L2.3", "eq:true", True, True, asserted=False),
+        make_row("L2.3", "eq:one", 1, 1, asserted=False),
+        make_row("L2.3", "eq:float", 1.0, 1.0, asserted=False),
+        make_row("L2.3", "eq:mixed", 1, True, asserted=False),
+        make_row("L2.3", "eq:zero", 0.0, 0, asserted=False),
+        make_row("L2.3", "eq:negzero", -0.0, 0, asserted=False),
+        make_row("L2.3", "eq:nonfinite", float("inf"), float("nan"), asserted=False),
+        VerificationRow("L2.3", "eq:int-asserted", 1, 1, True, 1),
+        VerificationRow("L2.3", "eq:bool-asserted", 1, 1, True, True),
+        # lists and None
+        make_row("T3.6", "cycleset", [3, 10], [3, 10], asserted=True, n=10, g=3, mask=5),
+        make_row("T3.6", "cycleset-other", [3, 10], [2, 10], asserted=True, n=10, g=3, mask=6),
+        make_row("L2.2", "skipped", None, None, asserted=False, notes="skipped: too many"),
+        # characters that need escaping, in notes, instance and string params
+        make_row("C3.7", 'in{st}"an\\ce-é', "member-of-D^1", "none", asserted=False,
+                 rule="member", notes='n{o}"t\\e ü ✓', label='v{a}l"u\\e ß'),
+        # a float param, rows sharing one params dict, and other param sets
+        VerificationRow("L2.3", "rand:1", 5, 4, False, True, "le", "", shared),
+        VerificationRow("L2.6", "rand:1", 7, 4, True, True, "le", "", shared),
+        make_row("T3.3", "chord", 32, 34, asserted=False, n=10, g=3, N=[1, 3], r=3),
+        # params sorting before, between and after the base keys
+        make_row("L3.4", "order", 1, 1, asserted=True, AA=0, inz=1, ora=2, zz=3),
+        # a param named like a base key replaces it
+        make_row("L3.2", "override", 4, 5, asserted=True, agree="forced"),
+        make_row("L3.2", "override", 4, 5, asserted=True, agree=None, k={"b": 1, "a": 2}),
+        make_row("L3.2", "brace-key", 4, 5, asserted=True, **{"{0}": 1, 'q"k': 2}),
+    ])
+    _assert_lines_match_the_oracle(report)
+
+
+def test_jsonl_of_an_empty_report_is_empty():
+    assert Report().to_jsonl() == "" == _dumps_jsonl(Report())
+
+
+_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from([0.0, -0.0, 1.0, 0.1, 2.5]),
+    st.text(max_size=4), st.lists(st.integers(-2, 2), max_size=3),
+)
+_names = st.sampled_from(
+    ["AA", "N", "agree", "claim", "instance", "mask", "n", "notes", "p", "z", "{", 'k"']
+)
+
+
+@settings(max_examples=80)
+@given(st.lists(st.tuples(
+    st.sampled_from(CLAIM_IDS[:3]), st.sampled_from(["a", "b", "é{", "c"]),
+    _values, _values, _values, _values, st.sampled_from(["eq", "le"]), st.sampled_from(["", "x"]),
+    st.dictionaries(_names, _values, max_size=4),
+), max_size=12))
+def test_jsonl_lines_equal_json_dumps_on_random_rows(fields):
+    _assert_lines_match_the_oracle(Report([VerificationRow(*f) for f in fields]))

@@ -9,15 +9,23 @@ import pytest
 
 import primexp.verify as verify_module
 from primexp.boolmat import BoolMatrix
-from primexp.digraph import from_matrix, is_primitive, rows_girth, simple_cycles
+from primexp.digraph import (
+    Digraph,
+    from_matrix,
+    is_primitive,
+    rows_girth,
+    rows_primitive,
+    simple_cycles,
+)
 from primexp.exponent import exponent, exponent_of_rows, lemma25_bound
 from primexp.families import chord_family, chord_member, d1, q1
 from primexp.iso import canonical_code, canonical_code_tables
 from primexp.report import Report, census_to_jsonl
 from primexp.verify import (
+    BERNOULLI_SWEEP,
     _chord_universe_rows,
     _girth_floor_walk,
-    _least_rotation,
+    _per_orbit,
     bound_rows_for,
     census,
     printed_threshold_min_g,
@@ -45,6 +53,33 @@ def test_random_primitive_digraph_is_primitive_and_deterministic():
     b = random_primitive_digraph(random.Random(5), 6, 0.1)
     assert a.arcs == b.arcs
     assert is_primitive(a)
+
+
+def _arc_set_random_primitive_digraph(rng, n, p, max_tries=100_000):
+    """The generator on an arc set: the oracle for the one on bit rows."""
+    for _ in range(max_tries):
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        arcs = {(perm[i], perm[(i + 1) % n]) for i in range(n)}
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if (i, j) not in arcs and rng.random() < p:
+                    arcs.add((i, j))
+        d = Digraph(n, frozenset(arcs))
+        if rows_primitive(d.successor_rows(), n):
+            return d
+    raise RuntimeError(f"no primitive digraph found in {max_tries} tries (n={n}, p={p})")
+
+
+def test_random_primitive_digraph_matches_the_arc_set_oracle():
+    for seed in range(20):
+        for n in range(2, 11):
+            for p in BERNOULLI_SWEEP:
+                rng, oracle_rng = random.Random(seed), random.Random(seed)
+                d = random_primitive_digraph(rng, n, p)
+                assert d == _arc_set_random_primitive_digraph(oracle_rng, n, p), (seed, n, p)
+                # the same draws were made: both generators leave rng in one state
+                assert rng.random() == oracle_rng.random(), (seed, n, p)
 
 
 def test_random_instance_stream_is_reproducible():
@@ -125,6 +160,18 @@ def test_verify_bounds_report_bytes_are_pinned():
     )
 
 
+def test_verify_bounds_report_bytes_are_pinned_at_full_size():
+    # The parameters of `verify bounds --n-max 8 --samples 2000 --seed 1`:
+    # 21 879 rows over the default chord pairs and the random sweep.
+    report = verify_bounds(n_max=8, samples=2000, seed=1)
+    assert _sha256(report.to_jsonl()) == (
+        "e0f169a7673a4d01bdc560d792ac8bf72cb7753b140ebcd5bcd061574e2142b5"
+    )
+    assert _sha256(report.to_summary_csv()) == (
+        "3c24e41bbdba9e6a20758148e0ce7306bf94077130e10609edcf2ebf1b1990f7"
+    )
+
+
 @pytest.mark.parametrize("kwargs, option", [
     (dict(n_max=1), "n_max"),
     (dict(n_max=11), "n_max"),
@@ -144,6 +191,15 @@ def _rotate(mask: int, n: int) -> int:
     return ((mask << 1) | (mask >> (n - 1))) & ((1 << n) - 1)
 
 
+def _least_rotation(mask: int, n: int) -> int:
+    """Smallest of the n cyclic rotations of an n-bit chord mask."""
+    least = rotated = mask
+    for _ in range(n - 1):
+        rotated = _rotate(rotated, n)
+        least = min(least, rotated)
+    return least
+
+
 def test_rotating_a_chord_mask_relabels_its_member():
     for n in range(3, 10):
         for g in range(2, n):
@@ -160,6 +216,22 @@ def test_least_rotation_counts_the_orbits():
         for _ in range(6):
             orbit.append(_rotate(orbit[-1], 7))
         assert _least_rotation(mask, 7) == min(orbit) <= mask
+
+
+@pytest.mark.parametrize("n, g", [(3, 2), (6, 5), (8, 3), (10, 3), (11, 4)])
+def test_per_orbit_evaluates_each_least_mask_once(n, g):
+    evaluated = []
+
+    def evaluate(d):
+        evaluated.append(d)
+        return len(evaluated)
+
+    values = {spec.chord_mask: value for spec, value in _per_orbit(n, g, evaluate)}
+    assert sorted(values) == list(range(1, 1 << n))
+    least = sorted({_least_rotation(mask, n) for mask in values})
+    assert evaluated == [chord_member(n, g, mask) for mask in least]
+    for mask, value in values.items():
+        assert value == values[_least_rotation(mask, n)], mask
 
 
 @pytest.mark.parametrize("pair", [(7, 3), (8, 3), (9, 2), (9, 4)])
