@@ -183,9 +183,12 @@ def _cycle_cover(rows: tuple[int, ...], n: int) -> list[int]:
     endpoint of each vertex set that a simple path from its least vertex
     spans: up to 2^n * n time and 2^n memory on dense input, but d1(64)
     spans only 189 such sets.  No cycle is stored and there is no cap.
-    The census (n <= 5) and the bound suite (n <= 11) use it; simple_cycles
-    stays the enumerator for other input.  Independent of simple_cycles and
-    of the BFS girth, so they cross-check.
+    Every caller with a bounded order uses it: the census (n <= 5), the
+    bound suite (n <= 11), verify_thm33 and the thm36 converse (chord
+    members) and the iso invariants (n <= 14).  simple_cycles stays the
+    enumerator behind c_walk_distances, lemma22_bound and the ``cycles``
+    verb, which accept orders up to 64 and rely on its cap.  Independent of
+    simple_cycles and of the BFS girth, so they cross-check.
     """
     into = transpose_rows(rows, n)
     full = (1 << n) - 1

@@ -19,13 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .boolmat import mul_rows, pow_rows
-from .digraph import (
-    DEFAULT_CYCLE_CAP,
-    CycleProfile,
-    Digraph,
-    rows_primitive,
-    simple_cycles,
-)
+from .digraph import CycleProfile, Digraph, rows_primitive, simple_cycles
 from .semigroup import frobenius
 
 MAX_CYCLE_LENGTHS = 20
@@ -155,23 +149,21 @@ def walk_exists(d: Digraph, source: int, target: int, length: int) -> bool:
     return bool((rows[source - 1] >> (target - 1)) & 1)
 
 
-def c_walk_distances(
-    d: Digraph,
-    profile: CycleProfile | None = None,
-    cap: int = DEFAULT_CYCLE_CAP,
-) -> CWalkResult:
+def c_walk_distances(d: Digraph, profile: CycleProfile | None = None) -> CWalkResult:
     """All-pairs shortest walks meeting one cycle of every occurring length.
 
     A walk meets a p-cycle when it shares a vertex with some simple cycle of
     length p; the zero-length walk at v meets every cycle through v.  Checks
-    primitivity and the profile's cap, then runs ``cwalk_of_rows``.
+    primitivity and the profile's cap, then runs ``cwalk_of_rows``.  The
+    default profile comes from ``simple_cycles``, whose cap bounds the time
+    on dense input at any order up to 64; the subset DP would not.
     """
     n = d.order
     rows = d.successor_rows()
     if not rows_primitive(rows, n):
         raise NotPrimitiveError(f"digraph of order {n} is not primitive")
     if profile is None:
-        _, profile = simple_cycles(d, cap=cap)
+        _, profile = simple_cycles(d)
     if profile.cap_hit:
         raise TruncatedProfileError("cycle profile truncated at its cap")
     return cwalk_of_rows(rows, n, profile)
@@ -252,12 +244,10 @@ def cwalk_of_rows(rows: tuple[int, ...], n: int, profile: CycleProfile) -> CWalk
 # Each evaluator returns the stated expression after validating its
 # parameter window; none of them asserts anything about actual exponents.
 
-def lemma22_bound(d: Digraph, profile: CycleProfile | None = None) -> int:
+def lemma22_bound(d: Digraph) -> int:
     """Cycle-meeting diameter plus the conductor of the cycle length set."""
-    if profile is None:
-        _, profile = simple_cycles(d)
-    result = c_walk_distances(d, profile=profile)
-    return result.max + frobenius(profile.lengths)
+    _, profile = simple_cycles(d)
+    return c_walk_distances(d, profile=profile).max + frobenius(profile.lengths)
 
 
 def lemma23_bound(n: int, g: int) -> int:

@@ -1,8 +1,10 @@
 """Exact digraph isomorphism, automorphism counting and canonical forms.
 
 Backtracking over vertex bijections with cheap invariant pruning
-(in/out-degrees and the multiset of simple-cycle lengths through each
-vertex); practical for the near-cycle digraphs this package works with.
+(in/out-degrees and the set of simple-cycle lengths through each vertex,
+from the subset DP ``digraph.rows_cycle_profile``, which has no cap and
+spans at most 2^ISO_ORDER_CAP vertex sets); practical for the near-cycle
+digraphs this package works with.
 Canonical forms are the lexicographically minimal row-major adjacency
 bit-string over all relabelings, found by branch-and-bound.
 
@@ -20,13 +22,12 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import getitem
 
-from .digraph import Digraph, simple_cycles
+from .digraph import Digraph, rows_cycle_profile
 from .boolmat import transpose_rows
 
 ISO_ORDER_CAP = 14
 CANONICAL_ORDER_CAP = 12
 TABLE_CODE_ORDER_CAP = 6
-_INVARIANT_CYCLE_CAP = 200_000
 
 
 class OrderCapError(ValueError):
@@ -44,14 +45,9 @@ class CanonicalForm:
 def _vertex_invariants(d: Digraph) -> list[tuple]:
     rows = d.successor_rows()
     cols = transpose_rows(rows, d.order)
-    _, profile = simple_cycles(d, cap=_INVARIANT_CYCLE_CAP)
-    if profile.cap_hit:
-        # degree-only pruning still sound; cycle membership just unavailable
-        through = [()] * d.order
-    else:
-        through = [tuple(sorted(s)) for s in profile.per_vertex]
+    through = rows_cycle_profile(rows, d.order).per_vertex
     return [
-        (bin(rows[v]).count("1"), bin(cols[v]).count("1"), through[v])
+        (bin(rows[v]).count("1"), bin(cols[v]).count("1"), tuple(sorted(through[v])))
         for v in range(d.order)
     ]
 

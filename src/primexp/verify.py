@@ -37,11 +37,10 @@ from .digraph import (
     rows_cycle_profile,
     rows_girth,
     rows_primitive,
-    simple_cycles,
 )
 from .exponent import (
+    NotPrimitiveError,
     TooManyCycleLengthsError,
-    c_walk_distances,
     cwalk_of_rows,
     exponent,
     exponent_of_rows,
@@ -118,8 +117,8 @@ def random_instances(seed: int, samples: int, n_max: int):
         yield idx, n, p, random_primitive_digraph(rng, n, p)
 
 
-def matrix_digest(d: Digraph) -> str:
-    text = serialize_matrix(BoolMatrix(d.order, d.successor_rows()))
+def matrix_digest(rows: tuple[int, ...], n: int) -> str:
+    text = serialize_matrix(BoolMatrix(n, rows))
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -129,16 +128,16 @@ def matrix_digest(d: Digraph) -> str:
 _LE = {"asserted": True, "rule": "le"}
 
 
-def _bound_facts(d: Digraph) -> list[VerificationRow]:
+def _bound_facts(rows: tuple[int, ...], n: int) -> list[VerificationRow]:
     """One template row per applicable established bound, with an empty instance.
 
-    The digraph must be primitive; ``exponent`` raises otherwise.  Every
-    value is an isomorphism invariant.  The cycle profile comes from the
-    subset DP, which has no cap.
+    The successor rows must be primitive; NotPrimitiveError is raised
+    otherwise.  Every value is an isomorphism invariant.  The cycle profile
+    comes from the subset DP, which has no cap.
     """
-    n = d.order
-    rows = d.successor_rows()
-    exp = exponent(d).value
+    exp = exponent_of_rows(rows, n)
+    if exp is None:
+        raise NotPrimitiveError(f"digraph of order {n} is not primitive")
     profile = rows_cycle_profile(rows, n)
     lengths = profile.lengths
     g = lengths[0]
@@ -174,7 +173,7 @@ def _add_fact_rows(report: Report, templates, instance: str, params: dict) -> No
 
 def bound_rows_for(d: Digraph, instance: str, report: Report, **params) -> None:
     """Append one row per applicable established bound for one primitive digraph."""
-    _add_fact_rows(report, _bound_facts(d), instance, params)
+    _add_fact_rows(report, _bound_facts(d.successor_rows(), d.order), instance, params)
 
 
 def _per_orbit(n: int, g: int, evaluate):
@@ -203,9 +202,13 @@ def _per_orbit(n: int, g: int, evaluate):
 def _chord_universe_rows(pair: tuple[int, int]) -> list:
     """Bound rows for every primitive member of the (n, g) chord universe."""
     n, g = pair
+
+    def evaluate(d: Digraph) -> list[VerificationRow]:
+        rows = d.successor_rows()
+        return _bound_facts(rows, n) if rows_primitive(rows, n) else []
+
     report = Report()
-    for spec, facts in _per_orbit(
-            n, g, lambda d: _bound_facts(d) if rows_primitive(d.successor_rows(), n) else []):
+    for spec, facts in _per_orbit(n, g, evaluate):
         _add_fact_rows(report, facts, spec.label(), {"n": n, "g": g, "mask": spec.chord_mask})
     return report.rows
 
@@ -230,14 +233,14 @@ def verify_bounds(
     for rows in _run_blocks(_chord_universe_rows, list(chord_pairs), jobs):
         report.rows += rows
     # Small orders repeat: at seed 1, 657 of 2 000 instances have the rows of
-    # an earlier one.  Their facts are evaluated once, keyed by rows.
-    facts_by_rows: dict[tuple[int, ...], list[VerificationRow]] = {}
+    # an earlier one.  Their digest and facts are computed once, keyed by rows.
+    seen: dict[tuple[int, ...], tuple[str, list[VerificationRow]]] = {}
     for idx, n, p, d in random_instances(seed, samples, n_max):
         rows = d.successor_rows()
-        if rows not in facts_by_rows:
-            facts_by_rows[rows] = _bound_facts(d)
-        instance = f"rand:{idx:06d}:{matrix_digest(d)}"
-        _add_fact_rows(report, facts_by_rows[rows], instance, {"n": n, "p": p, "seed": seed})
+        if rows not in seen:
+            seen[rows] = matrix_digest(rows, n), _bound_facts(rows, n)
+        digest, facts = seen[rows]
+        _add_fact_rows(report, facts, f"rand:{idx:06d}:{digest}", {"n": n, "p": p, "seed": seed})
     return report
 
 
@@ -369,14 +372,18 @@ def verify_lemma24(n: int = 4, jobs: int = 1) -> Report:
 
 # -- chord-family exact formula ----------------------------------------------
 
-def _attainment_note(n: int, g: int, r: int, d: Digraph, profile) -> str:
+def _attainment_note(n: int, g: int, r: int, rows: tuple[int, ...]) -> str:
+    """Claimed against computed cycle-meeting diameter and its attaining pair.
+
+    The rows must be primitive; the profile comes from the subset DP.
+    """
     if r < n - g + 1:
         claimed_pair = (n, g + r)
         claimed = 2 * n - g - r
     else:
         claimed_pair = (n, 1)
         claimed = n - 1
-    cw = c_walk_distances(d, profile=profile)
+    cw = cwalk_of_rows(rows, n, rows_cycle_profile(rows, n))
     mark = "match" if (cw.max == claimed and cw.arg_max == claimed_pair) else "differ"
     return (
         f"claimed dC={claimed}@{claimed_pair}; "
@@ -401,10 +408,10 @@ def verify_thm33(n_min: int = 5, n_max: int = 12) -> Report:
                 d = spec.build()
                 r = spec.r
                 predicted = formula_thm33(n, g, r)
+                # exponent raises unless d is primitive, as _attainment_note needs.
                 oracle = exponent(d).value
-                _, profile = simple_cycles(d)
                 anchored = spec.N in ((1,), (1, 2))
-                notes = _attainment_note(n, g, r, d, profile)
+                notes = _attainment_note(n, g, r, d.successor_rows())
                 row = make_row(
                     "T3.3", spec.label(), predicted, oracle,
                     asserted=anchored, notes=notes,
@@ -479,22 +486,22 @@ def _converse_facts(d: Digraph, g: int, low: int, high: int,
     """Isomorphism-invariant converse facts of one chord member.
 
     None unless d is primitive with girth g; otherwise (exponent, cycle
-    profile when the exponent exceeds low, window index z and the
-    classify_against index when the exponent is in (low, high]).
+    lengths from the subset DP when the exponent exceeds low, window index
+    z and the classify_against index when the exponent is in (low, high]).
     """
     n = d.order
     rows = d.successor_rows()
     if not rows_primitive(rows, n) or rows_girth(rows, n) != g:
         return None
     oracle = exponent(d).value
-    profile = simple_cycles(d)[1] if oracle > low else None
+    lengths = rows_cycle_lengths(rows, n) if oracle > low else None
     z = match = None
     if low < oracle <= high:
         z = z_of_w(n, g, oracle)
         if z not in reference_families:
             reference_families[z] = [s.build() for s in enumerate_Dr(n, g, z)]
         match = classify_against(d, reference_families[z])
-    return oracle, profile, z, match
+    return oracle, lengths, z, match
 
 
 def verify_thm36(n: int, g: int) -> Report:
@@ -543,17 +550,11 @@ def verify_thm36(n: int, g: int) -> Report:
         if facts is None:
             continue
         eligible += 1
-        oracle, profile, z, match = facts
+        oracle, lengths, z, match = facts
         mask = spec.chord_mask
-        if profile is not None and profile.cap_hit:
+        if lengths is not None:
             report.add(make_row(
-                "T3.6", f"cycleset:mask={mask:05d}", None, None,
-                asserted=False, n=n, g=g, mask=mask,
-                notes="skipped: cycle profile truncated at its cap",
-            ))
-        elif profile is not None:
-            report.add(make_row(
-                "T3.6", f"cycleset:mask={mask:05d}", [g, n], list(profile.lengths),
+                "T3.6", f"cycleset:mask={mask:05d}", [g, n], list(lengths),
                 asserted=True, n=n, g=g, mask=mask,
                 notes="cycle set forced to {girth, order} above the window floor",
             ))

@@ -10,7 +10,9 @@ from primexp.digraph import Digraph, digraph, from_matrix, girth, relabel, simpl
 from primexp.exponent import exponent
 from primexp.families import d1, d2, d_gN, enumerate_Dr, q1, standard_cycle
 from primexp.iso import (
+    ISO_ORDER_CAP,
     OrderCapError,
+    _vertex_invariants,
     are_isomorphic,
     automorphism_count,
     canonical_code,
@@ -110,6 +112,34 @@ def test_isomorphic_graphs_share_invariants():
         _, pa = simple_cycles(d)
         _, pb = simple_cycles(moved)
         assert pa.lengths == pb.lengths
+
+
+def test_vertex_invariants_list_every_cycle_length_of_a_complete_digraph():
+    # Far more than 200 000 simple cycles: the invariants never enumerate them.
+    n = ISO_ORDER_CAP
+    complete = digraph(n, itertools.product(range(1, n + 1), repeat=2))
+    everything = tuple(range(1, n + 1))
+    assert _vertex_invariants(complete) == [(n, n, everything)] * n
+
+
+def test_vertex_invariants_match_the_enumerated_profile():
+    rng = random.Random(53)
+    for _ in range(60):
+        n = rng.randint(2, 8)
+        d = random_digraph(rng, n, rng.choice((0.15, 0.3, 0.5)))
+        _, profile = simple_cycles(d)
+        through = [inv[2] for inv in _vertex_invariants(d)]
+        assert through == [tuple(sorted(s)) for s in profile.per_vertex]
+
+
+def test_relabeled_dense_digraph_at_the_order_cap_is_isomorphic():
+    rng = random.Random(59)
+    n = ISO_ORDER_CAP
+    d = random_digraph(rng, n, 0.9)
+    moved = relabel(d, random_permutation(rng, n))
+    witness = find_isomorphism(d, moved)
+    assert witness is not None
+    assert relabel(d, witness).arcs == moved.arcs
 
 
 def test_canonical_form_is_relabeling_invariant():

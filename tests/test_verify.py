@@ -8,7 +8,7 @@ import os
 import pytest
 
 import primexp.verify as verify_module
-from primexp.boolmat import BoolMatrix
+from primexp.boolmat import BoolMatrix, serialize_matrix
 from primexp.digraph import (
     Digraph,
     from_matrix,
@@ -16,6 +16,7 @@ from primexp.digraph import (
     rows_girth,
     rows_primitive,
     simple_cycles,
+    to_matrix,
 )
 from primexp.exponent import exponent, exponent_of_rows, lemma25_bound
 from primexp.families import chord_family, chord_member, d1, q1
@@ -254,7 +255,8 @@ def test_random_sweep_rows_equal_the_per_instance_loop():
     assert len({d.successor_rows() for _, _, _, d in instances}) < len(instances) // 4
     oracle = Report()
     for idx, n, p, d in instances:
-        bound_rows_for(d, f"rand:{idx:06d}:{verify_module.matrix_digest(d)}", oracle,
+        digest = hashlib.sha256(serialize_matrix(to_matrix(d)).encode()).hexdigest()[:12]
+        bound_rows_for(d, f"rand:{idx:06d}:{digest}", oracle,
                        n=n, p=p, seed=kwargs["seed"])
     report = verify_bounds(**kwargs, chord_pairs=())
     assert report.rows == oracle.rows
@@ -449,6 +451,12 @@ def test_verify_thm33_asserted_rows_pass_and_pattern_is_reported():
     assert len(summary) == 1 and "position 1" in summary[0].notes
 
 
+def test_verify_thm33_report_bytes_are_pinned():
+    assert _sha256(verify_thm33(5, 12).to_jsonl()) == (
+        "fa41b4491f8e01709935ff11299fccd3148130a4e87dc638a89873c3f70cd97f"
+    )
+
+
 def test_verify_thm33_notes_record_attainment_pairs():
     report = verify_thm33(n_min=5, n_max=5)
     noted = [r for r in rows_by_claim(report, "T3.3") if "dC=" in r.notes]
@@ -507,16 +515,13 @@ def test_verify_thm36_report_bytes_are_pinned():
     )
 
 
-def test_verify_thm36_skips_the_cycle_set_of_a_truncated_profile(monkeypatch):
-    real = verify_module.simple_cycles
-    monkeypatch.setattr(verify_module, "simple_cycles", lambda d: real(d, cap=1))
-    report = verify_thm36(10, 3)
-    cyclesets = [r for r in report.rows if r.instance.startswith("cycleset:")]
-    assert cyclesets
-    for row in cyclesets:
-        assert not row.asserted
-        assert row.notes == "skipped: cycle profile truncated at its cap"
-    assert report.all_asserts_pass
+def test_verify_thm36_report_bytes_are_pinned_at_order_thirteen():
+    report = verify_thm36(13, 4)
+    assert len(report.rows) == 123
+    assert sum(r.instance.startswith("cycleset:") for r in report.rows) == 52
+    assert _sha256(report.to_jsonl()) == (
+        "41a5f9fa02d757a8b52668e621cc9fb59b9b9ad369d156b93392fab1605309fe"
+    )
 
 
 def test_verify_thm36_rejects_gcd_violation():
