@@ -155,13 +155,11 @@ def parse_matrix(text: str) -> BoolMatrix:
         line = raw.rstrip()
         if len(line) != n:
             raise MatrixParseError(f"row has length {len(line)}, expected {n}", i)
-        row = 0
-        for j, ch in enumerate(line):
-            if ch == "1":
-                row |= 1 << j
-            elif ch != "0":
-                raise MatrixParseError(f"invalid character {ch!r}", i)
-        rows.append(row)
+        # int() alone would also take "_", "+", spaces and non-ASCII digits.
+        bad = line.lstrip("01")
+        if bad:
+            raise MatrixParseError(f"invalid character {bad[0]!r}", i)
+        rows.append(int(line[::-1], 2))
     return BoolMatrix(n, tuple(rows))
 
 

@@ -153,23 +153,42 @@ def distance(d: Digraph, source: int, target: int) -> int | None:
 
 
 def rows_girth(rows: tuple[int, ...], n: int) -> int | None:
-    """Minimum cycle length by per-vertex BFS; None for acyclic digraphs.
+    """Minimum cycle length by a least-vertex BFS; None for acyclic digraphs.
 
-    The shortest cycle through v is 1 + the shortest path from a successor
-    of v back to v, so one BFS per vertex suffices.  Independent of the
-    simple-cycle enumerator, so the two cross-validate.
+    A loop answers 1 at once.  Otherwise every cycle is found from its least
+    vertex s: a bit-set BFS from s through the vertices above s stops at the
+    first level that meets a predecessor of s (that level + 1 is the shortest
+    cycle whose least vertex is s), or once its depth can no longer beat the
+    best cycle found so far.  No distance list is kept.  Independent of the
+    simple-cycle enumerator and of the subset DP, so they cross-validate.
     """
-    best: int | None = None
     for v in range(n):
         if (rows[v] >> v) & 1:
             return 1
-        dist = _bfs_dist(rows, n, v)
-        for u in range(n):
-            if dist[u] >= 0 and (rows[u] >> v) & 1:
-                length = dist[u] + 1
-                if best is None or length < best:
-                    best = length
-    return best
+    into = transpose_rows(rows, n)
+    full = (1 << n) - 1
+    best = n + 1
+    for s in range(n - 1):
+        above = full ^ ((2 << s) - 1)
+        back = into[s] & above
+        if not back:
+            continue
+        frontier = rows[s] & above
+        seen = frontier
+        depth = 1
+        while frontier and depth + 1 < best:
+            if frontier & back:
+                best = depth + 1
+                break
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= rows[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & above & ~seen
+            seen |= frontier
+            depth += 1
+    return best if best <= n else None
 
 
 def _cycle_cover(rows: tuple[int, ...], n: int) -> list[int]:
@@ -188,7 +207,9 @@ def _cycle_cover(rows: tuple[int, ...], n: int) -> list[int]:
     members) and the iso invariants (n <= 14).  simple_cycles stays the
     enumerator behind c_walk_distances, lemma22_bound and the ``cycles``
     verb, which accept orders up to 64 and rely on its cap.  Independent of
-    simple_cycles and of the BFS girth, so they cross-check.
+    simple_cycles and of the BFS girth, which searches from the same least
+    vertex s but keeps one visited set per s instead of one state per vertex
+    set, so they cross-check.
     """
     into = transpose_rows(rows, n)
     full = (1 << n) - 1

@@ -36,6 +36,7 @@ from .digraph import (
     rows_cycle_lengths,
     rows_cycle_profile,
     rows_girth,
+    rows_period,
     rows_primitive,
 )
 from .exponent import (
@@ -100,7 +101,8 @@ def random_primitive_digraph(rng: random.Random, n: int, p: float, max_tries: in
             sum(1 << j for j in range(n) if j != c and draw() < p) | (1 << c)
             for c in cycle
         )
-        if rows_primitive(rows, n):
+        # The Hamiltonian cycle makes every try strongly connected.
+        if rows_period(rows, n) == 1:
             return Digraph(n, frozenset(
                 (i + 1, j + 1) for i, row in enumerate(rows) for j in range(n) if (row >> j) & 1))
     raise RuntimeError(f"no primitive digraph found in {max_tries} tries (n={n}, p={p})")

@@ -109,6 +109,64 @@ def test_parse_errors_name_the_line():
         parse_matrix("2\n01\n")  # missing row
 
 
+def parse_matrix_per_char(text: str) -> BoolMatrix:
+    """Oracle: the parser with a per-character row loop."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines = lines[:-1]
+    if not lines:
+        raise MatrixParseError("empty input", 1)
+    head = lines[0].strip()
+    try:
+        n = int(head)
+    except ValueError:
+        raise MatrixParseError(f"expected decimal order, got {head!r}", 1) from None
+    if not 2 <= n <= 64:
+        raise MatrixParseError(f"order must be in [2, 64], got {n}", 1)
+    if len(lines) != n + 1:
+        raise MatrixParseError(f"expected {n} rows after the order line, got {len(lines) - 1}", len(lines))
+    rows = []
+    for i, raw in enumerate(lines[1:], start=2):
+        line = raw.rstrip()
+        if len(line) != n:
+            raise MatrixParseError(f"row has length {len(line)}, expected {n}", i)
+        row = 0
+        for j, ch in enumerate(line):
+            if ch == "1":
+                row |= 1 << j
+            elif ch != "0":
+                raise MatrixParseError(f"invalid character {ch!r}", i)
+        rows.append(row)
+    return BoolMatrix(n, tuple(rows))
+
+
+def parse_outcome(parse, text: str):
+    try:
+        return parse(text)
+    except MatrixParseError as exc:
+        return str(exc), exc.line
+
+
+@pytest.mark.parametrize("row", [
+    "0_11", "+011", "0 11", "0\t11", "0121", "b011", "0111\r", "0\uff1101", "1_10", "+111",
+    " 011", "011 ", "0110\r", "01\uff110", "0101",
+])
+def test_parse_matches_the_per_char_oracle(row):
+    for place in range(1, 5):
+        lines = ["4", "0110", "1001", "0011", "1100"]
+        lines[place] = row
+        text = "\n".join(lines) + "\n"
+        assert parse_outcome(parse_matrix, text) == parse_outcome(parse_matrix_per_char, text)
+
+
+def test_serialize_parse_round_trip_at_every_order():
+    rng = random.Random(11)
+    for n in range(2, 65):
+        m = random_matrix(rng, n)
+        text = serialize_matrix(m)
+        assert parse_matrix(text) == parse_matrix_per_char(text) == m
+
+
 def test_serialize_parse_round_trip_random():
     rng = random.Random(42)
     for _ in range(100):

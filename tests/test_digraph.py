@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from primexp.boolmat import BoolMatrix, identity, is_all_positive, pow_rows, power, rows_all_positive
 from primexp.digraph import (
     Digraph,
+    _bfs_dist,
     digraph,
     distance,
     from_matrix,
@@ -145,6 +146,69 @@ def test_girth_matches_cycle_enumeration():
         _, profile = simple_cycles(d)
         expected = profile.lengths[0] if profile.lengths else None
         assert girth(d) == expected
+
+
+def per_vertex_bfs_girth(rows: tuple[int, ...], n: int) -> int | None:
+    """Oracle: a full BFS from every vertex v; the shortest cycle through v
+    is 1 + the distance from v to its nearest predecessor."""
+    best = None
+    for v in range(n):
+        if (rows[v] >> v) & 1:
+            return 1
+        dist = _bfs_dist(rows, n, v)
+        for u in range(n):
+            if dist[u] >= 0 and (rows[u] >> v) & 1:
+                length = dist[u] + 1
+                if best is None or length < best:
+                    best = length
+    return best
+
+
+@st.composite
+def girth_inputs(draw):
+    """Loopless sparse, half and dense rows, relabeled acyclic rows, and one loop."""
+    n = draw(st.integers(2, 24))
+    full = (1 << n) - 1
+    words = st.lists(st.integers(0, full), min_size=n, max_size=n)
+    a, b, c = draw(words), draw(words), draw(words)
+    kind = draw(st.sampled_from(["sparse", "half", "dense", "acyclic", "loop"]))
+    if kind == "sparse":
+        rows = [x & y & z for x, y, z in zip(a, b, c)]
+    elif kind == "dense":
+        rows = [x | y | z for x, y, z in zip(a, b, c)]
+    else:
+        rows = list(a)
+    rows = [row & ~(1 << i) for i, row in enumerate(rows)]
+    if kind == "acyclic":
+        upper = BoolMatrix(n, tuple(row & (full ^ ((2 << i) - 1)) for i, row in enumerate(rows)))
+        perm = tuple(v + 1 for v in draw(st.permutations(range(n))))
+        rows = list(relabel(from_matrix(upper), perm).successor_rows())
+    elif kind == "loop":
+        v = draw(st.integers(0, n - 1))
+        rows[v] |= 1 << v
+    return tuple(rows), n, kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(girth_inputs())
+def test_girth_matches_the_per_vertex_bfs_oracle(case):
+    rows, n, kind = case
+    value = rows_girth(rows, n)
+    assert value == per_vertex_bfs_girth(rows, n)
+    if kind == "acyclic":
+        assert value is None
+    elif kind == "loop":
+        assert value == 1
+
+
+@pytest.mark.parametrize("d,expected", [
+    (d1(64), 63), (d2(64), 63), (q1(64, 3), 3), (q1(64, 31), 31), (q1(64, 63), 63),
+], ids=["d1(64)", "d2(64)", "q1(64,3)", "q1(64,31)", "q1(64,63)"])
+def test_girth_of_relabeled_order_64_families(d, expected):
+    rng = random.Random(expected)
+    for _ in range(3):
+        rows = relabel(d, random_permutation(rng, 64)).successor_rows()
+        assert rows_girth(rows, 64) == per_vertex_bfs_girth(rows, 64) == expected
 
 
 # -- cycle enumeration -----------------------------------------------------------

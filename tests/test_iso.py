@@ -240,6 +240,12 @@ def test_order_caps():
         canonical_code_tables(7)
 
 
+def test_canonical_form_refuses_order_eleven():
+    for d in (d1(11), standard_cycle(11), digraph(11, [])):
+        with pytest.raises(OrderCapError, match="cap 10"):
+            canonical_form(d)
+
+
 def test_automorphism_counts():
     assert automorphism_count(standard_cycle(5)) == 5
     assert automorphism_count(d1(4)) == 1
