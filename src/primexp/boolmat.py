@@ -142,10 +142,10 @@ def parse_matrix(text: str) -> BoolMatrix:
     if not lines:
         raise MatrixParseError("empty input", 1)
     head = lines[0].strip()
-    try:
-        n = int(head)
-    except ValueError:
-        raise MatrixParseError(f"expected decimal order, got {head!r}", 1) from None
+    # int() alone would also take "+2", "0_2" and non-ASCII digits.
+    if not (head.isascii() and head.isdigit()):
+        raise MatrixParseError(f"expected decimal order, got {head!r}", 1)
+    n = int(head)
     if not MIN_ORDER <= n <= MAX_ORDER:
         raise MatrixParseError(f"order must be in [{MIN_ORDER}, {MAX_ORDER}], got {n}", 1)
     if len(lines) != n + 1:

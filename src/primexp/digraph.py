@@ -202,14 +202,17 @@ def _cycle_cover(rows: tuple[int, ...], n: int) -> list[int]:
     endpoint of each vertex set that a simple path from its least vertex
     spans: up to 2^n * n time and 2^n memory on dense input, but d1(64)
     spans only 189 such sets.  No cycle is stored and there is no cap.
-    Every caller with a bounded order uses it: the census (n <= 5), the
-    bound suite (n <= 11), verify_thm33 and the thm36 converse (chord
-    members) and the iso invariants (n <= 14).  simple_cycles stays the
-    enumerator behind c_walk_distances, lemma22_bound and the ``cycles``
-    verb, which accept orders up to 64 and rely on its cap.  Independent of
-    simple_cycles and of the BFS girth, which searches from the same least
-    vertex s but keeps one visited set per s instead of one state per vertex
-    set, so they cross-check.
+    Every caller with a bounded order uses it: the census (n <= 5) through
+    rows_cycle_lengths; the bound suite (n <= 16) and verify_thm33's
+    attainment notes, which read the lengths and the per-vertex bit-sets
+    straight from the cover; the thm36 converse (chord members) through
+    rows_cycle_lengths; and the iso invariants (n <= 14) through
+    rows_cycle_profile.  simple_cycles stays the enumerator behind
+    c_walk_distances, lemma22_bound and the ``cycles`` verb, which accept
+    orders up to 64 and rely on its cap.  Independent of simple_cycles and
+    of the BFS girth, which searches from the same least vertex s but keeps
+    one visited set per s instead of one state per vertex set, so they
+    cross-check.
     """
     into = transpose_rows(rows, n)
     full = (1 << n) - 1

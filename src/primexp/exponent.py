@@ -172,21 +172,39 @@ def c_walk_distances(d: Digraph, profile: CycleProfile | None = None) -> CWalkRe
 def cwalk_of_rows(rows: tuple[int, ...], n: int, profile: CycleProfile) -> CWalkResult:
     """``c_walk_distances`` of a primitive digraph and its complete profile, unchecked.
 
-    A level-by-level BFS from each start over (vertex, met-mask) states,
-    where the met-mask is the subset of cycle lengths already met.  The
-    visited set maps a met-mask to the bit-set of vertices seen with it, in
-    a dict rather than a list of 2^u entries: u can be 20, and few of the
-    masks occur.
+    Turns the profile into one vertex bit-set per cycle length and runs
+    ``cwalk_of_cover``.
     """
-    lengths = profile.lengths
-    u = len(lengths)
+    cover = [0] * len(profile.lengths)
+    index = {length: i for i, length in enumerate(profile.lengths)}
+    for v, through in enumerate(profile.per_vertex):
+        for length in through:
+            cover[index[length]] |= 1 << v
+    return cwalk_of_cover(rows, n, cover)
+
+
+def cwalk_of_cover(rows: tuple[int, ...], n: int, cover: list[int]) -> CWalkResult:
+    """``c_walk_distances`` of a primitive digraph from its cycle cover, unchecked.
+
+    ``cover`` holds, per cycle length, the bit-set of vertices on some simple
+    cycle of that length; empty entries are skipped, so the list that
+    ``digraph._cycle_cover`` returns can be passed as it is.  A
+    level-by-level BFS from each start over (vertex, met-mask) states, where
+    the met-mask is the subset of cycle lengths already met.  The visited
+    set maps a met-mask to the bit-set of vertices seen with it, in a dict
+    rather than a list of 2^u entries: u can be 20, and few of the masks
+    occur.
+    """
+    cover = [vertices for vertices in cover if vertices]
+    u = len(cover)
     if u > MAX_CYCLE_LENGTHS:
         raise TooManyCycleLengthsError(f"{u} distinct cycle lengths exceeds {MAX_CYCLE_LENGTHS}")
-    index = {length: i for i, length in enumerate(lengths)}
     met = [0] * n
-    for v in range(n):
-        for length in profile.per_vertex[v]:
-            met[v] |= 1 << index[length]
+    for i, vertices in enumerate(cover):
+        while vertices:
+            low = vertices & -vertices
+            met[low.bit_length() - 1] |= 1 << i
+            vertices ^= low
     full = (1 << u) - 1
     # (successor, its bit, its met-mask) per vertex, so the BFS peels no bits.
     succ = []

@@ -7,13 +7,17 @@ agreement pattern is itself the deliverable.  All randomness is seeded and
 all row streams are sorted, so identical parameters reproduce identical
 reports byte for byte.
 
-The bound suite and the thm36 converse sweep evaluate each rotation orbit
-of a chord universe once: rotating a chord mask relabels its member, and
-every checked value is an isomorphism invariant, so the members of an orbit
+The bound suite and the thm36 converse sweep evaluate each orbit of a
+chord universe once: rotating a chord mask relabels its member, and every
+checked value is an isomorphism invariant, so the members of an orbit
 differ only in their label and mask.  The first mask of an orbit is its
-least, because masks ascend; its value is stored under all n rotations, so
-every later member is one lookup.  In the same way the bound suite's
-random sweep evaluates each distinct labeled matrix once and re-emits its
+least, because masks ascend; its value is stored under every mask of the
+orbit, so every later member is one lookup.  The bound suite's orbits are
+dihedral: one mirror mask's member is the transpose of the other's,
+relabeled, and every bound-suite fact survives transposition.  The thm36
+converse keeps rotation orbits, because the ``classify_against`` index it
+reports does not.  In the same way the bound suite's random sweep, drawn
+on bit rows, evaluates each distinct labeled matrix once and re-emits its
 facts under the label and params of every later instance with equal rows.
 The bound suite's facts are template rows with an empty instance, built
 (and their claim checked and agree flag computed) once per evaluation;
@@ -33,8 +37,9 @@ from operator import or_
 from .boolmat import BoolMatrix, serialize_matrix
 from .digraph import (
     Digraph,
+    _cycle_cover,
+    from_matrix,
     rows_cycle_lengths,
-    rows_cycle_profile,
     rows_girth,
     rows_period,
     rows_primitive,
@@ -42,7 +47,7 @@ from .digraph import (
 from .exponent import (
     NotPrimitiveError,
     TooManyCycleLengthsError,
-    cwalk_of_rows,
+    cwalk_of_cover,
     exponent,
     exponent_of_rows,
     formula_thm33,
@@ -79,17 +84,14 @@ from .semigroup import frobenius
 
 BERNOULLI_SWEEP = (0.05, 0.1, 0.2)
 DEFAULT_CHORD_PAIRS = ((10, 3), (10, 7), (10, 9), (11, 3))
+CHORD_ORDER_CAP = 16
 
 
 # -- random instance generation --------------------------------------------
 
-def random_primitive_digraph(rng: random.Random, n: int, p: float, max_tries: int = 100_000) -> Digraph:
-    """Random Hamiltonian cycle plus Bernoulli(p) arcs, retained if primitive.
-
-    Each try shuffles the n vertices into a cycle, then draws rng.random()
-    once for every arc not on it, in row-major order, and adds the arc when
-    the draw is below p.
-    """
+def _random_primitive_rows(rng: random.Random, n: int, p: float,
+                           max_tries: int = 100_000) -> tuple[int, ...]:
+    """Successor rows of ``random_primitive_digraph``, with the same draws."""
     draw = rng.random
     for _ in range(max_tries):
         perm = list(range(n))
@@ -103,20 +105,35 @@ def random_primitive_digraph(rng: random.Random, n: int, p: float, max_tries: in
         )
         # The Hamiltonian cycle makes every try strongly connected.
         if rows_period(rows, n) == 1:
-            return Digraph(n, frozenset(
-                (i + 1, j + 1) for i, row in enumerate(rows) for j in range(n) if (row >> j) & 1))
+            return rows
     raise RuntimeError(f"no primitive digraph found in {max_tries} tries (n={n}, p={p})")
 
 
-def random_instances(seed: int, samples: int, n_max: int):
-    """Deterministic stream of (index, n, p, digraph) primitive instances."""
+def random_primitive_digraph(rng: random.Random, n: int, p: float, max_tries: int = 100_000) -> Digraph:
+    """Random Hamiltonian cycle plus Bernoulli(p) arcs, retained if primitive.
+
+    Each try shuffles the n vertices into a cycle, then draws rng.random()
+    once for every arc not on it, in row-major order, and adds the arc when
+    the draw is below p.
+    """
+    return from_matrix(BoolMatrix(n, _random_primitive_rows(rng, n, p, max_tries)))
+
+
+def _random_rows(seed: int, samples: int, n_max: int):
+    """Deterministic stream of (index, n, p, successor rows) primitive instances."""
     if n_max > 10:
         raise ValueError(f"random sampling is capped at order 10, got n_max={n_max}")
     rng = random.Random(seed)
     for idx in range(samples):
         p = BERNOULLI_SWEEP[idx % len(BERNOULLI_SWEEP)]
         n = rng.randint(2, n_max)
-        yield idx, n, p, random_primitive_digraph(rng, n, p)
+        yield idx, n, p, _random_primitive_rows(rng, n, p)
+
+
+def random_instances(seed: int, samples: int, n_max: int):
+    """Deterministic stream of (index, n, p, digraph) primitive instances."""
+    for idx, n, p, rows in _random_rows(seed, samples, n_max):
+        yield idx, n, p, from_matrix(BoolMatrix(n, rows))
 
 
 def matrix_digest(rows: tuple[int, ...], n: int) -> str:
@@ -134,19 +151,20 @@ def _bound_facts(rows: tuple[int, ...], n: int) -> list[VerificationRow]:
     """One template row per applicable established bound, with an empty instance.
 
     The successor rows must be primitive; NotPrimitiveError is raised
-    otherwise.  Every value is an isomorphism invariant.  The cycle profile
-    comes from the subset DP, which has no cap.
+    otherwise.  Every value is an isomorphism invariant and does not change
+    when every arc is reversed.  The cycle lengths and the c-walk come from
+    one subset-DP cycle cover, which has no cap.
     """
     exp = exponent_of_rows(rows, n)
     if exp is None:
         raise NotPrimitiveError(f"digraph of order {n} is not primitive")
-    profile = rows_cycle_profile(rows, n)
-    lengths = profile.lengths
+    cover = _cycle_cover(rows, n)
+    lengths = [k for k in range(1, n + 1) if cover[k]]
     g = lengths[0]
 
     facts = []
     try:
-        cw = cwalk_of_rows(rows, n, profile)
+        cw = cwalk_of_cover(rows, n, cover)
         facts.append(("L2.2", cw.max + frobenius(lengths), exp, _LE))
     except TooManyCycleLengthsError as exc:
         facts.append(("L2.2", None, None, {"asserted": False, "notes": f"skipped: {exc}"}))
@@ -178,7 +196,22 @@ def bound_rows_for(d: Digraph, instance: str, report: Report, **params) -> None:
     _add_fact_rows(report, _bound_facts(d.successor_rows(), d.order), instance, params)
 
 
-def _per_orbit(n: int, g: int, evaluate):
+def _mirror_mask(mask: int, n: int, g: int) -> int:
+    """The chord mask whose member is the transpose of ``mask``'s, relabeled.
+
+    Reversing every arc and relabeling v_i -> v_{-i mod n} (v_0 being v_n)
+    keeps the descending cycle and sends the chord at position i to the
+    chord at position (1 - g - i) mod n, again with 0 read as n.
+    """
+    mirrored = 0
+    while mask:
+        low = mask & -mask
+        mirrored |= 1 << ((-g - low.bit_length()) % n)
+        mask ^= low
+    return mirrored
+
+
+def _per_orbit(n: int, g: int, evaluate, mirror: bool = False):
     """(spec, evaluate(member)) for every member of the (n, g) chord universe.
 
     Relabeling v_i -> v_{i+1} maps the member of a mask onto the member of
@@ -187,6 +220,15 @@ def _per_orbit(n: int, g: int, evaluate):
     its least mask, which comes first because masks ascend.  The value is
     then stored under all n rotations of that mask, so every later member
     of the orbit is one lookup.
+
+    With ``mirror`` the value is also stored under every rotation of
+    ``_mirror_mask``, whose member is the transpose of this one relabeled,
+    so ``evaluate`` runs once per dihedral orbit (77 instead of 107 at
+    n = 10).  Only the bound suite turns it on: its facts do not change
+    when every arc is reversed.  The thm36 converse must not, because the
+    ``classify_against`` index it stores is not invariant under
+    transposition: with it on, the thm36 report changes at 15 of the 43
+    coprime pairs with 5 <= n <= 13, (10, 7) among them.
     """
     full = (1 << n) - 1
     orbit_values: dict[int, object] = {}
@@ -194,10 +236,10 @@ def _per_orbit(n: int, g: int, evaluate):
         mask = spec.chord_mask
         if mask not in orbit_values:
             value = evaluate(chord_member(n, g, mask))
-            rotated = mask
-            for _ in range(n):
-                orbit_values[rotated] = value
-                rotated = ((rotated << 1) | (rotated >> (n - 1))) & full
+            for rotated in (mask, _mirror_mask(mask, n, g)) if mirror else (mask,):
+                for _ in range(n):
+                    orbit_values[rotated] = value
+                    rotated = ((rotated << 1) | (rotated >> (n - 1))) & full
         yield spec, orbit_values[mask]
 
 
@@ -210,7 +252,7 @@ def _chord_universe_rows(pair: tuple[int, int]) -> list:
         return _bound_facts(rows, n) if rows_primitive(rows, n) else []
 
     report = Report()
-    for spec, facts in _per_orbit(n, g, evaluate):
+    for spec, facts in _per_orbit(n, g, evaluate, mirror=True):
         _add_fact_rows(report, facts, spec.label(), {"n": n, "g": g, "mask": spec.chord_mask})
     return report.rows
 
@@ -224,21 +266,30 @@ def verify_bounds(
 ) -> Report:
     """Bound suite over exhaustive chord families plus a seeded random sweep.
 
-    With jobs > 1 the chord universes run in worker processes, one per
-    (n, g) pair; the random sweep always runs here.
+    Each chord pair (n, g) needs 2 <= g <= n-1 and n <= CHORD_ORDER_CAP,
+    checked before any universe runs.  A universe has 2^n - 1 members, and
+    its time and memory about double with each order: on 2 cores under
+    Python 3.11, each of (16, 3), (16, 5), (16, 7), (16, 9) and (16, 15)
+    took 1.1-1.3 s and 68 MB.  With jobs > 1 the chord universes run in
+    worker processes, one per (n, g) pair; the random sweep always runs
+    here.
     """
     if not 2 <= n_max <= 10:
         raise ValueError(f"n_max must be in 2..10, got {n_max}")
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
+    chord_pairs = list(chord_pairs)
+    for n, g in chord_pairs:
+        if not (2 <= g <= n - 1 and n <= CHORD_ORDER_CAP):
+            raise ValueError(
+                f"chord pair {n}:{g} needs 2 <= g <= n-1 and n <= {CHORD_ORDER_CAP}")
     report = Report()
-    for rows in _run_blocks(_chord_universe_rows, list(chord_pairs), jobs):
+    for rows in _run_blocks(_chord_universe_rows, chord_pairs, jobs):
         report.rows += rows
     # Small orders repeat: at seed 1, 657 of 2 000 instances have the rows of
     # an earlier one.  Their digest and facts are computed once, keyed by rows.
     seen: dict[tuple[int, ...], tuple[str, list[VerificationRow]]] = {}
-    for idx, n, p, d in random_instances(seed, samples, n_max):
-        rows = d.successor_rows()
+    for idx, n, p, rows in _random_rows(seed, samples, n_max):
         if rows not in seen:
             seen[rows] = matrix_digest(rows, n), _bound_facts(rows, n)
         digest, facts = seen[rows]
@@ -377,7 +428,7 @@ def verify_lemma24(n: int = 4, jobs: int = 1) -> Report:
 def _attainment_note(n: int, g: int, r: int, rows: tuple[int, ...]) -> str:
     """Claimed against computed cycle-meeting diameter and its attaining pair.
 
-    The rows must be primitive; the profile comes from the subset DP.
+    The rows must be primitive; the cycle cover comes from the subset DP.
     """
     if r < n - g + 1:
         claimed_pair = (n, g + r)
@@ -385,7 +436,7 @@ def _attainment_note(n: int, g: int, r: int, rows: tuple[int, ...]) -> str:
     else:
         claimed_pair = (n, 1)
         claimed = n - 1
-    cw = cwalk_of_rows(rows, n, rows_cycle_profile(rows, n))
+    cw = cwalk_of_cover(rows, n, _cycle_cover(rows, n))
     mark = "match" if (cw.max == claimed and cw.arg_max == claimed_pair) else "differ"
     return (
         f"claimed dC={claimed}@{claimed_pair}; "

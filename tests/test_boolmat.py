@@ -109,6 +109,14 @@ def test_parse_errors_name_the_line():
         parse_matrix("2\n01\n")  # missing row
 
 
+@pytest.mark.parametrize("head", ["+2", "0_2", "\uff12", "-2"])
+def test_parse_takes_only_ascii_digits_for_the_order(head):
+    with pytest.raises(MatrixParseError) as exc:
+        parse_matrix(f"{head}\n01\n10\n")
+    assert exc.value.line == 1
+    assert str(exc.value) == f"line 1: expected decimal order, got {head!r}"
+
+
 def parse_matrix_per_char(text: str) -> BoolMatrix:
     """Oracle: the parser with a per-character row loop."""
     lines = text.split("\n")

@@ -235,6 +235,21 @@ def test_verify_bounds_bad_chord_pairs_is_input_error(capsys, pairs):
     assert err == f"error: bad chord pair list {pairs!r}\n"
 
 
+@pytest.mark.parametrize("pairs", ["10:1", "10:10", "17:5", "10:3,17:2"])
+def test_verify_bounds_chord_pair_out_of_range_is_input_error(capsys, monkeypatch, pairs):
+    import primexp.verify as verify_module
+
+    def no_universe(*args):
+        raise AssertionError("the chord universes ran before the input check")
+
+    monkeypatch.setattr(verify_module, "_run_blocks", no_universe)
+    code, out, err = run_cli(capsys, "verify", "bounds", "--samples", "0", "--seed", "1",
+                             "--chord-pairs", pairs)
+    bad = pairs.split(",")[-1]
+    assert (code, out) == (3, "")
+    assert err == f"error: chord pair {bad} needs 2 <= g <= n-1 and n <= 16\n"
+
+
 @pytest.mark.parametrize("option, value, message", [
     ("--n-max", "1", "n_max must be in 2..10, got 1"),
     ("--samples", "-3", "samples must be >= 0, got -3"),

@@ -16,6 +16,7 @@ from primexp.boolmat import (
 from primexp.cli import main
 from primexp.digraph import (
     Digraph,
+    _cycle_cover,
     digraph,
     distance,
     from_matrix,
@@ -31,6 +32,7 @@ from primexp.exponent import (
     TruncatedProfileError,
     _exponent_kernel,
     c_walk_distances,
+    cwalk_of_cover,
     cwalk_of_rows,
     exponent,
     exponent_of_rows,
@@ -377,6 +379,17 @@ def test_cwalk_kernel_on_the_dp_profile_matches_length_dp_oracle():
         assert result.per_pair == cwalk_by_length_dp(d)
 
 
+def test_cwalk_kernel_on_the_cycle_cover_matches_c_walk_distances():
+    # The bound suite's path: the kernel fed the subset-DP cover as it is,
+    # against the checked entry point on a Johnson profile.
+    rng = random.Random(137)
+    for _ in range(200):
+        n = rng.randint(2, 12)
+        d = random_primitive_digraph(rng, n, rng.choice([0.05, 0.1, 0.2, 0.3]))
+        rows = d.successor_rows()
+        assert cwalk_of_cover(rows, n, _cycle_cover(rows, n)) == c_walk_distances(d), d
+
+
 def test_cwalk_rejects_nonprimitive_and_truncated():
     with pytest.raises(NotPrimitiveError):
         c_walk_distances(standard_cycle(5))
@@ -398,6 +411,8 @@ def test_cwalk_rejects_too_many_lengths():
         c_walk_distances(d, profile=fake)
     with pytest.raises(TooManyCycleLengthsError):
         cwalk_of_rows(d.successor_rows(), 4, fake)
+    with pytest.raises(TooManyCycleLengthsError):
+        cwalk_of_cover(d.successor_rows(), 4, [0b1111] * 21)
 
 
 # -- bound evaluators ----------------------------------------------------------------

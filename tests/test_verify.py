@@ -18,14 +18,24 @@ from primexp.digraph import (
     simple_cycles,
     to_matrix,
 )
-from primexp.exponent import exponent, exponent_of_rows, lemma25_bound
+from primexp.exponent import (
+    c_walk_distances,
+    exponent,
+    exponent_of_rows,
+    lemma25_bound,
+    thm36_range,
+)
 from primexp.families import chord_family, chord_member, d1, q1
 from primexp.iso import canonical_code, canonical_code_tables
 from primexp.report import Report, census_to_jsonl
+from primexp.semigroup import frobenius
 from primexp.verify import (
     BERNOULLI_SWEEP,
+    _bound_facts,
     _chord_universe_rows,
+    _converse_facts,
     _girth_floor_walk,
+    _mirror_mask,
     _per_orbit,
     bound_rows_for,
     census,
@@ -177,6 +187,9 @@ def test_verify_bounds_report_bytes_are_pinned_at_full_size():
     (dict(n_max=1), "n_max"),
     (dict(n_max=11), "n_max"),
     (dict(samples=-3), "samples"),
+    (dict(chord_pairs=((10, 1),)), "chord pair 10:1"),
+    (dict(chord_pairs=((10, 10),)), "chord pair 10:10"),
+    (dict(chord_pairs=((10, 3), (17, 5))), "chord pair 17:5"),
 ])
 def test_verify_bounds_rejects_bad_sizes_before_any_universe(monkeypatch, kwargs, option):
     def no_universe(pair):
@@ -209,6 +222,26 @@ def test_rotating_a_chord_mask_relabels_its_member():
                 assert shifted == set(chord_member(n, g, _rotate(mask, n)).arcs), (n, g, mask)
 
 
+def _reflect(v: int, n: int) -> int:
+    """Vertex v_v relabeled v_{-v mod n}, with v_0 read as v_n."""
+    return -v % n or n
+
+
+def test_mirror_mask_member_is_the_transpose_relabeled():
+    for n in range(3, 11):
+        for g in range(2, n):
+            for mask in range(1, 1 << n):
+                mirrored = {(_reflect(j, n), _reflect(i, n))
+                            for i, j in chord_member(n, g, mask).arcs}
+                assert mirrored == set(chord_member(n, g, _mirror_mask(mask, n, g)).arcs), (
+                    n, g, mask)
+
+
+def _least_dihedral(mask: int, n: int, g: int) -> int:
+    """Smallest rotation of the chord mask or of its mirror mask."""
+    return min(_least_rotation(mask, n), _least_rotation(_mirror_mask(mask, n, g), n))
+
+
 def test_least_rotation_counts_the_orbits():
     assert len({_least_rotation(mask, 10) for mask in range(1, 1 << 10)}) == 107
     assert len({_least_rotation(mask, 11) for mask in range(1, 1 << 11)}) == 187
@@ -233,6 +266,49 @@ def test_per_orbit_evaluates_each_least_mask_once(n, g):
     assert evaluated == [chord_member(n, g, mask) for mask in least]
     for mask, value in values.items():
         assert value == values[_least_rotation(mask, n)], mask
+
+
+@pytest.mark.parametrize("n, g, orbits", [(3, 2, 3), (6, 5, 12), (8, 3, 29), (10, 3, 77),
+                                          (10, 7, 77), (11, 3, 125), (11, 4, 125)])
+def test_per_orbit_with_mirror_evaluates_each_least_dihedral_mask_once(n, g, orbits):
+    evaluated = []
+
+    def facts(d):
+        rows = d.successor_rows()
+        return _bound_facts(rows, n) if rows_primitive(rows, n) else []
+
+    def evaluate(d):
+        evaluated.append(d)
+        return facts(d)
+
+    values = {spec.chord_mask: value
+              for spec, value in _per_orbit(n, g, evaluate, mirror=True)}
+    assert sorted(values) == list(range(1, 1 << n))
+    least = sorted({_least_dihedral(mask, n, g) for mask in values})
+    assert len(least) == orbits
+    assert evaluated == [chord_member(n, g, mask) for mask in least]
+    for mask, value in values.items():
+        assert value == facts(chord_member(n, g, mask)), mask
+
+
+def test_lemma22_rows_equal_the_johnson_cwalk_oracle():
+    # Independent of _bound_facts: the c-walk takes its profile from Johnson's
+    # enumerator, not from the subset-DP cover.
+    seed, samples, n_max = 8, 150, 7
+    report = verify_bounds(n_max=n_max, samples=samples, seed=seed,
+                           chord_pairs=((7, 3), (8, 5), (9, 2)))
+    digraphs = [d for _, _, _, d in random_instances(seed, samples, n_max)]
+    rows = rows_by_claim(report, "L2.2")
+    assert len(rows) == len(rows_by_claim(report, "L2.3")) > samples
+    for row in rows:
+        params = row.params
+        if row.instance.startswith("chord:"):
+            d = chord_member(params["n"], params["g"], params["mask"])
+        else:
+            d = digraphs[int(row.instance.split(":")[1])]
+        _, profile = simple_cycles(d)
+        assert row.predicted == c_walk_distances(d, profile).max + frobenius(profile.lengths), (
+            row.instance)
 
 
 @pytest.mark.parametrize("pair", [(7, 3), (8, 3), (9, 2), (9, 4)])
@@ -522,6 +598,21 @@ def test_verify_thm36_report_bytes_are_pinned_at_order_thirteen():
     assert _sha256(report.to_jsonl()) == (
         "41a5f9fa02d757a8b52668e621cc9fb59b9b9ad369d156b93392fab1605309fe"
     )
+
+
+def test_verify_thm36_converse_rows_equal_the_per_member_loop():
+    # (10, 7) is a pair where dihedral orbits would change the report: the
+    # classify_against index is not invariant under transposition.
+    n, g = 10, 7
+    low, high = thm36_range(n, g)
+    references: dict = {}
+    expected = []
+    for mask in range(1, 1 << n):
+        facts = _converse_facts(chord_member(n, g, mask), g, low, high, references)
+        if facts is not None and facts[2] is not None:
+            expected.append((mask, "none" if facts[3] is None else facts[3]))
+    converse = [(r.params["mask"], r.oracle) for r in rows_by_claim(verify_thm36(n, g), "C3.7")]
+    assert converse and sorted(converse) == expected
 
 
 def test_verify_thm36_rejects_gcd_violation():
