@@ -68,6 +68,8 @@ def all_ones(n: int) -> BoolMatrix:
 # wrap these kernels.
 
 def mul_rows(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Boolean product of row tuples; a row stops ORing once it is all ones."""
+    full = (1 << len(b)) - 1
     out = []
     for row in a:
         acc = 0
@@ -75,6 +77,8 @@ def mul_rows(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         while r:
             low = r & -r
             acc |= b[low.bit_length() - 1]
+            if acc == full:
+                break
             r ^= low
         out.append(acc)
     return tuple(out)

@@ -13,6 +13,14 @@ from dataclasses import dataclass
 from .boolmat import BoolMatrix, transpose_rows
 
 DEFAULT_CYCLE_CAP = 10**6
+# Vertex-set keys one ``_cycle_cover`` run may create.  A run creates at most
+# 2^n - 1, so the budget never binds at n <= 20; the complete digraph of
+# order 64 reaches it in a few seconds.
+CYCLE_COVER_BUDGET = 1 << 20
+
+
+class TruncatedProfileError(ValueError):
+    """A cycle profile hit its enumeration cap or its state budget; refusing to certify."""
 
 
 @dataclass(frozen=True)
@@ -201,22 +209,27 @@ def _cycle_cover(rows: tuple[int, ...], n: int) -> list[int]:
     loop at s), so it is ORed into cover[k].  The cost is one step per
     endpoint of each vertex set that a simple path from its least vertex
     spans: up to 2^n * n time and 2^n memory on dense input, but d1(64)
-    spans only 189 such sets.  No cycle is stored and there is no cap.
-    Every caller with a bounded order uses it: the census (n <= 5) through
-    rows_cycle_lengths; the bound suite (n <= 16) and verify_thm33's
-    attainment notes, which read the lengths and the per-vertex bit-sets
-    straight from the cover; the thm36 converse (chord members) through
-    rows_cycle_lengths; and the iso invariants (n <= 14) through
-    rows_cycle_profile.  simple_cycles stays the enumerator behind
-    c_walk_distances, lemma22_bound and the ``cycles`` verb, which accept
-    orders up to 64 and rely on its cap.  Independent of simple_cycles and
-    of the BFS girth, which searches from the same least vertex s but keeps
-    one visited set per s instead of one state per vertex set, so they
-    cross-check.
+    spans only 189 such sets.  No cycle is stored.  Each vertex set is one
+    key, and a run creates at most 2^n - 1 of them; past
+    CYCLE_COVER_BUDGET keys it raises TruncatedProfileError, checked after
+    every expanded set so that no level overshoots.  So the budget never
+    binds at n <= 20, and dense input at orders up to 64 fails within
+    seconds.  Every cycle-profile caller but the ``cycles`` verb uses it:
+    the census (n <= 5) through rows_cycle_lengths; the bound suite
+    (n <= 16) and verify_thm33's attainment notes, which read the lengths
+    and the per-vertex bit-sets straight from the cover; c_walk_distances
+    and lemma22_bound, which feed it to the c-walk BFS; the thm36 converse
+    (chord members) through rows_cycle_lengths; and the iso invariants
+    (n <= 14) through rows_cycle_profile.  simple_cycles stays behind the
+    ``cycles`` verb, which lists cycles under its cap.  Independent of
+    simple_cycles and of the BFS girth, which searches from the same least
+    vertex s but keeps one visited set per s instead of one state per
+    vertex set, so they cross-check.
     """
     into = transpose_rows(rows, n)
     full = (1 << n) - 1
     cover = [0] * (n + 1)
+    created = 0
     for s in range(n):
         if not into[s]:
             continue
@@ -224,6 +237,7 @@ def _cycle_cover(rows: tuple[int, ...], n: int) -> list[int]:
         level = {1 << s: 1 << s}
         size = 1
         while level:
+            created += len(level)
             grown: dict[int, int] = {}
             for members, ends in level.items():
                 if ends & into[s]:
@@ -239,6 +253,9 @@ def _cycle_cover(rows: tuple[int, ...], n: int) -> list[int]:
                     key = members | low
                     grown[key] = grown.get(key, 0) | low
                     reach ^= low
+                if created + len(grown) > CYCLE_COVER_BUDGET:
+                    raise TruncatedProfileError(
+                        f"cycle cover passed its budget of {CYCLE_COVER_BUDGET} vertex sets")
             level = grown
             size += 1
     return cover
@@ -253,7 +270,8 @@ def rows_cycle_lengths(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
 def rows_cycle_profile(rows: tuple[int, ...], n: int) -> CycleProfile:
     """``simple_cycles(d)[1]`` by the subset DP, without listing a cycle.
 
-    Never capped, so ``cap_hit`` is False; see ``_cycle_cover`` for the cost.
+    Never truncated, so ``cap_hit`` is False: past its budget ``_cycle_cover``
+    raises instead.  See ``_cycle_cover`` for the cost.
     """
     cover = _cycle_cover(rows, n)
     lengths = tuple(k for k in range(1, n + 1) if cover[k])

@@ -10,7 +10,9 @@ ends on the power k - 1, whose least zero entry is the witness pair.
 
 ``c_walk_distances`` computes, for every ordered vertex pair, the length of
 the shortest walk that shares a vertex with at least one simple cycle of
-each length occurring in the digraph.
+each length occurring in the digraph.  It and ``lemma22_bound`` read the
+cycle lengths from the budgeted subset DP ``digraph._cycle_cover``, which
+raises ``TruncatedProfileError`` on input too dense for it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,13 @@ import math
 from dataclasses import dataclass
 
 from .boolmat import mul_rows, pow_rows
-from .digraph import CycleProfile, Digraph, rows_primitive, simple_cycles
+from .digraph import (
+    CycleProfile,
+    Digraph,
+    TruncatedProfileError,
+    _cycle_cover,
+    rows_primitive,
+)
 from .semigroup import frobenius
 
 MAX_CYCLE_LENGTHS = 20
@@ -27,10 +35,6 @@ MAX_CYCLE_LENGTHS = 20
 
 class NotPrimitiveError(ValueError):
     """The operation is defined for primitive digraphs only."""
-
-
-class TruncatedProfileError(ValueError):
-    """The cycle profile hit its enumeration cap; refusing to certify."""
 
 
 class TooManyCycleLengthsError(ValueError):
@@ -149,21 +153,27 @@ def walk_exists(d: Digraph, source: int, target: int, length: int) -> bool:
     return bool((rows[source - 1] >> (target - 1)) & 1)
 
 
+def _primitive_rows(d: Digraph) -> tuple[int, ...]:
+    rows = d.successor_rows()
+    if not rows_primitive(rows, d.order):
+        raise NotPrimitiveError(f"digraph of order {d.order} is not primitive")
+    return rows
+
+
 def c_walk_distances(d: Digraph, profile: CycleProfile | None = None) -> CWalkResult:
     """All-pairs shortest walks meeting one cycle of every occurring length.
 
     A walk meets a p-cycle when it shares a vertex with some simple cycle of
     length p; the zero-length walk at v meets every cycle through v.  Checks
-    primitivity and the profile's cap, then runs ``cwalk_of_rows``.  The
-    default profile comes from ``simple_cycles``, whose cap bounds the time
-    on dense input at any order up to 64; the subset DP would not.
+    primitivity, then runs ``cwalk_of_cover`` on the subset-DP cover, which
+    raises ``TruncatedProfileError`` past its state budget.  A given
+    profile (say from ``simple_cycles``) is used instead, once its cap has
+    been checked.
     """
     n = d.order
-    rows = d.successor_rows()
-    if not rows_primitive(rows, n):
-        raise NotPrimitiveError(f"digraph of order {n} is not primitive")
+    rows = _primitive_rows(d)
     if profile is None:
-        _, profile = simple_cycles(d)
+        return cwalk_of_cover(rows, n, _cycle_cover(rows, n))
     if profile.cap_hit:
         raise TruncatedProfileError("cycle profile truncated at its cap")
     return cwalk_of_rows(rows, n, profile)
@@ -188,24 +198,30 @@ def cwalk_of_cover(rows: tuple[int, ...], n: int, cover: list[int]) -> CWalkResu
 
     ``cover`` holds, per cycle length, the bit-set of vertices on some simple
     cycle of that length; empty entries are skipped, so the list that
-    ``digraph._cycle_cover`` returns can be passed as it is.  A
-    level-by-level BFS from each start over (vertex, met-mask) states, where
-    the met-mask is the subset of cycle lengths already met.  The visited
+    ``digraph._cycle_cover`` returns can be passed as it is.  A walk that
+    meets a set meets every superset of it, so only the sets minimal under
+    inclusion are kept.  A start on every kept set runs a plain BFS.  Any
+    other start runs a level-by-level BFS over (vertex, met-mask) states,
+    where the met-mask is the subset of kept sets already met.  Its visited
     set maps a met-mask to the bit-set of vertices seen with it, in a dict
     rather than a list of 2^u entries: u can be 20, and few of the masks
     occur.
     """
     cover = [vertices for vertices in cover if vertices]
-    u = len(cover)
-    if u > MAX_CYCLE_LENGTHS:
-        raise TooManyCycleLengthsError(f"{u} distinct cycle lengths exceeds {MAX_CYCLE_LENGTHS}")
+    if len(cover) > MAX_CYCLE_LENGTHS:
+        raise TooManyCycleLengthsError(
+            f"{len(cover)} distinct cycle lengths exceeds {MAX_CYCLE_LENGTHS}")
+    minimal: list[int] = []
+    for vertices in sorted(cover, key=int.bit_count):
+        if all(kept & ~vertices for kept in minimal):
+            minimal.append(vertices)
     met = [0] * n
-    for i, vertices in enumerate(cover):
+    for i, vertices in enumerate(minimal):
         while vertices:
             low = vertices & -vertices
             met[low.bit_length() - 1] |= 1 << i
             vertices ^= low
-    full = (1 << u) - 1
+    full = (1 << len(minimal)) - 1
     # (successor, its bit, its met-mask) per vertex, so the BFS peels no bits.
     succ = []
     for v in range(n):
@@ -221,40 +237,46 @@ def cwalk_of_cover(rows: tuple[int, ...], n: int, cover: list[int]) -> CWalkResu
     per_pair: list[tuple[int, ...]] = []
     for start in range(n):
         dist: list[int] = [-1] * n
-        frontier = [(start, met[start])]
-        seen = {met[start]: 1 << start}
-        remaining = n
         if met[start] == full:
+            # Every walk from here has met every set: plain distances.  A list
+            # BFS beats the bit-set ``digraph._bfs_dist`` about 2x on sparse input.
             dist[start] = 0
-            remaining -= 1
-        steps = 0
-        while remaining and frontier:
-            steps += 1
-            grown = []
-            for v, mask in frontier:
-                for w, bit, w_met in succ[v]:
-                    m = mask | w_met
-                    old = seen.get(m, 0)
-                    if not old & bit:
-                        seen[m] = old | bit
-                        grown.append((w, m))
-                        # The first full-mask state at w is found at its least level.
-                        if m == full:
-                            dist[w] = steps
-                            remaining -= 1
-            frontier = grown
+            queue = [start]
+            for v in queue:
+                step = dist[v] + 1
+                for w, _, _ in succ[v]:
+                    if dist[w] < 0:
+                        dist[w] = step
+                        queue.append(w)
+            remaining = n - len(queue)
+        else:
+            frontier = [(start, met[start])]
+            seen = {met[start]: 1 << start}
+            remaining = n
+            steps = 0
+            while remaining and frontier:
+                steps += 1
+                grown = []
+                for v, mask in frontier:
+                    for w, bit, w_met in succ[v]:
+                        m = mask | w_met
+                        old = seen.get(m, 0)
+                        if not old & bit:
+                            seen[m] = old | bit
+                            grown.append((w, m))
+                            # The first full-mask state at w is found at its least level.
+                            if m == full:
+                                dist[w] = steps
+                                remaining -= 1
+                frontier = grown
         if remaining:
             raise NotPrimitiveError("product-state search could not reach every pair")
         per_pair.append(tuple(dist))
 
-    best = -1
-    arg = (1, 1)
-    for i in range(n):
-        for j in range(n):
-            if per_pair[i][j] > best:
-                best = per_pair[i][j]
-                arg = (i + 1, j + 1)
-    return CWalkResult(per_pair=tuple(per_pair), max=best, arg_max=arg)
+    row_max = [max(row) for row in per_pair]
+    best = max(row_max)
+    i = row_max.index(best)
+    return CWalkResult(per_pair=tuple(per_pair), max=best, arg_max=(i + 1, per_pair[i].index(best) + 1))
 
 
 # -- closed-form evaluators -------------------------------------------------
@@ -263,9 +285,15 @@ def cwalk_of_cover(rows: tuple[int, ...], n: int, cover: list[int]) -> CWalkResu
 # parameter window; none of them asserts anything about actual exponents.
 
 def lemma22_bound(d: Digraph) -> int:
-    """Cycle-meeting diameter plus the conductor of the cycle length set."""
-    _, profile = simple_cycles(d)
-    return c_walk_distances(d, profile=profile).max + frobenius(profile.lengths)
+    """Cycle-meeting diameter plus the conductor of the cycle length set.
+
+    Both terms come from one subset-DP cover; see ``c_walk_distances``.
+    """
+    n = d.order
+    rows = _primitive_rows(d)
+    cover = _cycle_cover(rows, n)
+    lengths = [k for k in range(1, n + 1) if cover[k]]
+    return cwalk_of_cover(rows, n, cover).max + frobenius(lengths)
 
 
 def lemma23_bound(n: int, g: int) -> int:

@@ -12,8 +12,10 @@ from primexp.boolmat import (
     all_ones,
     identity,
     is_all_positive,
+    mul_rows,
     multiply,
     parse_matrix,
+    pow_rows,
     power,
     serialize_matrix,
 )
@@ -231,3 +233,44 @@ def test_entrywise_monotonicity_of_powers(n, data):
 def test_power_addition_law(n, j, k, data):
     a = data.draw(matrices_of_order(n))
     assert power(a, j + k) == multiply(power(a, j), power(a, k))
+
+
+def triple_loop_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Oracle: entry (i, j) is OR over k of a[i][k] AND b[k][j], one entry at a time."""
+    n = len(a)
+    return tuple(
+        sum(1 << j for j in range(n) if any((a[i] >> k) & 1 and (b[k] >> j) & 1 for k in range(n)))
+        for i in range(n))
+
+
+def dense_rows(n: int):
+    """Row tuples biased to full rows and rows one bit short of full."""
+    full = (1 << n) - 1
+    row = st.one_of(st.just(full), st.integers(0, n - 1).map(lambda j: full ^ (1 << j)),
+                    st.integers(0, full))
+    return st.lists(row, min_size=n, max_size=n).map(tuple)
+
+
+def any_rows(n: int):
+    return st.one_of(dense_rows(n), st.lists(st.integers(0, (1 << n) - 1), min_size=n,
+                                             max_size=n).map(tuple))
+
+
+@settings(max_examples=150)
+@given(st.sampled_from((2, 3, 4, 5, 6, 7, 8, 9, 64)).flatmap(
+    lambda n: st.tuples(any_rows(n), any_rows(n))))
+def test_mul_rows_matches_the_triple_loop_oracle(operands):
+    # A full row of b under the least set bit of a row of a fills that row
+    # after its first OR, where mul_rows stops.
+    a, b = operands
+    assert mul_rows(a, b) == triple_loop_product(a, b)
+
+
+@settings(max_examples=80)
+@given(st.integers(2, 7).flatmap(lambda n: any_rows(n)), st.integers(0, 9))
+def test_pow_rows_matches_repeated_triple_loop_products(a, k):
+    n = len(a)
+    expected = tuple(1 << i for i in range(n))
+    for _ in range(k):
+        expected = triple_loop_product(expected, a)
+    assert pow_rows(a, k, n) == expected

@@ -7,9 +7,9 @@ import sys
 import pytest
 
 from primexp import families
-from primexp.boolmat import serialize_matrix
+from primexp.boolmat import all_ones, serialize_matrix
 from primexp.cli import BOUNDS, main
-from primexp.digraph import to_matrix
+from primexp.digraph import CYCLE_COVER_BUDGET, to_matrix
 from primexp.exponent import (
     formula_thm33,
     lemma23_bound,
@@ -67,6 +67,15 @@ def test_exp_on_nonprimitive_is_input_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "exp", "-f", str(path))
     assert code == 3
     assert "not primitive" in err
+
+
+def test_cwalk_and_lemma22_past_the_cover_budget_are_input_errors(capsys, tmp_path):
+    path = tmp_path / "complete.txt"
+    path.write_text(serialize_matrix(all_ones(64)))
+    for argv in (["cwalk", "-f", str(path)], ["bound", "lemma22", "-f", str(path)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"error: cycle cover passed its budget of {CYCLE_COVER_BUDGET} vertex sets\n"
 
 
 def test_options_do_not_carry_over_between_calls(capsys, d1_file):

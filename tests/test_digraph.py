@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import math
 import random
 import time
@@ -10,8 +11,11 @@ from hypothesis import strategies as st
 
 from primexp.boolmat import BoolMatrix, identity, is_all_positive, pow_rows, power, rows_all_positive
 from primexp.digraph import (
+    CYCLE_COVER_BUDGET,
     Digraph,
+    TruncatedProfileError,
     _bfs_dist,
+    _cycle_cover,
     digraph,
     distance,
     from_matrix,
@@ -349,6 +353,27 @@ def test_subset_dp_profile_is_fast_on_sparse_order_64(d):
     profile = rows_cycle_profile(d.successor_rows(), d.order)
     assert time.perf_counter() - start < 1.0
     assert profile == simple_cycles(d)[1]
+
+
+def test_cycle_cover_of_the_complete_digraph_of_order_16_stays_within_budget():
+    # The complete digraph creates every one of the 2^16 - 1 vertex-set keys,
+    # the most any order-16 run can create.
+    n = 16
+    full = (1 << n) - 1
+    assert CYCLE_COVER_BUDGET >= 1 << n
+    assert _cycle_cover((full,) * n, n) == [0] + [full] * n
+
+
+def test_cycle_cover_budget_counts_every_vertex_set_key(monkeypatch):
+    # At order 8 the complete digraph creates exactly 2^8 - 1 keys.
+    n = 8
+    full = (1 << n) - 1
+    module = importlib.import_module("primexp.digraph")
+    monkeypatch.setattr(module, "CYCLE_COVER_BUDGET", full)
+    assert _cycle_cover((full,) * n, n) == [0] + [full] * n
+    monkeypatch.setattr(module, "CYCLE_COVER_BUDGET", full - 1)
+    with pytest.raises(TruncatedProfileError, match=f"budget of {full - 1} "):
+        _cycle_cover((full,) * n, n)
 
 
 # -- primitivity -------------------------------------------------------------------

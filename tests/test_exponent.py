@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -48,7 +49,7 @@ from primexp.exponent import (
     wielandt_bound,
     z_of_w,
 )
-from primexp.families import chord_member, d1, d2, d_gN, q1, standard_cycle
+from primexp.families import chord_member, d1, d2, d_gN, h_graph, q1, q2, standard_cycle
 from primexp.verify import random_primitive_digraph
 
 
@@ -88,21 +89,28 @@ def exponent_by_all_pairs_walks(d: Digraph) -> int:
 
 
 def cwalk_by_length_dp(d: Digraph):
-    """Oracle: exact-length walk DP over (vertex, met-set) states.
-
-    Level L holds the states reachable by walks of length exactly L; no
-    first-visit bookkeeping, so it is computed independently of the BFS.
-    """
+    """Oracle: ``cover_walks_by_length_dp`` on the cover of a Johnson profile."""
     n = d.order
     _, profile = simple_cycles(d)
-    lengths = profile.lengths
-    index = {length: i for i, length in enumerate(lengths)}
+    cover = [sum(1 << v for v in range(n) if length in profile.per_vertex[v])
+             for length in profile.lengths]
+    return cover_walks_by_length_dp(d.successor_rows(), n, cover)
+
+
+def cover_walks_by_length_dp(rows: tuple[int, ...], n: int, cover: list[int]):
+    """Oracle: all-pairs shortest walks meeting every set of ``cover``.
+
+    An exact-length walk DP over (vertex, met-set) states: level L holds the
+    states reachable by walks of length exactly L.  Every set is tracked, nested
+    or not, and there is no first-visit bookkeeping, so it is computed
+    independently of the BFS.
+    """
     met = [0] * n
-    for v in range(n):
-        for length in profile.per_vertex[v]:
-            met[v] |= 1 << index[length]
-    full = (1 << len(lengths)) - 1
-    rows = d.successor_rows()
+    for i, vertices in enumerate(cover):
+        for v in range(n):
+            if (vertices >> v) & 1:
+                met[v] |= 1 << i
+    full = (1 << len(cover)) - 1
     limit = 2 * n * n
     result = []
     for start in range(n):
@@ -379,15 +387,59 @@ def test_cwalk_kernel_on_the_dp_profile_matches_length_dp_oracle():
         assert result.per_pair == cwalk_by_length_dp(d)
 
 
+def _starts_on_every_set(cover: list[int], n: int) -> int:
+    """How many vertices lie on a cycle of every occurring length."""
+    return sum(all((c >> v) & 1 for c in cover if c) for v in range(n))
+
+
 def test_cwalk_kernel_on_the_cycle_cover_matches_c_walk_distances():
-    # The bound suite's path: the kernel fed the subset-DP cover as it is,
-    # against the checked entry point on a Johnson profile.
+    # c_walk_distances runs the kernel on the subset-DP cover.  The Johnson
+    # profile path and the exact-length DP take their cycles from
+    # simple_cycles instead, so neither shares the cover.
     rng = random.Random(137)
-    for _ in range(200):
-        n = rng.randint(2, 12)
-        d = random_primitive_digraph(rng, n, rng.choice([0.05, 0.1, 0.2, 0.3]))
+    digraphs = [random_primitive_digraph(rng, n, p)
+                for n, p in [(rng.randint(2, 12), rng.choice([0.05, 0.1, 0.2, 0.3]))
+                             for _ in range(150)]
+                + [(rng.randint(13, 20), rng.choice([0.02, 0.05])) for _ in range(20)]]
+    # Nested covers: the (n-1)-cycle of d1 and d2 misses one vertex of the n-cycle.
+    digraphs += [d1(n) for n in (5, 9, 16)] + [d2(n) for n in (6, 11, 16)]
+    digraphs += [q1(16, 5), q2(18, 7), d_gN(20, 9, {1, 4}), h_graph(16, 3, 5),
+                 chord_member(22, 9, 0b1001)]
+    # The families of the queries benchmark, up to order 64.
+    digraphs += [d1(n) for n in (24, 40, 64)] + [d2(48), q1(28, 9), h_graph(28, 7, 10)]
+    full_starts = partial_starts = 0
+    for d in digraphs:
+        rows, n = d.successor_rows(), d.order
+        if not rows_primitive(rows, n):
+            continue
+        result = c_walk_distances(d)
+        assert result == c_walk_distances(d, profile=simple_cycles(d)[1]), d
+        assert result.per_pair == cwalk_by_length_dp(d), d
+        on_all = _starts_on_every_set(_cycle_cover(rows, n), n)
+        full_starts += on_all
+        partial_starts += n - on_all
+    assert full_starts and partial_starts
+
+
+def test_cwalk_kernel_on_nested_and_repeated_cover_sets_matches_length_dp():
+    # Arbitrary vertex sets, with supersets and repeats of earlier sets, so the
+    # kernel's minimal-set reduction and both of its BFS paths are exercised.
+    rng = random.Random(139)
+    for _ in range(120):
+        n = rng.randint(2, 10)
+        d = random_primitive_digraph(rng, n, rng.choice([0.1, 0.2, 0.4]))
         rows = d.successor_rows()
-        assert cwalk_of_cover(rows, n, _cycle_cover(rows, n)) == c_walk_distances(d), d
+        cover = [rng.getrandbits(n) | (1 << rng.randrange(n)) for _ in range(rng.randint(1, 4))]
+        cover += [c | rng.getrandbits(n) for c in cover if rng.random() < 0.5]
+        cover += [rng.choice(cover)] + [0]
+        rng.shuffle(cover)
+        result = cwalk_of_cover(rows, n, cover)
+        expected = cover_walks_by_length_dp(rows, n, [c for c in cover if c])
+        assert result.per_pair == expected, (d, cover)
+        best = max(max(row) for row in expected)
+        assert result.max == best
+        assert result.arg_max == min((i + 1, j + 1) for i in range(n) for j in range(n)
+                                     if expected[i][j] == best)
 
 
 def test_cwalk_rejects_nonprimitive_and_truncated():
@@ -413,6 +465,33 @@ def test_cwalk_rejects_too_many_lengths():
         cwalk_of_rows(d.successor_rows(), 4, fake)
     with pytest.raises(TooManyCycleLengthsError):
         cwalk_of_cover(d.successor_rows(), 4, [0b1111] * 21)
+
+
+# The complete digraph of order 64 and the seeded n = 24, p = 0.3 digraph
+# reach the cover budget in about 3 s on a 2-core VM (Python 3.11).
+BUDGET_WALL_S = 20.0
+BEYOND_BUDGET = {
+    "complete(64)": lambda: complete_with_loops(64),
+    "random(24, 0.3)": lambda: random_primitive_digraph(random.Random(24), 24, 0.3),
+}
+
+
+@pytest.mark.parametrize("evaluate", [c_walk_distances, lemma22_bound])
+@pytest.mark.parametrize("name", sorted(BEYOND_BUDGET))
+def test_dense_input_fails_at_the_cover_budget_in_bounded_time(evaluate, name):
+    d = BEYOND_BUDGET[name]()
+    start = time.perf_counter()
+    with pytest.raises(TruncatedProfileError, match="budget"):
+        evaluate(d)
+    assert time.perf_counter() - start < BUDGET_WALL_S
+
+
+def test_truncated_profile_error_is_importable_from_the_package_and_exponent():
+    import primexp
+    from primexp.digraph import TruncatedProfileError as from_digraph
+
+    assert primexp.TruncatedProfileError is TruncatedProfileError is from_digraph
+    assert issubclass(TruncatedProfileError, ValueError)
 
 
 # -- bound evaluators ----------------------------------------------------------------
