@@ -13,7 +13,7 @@ import sys
 
 from . import families
 from .boolmat import BoolMatrix, MatrixParseError, parse_matrix, serialize_matrix
-from .digraph import Digraph, from_matrix, girth, simple_cycles
+from .digraph import Digraph, count_cycles, from_matrix, girth
 from .exponent import (
     c_walk_distances,
     exponent,
@@ -128,10 +128,10 @@ def _cmd_girth(args) -> int:
 
 def _cmd_cycles(args) -> int:
     d = _load_digraph(args.file)
-    cycles, profile = simple_cycles(d, cap=args.cap)
+    count, profile = count_cycles(d, cap=args.cap)
     _emit(",".join(str(x) for x in profile.lengths) if profile.lengths else "none")
     if args.verbose:
-        _emit(f"count={len(cycles)} cap_hit={str(profile.cap_hit).lower()}")
+        _emit(f"count={count} cap_hit={str(profile.cap_hit).lower()}")
         for v in range(1, d.order + 1):
             through = sorted(profile.vertex_lengths(v))
             _emit(f"v{v}: {','.join(str(x) for x in through) if through else '-'}")

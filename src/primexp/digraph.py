@@ -7,6 +7,7 @@ enumerator keeps only local state.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -220,8 +221,9 @@ def _cycle_cover(rows: tuple[int, ...], n: int) -> list[int]:
     and the per-vertex bit-sets straight from the cover; c_walk_distances
     and lemma22_bound, which feed it to the c-walk BFS; the thm36 converse
     (chord members) through rows_cycle_lengths; and the iso invariants
-    (n <= 14) through rows_cycle_profile.  simple_cycles stays behind the
-    ``cycles`` verb, which lists cycles under its cap.  Independent of
+    (n <= 14) through rows_cycle_profile.  Johnson's search stays behind
+    the ``cycles`` verb, which counts cycles under its cap through
+    count_cycles, and behind simple_cycles, the test oracle.  Independent of
     simple_cycles and of the BFS girth, which searches from the same least
     vertex s but keeps one visited set per s instead of one state per
     vertex set, so they cross-check.
@@ -430,44 +432,48 @@ def _johnson_cycles_through(adj: dict[int, list[int]], start: int):
                 closure[w].add(v)
 
 
+def _iter_cycles(rows: tuple[int, ...], n: int):
+    """Yield every simple cycle once, as a list of 0-based vertices.
+
+    The loops come first.  Then each strongly connected component of the
+    loopless digraph yields the cycles through its least vertex (Johnson's
+    search) and is split again without that vertex.
+    """
+    for v in range(n):
+        if (rows[v] >> v) & 1:
+            yield [v]
+    base_adj = _adj_lists(rows, n)
+    loopless = [[w for w in base_adj[v] if w != v] for v in range(n)]
+    components = [c for c in _scc_decompose(loopless, list(range(n))) if len(c) >= 2]
+    while components:
+        comp = components.pop()
+        root = comp[0]
+        compset = set(comp)
+        sub = {v: [w for w in loopless[v] if w in compset] for v in comp}
+        yield from _johnson_cycles_through(sub, root)
+        rest = [v for v in comp if v != root]
+        components.extend(c for c in _scc_decompose(loopless, rest) if len(c) >= 2)
+
+
+def _capped_cycles(d: Digraph, cap: int):
+    """(the first ``cap`` cycles of ``_iter_cycles``, the rest of the stream)."""
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
+    stream = _iter_cycles(d.successor_rows(), d.order)
+    return itertools.islice(stream, cap), stream
+
+
 def simple_cycles(d: Digraph, cap: int = DEFAULT_CYCLE_CAP) -> tuple[list[list[int]], CycleProfile]:
     """Enumerate simple directed cycles and build the cycle profile.
 
-    Cycles are vertex lists (1-based, no repeated closing vertex).  When cap
-    cycles have been produced the enumeration stops and cap_hit is set.
+    Cycles are vertex lists (1-based, no repeated closing vertex).  At most
+    cap cycles are listed; cap_hit is set when a further one exists.
     """
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    n = d.order
-    rows = d.successor_rows()
-    cycles: list[list[int]] = []
-    cap_hit = False
+    head, rest = _capped_cycles(d, cap)
+    cycles = [[v + 1 for v in cycle] for cycle in head]
+    cap_hit = next(rest, None) is not None
 
-    for v in range(n):
-        if (rows[v] >> v) & 1:
-            if len(cycles) >= cap:
-                cap_hit = True
-                break
-            cycles.append([v + 1])
-
-    if not cap_hit:
-        base_adj = _adj_lists(rows, n)
-        loopless = [[w for w in base_adj[v] if w != v] for v in range(n)]
-        components = [c for c in _scc_decompose(loopless, list(range(n))) if len(c) >= 2]
-        while components and not cap_hit:
-            comp = components.pop()
-            root = comp[0]
-            compset = set(comp)
-            sub = {v: [w for w in loopless[v] if w in compset] for v in comp}
-            for cycle in _johnson_cycles_through(sub, root):
-                if len(cycles) >= cap:
-                    cap_hit = True
-                    break
-                cycles.append([v + 1 for v in cycle])
-            rest = [v for v in comp if v != root]
-            components.extend(c for c in _scc_decompose(loopless, rest) if len(c) >= 2)
-
-    per_vertex = [set() for _ in range(n)]
+    per_vertex = [set() for _ in range(d.order)]
     lengths: set[int] = set()
     for cycle in cycles:
         length = len(cycle)
@@ -480,3 +486,26 @@ def simple_cycles(d: Digraph, cap: int = DEFAULT_CYCLE_CAP) -> tuple[list[list[i
         cap_hit=cap_hit,
     )
     return cycles, profile
+
+
+def count_cycles(d: Digraph, cap: int) -> tuple[int, CycleProfile]:
+    """``len(cycles)`` and the profile of ``simple_cycles(d, cap)``, storing no cycle.
+
+    Each cycle is read once from the stream and ORed, as a vertex bit-set,
+    into the bit-set of its length, so memory does not grow with the cap.
+    """
+    head, rest = _capped_cycles(d, cap)
+    bit = [1 << v for v in range(d.order)]
+    through: dict[int, int] = {}
+    count = 0
+    for cycle in head:
+        count += 1
+        length = len(cycle)
+        through[length] = through.get(length, 0) | sum(map(bit.__getitem__, cycle))
+    lengths = tuple(sorted(through))
+    profile = CycleProfile(
+        lengths=lengths,
+        per_vertex=tuple(frozenset(k for k in lengths if through[k] & b) for b in bit),
+        cap_hit=next(rest, None) is not None,
+    )
+    return count, profile

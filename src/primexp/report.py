@@ -238,27 +238,34 @@ class CensusRow:
         }
 
 
+def _census_order(rows: list[CensusRow]) -> list[CensusRow]:
+    return sorted(rows, key=attrgetter("order", "canonical_bits"))
+
+
 def census_to_jsonl(rows: list[CensusRow]) -> str:
-    ordered = sorted(rows, key=lambda r: (r.order, r.canonical_bits))
+    """``json.dumps(row.to_json_obj(), sort_keys=True, separators=(",", ":"))`` per row.
+
+    Every field but the canonical string is an int, and that string holds
+    only 0 and 1, so no value needs escaping and each line is one fixed
+    pattern with the keys in sorted order.
+    """
+    pattern = '{"canonical":"%s","count":%d,"cycles":[%s],"exp":%d,"girth":%d,"kind":"census","n":%d}'
     lines = [
-        json.dumps(row.to_json_obj(), sort_keys=True, separators=(",", ":"))
-        for row in ordered
+        pattern % (row.canonical_bits, row.labeled_count, ",".join(map(str, row.cycle_lengths)),
+                   row.exponent, row.girth, row.order)
+        for row in _census_order(rows)
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def census_to_csv(rows: list[CensusRow]) -> str:
-    ordered = sorted(rows, key=lambda r: (r.order, r.canonical_bits))
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["n", "canonical", "girth", "cycles", "exp", "count"])
-    for row in ordered:
-        writer.writerow([
-            row.order,
-            row.canonical_bits,
-            row.girth,
-            " ".join(str(x) for x in row.cycle_lengths),
-            row.exponent,
-            row.labeled_count,
-        ])
-    return buffer.getvalue()
+    """The header and one ``csv.writer`` line per row.
+
+    No field holds a comma, a quote or a line break, so none is quoted.
+    """
+    pattern = "%d,%s,%d,%s,%d,%d\n"
+    return "n,canonical,girth,cycles,exp,count\n" + "".join(
+        pattern % (row.order, row.canonical_bits, row.girth, " ".join(map(str, row.cycle_lengths)),
+                   row.exponent, row.labeled_count)
+        for row in _census_order(rows)
+    )

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from primexp import families
-from primexp.boolmat import all_ones, serialize_matrix
+from primexp.boolmat import BoolMatrix, all_ones, serialize_matrix
 from primexp.cli import BOUNDS, main
-from primexp.digraph import CYCLE_COVER_BUDGET, to_matrix
+from primexp.digraph import CYCLE_COVER_BUDGET, from_matrix, simple_cycles, to_matrix
 from primexp.exponent import (
     formula_thm33,
     lemma23_bound,
@@ -234,6 +236,58 @@ def test_cycles_cap_below_one_is_input_error(capsys, d1_file):
     code, out, err = run_cli(capsys, "cycles", "-f", d1_file, "--cap", "0")
     assert (code, out) == (3, "")
     assert err == "error: cap must be >= 1, got 0\n"
+
+
+
+def _cycles_text(cycles, n: int, cap_hit: bool) -> str:
+    """The verbose ``cycles`` output, derived from a list of 1-based cycles."""
+    lengths = sorted({len(c) for c in cycles})
+    lines = [",".join(map(str, lengths)) if lengths else "none",
+             f"count={len(cycles)} cap_hit={str(cap_hit).lower()}"]
+    for v in range(1, n + 1):
+        through = sorted({len(c) for c in cycles if v in c})
+        lines.append(f"v{v}: {','.join(map(str, through)) if through else '-'}")
+    return "\n".join(lines) + "\n"
+
+
+def test_cycles_verbose_output_equals_the_listed_cycles(capsys, tmp_path):
+    rng = random.Random(14)
+    path = tmp_path / "d.txt"
+    for trial in range(60):
+        n = rng.randint(2, 12)
+        p = rng.choice([0.15, 0.3, 0.45])
+        rows = tuple(sum(1 << j for j in range(n) if rng.random() < p) for _ in range(n))
+        d = from_matrix(BoolMatrix(n, rows))
+        cap = rng.choice([3, 500, 10**6])
+        path.write_text(serialize_matrix(to_matrix(d)))
+        cycles, profile = simple_cycles(d, cap=cap)
+        code, out, _ = run_cli(capsys, "cycles", "-f", str(path), "--cap", str(cap), "--verbose")
+        assert (code, out) == (0, _cycles_text(cycles, n, profile.cap_hit)), (rows, cap)
+
+
+def test_cycles_cap_hit_only_past_the_cap(capsys, tmp_path):
+    # The complete order-4 digraph with loops has 4 + 6 + 8 + 6 = 24 simple cycles.
+    path = tmp_path / "k4.txt"
+    path.write_text(serialize_matrix(all_ones(4)))
+    for cap, hit in ((25, "false"), (24, "false"), (23, "true")):
+        code, out, _ = run_cli(capsys, "cycles", "-f", str(path), "--cap", str(cap), "--verbose")
+        assert code == 0
+        assert out.splitlines()[1] == f"count={min(cap, 24)} cap_hit={hit}"
+
+
+def test_cycles_verb_does_not_store_the_cycles(capsys, tmp_path):
+    # Listing 50 000 cycles of about 63 vertices each would take some 30 MB.
+    path = tmp_path / "k64.txt"
+    path.write_text(serialize_matrix(all_ones(64)))
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "cycles", "-f", str(path), "--cap", "50000", "--verbose")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.splitlines()[1] == "count=50000 cap_hit=true"
+    assert peak < 10 * 2**20
 
 
 @pytest.mark.parametrize("pairs", ["10", "10:3:1", "10:x", "10:3,"])

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import pytest
@@ -16,6 +18,7 @@ from primexp.report import (
     compare,
     make_row,
 )
+from primexp.verify import census
 
 
 def test_agree_flag_recomputable_from_predicted_and_oracle():
@@ -151,3 +154,52 @@ _names = st.sampled_from(
 ), max_size=12))
 def test_jsonl_lines_equal_json_dumps_on_random_rows(fields):
     _assert_lines_match_the_oracle(Report([VerificationRow(*f) for f in fields]))
+
+
+# -- census serializers -----------------------------------------------------------
+# The oracles are json.dumps with sorted keys and csv.writer, one row each.
+
+def _census_jsonl_oracle(rows) -> str:
+    ordered = sorted(rows, key=lambda r: (r.order, r.canonical_bits))
+    return "".join(_dumps(row) + "\n" for row in ordered)
+
+
+def _census_csv_oracle(rows) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["n", "canonical", "girth", "cycles", "exp", "count"])
+    for row in sorted(rows, key=lambda r: (r.order, r.canonical_bits)):
+        writer.writerow([row.order, row.canonical_bits, row.girth,
+                         " ".join(str(x) for x in row.cycle_lengths), row.exponent,
+                         row.labeled_count])
+    return buffer.getvalue()
+
+
+def test_census_serializers_equal_the_oracles_on_the_order_four_census():
+    rows = census(4)
+    assert census_to_jsonl(rows) == _census_jsonl_oracle(rows)
+    assert census_to_csv(rows) == _census_csv_oracle(rows)
+
+
+def test_census_serializers_of_no_rows():
+    assert census_to_jsonl([]) == _census_jsonl_oracle([]) == ""
+    assert census_to_csv([]) == _census_csv_oracle([])
+
+
+_census_rows = st.builds(
+    CensusRow,
+    order=st.integers(2, 64),
+    canonical_bits=st.text("01", min_size=1, max_size=80),
+    girth=st.integers(1, 64),
+    cycle_lengths=st.lists(st.integers(1, 64), min_size=1, max_size=6, unique=True).map(
+        lambda lengths: tuple(sorted(lengths))),
+    exponent=st.integers(1, 4000),
+    labeled_count=st.integers(1, 10**9),
+)
+
+
+@settings(max_examples=150)
+@given(st.lists(_census_rows, max_size=8))
+def test_census_serializers_equal_the_oracles_on_random_rows(rows):
+    assert census_to_jsonl(rows) == _census_jsonl_oracle(rows)
+    assert census_to_csv(rows) == _census_csv_oracle(rows)

@@ -670,7 +670,7 @@ def test_census_order_four_bytes_are_pinned():
 
 @pytest.mark.skipif(
     os.environ.get("PRIMEXP_ACCEPT_LONG") != "1",
-    reason="the order-5 census takes about 30 s on two workers (PRIMEXP_ACCEPT_LONG=1)",
+    reason="the order-5 census takes about 12 s on two workers (PRIMEXP_ACCEPT_LONG=1)",
 )
 def test_census_order_five_bytes_are_pinned():
     text = census_to_jsonl(census(5, jobs=2))
@@ -710,6 +710,55 @@ def test_census_rejects_a_dropped_code(monkeypatch):
     monkeypatch.setattr(verify_module, "_degree_sorted_rows", without_one)
     with pytest.raises(RuntimeError, match="labeled matrices"):
         census(3)
+
+
+def test_census_canonicalizes_each_class_once(monkeypatch):
+    real = verify_module.relabeled_codes
+    forms = []
+
+    def counted(rows, tables):
+        codes = real(rows, tables)
+        forms.append(min(codes))
+        return codes
+
+    monkeypatch.setattr(verify_module, "relabeled_codes", counted)
+    census(4)
+    # 1 918 classes of order-4 matrices without a zero row or column, 1 159
+    # of them primitive, against 6 757 degree-sorted codes that pass the
+    # column filter.
+    assert len(forms) == len(set(forms)) == 1918
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_degree_preserving_relabelings_keep_codes_degree_sorted(n):
+    tables = canonical_code_tables(n)
+    perms = list(itertools.permutations(range(n)))
+    by_popcount = verify_module._rows_by_popcount(n)
+    mask = (1 << n) - 1
+    for degrees in itertools.combinations_with_replacement(range(n + 1), n):
+        kept = set(verify_module._degree_preserving(perms, degrees))
+        codes = verify_module._degree_sorted_rows(by_popcount, degrees)
+        sample = [next(codes), *itertools.islice(codes, 0, None, 997)]
+        for rows in sample:
+            for k, code in enumerate(verify_module.relabeled_codes(rows, tables)):
+                # Row i is the i-th n-bit group from the top of the code.
+                popcounts = [((code >> (n * (n - 1 - i))) & mask).bit_count() for i in range(n)]
+                assert (popcounts == sorted(popcounts)) == (k in kept), (degrees, rows, perms[k])
+                assert sorted(popcounts) == list(degrees)
+
+
+def test_census_rejects_a_class_counted_twice(monkeypatch):
+    # Without one degree-preserving relabeling, a class whose code under it
+    # differs from its other codes is met again and counted a second time.
+    real = verify_module._degree_preserving
+
+    def one_short(perms, degrees):
+        kept = real(perms, degrees)
+        return kept[:-1] if len(kept) > 1 else kept
+
+    monkeypatch.setattr(verify_module, "_degree_preserving", one_short)
+    with pytest.raises(RuntimeError, match="labeled matrices"):
+        census(4)
 
 
 def test_census_guards(monkeypatch):
