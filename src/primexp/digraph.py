@@ -215,15 +215,17 @@ def _cycle_cover(rows: tuple[int, ...], n: int) -> list[int]:
     CYCLE_COVER_BUDGET keys it raises TruncatedProfileError, checked after
     every expanded set so that no level overshoots.  So the budget never
     binds at n <= 20, and dense input at orders up to 64 fails within
-    seconds.  Every cycle-profile caller but the ``cycles`` verb uses it:
-    the census (n <= 5) through rows_cycle_lengths; the bound suite
-    (n <= 16) and verify_thm33's attainment notes, which read the lengths
-    and the per-vertex bit-sets straight from the cover; c_walk_distances
+    seconds.  Every cycle-profile caller but the ``cycles`` verb and the
+    census uses it: the bound suite (n <= 16) and verify_thm33's
+    attainment notes, which read the lengths and the per-vertex bit-sets
+    straight from the cover; c_walk_distances
     and lemma22_bound, which feed it to the c-walk BFS; the thm36 converse
     (chord members) through rows_cycle_lengths; and the iso invariants
     (n <= 14) through rows_cycle_profile.  Johnson's search stays behind
     the ``cycles`` verb, which counts cycles under its cap through
-    count_cycles, and behind simple_cycles, the test oracle.  Independent of
+    count_cycles, and behind simple_cycles, the test oracle.  The census
+    (n <= 5) matches its codes against a table of the simple-cycle arc
+    masks of K_n, which the tests check against this DP.  Independent of
     simple_cycles and of the BFS girth, which searches from the same least
     vertex s but keeps one visited set per s instead of one state per
     vertex set, so they cross-check.

@@ -664,6 +664,26 @@ def _degree_preserving(perms: list[tuple[int, ...]], degrees: tuple[int, ...]) -
     return [k for k, p in enumerate(perms) if all(degrees[w] == d for w, d in zip(p, degrees))]
 
 
+def _cycle_masks(n: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(k, the arc masks of the simple k-cycles of K_n with loops), k = 1..n.
+
+    The C(n,k)(k-1)! k-cycles are listed from their least vertex, and arc
+    i -> j sits at bit n*n-1-(i*n+j), the row-major, most-significant-first
+    convention of ``canonical_code_tables``: a digraph with that code has a
+    k-cycle iff ``code & m == m`` for one of the k-masks m.
+    """
+    top = n * n - 1
+    by_length = []
+    for k in range(1, n + 1):
+        masks = []
+        for members in itertools.combinations(range(n), k):
+            for rest in itertools.permutations(members[1:]):
+                cycle = (members[0], *rest, members[0])
+                masks.append(sum(1 << (top - i * n - j) for i, j in zip(cycle, cycle[1:])))
+        by_length.append((k, tuple(masks)))
+    return by_length
+
+
 def _census_block(args: tuple[int, tuple[tuple[int, ...], ...]]):
     """Census rows of the classes with a sorted out-degree sequence in ``sequences``.
 
@@ -677,8 +697,10 @@ def _census_block(args: tuple[int, tuple[tuple[int, ...], ...]]):
     class the scan can still meet, go into ``known``, reset for each degree
     sequence; a later code of the class costs one identity-code lookup per
     row and one set lookup.  The exponent and the cycle lengths are
-    computed once per class, on its first code, and the girth is the least
-    length.  Returns the rows of the primitive classes and the labeled
+    computed once per class, on its first code: a length k is present iff
+    the identity code holds every arc of one of the ``_cycle_masks`` k-masks
+    (24 masks at n = 4, 89 at n = 5), and the girth is the least length.
+    Returns the rows of the primitive classes and the labeled
     total of every class found, primitive or not.
     """
     n, sequences = args
@@ -688,6 +710,7 @@ def _census_block(args: tuple[int, tuple[tuple[int, ...], ...]]):
     ident = [[entry[0] for entry in table] for table in tables]
     perms = list(itertools.permutations(range(n)))
     by_popcount = _rows_by_popcount(n)
+    cycle_masks = _cycle_masks(n)
     relabelings = len(perms)
     rows_out = []
     labeled = 0
@@ -695,7 +718,10 @@ def _census_block(args: tuple[int, tuple[tuple[int, ...], ...]]):
         kept = _degree_preserving(perms, degrees)
         known: set[int] = set()
         for rows in _degree_sorted_rows(by_popcount, degrees):
-            if reduce(or_, rows) != full or sum(map(getitem, ident, rows)) in known:
+            if reduce(or_, rows) != full:
+                continue
+            code = sum(map(getitem, ident, rows))
+            if code in known:
                 continue
             codes = relabeled_codes(rows, tables)
             known.update(map(codes.__getitem__, kept))
@@ -704,12 +730,17 @@ def _census_block(args: tuple[int, tuple[tuple[int, ...], ...]]):
             exp = exponent_of_rows(rows, n)
             if exp is None:
                 continue
-            lengths = rows_cycle_lengths(rows, n)
+            lengths = []
+            for k, masks in cycle_masks:
+                for m in masks:
+                    if code & m == m:
+                        lengths.append(k)
+                        break
             rows_out.append(CensusRow(
                 order=n,
                 canonical_bits=format(min(codes), f"0{n * n}b"),
                 girth=lengths[0],
-                cycle_lengths=lengths,
+                cycle_lengths=tuple(lengths),
                 exponent=exp,
                 labeled_count=count,
             ))
@@ -725,7 +756,7 @@ def census(n: int, jobs: int = 1) -> list[CensusRow]:
     add up to the number of matrices with no zero row and no zero column,
     sum_k (-1)^k C(n,k) (2^(n-k) - 1)^n; a census that misses a class,
     counts one twice or miscounts one raises RuntimeError.  Order 5
-    (155 452 classes) takes about 20 s on one worker and 12 s on two
+    (155 452 classes) takes about 11 s on one worker and 7 s on two
     (2-core VM, Python 3.11).
     """
     if n not in (2, 3, 4, 5):

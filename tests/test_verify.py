@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import math
 import os
 
 import pytest
@@ -13,6 +14,7 @@ from primexp.digraph import (
     Digraph,
     from_matrix,
     is_primitive,
+    rows_cycle_lengths,
     rows_girth,
     rows_primitive,
     simple_cycles,
@@ -632,8 +634,54 @@ def test_census_order_two_classes():
     assert all(r.girth == 1 and r.cycle_lengths == (1, 2) for r in rows)
 
 
+def _table_lengths(code: int, cycle_masks) -> tuple[int, ...]:
+    return tuple(k for k, masks in cycle_masks if any(code & m == m for m in masks))
+
+
+def _msb_rows(code: int, n: int) -> tuple[int, ...]:
+    """Successor rows of a row-major, most-significant-first code."""
+    return _decode_rows(int(format(code, f"0{n * n}b")[::-1], 2), n)
+
+
+@pytest.mark.parametrize("n, size", [(2, 3), (3, 8), (4, 24), (5, 89)])
+def test_cycle_mask_table_sizes(n, size):
+    cycle_masks = verify_module._cycle_masks(n)
+    assert [k for k, _ in cycle_masks] == list(range(1, n + 1))
+    for k, masks in cycle_masks:
+        assert len(set(masks)) == len(masks) == math.comb(n, k) * math.factorial(k - 1)
+        assert all(m.bit_count() == k for m in masks)
+    assert sum(len(masks) for _, masks in cycle_masks) == size
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cycle_mask_lengths_match_the_dp_on_every_code(n):
+    cycle_masks = verify_module._cycle_masks(n)
+    for code in range(1 << (n * n)):
+        assert _table_lengths(code, cycle_masks) == rows_cycle_lengths(_msb_rows(code, n), n), code
+
+
+def test_cycle_mask_lengths_match_the_oracles_at_order_five():
+    # Each code is a planted simple cycle plus arcs drawn at a density from
+    # 0.05 to 0.5, so every length, and a lone cycle of it, is met often.
+    n = 5
+    rng = random.Random(5)
+    cycle_masks = verify_module._cycle_masks(n)
+    for t in range(2000):
+        cycle = rng.sample(range(n), rng.randint(1, n))
+        arcs = set(zip(cycle, cycle[1:] + cycle[:1]))
+        p = (0.05, 0.1, 0.2, 0.35, 0.5)[t % 5]
+        arcs |= {(i, j) for i in range(n) for j in range(n) if rng.random() < p}
+        code = sum(1 << (n * n - 1 - i * n - j) for i, j in arcs)
+        rows = _msb_rows(code, n)
+        lengths = _table_lengths(code, cycle_masks)
+        assert lengths == rows_cycle_lengths(rows, n), code
+        if t % 10 == 0:
+            assert lengths == simple_cycles(from_matrix(BoolMatrix(n, rows)))[1].lengths, code
+
+
 def test_census_girth_and_cycle_lengths_match_the_oracles():
-    # The census reads both from one subset DP; neither oracle runs inside it.
+    # The census reads the lengths from its cycle-mask table and the girth
+    # as the least of them; neither oracle runs inside it.
     for row in census(4):
         rows = _decode_rows(int(row.canonical_bits[::-1], 2), 4)
         assert row.girth == rows_girth(rows, 4)
@@ -670,7 +718,7 @@ def test_census_order_four_bytes_are_pinned():
 
 @pytest.mark.skipif(
     os.environ.get("PRIMEXP_ACCEPT_LONG") != "1",
-    reason="the order-5 census takes about 12 s on two workers (PRIMEXP_ACCEPT_LONG=1)",
+    reason="the order-5 census takes about 7 s on two workers (PRIMEXP_ACCEPT_LONG=1)",
 )
 def test_census_order_five_bytes_are_pinned():
     text = census_to_jsonl(census(5, jobs=2))
