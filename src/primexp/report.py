@@ -1,17 +1,22 @@
 """Machine-readable claim-check records and their JSON-lines/CSV stores.
 
-A report is a flat list of rows; each row compares one predicted quantity
+A report is a list of rows; each row compares one predicted quantity
 against one oracle value under a stated comparison rule.  Rows marked
 ``asserted`` are hard checks: any disagreement makes the whole run fail.
 Everything else is reported as data.  Output is deterministic: rows are
 sorted by (claim, instance) and serialized with sorted keys.
 
+The rows are stored as entries, one per instance: its label, its params
+and its checks.  Every row of an instance differs from its check only in
+the instance and params, so the bound suite hands each instance the one
+fact list it computed, and instances with equal facts share it.
+
 Each JSON line equals ``json.dumps(row.to_json_obj(), sort_keys=True,
 separators=(",", ":"))`` but is built from cached fragments: one
-``str.format`` pattern per tuple of param names, with the keys already in
-sorted order, and the encoded fields of each distinct check (claim,
-predicted, oracle, agree, asserted, rule, notes), so that each row encodes
-only its instance and its param values.
+``str.format`` pattern per check and tuple of param names, with the keys
+already in sorted order and the check's fields (claim, predicted, oracle,
+agree, asserted, rule, notes) filled in, so that each row encodes only its
+instance and its param values, once per entry.
 """
 
 from __future__ import annotations
@@ -19,9 +24,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 CLAIM_IDS = (
     "L2.2", "L2.3", "L2.4", "L2.5", "C2.1", "L2.6",
@@ -119,84 +126,129 @@ def _encode(value) -> str:
         return encode_basestring_ascii(value)
     if cls is int:
         return int.__repr__(value)
+    if cls is float and math.isfinite(value):  # json's own rule for finite floats
+        return float.__repr__(value)
     return _encode_other(value)
 
 
-def _line_pattern(names: tuple[str, ...]) -> str:
-    """``str.format`` pattern of a JSON line with params ``names``.
+def _escape(text: str) -> str:
+    """``text`` as literal text of a ``str.format`` pattern."""
+    return text.replace("{", "{{").replace("}", "}}")
 
-    Fields 0..6 are the encoded check, 7 the instance and 8 + i param i.
-    The keys are in sorted order, and a param replaces the base key of the
-    same name, as ``obj.update(params)`` does in ``to_json_obj``.
+
+def _check_fields(check: VerificationRow, cache: dict[tuple, tuple[str, ...]]) -> tuple[str, ...]:
+    """The fields ``_CHECK_FIELDS`` of ``check``, encoded and escaped, through ``cache``."""
+    values = _check_of(check)
+    key = values + tuple(map(type, values))
+    try:
+        fields = cache.get(key)
+    except TypeError:  # a list value: encode it for this check alone
+        return tuple(_escape(_encode(value)) for value in values)
+    if fields is None:
+        fields = tuple(_escape(_encode(value)) for value in values)
+        if _CACHEABLE.issuperset(key[len(values):]):
+            cache[key] = fields
+    return fields
+
+
+def _line_pattern(names: tuple[str, ...]) -> str:
+    """``str.format`` pattern of the line patterns of rows with params ``names``.
+
+    Formatted with a check's ``_check_fields``, it gives that check's line
+    pattern: a ``str.format`` pattern whose field 0 is the encoded instance
+    and 1 + i param i.  The keys are in sorted order, and a param replaces
+    the base key of the same name, as ``obj.update(params)`` does in
+    ``to_json_obj``.
     """
-    fields = {key: i for i, key in enumerate(_CHECK_FIELDS)}
-    fields["instance"] = len(_CHECK_FIELDS)
-    for i, name in enumerate(names, start=len(fields)):
-        fields[name] = i
+    fields = {key: f"{{{i}}}" for i, key in enumerate(_CHECK_FIELDS)}
+    fields["instance"] = "{{0}}"
+    for i, name in enumerate(names, start=1):
+        fields[name] = f"{{{{{i}}}}}"
     members = ",".join(
-        encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}") + f":{{{fields[key]}}}"
+        _escape(_escape(encode_basestring_ascii(key))) + ":" + fields[key]
         for key in sorted(fields)
     )
-    return "{{" + members + "}}"
+    return "{{{{" + members + "}}}}"
+
+
+# The rows of one instance: (instance, params, checks).  Each check is a
+# VerificationRow whose own instance and params are not read; the entry
+# stands for one row per check, under the entry's instance and params.
+# Entries may share one checks list and so the VerificationRows in it.
+Entry = tuple[str, dict, Sequence[VerificationRow]]
 
 
 @dataclass
 class Report:
-    rows: list[VerificationRow] = field(default_factory=list)
+    entries: list[Entry] = field(default_factory=list)
 
     def add(self, row: VerificationRow) -> None:
-        self.rows.append(row)
+        self.entries.append((row.instance, row.params, (row,)))
+
+    @property
+    def rows(self) -> list[VerificationRow]:
+        """One row per check of each entry, in entry order."""
+        return [
+            VerificationRow(c.claim, instance, c.predicted, c.oracle, c.agree,
+                            c.asserted, c.rule, c.notes, params)
+            for instance, params, checks in self.entries
+            for c in checks
+        ]
 
     def sorted_rows(self) -> list[VerificationRow]:
         return sorted(self.rows, key=attrgetter("claim", "instance"))
 
     @property
     def all_asserts_pass(self) -> bool:
-        return all(r.agree for r in self.rows if r.asserted)
+        return all(c.agree for _, _, checks in self.entries for c in checks if c.asserted)
 
     def failures(self) -> list[VerificationRow]:
         return [r for r in self.sorted_rows() if r.asserted and not r.agree]
 
     def to_jsonl(self) -> str:
-        patterns: dict[tuple[str, ...], str] = {}
-        # Rows of one instance often share a params dict; every dict stays
-        # alive in self.rows, so its id is a key for the call.
-        by_params: dict[int, tuple[str, list[str]]] = {}
-        checks: dict[tuple, tuple[str, ...]] = {}
-        lines = []
-        for row in self.sorted_rows():
-            params = row.params
-            entry = by_params.get(id(params))
-            if entry is None:
-                names = tuple(params)
-                pattern = patterns.get(names)
-                if pattern is None:
-                    pattern = patterns[names] = _line_pattern(names)
-                entry = by_params[id(params)] = (pattern, list(map(_encode, params.values())))
-            pattern, encoded_params = entry
-            check = _check_of(row)
-            key = check + tuple(map(type, check))
-            try:
-                encoded = checks.get(key)
-            except TypeError:  # a list value: encode it for this row alone
-                encoded = key = None
-            if encoded is None:
-                encoded = tuple(map(_encode, check))
-                if key is not None and _CACHEABLE.issuperset(key[len(check):]):
-                    checks[key] = encoded
-            lines.append(pattern.format(*encoded, _encode(row.instance), *encoded_params))
+        """One JSON line per row, in the order of ``sorted_rows``.
+
+        Each entry's instance and params are encoded once, and each (checks,
+        param names) pair gets one pattern per check with only the instance
+        and the params left open.  Entries are sorted by instance, stably,
+        and each line goes to its claim's bucket, so the buckets joined in
+        claim order are sorted by (claim, instance) with ties in row order.
+        """
+        line_patterns: dict[tuple[str, ...], str] = {}
+        check_fields: dict[tuple, tuple[str, ...]] = {}
+        # Every checks object stays alive in self.entries, so its id is a
+        # key for the call.
+        fact_patterns: dict[tuple[int, tuple[str, ...]], list] = {}
+        buckets: dict[str, list[str]] = {}
+        for instance, params, checks in sorted(self.entries, key=itemgetter(0)):
+            names = tuple(params)
+            patterns = fact_patterns.get((id(checks), names))
+            if patterns is None:
+                line = line_patterns.get(names)
+                if line is None:
+                    line = line_patterns[names] = _line_pattern(names)
+                patterns = fact_patterns[id(checks), names] = [
+                    (buckets.setdefault(check.claim, []).append,
+                     line.format(*_check_fields(check, check_fields)))
+                    for check in checks
+                ]
+            encoded = (_encode(instance), *map(_encode, params.values()))
+            for append, pattern in patterns:
+                append(pattern.format(*encoded))
+        lines = [line for claim in sorted(buckets) for line in buckets[claim]]
         return "\n".join(lines) + ("\n" if lines else "")
 
     def summary_counts(self) -> list[tuple[str, int, int, int]]:
         """(claim, agree, total, asserted_disagree) per claim id, sorted."""
         stats: dict[str, list[int]] = {}
-        for row in self.rows:
-            entry = stats.setdefault(row.claim, [0, 0, 0])
-            entry[1] += 1
-            if row.agree:
-                entry[0] += 1
-            if row.asserted and not row.agree:
-                entry[2] += 1
+        for _, _, checks in self.entries:
+            for check in checks:
+                entry = stats.setdefault(check.claim, [0, 0, 0])
+                entry[1] += 1
+                if check.agree:
+                    entry[0] += 1
+                if check.asserted and not check.agree:
+                    entry[2] += 1
         return [(claim, v[0], v[1], v[2]) for claim, v in sorted(stats.items())]
 
     def to_summary_csv(self) -> str:

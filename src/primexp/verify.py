@@ -21,7 +21,8 @@ on bit rows, evaluates each distinct labeled matrix once and re-emits its
 facts under the label and params of every later instance with equal rows.
 The bound suite's facts are template rows with an empty instance, built
 (and their claim checked and agree flag computed) once per evaluation;
-each instance gets copies under its label that share one params dict.
+each instance adds one report entry that holds its label, its params and
+that fact list, so instances with equal facts share one list.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ from .iso import (
     classify_against,
     relabeled_codes,
 )
-from .report import CensusRow, Report, VerificationRow, make_row
+from .report import CensusRow, Entry, Report, VerificationRow, make_row
 from .semigroup import frobenius
 
 BERNOULLI_SWEEP = (0.05, 0.1, 0.2)
@@ -182,18 +183,9 @@ def _bound_facts(rows: tuple[int, ...], n: int) -> list[VerificationRow]:
             for claim, predicted, oracle, options in facts]
 
 
-def _add_fact_rows(report: Report, templates, instance: str, params: dict) -> None:
-    """A copy of each template row under ``instance``; the copies share ``params``."""
-    report.rows += [
-        VerificationRow(t.claim, instance, t.predicted, t.oracle, t.agree,
-                        t.asserted, t.rule, t.notes, params)
-        for t in templates
-    ]
-
-
 def bound_rows_for(d: Digraph, instance: str, report: Report, **params) -> None:
     """Append one row per applicable established bound for one primitive digraph."""
-    _add_fact_rows(report, _bound_facts(d.successor_rows(), d.order), instance, params)
+    report.entries.append((instance, params, _bound_facts(d.successor_rows(), d.order)))
 
 
 def _mirror_mask(mask: int, n: int, g: int) -> int:
@@ -243,18 +235,16 @@ def _per_orbit(n: int, g: int, evaluate, mirror: bool = False):
         yield spec, orbit_values[mask]
 
 
-def _chord_universe_rows(pair: tuple[int, int]) -> list:
-    """Bound rows for every primitive member of the (n, g) chord universe."""
+def _chord_universe_rows(pair: tuple[int, int]) -> list[Entry]:
+    """Bound-suite report entries for every primitive member of the (n, g) chord universe."""
     n, g = pair
 
     def evaluate(d: Digraph) -> list[VerificationRow]:
         rows = d.successor_rows()
         return _bound_facts(rows, n) if rows_primitive(rows, n) else []
 
-    report = Report()
-    for spec, facts in _per_orbit(n, g, evaluate, mirror=True):
-        _add_fact_rows(report, facts, spec.label(), {"n": n, "g": g, "mask": spec.chord_mask})
-    return report.rows
+    return [(spec.label(), {"n": n, "g": g, "mask": spec.chord_mask}, facts)
+            for spec, facts in _per_orbit(n, g, evaluate, mirror=True) if facts]
 
 
 def verify_bounds(
@@ -270,7 +260,7 @@ def verify_bounds(
     checked before any universe runs.  A universe has 2^n - 1 members, and
     its time and memory about double with each order: on 2 cores under
     Python 3.11, each of (16, 3), (16, 5), (16, 7), (16, 9) and (16, 15)
-    took 1.1-1.3 s and 68 MB.  With jobs > 1 the chord universes run in
+    took 0.9-1.35 s and 49 MB.  With jobs > 1 the chord universes run in
     worker processes, one per (n, g) pair; the random sweep always runs
     here.
     """
@@ -284,8 +274,8 @@ def verify_bounds(
             raise ValueError(
                 f"chord pair {n}:{g} needs 2 <= g <= n-1 and n <= {CHORD_ORDER_CAP}")
     report = Report()
-    for rows in _run_blocks(_chord_universe_rows, chord_pairs, jobs):
-        report.rows += rows
+    for entries in _run_blocks(_chord_universe_rows, chord_pairs, jobs):
+        report.entries += entries
     # Small orders repeat: at seed 1, 657 of 2 000 instances have the rows of
     # an earlier one.  Their digest and facts are computed once, keyed by rows.
     seen: dict[tuple[int, ...], tuple[str, list[VerificationRow]]] = {}
@@ -293,7 +283,7 @@ def verify_bounds(
         if rows not in seen:
             seen[rows] = matrix_digest(rows, n), _bound_facts(rows, n)
         digest, facts = seen[rows]
-        _add_fact_rows(report, facts, f"rand:{idx:06d}:{digest}", {"n": n, "p": p, "seed": seed})
+        report.entries.append((f"rand:{idx:06d}:{digest}", {"n": n, "p": p, "seed": seed}, facts))
     return report
 
 

@@ -368,14 +368,17 @@ def test_verify_thm33_writes_reports(capsys, tmp_path):
     assert csv_text.startswith("claim,agree,total,assert_failures\n")
 
 
-def test_verify_bounds_to_stdout(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "bounds", "--n-max", "5", "--samples", "10",
-        "--seed", "7", "--chord-pairs", "",
-    )
+def test_verify_bounds_to_stdout(capsys, tmp_path):
+    argv = ("verify", "bounds", "--n-max", "5", "--samples", "10", "--seed", "7",
+            "--chord-pairs", "5:2,5:3")
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     rows = [json.loads(line) for line in out.splitlines()]
-    assert rows and all("claim" in r for r in rows)
+    assert {r["instance"].split(":")[0] for r in rows} == {"chord", "rand"}
+    path = tmp_path / "b.jsonl"
+    code, _, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0
+    assert out.encode() == path.read_bytes()
 
 
 def test_verify_census_verb(capsys, tmp_path):

@@ -93,6 +93,13 @@ def _dumps_jsonl(report: Report) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _report(rows) -> Report:
+    report = Report()
+    for row in rows:
+        report.add(row)
+    return report
+
+
 def _assert_lines_match_the_oracle(report: Report) -> None:
     text = report.to_jsonl()
     assert text.split("\n")[:-1] == [_dumps(row) for row in report.sorted_rows()]
@@ -101,7 +108,7 @@ def _assert_lines_match_the_oracle(report: Report) -> None:
 
 def test_jsonl_lines_equal_json_dumps_of_each_row():
     shared = {"n": 6, "p": 0.1, "seed": 3}
-    report = Report([
+    report = _report([
         # equal values of different classes under one claim
         make_row("L2.3", "eq:true", True, True, asserted=False),
         make_row("L2.3", "eq:one", 1, 1, asserted=False),
@@ -153,7 +160,59 @@ _names = st.sampled_from(
     st.dictionaries(_names, _values, max_size=4),
 ), max_size=12))
 def test_jsonl_lines_equal_json_dumps_on_random_rows(fields):
-    _assert_lines_match_the_oracle(Report([VerificationRow(*f) for f in fields]))
+    _assert_lines_match_the_oracle(_report([VerificationRow(*f) for f in fields]))
+
+
+# -- entries: one per instance, holding checks that other entries may share ------
+
+_checks = st.builds(
+    VerificationRow, claim=st.sampled_from(CLAIM_IDS[:4]), instance=st.just(""),
+    predicted=_values, oracle=_values, agree=st.booleans(), asserted=st.booleans(),
+    rule=st.sampled_from(["eq", "le"]), notes=st.sampled_from(["", "n{0}"]),
+)
+# Two param-name sets: one with a float, one with a list and a base key's name.
+_params = st.one_of(
+    st.fixed_dictionaries({"n": st.integers(2, 9), "p": st.sampled_from([0.05, 0.1, -0.0, 2.5e-7]),
+                           "seed": st.integers(0, 3)}),
+    st.fixed_dictionaries({"n": st.integers(2, 9), "agree": _values,
+                           "N": st.lists(st.integers(1, 9), max_size=3)}),
+)
+_instances = st.sampled_from(["chord:7:3:5", "rand:000001:ab", "é✓", "a"])
+
+
+@st.composite
+def _entries(draw):
+    """Entries whose checks lists come from a small shared pool."""
+    pool = draw(st.lists(st.lists(_checks, max_size=4), min_size=1, max_size=3))
+    entries = [(draw(_instances), draw(_params), draw(st.sampled_from(pool)))
+               for _ in range(draw(st.integers(0, 10)))]
+    if draw(st.booleans()):
+        # one failing asserted template, shared by three instances
+        failing = [make_row("L2.3", "", 5, 9, asserted=True, rule="le")]
+        for instance in ("a", "é✓", "a"):
+            entries.insert(draw(st.integers(0, len(entries))), (instance, draw(_params), failing))
+    return entries
+
+
+@settings(max_examples=150)
+@given(_entries())
+def test_entries_report_equals_the_oracle_over_their_expanded_rows(entries):
+    report = Report(entries)
+    rows = [
+        VerificationRow(c.claim, instance, c.predicted, c.oracle, c.agree, c.asserted,
+                        c.rule, c.notes, params)
+        for instance, params, checks in entries for c in checks
+    ]
+    ordered = sorted(rows, key=lambda r: (r.claim, r.instance))
+    assert report.rows == rows
+    assert report.to_jsonl() == "".join(_dumps(row) + "\n" for row in ordered)
+    assert report.failures() == [r for r in ordered if r.asserted and not r.agree]
+    assert report.all_asserts_pass == all(r.agree for r in rows if r.asserted)
+    counts = {}
+    for row in rows:
+        agree, total, hard = counts.get(row.claim, (0, 0, 0))
+        counts[row.claim] = (agree + row.agree, total + 1, hard + (row.asserted and not row.agree))
+    assert report.summary_counts() == [(claim, *counts[claim]) for claim in sorted(counts)]
 
 
 # -- census serializers -----------------------------------------------------------
