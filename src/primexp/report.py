@@ -156,9 +156,9 @@ def _line_pattern(names: tuple[str, ...]) -> str:
 
     Formatted with a check's ``_check_fields``, it gives that check's line
     pattern: a ``str.format`` pattern whose field 0 is the encoded instance
-    and 1 + i param i.  The keys are in sorted order, and a param replaces
-    the base key of the same name, as ``obj.update(params)`` does in
-    ``to_json_obj``.
+    and 1 + i param i, ending in a newline.  The keys are in sorted order,
+    and a param replaces the base key of the same name, as
+    ``obj.update(params)`` does in ``to_json_obj``.
     """
     fields = {key: f"{{{i}}}" for i, key in enumerate(_CHECK_FIELDS)}
     fields["instance"] = "{{0}}"
@@ -168,7 +168,7 @@ def _line_pattern(names: tuple[str, ...]) -> str:
         _escape(_escape(encode_basestring_ascii(key))) + ":" + fields[key]
         for key in sorted(fields)
     )
-    return "{{{{" + members + "}}}}"
+    return "{{{{" + members + "}}}}\n"
 
 
 # The rows of one instance: (instance, params, checks).  Each check is a
@@ -205,14 +205,14 @@ class Report:
     def failures(self) -> list[VerificationRow]:
         return [r for r in self.sorted_rows() if r.asserted and not r.agree]
 
-    def to_jsonl(self) -> str:
-        """One JSON line per row, in the order of ``sorted_rows``.
+    def _jsonl_buckets(self) -> list[list[str]]:
+        """The JSON lines of ``to_jsonl``, each ending in a newline, per claim in claim order.
 
         Each entry's instance and params are encoded once, and each (checks,
         param names) pair gets one pattern per check with only the instance
         and the params left open.  Entries are sorted by instance, stably,
-        and each line goes to its claim's bucket, so the buckets joined in
-        claim order are sorted by (claim, instance) with ties in row order.
+        and each line goes to its claim's bucket, so the buckets in claim
+        order are sorted by (claim, instance) with ties in row order.
         """
         line_patterns: dict[tuple[str, ...], str] = {}
         check_fields: dict[tuple, tuple[str, ...]] = {}
@@ -235,8 +235,11 @@ class Report:
             encoded = (_encode(instance), *map(_encode, params.values()))
             for append, pattern in patterns:
                 append(pattern.format(*encoded))
-        lines = [line for claim in sorted(buckets) for line in buckets[claim]]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return [buckets[claim] for claim in sorted(buckets)]
+
+    def to_jsonl(self) -> str:
+        """One JSON line per row, in the order of ``sorted_rows``."""
+        return "".join(map("".join, self._jsonl_buckets()))
 
     def summary_counts(self) -> list[tuple[str, int, int, int]]:
         """(claim, agree, total, asserted_disagree) per claim id, sorted."""
@@ -261,7 +264,8 @@ class Report:
 
     def write(self, jsonl_path: str, csv_path: str | None = None) -> None:
         with open(jsonl_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(self.to_jsonl())
+            for bucket in self._jsonl_buckets():
+                fh.writelines(bucket)
         if csv_path is not None:
             with open(csv_path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(self.to_summary_csv())

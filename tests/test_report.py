@@ -18,7 +18,7 @@ from primexp.report import (
     compare,
     make_row,
 )
-from primexp.verify import census
+from primexp.verify import census, verify_bounds, verify_lemma24, verify_thm33
 
 
 def test_agree_flag_recomputable_from_predicted_and_oracle():
@@ -142,6 +142,20 @@ def test_jsonl_lines_equal_json_dumps_of_each_row():
 
 def test_jsonl_of_an_empty_report_is_empty():
     assert Report().to_jsonl() == "" == _dumps_jsonl(Report())
+
+
+@pytest.mark.parametrize("run", [
+    lambda: verify_bounds(n_max=6, samples=60, seed=3),
+    lambda: verify_thm33(n_min=5, n_max=6),
+    lambda: verify_lemma24(4),
+    Report,
+], ids=["bounds", "thm33", "lemma24", "empty"])
+def test_write_gives_the_bytes_of_to_jsonl_and_to_summary_csv(run, tmp_path):
+    report = run()
+    jsonl, summary = tmp_path / "r.jsonl", tmp_path / "r.csv"
+    report.write(str(jsonl), str(summary))
+    assert jsonl.read_bytes() == report.to_jsonl().encode()
+    assert summary.read_bytes() == report.to_summary_csv().encode()
 
 
 _values = st.one_of(

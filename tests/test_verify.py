@@ -39,6 +39,7 @@ from primexp.verify import (
     _girth_floor_walk,
     _mirror_mask,
     _per_orbit,
+    _random_primitive_rows,
     bound_rows_for,
     census,
     printed_threshold_min_g,
@@ -93,6 +94,36 @@ def test_random_primitive_digraph_matches_the_arc_set_oracle():
                 assert d == _arc_set_random_primitive_digraph(oracle_rng, n, p), (seed, n, p)
                 # the same draws were made: both generators leave rng in one state
                 assert rng.random() == oracle_rng.random(), (seed, n, p)
+
+
+def _genexpr_random_primitive_rows(rng, n, p, max_tries=100_000):
+    """The bit-row generator as first written, with one sum() per row."""
+    draw = rng.random
+    for _ in range(max_tries):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cycle = [0] * n
+        for i in range(n):
+            cycle[perm[i - 1]] = perm[i]
+        rows = tuple(
+            sum(1 << j for j in range(n) if j != c and draw() < p) | (1 << c)
+            for c in cycle
+        )
+        if rows_primitive(rows, n):
+            return rows
+    raise RuntimeError(f"no primitive digraph found in {max_tries} tries (n={n}, p={p})")
+
+
+def test_random_primitive_rows_equal_the_genexpr_form():
+    for seed in range(12):
+        for n in range(2, 11):
+            for p in BERNOULLI_SWEEP:
+                rng, oracle_rng = random.Random(seed), random.Random(seed)
+                for _ in range(3):
+                    assert _random_primitive_rows(rng, n, p) == _genexpr_random_primitive_rows(
+                        oracle_rng, n, p), (seed, n, p)
+                # the same draws were made, in the same order
+                assert rng.getstate() == oracle_rng.getstate(), (seed, n, p)
 
 
 def test_random_instance_stream_is_reproducible():
@@ -311,6 +342,39 @@ def test_lemma22_rows_equal_the_johnson_cwalk_oracle():
         _, profile = simple_cycles(d)
         assert row.predicted == c_walk_distances(d, profile).max + frobenius(profile.lengths), (
             row.instance)
+
+
+def _memo_run():
+    """A reduced bound suite and the successor rows of each of its entries."""
+    seed, samples, n_max = 4, 300, 7
+    report = verify_bounds(n_max=n_max, samples=samples, seed=seed,
+                           chord_pairs=((7, 3), (8, 5)))
+    digraphs = [d for _, _, _, d in random_instances(seed, samples, n_max)]
+    for instance, params, facts in report.entries:
+        if instance.startswith("chord:"):
+            d = chord_member(params["n"], params["g"], params["mask"])
+        else:
+            d = digraphs[int(instance.split(":")[1])]
+        yield instance, params, d, facts
+
+
+def test_memoized_bound_facts_equal_the_memo_less_facts():
+    for instance, _, d, facts in _memo_run():
+        assert facts == _bound_facts(d.successor_rows(), d.order), instance
+
+
+def test_bound_suite_entries_share_one_fact_list_per_key():
+    # Each chord universe and the random sweep keep their own memo, keyed by
+    # the order, the exponent, the cycle lengths and the c-walk maximum.
+    ids: dict[tuple, set[int]] = {}
+    for _, params, d, facts in _memo_run():
+        _, profile = simple_cycles(d)
+        key = (d.order, exponent(d).value, tuple(profile.lengths),
+               c_walk_distances(d, profile).max)
+        scope = params.get("g", "rand")
+        ids.setdefault((scope, key), set()).add(id(facts))
+    assert all(len(shared) == 1 for shared in ids.values())
+    assert len(set().union(*ids.values())) == len(ids)
 
 
 @pytest.mark.parametrize("pair", [(7, 3), (8, 3), (9, 2), (9, 4)])
