@@ -168,8 +168,12 @@ def parse_matrix(text: str) -> BoolMatrix:
 
 
 def serialize_matrix(a: BoolMatrix) -> str:
-    n = a.order
+    return serialize_rows(a.rows, a.order)
+
+
+def serialize_rows(rows: tuple[int, ...], n: int) -> str:
+    """``serialize_matrix`` of the order-n matrix with these rows, unchecked."""
     lines = [str(n)]
-    for row in a.rows:
+    for row in rows:
         lines.append(format(row, f"0{n}b")[::-1])
     return "\n".join(lines) + "\n"

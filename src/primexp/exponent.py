@@ -200,12 +200,22 @@ def cwalk_of_cover(rows: tuple[int, ...], n: int, cover: list[int]) -> CWalkResu
     cycle of that length; empty entries are skipped, so the list that
     ``digraph._cycle_cover`` returns can be passed as it is.  A walk that
     meets a set meets every superset of it, so only the sets minimal under
-    inclusion are kept.  A start on every kept set runs a plain BFS.  Any
-    other start runs a level-by-level BFS over (vertex, met-mask) states,
-    where the met-mask is the subset of kept sets already met.  Its visited
+    inclusion are kept.
+
+    A start u with exactly one successor w whose met-mask (the kept sets
+    through it) includes u's is a chain start: every walk out of u goes
+    through w first and meets what the rest of it meets, so u's row is w's
+    row plus one, with 0 at u itself when u is on every kept set.  Each chain
+    is followed to its end, which runs a search, and filled in backwards
+    from there.  A chain that closes on itself gets one search at the vertex
+    where it closes, so no row is ever derived from an unfinished one.  A
+    search from a start on every kept set is a plain BFS.  Any other start
+    runs a level-by-level BFS over (vertex, met-mask) states.  Its visited
     set maps a met-mask to the bit-set of vertices seen with it, in a dict
     rather than a list of 2^u entries: u can be 20, and few of the masks
-    occur.
+    occur.  A search that cannot reach every vertex with every set met
+    raises NotPrimitiveError; a derived row is complete exactly when the
+    row it comes from is, so the chains change no verdict.
     """
     cover = [vertices for vertices in cover if vertices]
     if len(cover) > MAX_CYCLE_LENGTHS:
@@ -222,10 +232,18 @@ def cwalk_of_cover(rows: tuple[int, ...], n: int, cover: list[int]) -> CWalkResu
             met[low.bit_length() - 1] |= 1 << i
             vertices ^= low
     full = (1 << len(minimal)) - 1
-    # (successor, its bit, its met-mask) per vertex, so the BFS peels no bits.
+    # (successor, its bit, its met-mask) per vertex, so the BFS peels no bits,
+    # and the chain successor per vertex: itself unless the rule above holds.
     succ = []
+    chain = list(range(n))
     for v in range(n):
         row = rows[v]
+        if row and not row & (row - 1):
+            w = row.bit_length() - 1
+            succ.append(((w, row, met[w]),))
+            if not met[v] & ~met[w]:
+                chain[v] = w
+            continue
         out = []
         while row:
             low = row & -row
@@ -234,49 +252,67 @@ def cwalk_of_cover(rows: tuple[int, ...], n: int, cover: list[int]) -> CWalkResu
             row ^= low
         succ.append(out)
 
-    per_pair: list[tuple[int, ...]] = []
-    for start in range(n):
-        dist: list[int] = [-1] * n
-        if met[start] == full:
-            # Every walk from here has met every set: plain distances.  A list
-            # BFS beats the bit-set ``digraph._bfs_dist`` about 2x on sparse input.
-            dist[start] = 0
-            queue = [start]
-            for v in queue:
-                step = dist[v] + 1
-                for w, _, _ in succ[v]:
-                    if dist[w] < 0:
-                        dist[w] = step
-                        queue.append(w)
-            remaining = n - len(queue)
-        else:
-            frontier = [(start, met[start])]
-            seen = {met[start]: 1 << start}
-            remaining = n
-            steps = 0
-            while remaining and frontier:
-                steps += 1
-                grown = []
-                for v, mask in frontier:
-                    for w, bit, w_met in succ[v]:
-                        m = mask | w_met
-                        old = seen.get(m, 0)
-                        if not old & bit:
-                            seen[m] = old | bit
-                            grown.append((w, m))
-                            # The first full-mask state at w is found at its least level.
-                            if m == full:
-                                dist[w] = steps
-                                remaining -= 1
-                frontier = grown
-        if remaining:
-            raise NotPrimitiveError("product-state search could not reach every pair")
-        per_pair.append(tuple(dist))
+    per_row: list[list[int] | None] = [None] * n
+    for first in range(n):
+        path = []
+        start = first
+        while per_row[start] is None and start not in path:
+            path.append(start)
+            start = chain[start]
+        if per_row[start] is None:
+            per_row[start] = _cwalk_search(start, n, succ, met, full)
+        for v in reversed(path):
+            if per_row[v] is None:
+                row = [d + 1 for d in per_row[chain[v]]]
+                if met[v] == full:
+                    row[v] = 0
+                per_row[v] = row
 
+    per_pair = tuple(map(tuple, per_row))
     row_max = [max(row) for row in per_pair]
     best = max(row_max)
     i = row_max.index(best)
-    return CWalkResult(per_pair=tuple(per_pair), max=best, arg_max=(i + 1, per_pair[i].index(best) + 1))
+    return CWalkResult(per_pair=per_pair, max=best, arg_max=(i + 1, per_pair[i].index(best) + 1))
+
+
+def _cwalk_search(start: int, n: int, succ: list, met: list[int], full: int) -> list[int]:
+    """One row of ``cwalk_of_cover`` by search; see there."""
+    dist = [-1] * n
+    if met[start] == full:
+        # Every walk from here has met every set: plain distances.  A list
+        # BFS beats the bit-set ``digraph._bfs_dist`` about 2x on sparse input.
+        dist[start] = 0
+        queue = [start]
+        for v in queue:
+            step = dist[v] + 1
+            for w, _, _ in succ[v]:
+                if dist[w] < 0:
+                    dist[w] = step
+                    queue.append(w)
+        remaining = n - len(queue)
+    else:
+        frontier = [(start, met[start])]
+        seen = {met[start]: 1 << start}
+        remaining = n
+        steps = 0
+        while remaining and frontier:
+            steps += 1
+            grown = []
+            for v, mask in frontier:
+                for w, bit, w_met in succ[v]:
+                    m = mask | w_met
+                    old = seen.get(m, 0)
+                    if not old & bit:
+                        seen[m] = old | bit
+                        grown.append((w, m))
+                        # The first full-mask state at w is found at its least level.
+                        if m == full:
+                            dist[w] = steps
+                            remaining -= 1
+            frontier = grown
+    if remaining:
+        raise NotPrimitiveError("product-state search could not reach every pair")
+    return dist
 
 
 # -- closed-form evaluators -------------------------------------------------

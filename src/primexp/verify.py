@@ -16,9 +16,14 @@ orbit, so every later member is one lookup.  The bound suite's orbits are
 dihedral: one mirror mask's member is the transpose of the other's,
 relabeled, and every bound-suite fact survives transposition.  The thm36
 converse keeps rotation orbits, because the ``classify_against`` index it
-reports does not.  In the same way the bound suite's random sweep, drawn
-on bit rows, evaluates each distinct labeled matrix once and re-emits its
-facts under the label and params of every later instance with equal rows.
+reports does not.  Both get each orbit's successor rows straight from its
+mask and build no Digraph per member; the converse builds one only for
+``classify_against``.  Every member of the (n, g) universe has period
+gcd(n, g), so primitivity is one gcd test per universe: the bound suite
+skips a universe with gcd(n, g) > 1, and thm36 refuses the pair.  In the
+same way the bound suite's random sweep, drawn on bit rows, evaluates each
+distinct labeled matrix once and re-emits its facts under the label and
+params of every later instance with equal rows.
 The bound suite's facts are template rows with an empty instance.  They
 depend only on the order, the exponent, the cycle lengths and the c-walk
 maximum, so they are built (and their claim checked and agree flag
@@ -40,15 +45,13 @@ import random
 from functools import reduce
 from operator import getitem, or_
 
-from .boolmat import BoolMatrix, serialize_matrix
+from .boolmat import BoolMatrix, serialize_rows
 from .digraph import (
     Digraph,
     _cycle_cover,
     from_matrix,
     rows_cycle_lengths,
     rows_girth,
-    rows_period,
-    rows_primitive,
 )
 from .exponent import (
     NotPrimitiveError,
@@ -66,8 +69,6 @@ from .exponent import (
     z_of_w,
 )
 from .families import (
-    chord_family,
-    chord_member,
     chord_position_cap,
     d1,
     d2,
@@ -95,26 +96,45 @@ CHORD_ORDER_CAP = 16
 
 # -- random instance generation --------------------------------------------
 
-def _random_primitive_rows(rng: random.Random, n: int, p: float,
-                           max_tries: int = 100_000) -> tuple[int, ...]:
-    """Successor rows of ``random_primitive_digraph``, with the same draws."""
+def _random_tries(rng: random.Random, n: int, p: float):
+    """Endless (successor rows, period) tries of ``random_primitive_digraph``.
+
+    Number the vertices by their position on the drawn cycle.  Every arc
+    u -> v of a strongly connected digraph of period d joins consecutive
+    classes mod d, and the cycle puts the vertex at position k in class
+    k + c mod d, so d divides pos(u) + 1 - pos(v) for every arc; that sum
+    over the arcs of any closed walk is its length, so d is the gcd of these
+    values.  The cycle's own arcs give 0 and n, so the period is the gcd of
+    n and the value of each drawn arc.
+    """
     draw = rng.random
-    for _ in range(max_tries):
+    gcd = math.gcd
+    while True:
         perm = list(range(n))
         rng.shuffle(perm)
         cycle = [0] * n
+        pos = [0] * n
         for i in range(n):
             cycle[perm[i - 1]] = perm[i]
+            pos[perm[i]] = i
         rows = []
-        for c in cycle:
+        period = n
+        for v, c in enumerate(cycle):
             row = 1 << c
+            after = pos[v] + 1
             for j in range(n):
                 if j != c and draw() < p:
                     row |= 1 << j
+                    period = gcd(period, after - pos[j])
             rows.append(row)
-        rows = tuple(rows)
-        # The Hamiltonian cycle makes every try strongly connected.
-        if rows_period(rows, n) == 1:
+        yield tuple(rows), period
+
+
+def _random_primitive_rows(rng: random.Random, n: int, p: float,
+                           max_tries: int = 100_000) -> tuple[int, ...]:
+    """Successor rows of ``random_primitive_digraph``, with the same draws."""
+    for rows, period in itertools.islice(_random_tries(rng, n, p), max_tries):
+        if period == 1:
             return rows
     raise RuntimeError(f"no primitive digraph found in {max_tries} tries (n={n}, p={p})")
 
@@ -124,7 +144,9 @@ def random_primitive_digraph(rng: random.Random, n: int, p: float, max_tries: in
 
     Each try shuffles the n vertices into a cycle, then draws rng.random()
     once for every arc not on it, in row-major order, and adds the arc when
-    the draw is below p.
+    the draw is below p.  The cycle makes every try strongly connected, and
+    its period is read off the drawn arcs' positions on the cycle (see
+    ``_random_tries``), so a try costs no search.
     """
     return from_matrix(BoolMatrix(n, _random_primitive_rows(rng, n, p, max_tries)))
 
@@ -147,7 +169,7 @@ def random_instances(seed: int, samples: int, n_max: int):
 
 
 def matrix_digest(rows: tuple[int, ...], n: int) -> str:
-    text = serialize_matrix(BoolMatrix(n, rows))
+    text = serialize_rows(rows, n)
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -231,15 +253,25 @@ def _mirror_mask(mask: int, n: int, g: int) -> int:
     return mirrored
 
 
-def _per_orbit(n: int, g: int, evaluate, mirror: bool = False):
-    """(spec, evaluate(member)) for every member of the (n, g) chord universe.
+def _chord_rows(n: int, g: int, mask: int) -> tuple[int, ...]:
+    """Successor rows of ``chord_member(n, g, mask)``, straight from the mask.
 
-    Relabeling v_i -> v_{i+1} maps the member of a mask onto the member of
-    the mask rotated by one position, so ``evaluate``, which must return an
-    isomorphism invariant, runs once per rotation orbit: on the member of
-    its least mask, which comes first because masks ascend.  The value is
-    then stored under all n rotations of that mask, so every later member
-    of the orbit is one lookup.
+    Row i - 1 is vertex v_i: its cycle arc goes to v_{i-1} (v_n for i = 1)
+    and its chord, when bit i - 1 of the mask is set, to v_{(g+i-2) mod n + 1}.
+    """
+    return tuple((1 << (v - 1) % n) | ((mask >> v & 1) << (g + v - 1) % n) for v in range(n))
+
+
+def _per_orbit(n: int, g: int, evaluate, mirror: bool = False):
+    """(mask, evaluate(rows)) for every member of the (n, g) chord universe.
+
+    Masks ascend from 1 to 2^n - 1, and ``evaluate`` gets the member's
+    successor rows (``_chord_rows``).  Relabeling v_i -> v_{i+1} maps the
+    member of a mask onto the member of the mask rotated by one position,
+    so ``evaluate``, which must return an isomorphism invariant, runs once
+    per rotation orbit: on the member of its least mask, which comes first
+    because masks ascend.  The value is then stored under all n rotations
+    of that mask, so every later member of the orbit is one lookup.
 
     With ``mirror`` the value is also stored under every rotation of
     ``_mirror_mask``, whose member is the transpose of this one relabeled,
@@ -250,30 +282,34 @@ def _per_orbit(n: int, g: int, evaluate, mirror: bool = False):
     transposition: with it on, the thm36 report changes at 15 of the 43
     coprime pairs with 5 <= n <= 13, (10, 7) among them.
     """
+    if not 2 <= g <= n - 1:
+        raise ValueError(f"need 2 <= g <= n-1, got g={g}, n={n}")
     full = (1 << n) - 1
     orbit_values: dict[int, object] = {}
-    for spec in chord_family(n, g):
-        mask = spec.chord_mask
+    for mask in range(1, full + 1):
         if mask not in orbit_values:
-            value = evaluate(chord_member(n, g, mask))
+            value = evaluate(_chord_rows(n, g, mask))
             for rotated in (mask, _mirror_mask(mask, n, g)) if mirror else (mask,):
                 for _ in range(n):
                     orbit_values[rotated] = value
                     rotated = ((rotated << 1) | (rotated >> (n - 1))) & full
-        yield spec, orbit_values[mask]
+        yield mask, orbit_values[mask]
 
 
 def _chord_universe_rows(pair: tuple[int, int]) -> list[Entry]:
-    """Bound-suite report entries for every primitive member of the (n, g) chord universe."""
+    """Bound-suite report entries for every primitive member of the (n, g) chord universe.
+
+    Each chord closes a g-cycle with the n-cycle, so every member has
+    period gcd(n, g): all of them are primitive or none is.
+    """
     n, g = pair
+    if math.gcd(n, g) != 1:
+        return []
     memo: dict[tuple, list[VerificationRow]] = {}
-
-    def evaluate(d: Digraph) -> list[VerificationRow]:
-        rows = d.successor_rows()
-        return _bound_facts(rows, n, memo) if rows_primitive(rows, n) else []
-
-    return [(spec.label(), {"n": n, "g": g, "mask": spec.chord_mask}, facts)
-            for spec, facts in _per_orbit(n, g, evaluate, mirror=True) if facts]
+    label = f"chord:n={n},g={g},mask="
+    return [(label + str(mask), {"n": n, "g": g, "mask": mask}, facts)
+            for mask, facts in _per_orbit(n, g, lambda rows: _bound_facts(rows, n, memo),
+                                          mirror=True)]
 
 
 def verify_bounds(
@@ -289,7 +325,7 @@ def verify_bounds(
     checked before any universe runs.  A universe has 2^n - 1 members, and
     its time and memory about double with each order: on 2 cores under
     Python 3.11, each of (16, 3), (16, 5), (16, 7), (16, 9) and (16, 15)
-    took 1.1-1.7 s and 48 MB.  With jobs > 1 the chord universes run in
+    took 0.6-1.4 s and 48 MB.  With jobs > 1 the chord universes run in
     worker processes, one per (n, g) pair; the random sweep always runs
     here.
     """
@@ -554,26 +590,25 @@ def proof_threshold_min_g(n: int) -> int:
     return g
 
 
-def _converse_facts(d: Digraph, g: int, low: int, high: int,
+def _converse_facts(rows: tuple[int, ...], n: int, g: int, low: int, high: int,
                     reference_families: dict[int, list[Digraph]]):
-    """Isomorphism-invariant converse facts of one chord member.
+    """Isomorphism-invariant converse facts of one chord member's successor rows.
 
-    None unless d is primitive with girth g; otherwise (exponent, cycle
-    lengths from the subset DP when the exponent exceeds low, window index
-    z and the classify_against index when the exponent is in (low, high]).
+    The member must be primitive, as every member is when gcd(n, g) = 1.
+    None unless its girth is g; otherwise (exponent, cycle lengths from the
+    subset DP when the exponent exceeds low, window index z and the
+    classify_against index when the exponent is in (low, high]).
     """
-    n = d.order
-    rows = d.successor_rows()
-    if not rows_primitive(rows, n) or rows_girth(rows, n) != g:
+    if rows_girth(rows, n) != g:
         return None
-    oracle = exponent(d).value
+    oracle = exponent_of_rows(rows, n)
     lengths = rows_cycle_lengths(rows, n) if oracle > low else None
     z = match = None
     if low < oracle <= high:
         z = z_of_w(n, g, oracle)
         if z not in reference_families:
             reference_families[z] = [s.build() for s in enumerate_Dr(n, g, z)]
-        match = classify_against(d, reference_families[z])
+        match = classify_against(from_matrix(BoolMatrix(n, rows)), reference_families[z])
     return oracle, lengths, z, match
 
 
@@ -617,14 +652,13 @@ def verify_thm36(n: int, g: int) -> Report:
     processed = 0
     eligible = 0
     in_window = 0
-    for spec, facts in _per_orbit(
-            n, g, lambda d: _converse_facts(d, g, low, high, reference_families)):
+    for mask, facts in _per_orbit(
+            n, g, lambda rows: _converse_facts(rows, n, g, low, high, reference_families)):
         processed += 1
         if facts is None:
             continue
         eligible += 1
         oracle, lengths, z, match = facts
-        mask = spec.chord_mask
         if lengths is not None:
             report.add(make_row(
                 "T3.6", f"cycleset:mask={mask:05d}", [g, n], list(lengths),

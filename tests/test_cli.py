@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import subprocess
@@ -379,6 +380,22 @@ def test_verify_bounds_to_stdout(capsys, tmp_path):
     code, _, _ = run_cli(capsys, *argv, "--out", str(path))
     assert code == 0
     assert out.encode() == path.read_bytes()
+
+
+def test_verify_bounds_on_imprimitive_chord_pairs_is_pinned(capsys, tmp_path):
+    # gcd(10, 4) = 2 and gcd(9, 3) = 3: every member of both universes is
+    # imprimitive, so the report has no entry and the summary only its header.
+    argv = ("verify", "bounds", "--chord-pairs", "10:4,9:3", "--samples", "0", "--seed", "1")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
+    path = tmp_path / "b.jsonl"
+    code, _, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0
+    assert path.read_bytes() == out.encode()
+    assert hashlib.sha256((tmp_path / "b.csv").read_bytes()).hexdigest() == (
+        "628bd1c9eb19912d074efb9e73308dd9e9bf5983c9702fdc957bd6ae669313e1")
 
 
 def test_verify_census_verb(capsys, tmp_path):

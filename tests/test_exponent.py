@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -28,6 +30,8 @@ from primexp.digraph import (
     to_matrix,
 )
 from primexp.exponent import (
+    MAX_CYCLE_LENGTHS,
+    CWalkResult,
     NotPrimitiveError,
     TooManyCycleLengthsError,
     TruncatedProfileError,
@@ -440,6 +444,162 @@ def test_cwalk_kernel_on_nested_and_repeated_cover_sets_matches_length_dp():
         assert result.max == best
         assert result.arg_max == min((i + 1, j + 1) for i in range(n) for j in range(n)
                                      if expected[i][j] == best)
+
+
+def cwalk_of_cover_per_start(rows: tuple[int, ...], n: int, cover: list[int]):
+    """Oracle: ``cwalk_of_cover`` with one search per start and no chain rows.
+
+    The kernel as it was before chains: the same minimal-set reduction, then
+    a plain BFS from a start on every kept set and a (vertex, met-mask) BFS
+    from any other, each start on its own.
+    """
+    cover = [vertices for vertices in cover if vertices]
+    if len(cover) > MAX_CYCLE_LENGTHS:
+        raise TooManyCycleLengthsError(
+            f"{len(cover)} distinct cycle lengths exceeds {MAX_CYCLE_LENGTHS}")
+    minimal: list[int] = []
+    for vertices in sorted(cover, key=int.bit_count):
+        if all(kept & ~vertices for kept in minimal):
+            minimal.append(vertices)
+    met = [sum(1 << i for i, kept in enumerate(minimal) if (kept >> v) & 1) for v in range(n)]
+    full = (1 << len(minimal)) - 1
+    succ = [[w for w in range(n) if (rows[v] >> w) & 1] for v in range(n)]
+    per_pair = []
+    for start in range(n):
+        dist = [-1] * n
+        if met[start] == full:
+            dist[start] = 0
+            queue = [start]
+            for v in queue:
+                for w in succ[v]:
+                    if dist[w] < 0:
+                        dist[w] = dist[v] + 1
+                        queue.append(w)
+            remaining = n - len(queue)
+        else:
+            frontier = [(start, met[start])]
+            seen = {(start, met[start])}
+            remaining = n
+            steps = 0
+            while remaining and frontier:
+                steps += 1
+                grown = []
+                for v, mask in frontier:
+                    for w in succ[v]:
+                        state = (w, mask | met[w])
+                        if state not in seen:
+                            seen.add(state)
+                            grown.append(state)
+                            if state[1] == full:
+                                dist[w] = steps
+                                remaining -= 1
+                frontier = grown
+        if remaining:
+            raise NotPrimitiveError("product-state search could not reach every pair")
+        per_pair.append(tuple(dist))
+    row_max = [max(row) for row in per_pair]
+    best = max(row_max)
+    i = row_max.index(best)
+    return CWalkResult(per_pair=tuple(per_pair), max=best,
+                       arg_max=(i + 1, per_pair[i].index(best) + 1))
+
+
+def _outcome(kernel, rows, n, cover):
+    """The kernel's result, or the class of the exception it raised."""
+    try:
+        return kernel(rows, n, cover)
+    except ValueError as exc:
+        return type(exc)
+
+
+# A closed single-successor sink: 1 -> 2 -> 3 -> 1 is left by no arc, and
+# 4 -> 5 -> 6 -> 4 (with a loop at 4 and the arc 6 -> 1) feeds it.
+SINK_CYCLE = digraph(6, [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4), (4, 4), (6, 1)])
+CHAIN_GUARD_WALL_S = 10.0
+
+
+def _chain_guard_cases():
+    """(name, rows, n, cover) inputs the kernel takes unchecked: none is primitive."""
+    for n in (2, 3, 7, 16, 64):
+        rows = standard_cycle(n).successor_rows()
+        full = (1 << n) - 1
+        # A bare cycle is one chain that closes on itself.
+        yield f"cycle({n}) [full]", rows, n, [full]
+        yield f"cycle({n}) cover", rows, n, _cycle_cover(rows, n)
+        yield f"cycle({n}) half", rows, n, [full, full & 0x5555555555555555]
+    rows = SINK_CYCLE.successor_rows()
+    for cover in ([0b111111], [0b000111], [0b111000], _cycle_cover(rows, 6), []):
+        yield f"sink {cover}", rows, 6, cover
+    rng = random.Random(149)
+    for index in range(300):
+        n = rng.randint(2, 9)
+        if index % 3 == 0:
+            # Period 2 or 3: a blown-up cycle, every arc one class ahead.
+            d = rng.choice([k for k in (2, 3) if k <= n])
+            cls = [v % d for v in range(n)]
+            rows = tuple(sum(1 << w for w in range(n)
+                             if cls[w] == (cls[v] + 1) % d and (rng.random() < 0.6 or w == (v + 1) % n))
+                         for v in range(n))
+        else:
+            # Sparse rows, mostly single successors: rarely strongly connected.
+            rows = tuple(rng.choice([1 << rng.randrange(n), rng.getrandbits(n), 0, 1 << rng.randrange(n)])
+                         for _ in range(n))
+        covers = [_cycle_cover(rows, n), [(1 << n) - 1], [], [rng.getrandbits(n) for _ in range(3)]]
+        for cover in covers:
+            yield f"random {index}", rows, n, cover
+
+
+def test_cwalk_chain_rows_match_the_per_start_kernel_on_unchecked_input():
+    # cwalk_of_cover does not check primitivity.  On imprimitive input it must
+    # return or raise as the per-start kernel does, and never loop on a chain
+    # that closes on itself.  The bare cycles and the sink run first in a
+    # child process, so that a loop fails this test instead of stalling it.
+    script = (
+        "from primexp.exponent import NotPrimitiveError, cwalk_of_cover\n"
+        "from primexp.families import standard_cycle\n"
+        "for n in (2, 3, 7, 16, 64):\n"
+        "    cwalk_of_cover(standard_cycle(n).successor_rows(), n, [(1 << n) - 1])\n"
+        "try:\n"
+        f"    cwalk_of_cover({SINK_CYCLE.successor_rows()}, 6, [0b111111])\n"
+        "except NotPrimitiveError:\n"
+        "    pass\n"
+    )
+    subprocess.run([sys.executable, "-c", script], check=True, timeout=60)
+    raised = returned = 0
+    for name, rows, n, cover in _chain_guard_cases():
+        start = time.perf_counter()
+        outcome = _outcome(cwalk_of_cover, rows, n, cover)
+        assert time.perf_counter() - start < CHAIN_GUARD_WALL_S, name
+        assert outcome == _outcome(cwalk_of_cover_per_start, rows, n, cover), name
+        if isinstance(outcome, type):
+            raised += 1
+        else:
+            returned += 1
+    assert raised and returned
+    # The bare 64-cycle with a full cover returns its plain distances.
+    rows = standard_cycle(64).successor_rows()
+    result = cwalk_of_cover(rows, 64, [(1 << 64) - 1])
+    assert result.max == 63 and result.pair(2, 1) == 1 and result.pair(1, 2) == 63
+    with pytest.raises(NotPrimitiveError):
+        cwalk_of_cover(SINK_CYCLE.successor_rows(), 6, [0b111111])
+
+
+def test_cwalk_on_chord_members_and_d1_64_matches_the_oracles():
+    # Chord members are mostly single-successor chains; d1(64) is one chain
+    # of 62 vertices ending at v_1, its only vertex with two successors.
+    digraphs = [chord_member(n, g, mask)
+                for n, g in [(7, 3), (8, 3), (9, 2), (10, 3), (10, 7), (11, 4), (13, 5)]
+                for mask in (1, 2, 3, 5, 9, 0b101011, (1 << n) - 1, (1 << (n - 1)) | 1)]
+    digraphs.append(d1(64))
+    chained = 0
+    for d in digraphs:
+        rows, n = d.successor_rows(), d.order
+        cover = _cycle_cover(rows, n)
+        result = cwalk_of_cover(rows, n, cover)
+        assert result == cwalk_of_cover_per_start(rows, n, cover), d
+        assert result.per_pair == cwalk_by_length_dp(d), d
+        chained += sum(row & (row - 1) == 0 for row in rows)
+    assert chained > len(digraphs) * 3
 
 
 def test_cwalk_rejects_nonprimitive_and_truncated():

@@ -16,6 +16,7 @@ from primexp.digraph import (
     is_primitive,
     rows_cycle_lengths,
     rows_girth,
+    rows_period,
     rows_primitive,
     simple_cycles,
     to_matrix,
@@ -34,12 +35,14 @@ from primexp.semigroup import frobenius
 from primexp.verify import (
     BERNOULLI_SWEEP,
     _bound_facts,
+    _chord_rows,
     _chord_universe_rows,
     _converse_facts,
     _girth_floor_walk,
     _mirror_mask,
     _per_orbit,
     _random_primitive_rows,
+    _random_tries,
     bound_rows_for,
     census,
     printed_threshold_min_g,
@@ -124,6 +127,20 @@ def test_random_primitive_rows_equal_the_genexpr_form():
                         oracle_rng, n, p), (seed, n, p)
                 # the same draws were made, in the same order
                 assert rng.getstate() == oracle_rng.getstate(), (seed, n, p)
+
+
+def test_in_loop_period_equals_rows_period_on_every_try():
+    # The generator reads the period off its drawn cycle; rows_period runs a BFS.
+    periods = set()
+    for seed in range(12):
+        for n in range(2, 11):
+            for p in BERNOULLI_SWEEP:
+                tries = _random_tries(random.Random(seed), n, p)
+                for rows, period in itertools.islice(tries, 25):
+                    assert period == rows_period(rows, n), (seed, n, p, rows)
+                    periods.add(period)
+    # rejected tries with periods up to 10 are covered, not only accepted ones
+    assert periods == set(range(1, 11))
 
 
 def test_random_instance_stream_is_reproducible():
@@ -289,14 +306,14 @@ def test_least_rotation_counts_the_orbits():
 def test_per_orbit_evaluates_each_least_mask_once(n, g):
     evaluated = []
 
-    def evaluate(d):
-        evaluated.append(d)
+    def evaluate(rows):
+        evaluated.append(rows)
         return len(evaluated)
 
-    values = {spec.chord_mask: value for spec, value in _per_orbit(n, g, evaluate)}
+    values = dict(_per_orbit(n, g, evaluate))
     assert sorted(values) == list(range(1, 1 << n))
     least = sorted({_least_rotation(mask, n) for mask in values})
-    assert evaluated == [chord_member(n, g, mask) for mask in least]
+    assert evaluated == [chord_member(n, g, mask).successor_rows() for mask in least]
     for mask, value in values.items():
         assert value == values[_least_rotation(mask, n)], mask
 
@@ -306,22 +323,50 @@ def test_per_orbit_evaluates_each_least_mask_once(n, g):
 def test_per_orbit_with_mirror_evaluates_each_least_dihedral_mask_once(n, g, orbits):
     evaluated = []
 
-    def facts(d):
-        rows = d.successor_rows()
+    def facts(rows):
         return _bound_facts(rows, n) if rows_primitive(rows, n) else []
 
-    def evaluate(d):
-        evaluated.append(d)
-        return facts(d)
+    def evaluate(rows):
+        evaluated.append(rows)
+        return facts(rows)
 
-    values = {spec.chord_mask: value
-              for spec, value in _per_orbit(n, g, evaluate, mirror=True)}
+    values = dict(_per_orbit(n, g, evaluate, mirror=True))
     assert sorted(values) == list(range(1, 1 << n))
     least = sorted({_least_dihedral(mask, n, g) for mask in values})
     assert len(least) == orbits
-    assert evaluated == [chord_member(n, g, mask) for mask in least]
+    assert evaluated == [chord_member(n, g, mask).successor_rows() for mask in least]
     for mask, value in values.items():
-        assert value == facts(chord_member(n, g, mask)), mask
+        assert value == facts(chord_member(n, g, mask).successor_rows()), mask
+
+
+def test_chord_rows_equal_the_member_rows_on_every_mask():
+    for n in range(3, 12):
+        for g in range(2, n):
+            for mask in range(1, 1 << n):
+                assert _chord_rows(n, g, mask) == chord_member(n, g, mask).successor_rows(), (
+                    n, g, mask)
+
+
+def test_every_chord_member_has_period_gcd_n_g():
+    # The chord universe tests primitivity once per pair, by gcd(n, g).
+    for n in range(3, 10):
+        for g in range(2, n):
+            for mask in range(1, 1 << n):
+                rows = chord_member(n, g, mask).successor_rows()
+                assert rows_period(rows, n) == math.gcd(n, g), (n, g, mask)
+                assert rows_primitive(rows, n) == (math.gcd(n, g) == 1), (n, g, mask)
+
+
+def test_chord_universe_labels_and_params_on_every_mask():
+    for n in range(3, 12):
+        for g in range(2, n):
+            entries = _chord_universe_rows((n, g))
+            if math.gcd(n, g) != 1:
+                assert entries == [], (n, g)
+                continue
+            assert [(label, params) for label, params, _ in entries] == [
+                (spec.label(), {"n": n, "g": g, "mask": spec.chord_mask})
+                for spec in chord_family(n, g)], (n, g)
 
 
 def test_lemma22_rows_equal_the_johnson_cwalk_oracle():
@@ -674,7 +719,8 @@ def test_verify_thm36_converse_rows_equal_the_per_member_loop():
     references: dict = {}
     expected = []
     for mask in range(1, 1 << n):
-        facts = _converse_facts(chord_member(n, g, mask), g, low, high, references)
+        facts = _converse_facts(chord_member(n, g, mask).successor_rows(), n, g, low, high,
+                                references)
         if facts is not None and facts[2] is not None:
             expected.append((mask, "none" if facts[3] is None else facts[3]))
     converse = [(r.params["mask"], r.oracle) for r in rows_by_claim(verify_thm36(n, g), "C3.7")]
