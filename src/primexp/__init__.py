@@ -1,7 +1,7 @@
 """Exact exponents, girth and cycle structure of primitive Boolean matrices.
 
-Core objects: BoolMatrix (bit-set rows), Digraph (1-based vertices) and
-CycleProfile.  On top of them: exponent computation with walk witnesses,
+Core objects: BoolMatrix (bit-set rows), Digraph (1-based vertices, held
+as its successor bit-set rows) and CycleProfile.  On top of them: exponent computation with walk witnesses,
 cycle-meeting walk distances, closed-form bound evaluators, the named chord
 families, exact isomorphism with canonical forms, and a verification
 harness that checks every bound and formula against independent oracles.

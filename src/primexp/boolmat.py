@@ -27,6 +27,17 @@ def _check_order(n: int) -> None:
         raise ValueError(f"order must be in [{MIN_ORDER}, {MAX_ORDER}], got {n}")
 
 
+def _check_rows(n: int, rows: tuple[int, ...]) -> None:
+    """The order check plus: exactly n rows, none with a bit at column n or beyond."""
+    _check_order(n)
+    if len(rows) != n:
+        raise ValueError(f"expected {n} rows, got {len(rows)}")
+    mask = (1 << n) - 1
+    for i, row in enumerate(rows):
+        if row & ~mask:
+            raise ValueError(f"row {i + 1} has bits set beyond column {n}")
+
+
 @dataclass(frozen=True)
 class BoolMatrix:
     """Square (0,1) matrix under Boolean arithmetic (OR/AND, no counting)."""
@@ -35,13 +46,7 @@ class BoolMatrix:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        _check_order(self.order)
-        if len(self.rows) != self.order:
-            raise ValueError(f"expected {self.order} rows, got {len(self.rows)}")
-        mask = (1 << self.order) - 1
-        for i, row in enumerate(self.rows):
-            if row & ~mask:
-                raise ValueError(f"row {i + 1} has bits set beyond column {self.order}")
+        _check_rows(self.order, self.rows)
 
     def entry(self, i: int, j: int) -> int:
         """Entry a_{ij} with 1-based indices."""

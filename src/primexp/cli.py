@@ -12,7 +12,7 @@ import functools
 import sys
 
 from . import families
-from .boolmat import BoolMatrix, MatrixParseError, parse_matrix, serialize_matrix
+from .boolmat import MatrixParseError, parse_matrix, serialize_rows
 from .digraph import Digraph, count_cycles, from_matrix, girth
 from .exponent import (
     c_walk_distances,
@@ -171,7 +171,7 @@ def _cmd_family(args) -> int:
     if "N" in values:
         values["N"] = _parse_position_list(values["N"])
     d = families.FamilySpec(args.kind, **values).build()
-    text = serialize_matrix(BoolMatrix(d.order, d.successor_rows()))
+    text = serialize_rows(d.rows, d.order)
     if args.output is None:
         sys.stdout.write(text)
     else:

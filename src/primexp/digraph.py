@@ -1,7 +1,10 @@
 """Digraph structure and cycle analysis.
 
 Vertices are labelled 1..n throughout.  Loops are allowed, multi-arcs are
-not.  Everything here is a pure function over immutable values; the cycle
+not.  A ``Digraph`` is its successor rows, the bit-set rows of its
+adjacency matrix, which is what every kernel here reads; ``digraph()``
+builds one from an arc set, and ``arcs`` reads the arc set back.
+Everything here is a pure function over immutable values; the cycle
 enumerator keeps only local state.
 """
 
@@ -11,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .boolmat import BoolMatrix, transpose_rows
+from .boolmat import BoolMatrix, _check_order, _check_rows, transpose_rows
 
 DEFAULT_CYCLE_CAP = 10**6
 # Vertex-set keys one ``_cycle_cover`` run may create.  A run creates at most
@@ -26,28 +29,39 @@ class TruncatedProfileError(ValueError):
 
 @dataclass(frozen=True)
 class Digraph:
-    """Directed graph on vertices 1..order with a duplicate-free arc set."""
+    """Directed graph on vertices 1..order, held as its successor rows.
+
+    Bit j-1 of rows[i-1] is set iff there is an arc i -> j; the rows are
+    checked as ``BoolMatrix`` checks them.
+    """
 
     order: int
-    arcs: frozenset[tuple[int, int]]
+    rows: tuple[int, ...]
 
     def __post_init__(self):
-        if not 2 <= self.order <= 64:
-            raise ValueError(f"order must be in [2, 64], got {self.order}")
-        for i, j in self.arcs:
-            if not (1 <= i <= self.order and 1 <= j <= self.order):
-                raise ValueError(f"arc ({i}, {j}) out of range for order {self.order}")
+        _check_rows(self.order, self.rows)
 
-    def successor_rows(self) -> tuple[int, ...]:
-        """Adjacency as row bit-sets: bit j-1 of row i-1 set iff arc i -> j."""
-        rows = [0] * self.order
-        for i, j in self.arcs:
-            rows[i - 1] |= 1 << (j - 1)
-        return tuple(rows)
+    @property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        """The arcs (i, j), 1-based, read off the rows."""
+        arcs = []
+        for i, row in enumerate(self.rows, 1):
+            while row:
+                low = row & -row
+                arcs.append((i, low.bit_length()))
+                row ^= low
+        return frozenset(arcs)
 
 
 def digraph(order: int, arcs) -> Digraph:
-    return Digraph(order, frozenset(arcs))
+    """The digraph with these arcs (i, j), 1-based; repeats are merged."""
+    _check_order(order)
+    rows = [0] * order
+    for i, j in arcs:
+        if not (1 <= i <= order and 1 <= j <= order):
+            raise ValueError(f"arc ({i}, {j}) out of range for order {order}")
+        rows[i - 1] |= 1 << (j - 1)
+    return Digraph(order, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -69,18 +83,11 @@ class CycleProfile:
 # -- matrix conversion ---------------------------------------------------
 
 def from_matrix(a: BoolMatrix) -> Digraph:
-    arcs = set()
-    for i in range(a.order):
-        row = a.rows[i]
-        while row:
-            low = row & -row
-            arcs.add((i + 1, low.bit_length()))
-            row ^= low
-    return Digraph(a.order, frozenset(arcs))
+    return Digraph(a.order, a.rows)
 
 
 def to_matrix(d: Digraph) -> BoolMatrix:
-    return BoolMatrix(d.order, d.successor_rows())
+    return BoolMatrix(d.order, d.rows)
 
 
 # -- adjacency helpers ----------------------------------------------------
@@ -96,33 +103,6 @@ def _adj_lists(rows: tuple[int, ...], n: int) -> list[list[int]]:
             row ^= low
         adj.append(out)
     return adj
-
-
-def _reachable_all(rows: tuple[int, ...], n: int, start: int) -> bool:
-    seen = 1 << start
-    frontier = seen
-    full = (1 << n) - 1
-    while frontier:
-        nxt = 0
-        r = frontier
-        while r:
-            low = r & -r
-            nxt |= rows[low.bit_length() - 1]
-            r ^= low
-        frontier = nxt & ~seen
-        seen |= nxt
-        if seen == full:
-            return True
-    return seen == full
-
-
-def rows_strongly_connected(rows: tuple[int, ...], n: int) -> bool:
-    return _reachable_all(rows, n, 0) and _reachable_all(transpose_rows(rows, n), n, 0)
-
-
-def is_strongly_connected(d: Digraph) -> bool:
-    """True iff every ordered vertex pair is joined by a directed path."""
-    return rows_strongly_connected(d.successor_rows(), d.order)
 
 
 def _bfs_dist(rows: tuple[int, ...], n: int, start: int) -> list[int]:
@@ -151,12 +131,22 @@ def _bfs_dist(rows: tuple[int, ...], n: int, start: int) -> list[int]:
     return dist
 
 
+def rows_strongly_connected(rows: tuple[int, ...], n: int) -> bool:
+    """Every vertex reaches vertex 0 and is reached from it."""
+    return -1 not in _bfs_dist(rows, n, 0) and -1 not in _bfs_dist(transpose_rows(rows, n), n, 0)
+
+
+def is_strongly_connected(d: Digraph) -> bool:
+    """True iff every ordered vertex pair is joined by a directed path."""
+    return rows_strongly_connected(d.rows, d.order)
+
+
 def distance(d: Digraph, source: int, target: int) -> int | None:
     """Shortest directed path length, None when unreachable; d(v, v) = 0."""
     n = d.order
     if not (1 <= source <= n and 1 <= target <= n):
         raise ValueError(f"vertex out of range for order {n}")
-    dist = _bfs_dist(d.successor_rows(), n, source - 1)
+    dist = _bfs_dist(d.rows, n, source - 1)
     value = dist[target - 1]
     return None if value < 0 else value
 
@@ -216,12 +206,11 @@ def _cycle_cover(rows: tuple[int, ...], n: int) -> list[int]:
     every expanded set so that no level overshoots.  So the budget never
     binds at n <= 20, and dense input at orders up to 64 fails within
     seconds.  Every cycle-profile caller but the ``cycles`` verb and the
-    census uses it: the bound suite (n <= 16) and verify_thm33's
-    attainment notes, which read the lengths and the per-vertex bit-sets
-    straight from the cover; c_walk_distances
-    and lemma22_bound, which feed it to the c-walk BFS; the thm36 converse
-    (chord members) through rows_cycle_lengths; and the iso invariants
-    (n <= 14) through rows_cycle_profile.  Johnson's search stays behind
+    census uses it: the bound suite (n <= 16), verify_thm33's attainment
+    notes and the iso invariants (n <= 14), which read the lengths and the
+    per-vertex bit-sets straight from the cover; c_walk_distances and
+    lemma22_bound, which feed it to the c-walk BFS; and the thm36 converse
+    (chord members) through rows_cycle_lengths.  Johnson's search stays behind
     the ``cycles`` verb, which counts cycles under its cap through
     count_cycles, and behind simple_cycles, the test oracle.  The census
     (n <= 5) matches its codes against a table of the simple-cycle arc
@@ -271,21 +260,8 @@ def rows_cycle_lengths(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(k for k in range(1, n + 1) if cover[k])
 
 
-def rows_cycle_profile(rows: tuple[int, ...], n: int) -> CycleProfile:
-    """``simple_cycles(d)[1]`` by the subset DP, without listing a cycle.
-
-    Never truncated, so ``cap_hit`` is False: past its budget ``_cycle_cover``
-    raises instead.  See ``_cycle_cover`` for the cost.
-    """
-    cover = _cycle_cover(rows, n)
-    lengths = tuple(k for k in range(1, n + 1) if cover[k])
-    per_vertex = tuple(
-        frozenset(k for k in lengths if (cover[k] >> v) & 1) for v in range(n))
-    return CycleProfile(lengths=lengths, per_vertex=per_vertex, cap_hit=False)
-
-
 def girth(d: Digraph) -> int | None:
-    return rows_girth(d.successor_rows(), d.order)
+    return rows_girth(d.rows, d.order)
 
 
 # -- primitivity -----------------------------------------------------------
@@ -296,21 +272,7 @@ def rows_period(rows: tuple[int, ...], n: int) -> int:
     Uses BFS levels from vertex 0: every arc (u, v) contributes
     |level(u) + 1 - level(v)| to the gcd.
     """
-    level = [-1] * n
-    level[0] = 0
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        row = rows[u]
-        while row:
-            low = row & -row
-            v = low.bit_length() - 1
-            row ^= low
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                queue.append(v)
+    level = _bfs_dist(rows, n, 0)
     g = 0
     for u in range(n):
         row = rows[u]
@@ -328,18 +290,21 @@ def rows_primitive(rows: tuple[int, ...], n: int) -> bool:
 
 def is_primitive(d: Digraph) -> bool:
     """True iff strongly connected with cycle-length gcd 1."""
-    return rows_primitive(d.successor_rows(), d.order)
+    return rows_primitive(d.rows, d.order)
 
 
 def is_spanning_subgraph(sub: Digraph, sup: Digraph) -> bool:
-    return sub.order == sup.order and sub.arcs <= sup.arcs
+    return sub.order == sup.order and all(a & ~b == 0 for a, b in zip(sub.rows, sup.rows))
 
 
 def relabel(d: Digraph, perm: tuple[int, ...]) -> Digraph:
     """Apply the vertex bijection perm (perm[i-1] is the image of vertex i)."""
     if sorted(perm) != list(range(1, d.order + 1)):
         raise ValueError("perm must be a permutation of 1..order")
-    return Digraph(d.order, frozenset((perm[i - 1], perm[j - 1]) for i, j in d.arcs))
+    rows = [0] * d.order
+    for i, row in enumerate(d.rows):
+        rows[perm[i] - 1] = sum(1 << (perm[j] - 1) for j in range(d.order) if row >> j & 1)
+    return Digraph(d.order, tuple(rows))
 
 
 # -- simple-cycle enumeration (Johnson) ------------------------------------
@@ -461,7 +426,7 @@ def _capped_cycles(d: Digraph, cap: int):
     """(the first ``cap`` cycles of ``_iter_cycles``, the rest of the stream)."""
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    stream = _iter_cycles(d.successor_rows(), d.order)
+    stream = _iter_cycles(d.rows, d.order)
     return itertools.islice(stream, cap), stream
 
 
@@ -472,42 +437,37 @@ def simple_cycles(d: Digraph, cap: int = DEFAULT_CYCLE_CAP) -> tuple[list[list[i
     cap cycles are listed; cap_hit is set when a further one exists.
     """
     head, rest = _capped_cycles(d, cap)
-    cycles = [[v + 1 for v in cycle] for cycle in head]
-    cap_hit = next(rest, None) is not None
-
-    per_vertex = [set() for _ in range(d.order)]
-    lengths: set[int] = set()
-    for cycle in cycles:
-        length = len(cycle)
-        lengths.add(length)
-        for v in cycle:
-            per_vertex[v - 1].add(length)
-    profile = CycleProfile(
-        lengths=tuple(sorted(lengths)),
-        per_vertex=tuple(frozenset(s) for s in per_vertex),
-        cap_hit=cap_hit,
-    )
-    return cycles, profile
+    cycles = list(head)
+    _, profile = _tally(cycles, rest, d.order)
+    return [[v + 1 for v in cycle] for cycle in cycles], profile
 
 
 def count_cycles(d: Digraph, cap: int) -> tuple[int, CycleProfile]:
     """``len(cycles)`` and the profile of ``simple_cycles(d, cap)``, storing no cycle.
 
-    Each cycle is read once from the stream and ORed, as a vertex bit-set,
-    into the bit-set of its length, so memory does not grow with the cap.
+    Each cycle is read once from the stream (see ``_tally``), so memory does
+    not grow with the cap.
     """
     head, rest = _capped_cycles(d, cap)
-    bit = [1 << v for v in range(d.order)]
+    return _tally(head, rest, d.order)
+
+
+def _tally(cycles, rest, n: int) -> tuple[int, CycleProfile]:
+    """The count and the profile of the ``_capped_cycles`` pair (cycles, rest).
+
+    Each cycle is ORed, as a vertex bit-set, into the bit-set of its length;
+    the cap was hit when ``rest`` yields a further cycle.
+    """
+    bit = [1 << v for v in range(n)]
     through: dict[int, int] = {}
     count = 0
-    for cycle in head:
+    for cycle in cycles:
         count += 1
         length = len(cycle)
         through[length] = through.get(length, 0) | sum(map(bit.__getitem__, cycle))
     lengths = tuple(sorted(through))
-    profile = CycleProfile(
+    return count, CycleProfile(
         lengths=lengths,
         per_vertex=tuple(frozenset(k for k in lengths if through[k] & b) for b in bit),
         cap_hit=next(rest, None) is not None,
     )
-    return count, profile

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from .boolmat import mul_rows, pow_rows
 from .digraph import (
-    CycleProfile,
     Digraph,
     TruncatedProfileError,
     _cycle_cover,
@@ -122,7 +121,7 @@ def exponent_of_rows(rows: tuple[int, ...], n: int) -> int | None:
 def exponent(d: Digraph) -> ExponentResult:
     """Exponent with a lower-bound witness; raises on non-primitive input."""
     n = d.order
-    found = _exponent_kernel(d.successor_rows(), n)
+    found = _exponent_kernel(d.rows, n)
     if found is None:
         raise NotPrimitiveError(f"digraph of order {n} is not primitive")
     value, below = found
@@ -149,48 +148,27 @@ def walk_exists(d: Digraph, source: int, target: int, length: int) -> bool:
         raise ValueError(f"vertex out of range for order {n}")
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
-    rows = pow_rows(d.successor_rows(), length, n)
+    rows = pow_rows(d.rows, length, n)
     return bool((rows[source - 1] >> (target - 1)) & 1)
 
 
 def _primitive_rows(d: Digraph) -> tuple[int, ...]:
-    rows = d.successor_rows()
-    if not rows_primitive(rows, d.order):
+    if not rows_primitive(d.rows, d.order):
         raise NotPrimitiveError(f"digraph of order {d.order} is not primitive")
-    return rows
+    return d.rows
 
 
-def c_walk_distances(d: Digraph, profile: CycleProfile | None = None) -> CWalkResult:
+def c_walk_distances(d: Digraph) -> CWalkResult:
     """All-pairs shortest walks meeting one cycle of every occurring length.
 
     A walk meets a p-cycle when it shares a vertex with some simple cycle of
     length p; the zero-length walk at v meets every cycle through v.  Checks
     primitivity, then runs ``cwalk_of_cover`` on the subset-DP cover, which
-    raises ``TruncatedProfileError`` past its state budget.  A given
-    profile (say from ``simple_cycles``) is used instead, once its cap has
-    been checked.
+    raises ``TruncatedProfileError`` past its state budget.
     """
     n = d.order
     rows = _primitive_rows(d)
-    if profile is None:
-        return cwalk_of_cover(rows, n, _cycle_cover(rows, n))
-    if profile.cap_hit:
-        raise TruncatedProfileError("cycle profile truncated at its cap")
-    return cwalk_of_rows(rows, n, profile)
-
-
-def cwalk_of_rows(rows: tuple[int, ...], n: int, profile: CycleProfile) -> CWalkResult:
-    """``c_walk_distances`` of a primitive digraph and its complete profile, unchecked.
-
-    Turns the profile into one vertex bit-set per cycle length and runs
-    ``cwalk_of_cover``.
-    """
-    cover = [0] * len(profile.lengths)
-    index = {length: i for i, length in enumerate(profile.lengths)}
-    for v, through in enumerate(profile.per_vertex):
-        for length in through:
-            cover[index[length]] |= 1 << v
-    return cwalk_of_cover(rows, n, cover)
+    return cwalk_of_cover(rows, n, _cycle_cover(rows, n))
 
 
 def cwalk_of_cover(rows: tuple[int, ...], n: int, cover: list[int]) -> CWalkResult:

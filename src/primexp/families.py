@@ -1,11 +1,14 @@
 """Constructors and enumerators for the named chord-on-a-cycle digraph families.
 
 The base object is the standard descending n-cycle
-C = (v_n, v_{n-1}, ..., v_2, v_1, v_n); chords of span g are added on top of
-it.  The two-disjoint-g-cycle family H rides on an ascending n-cycle
-instead, exactly as constructed.  Enumeration streams are deterministic
-(subset bitmasks ascending) so verification runs are reproducible and
-resumable by index.
+C = (v_n, v_{n-1}, ..., v_2, v_1, v_n); chords of one span g are added on
+top of it.  ``_chord_rows`` builds the successor rows of every such
+chorded cycle from a bitmask of chord positions: the standard cycle is
+mask 0, d1 and d2 are span n-1 with masks 0b1 and 0b11, d_gN is the mask of
+N, and q1, q2 and the chord members follow.  The two-disjoint-g-cycle
+family H rides on an ascending n-cycle instead and is built from its arcs.
+Enumeration streams are deterministic (subset bitmasks ascending) so
+verification runs are reproducible and resumable by index.
 """
 
 from __future__ import annotations
@@ -14,12 +17,24 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .digraph import Digraph
+from .digraph import Digraph, digraph
 
 
-def _chord_target(n: int, g: int, i: int) -> int:
-    """Target of the span-g chord leaving v_i, with cyclic wraparound."""
-    return (g + i - 2) % n + 1
+def _chord_rows(n: int, g: int, mask: int) -> tuple[int, ...]:
+    """Successor rows of the standard n-cycle plus a span-g chord per masked position.
+
+    Row i - 1 is vertex v_i: its cycle arc goes to v_{i-1} (v_n for i = 1)
+    and its chord, when bit i - 1 of the mask is set, to v_{(g+i-2) mod n + 1},
+    which closes a g-cycle with the n-cycle.  Unchecked.
+    """
+    return tuple((1 << (v - 1) % n) | ((mask >> v & 1) << (g + v - 1) % n) for v in range(n))
+
+
+def _chorded_cycle(n: int, g: int, mask: int) -> Digraph:
+    """``_chord_rows`` as a Digraph, for any n >= 2."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    return Digraph(n, _chord_rows(n, g, mask))
 
 
 @dataclass(frozen=True)
@@ -64,25 +79,21 @@ class FamilySpec:
 
 def standard_cycle(n: int) -> Digraph:
     """Descending n-cycle: arcs v_j -> v_{j-1} for j = 2..n plus v_1 -> v_n."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    arcs = {(j, j - 1) for j in range(2, n + 1)}
-    arcs.add((1, n))
-    return Digraph(n, frozenset(arcs))
+    return _chorded_cycle(n, 0, 0)
 
 
 def d1(n: int) -> Digraph:
     """Standard cycle plus the chord (v_1, v_{n-1})."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    return Digraph(n, standard_cycle(n).arcs | {(1, n - 1)})
+    return _chorded_cycle(n, n - 1, 0b1)
 
 
 def d2(n: int) -> Digraph:
     """d1 plus the chord (v_2, v_n)."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    return Digraph(n, d1(n).arcs | {(2, n)})
+    return _chorded_cycle(n, n - 1, 0b11)
 
 
 def chord_position_cap(n: int, g: int) -> int:
@@ -94,6 +105,7 @@ def d_gN(n: int, g: int, N) -> Digraph:
     """Standard cycle plus the chord (v_i, v_{g+i-1}) for every i in N.
 
     Each chord closes a g-cycle v_i -> v_{g+i-1} -> v_{g+i-2} -> ... -> v_i.
+    Positions are at most t <= n - g + 1, so no chord wraps around.
     """
     if math.gcd(n, g) != 1:
         raise ValueError(f"gcd violation: gcd({n}, {g}) = {math.gcd(n, g)}, need 1")
@@ -103,10 +115,7 @@ def d_gN(n: int, g: int, N) -> Digraph:
     t = chord_position_cap(n, g)
     if positions[0] < 1 or positions[-1] > t:
         raise ValueError(f"range violation: N must lie in 1..{t}, got {positions}")
-    arcs = set(standard_cycle(n).arcs)
-    for i in positions:
-        arcs.add((i, g + i - 1))
-    return Digraph(n, frozenset(arcs))
+    return _chorded_cycle(n, g, sum(1 << (i - 1) for i in positions))
 
 
 def q1(n: int, g: int) -> Digraph:
@@ -137,7 +146,7 @@ def h_graph(n: int, g: int, k: int) -> Digraph:
     arcs.add((n, 1))
     arcs.add((g, 1))
     arcs.add((k + g - 1, k))
-    return Digraph(n, frozenset(arcs))
+    return digraph(n, arcs)
 
 
 def chord_member(n: int, g: int, mask: int) -> Digraph:
@@ -146,14 +155,7 @@ def chord_member(n: int, g: int, mask: int) -> Digraph:
         raise ValueError(f"need 2 <= g <= n-1, got g={g}, n={n}")
     if not 1 <= mask < (1 << n):
         raise ValueError(f"mask must be in 1..{(1 << n) - 1}, got {mask}")
-    arcs = set(standard_cycle(n).arcs)
-    m = mask
-    while m:
-        low = m & -m
-        i = low.bit_length()
-        m ^= low
-        arcs.add((i, _chord_target(n, g, i)))
-    return Digraph(n, frozenset(arcs))
+    return _chorded_cycle(n, g, mask)
 
 
 # kind -> (constructor, the FamilySpec fields it takes, in call order)

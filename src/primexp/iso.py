@@ -2,7 +2,7 @@
 
 Backtracking over vertex bijections with cheap invariant pruning
 (in/out-degrees and the set of simple-cycle lengths through each vertex,
-from the subset DP ``digraph.rows_cycle_profile``, which has no cap and
+read from the subset-DP cover ``digraph._cycle_cover``, which has no cap and
 spans at most 2^ISO_ORDER_CAP vertex sets); practical for the near-cycle
 digraphs this package works with.
 Canonical forms are the lexicographically minimal row-major adjacency
@@ -22,7 +22,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import getitem
 
-from .digraph import Digraph, rows_cycle_profile
+from .digraph import Digraph, _cycle_cover
 from .boolmat import transpose_rows
 
 ISO_ORDER_CAP = 14
@@ -43,12 +43,14 @@ class CanonicalForm:
 
 
 def _vertex_invariants(d: Digraph) -> list[tuple]:
-    rows = d.successor_rows()
-    cols = transpose_rows(rows, d.order)
-    through = rows_cycle_profile(rows, d.order).per_vertex
+    """Per vertex: out-degree, in-degree and the ascending lengths of the cycles through it."""
+    rows, n = d.rows, d.order
+    cols = transpose_rows(rows, n)
+    cover = _cycle_cover(rows, n)
     return [
-        (bin(rows[v]).count("1"), bin(cols[v]).count("1"), tuple(sorted(through[v])))
-        for v in range(d.order)
+        (rows[v].bit_count(), cols[v].bit_count(),
+         tuple(k for k in range(1, n + 1) if cover[k] >> v & 1))
+        for v in range(n)
     ]
 
 
@@ -60,8 +62,8 @@ def _search_isomorphisms(a: Digraph, b: Digraph):
     after the first witness when one suffices.
     """
     n = a.order
-    rows_a = a.successor_rows()
-    rows_b = b.successor_rows()
+    rows_a = a.rows
+    rows_b = b.rows
     inv_a = _vertex_invariants(a)
     inv_b = _vertex_invariants(b)
     if sorted(inv_a) != sorted(inv_b):
@@ -111,7 +113,7 @@ def find_isomorphism(a: Digraph, b: Digraph) -> tuple[int, ...] | None:
     """
     if max(a.order, b.order) > ISO_ORDER_CAP:
         raise OrderCapError(f"order exceeds the cap {ISO_ORDER_CAP}")
-    if a.order != b.order or len(a.arcs) != len(b.arcs):
+    if a.order != b.order or sum(map(int.bit_count, a.rows)) != sum(map(int.bit_count, b.rows)):
         return None
     for witness in _search_isomorphisms(a, b):
         return witness
@@ -145,7 +147,7 @@ def canonical_form(d: Digraph) -> CanonicalForm:
     n = d.order
     if n > CANONICAL_ORDER_CAP:
         raise OrderCapError(f"order exceeds the cap {CANONICAL_ORDER_CAP}")
-    rows = d.successor_rows()
+    rows = d.rows
     total = n * n
 
     def bit(i: int, j: int) -> int:

@@ -17,7 +17,8 @@ dihedral: one mirror mask's member is the transpose of the other's,
 relabeled, and every bound-suite fact survives transposition.  The thm36
 converse keeps rotation orbits, because the ``classify_against`` index it
 reports does not.  Both get each orbit's successor rows straight from its
-mask and build no Digraph per member; the converse builds one only for
+mask through ``families._chord_rows``, the one chorded-cycle constructor,
+and build no Digraph per member; the converse builds one only for
 ``classify_against``.  Every member of the (n, g) universe has period
 gcd(n, g), so primitivity is one gcd test per universe: the bound suite
 skips a universe with gcd(n, g) > 1, and thm36 refuses the pair.  In the
@@ -45,11 +46,10 @@ import random
 from functools import reduce
 from operator import getitem, or_
 
-from .boolmat import BoolMatrix, serialize_rows
+from .boolmat import serialize_rows
 from .digraph import (
     Digraph,
     _cycle_cover,
-    from_matrix,
     rows_cycle_lengths,
     rows_girth,
 )
@@ -69,6 +69,7 @@ from .exponent import (
     z_of_w,
 )
 from .families import (
+    _chord_rows,
     chord_position_cap,
     d1,
     d2,
@@ -148,7 +149,7 @@ def random_primitive_digraph(rng: random.Random, n: int, p: float, max_tries: in
     its period is read off the drawn arcs' positions on the cycle (see
     ``_random_tries``), so a try costs no search.
     """
-    return from_matrix(BoolMatrix(n, _random_primitive_rows(rng, n, p, max_tries)))
+    return Digraph(n, _random_primitive_rows(rng, n, p, max_tries))
 
 
 def _random_rows(seed: int, samples: int, n_max: int):
@@ -165,7 +166,7 @@ def _random_rows(seed: int, samples: int, n_max: int):
 def random_instances(seed: int, samples: int, n_max: int):
     """Deterministic stream of (index, n, p, digraph) primitive instances."""
     for idx, n, p, rows in _random_rows(seed, samples, n_max):
-        yield idx, n, p, from_matrix(BoolMatrix(n, rows))
+        yield idx, n, p, Digraph(n, rows)
 
 
 def matrix_digest(rows: tuple[int, ...], n: int) -> str:
@@ -235,7 +236,7 @@ def _bound_facts(rows: tuple[int, ...], n: int,
 
 def bound_rows_for(d: Digraph, instance: str, report: Report, **params) -> None:
     """Append one row per applicable established bound for one primitive digraph."""
-    report.entries.append((instance, params, _bound_facts(d.successor_rows(), d.order)))
+    report.entries.append((instance, params, _bound_facts(d.rows, d.order)))
 
 
 def _mirror_mask(mask: int, n: int, g: int) -> int:
@@ -251,15 +252,6 @@ def _mirror_mask(mask: int, n: int, g: int) -> int:
         mirrored |= 1 << ((-g - low.bit_length()) % n)
         mask ^= low
     return mirrored
-
-
-def _chord_rows(n: int, g: int, mask: int) -> tuple[int, ...]:
-    """Successor rows of ``chord_member(n, g, mask)``, straight from the mask.
-
-    Row i - 1 is vertex v_i: its cycle arc goes to v_{i-1} (v_n for i = 1)
-    and its chord, when bit i - 1 of the mask is set, to v_{(g+i-2) mod n + 1}.
-    """
-    return tuple((1 << (v - 1) % n) | ((mask >> v & 1) << (g + v - 1) % n) for v in range(n))
 
 
 def _per_orbit(n: int, g: int, evaluate, mirror: bool = False):
@@ -520,7 +512,7 @@ def verify_thm33(n_min: int = 5, n_max: int = 12) -> Report:
                 # exponent raises unless d is primitive, as _attainment_note needs.
                 oracle = exponent(d).value
                 anchored = spec.N in ((1,), (1, 2))
-                notes = _attainment_note(n, g, r, d.successor_rows())
+                notes = _attainment_note(n, g, r, d.rows)
                 row = make_row(
                     "T3.3", spec.label(), predicted, oracle,
                     asserted=anchored, notes=notes,
@@ -608,7 +600,7 @@ def _converse_facts(rows: tuple[int, ...], n: int, g: int, low: int, high: int,
         z = z_of_w(n, g, oracle)
         if z not in reference_families:
             reference_families[z] = [s.build() for s in enumerate_Dr(n, g, z)]
-        match = classify_against(from_matrix(BoolMatrix(n, rows)), reference_families[z])
+        match = classify_against(Digraph(n, rows), reference_families[z])
     return oracle, lengths, z, match
 
 

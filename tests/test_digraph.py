@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from primexp.boolmat import BoolMatrix, identity, is_all_positive, pow_rows, power, rows_all_positive
 from primexp.digraph import (
     CYCLE_COVER_BUDGET,
+    CycleProfile,
     Digraph,
     TruncatedProfileError,
     _bfs_dist,
@@ -25,7 +26,6 @@ from primexp.digraph import (
     is_strongly_connected,
     relabel,
     rows_cycle_lengths,
-    rows_cycle_profile,
     rows_girth,
     simple_cycles,
     to_matrix,
@@ -41,14 +41,22 @@ def random_digraph(rng: random.Random, n: int, p: float) -> Digraph:
         for j in range(1, n + 1)
         if rng.random() < p
     }
-    return Digraph(n, frozenset(arcs))
+    return digraph(n, arcs)
 
 
 def closure_strongly_connected(d: Digraph) -> bool:
     """Oracle: strong connectivity via the (A OR I)^(n-1) all-positive criterion."""
     n = d.order
-    rows = tuple(r | (1 << i) for i, r in enumerate(d.successor_rows()))
+    rows = tuple(r | (1 << i) for i, r in enumerate(d.rows))
     return rows_all_positive(pow_rows(rows, n - 1, n), n)
+
+
+def cover_profile(rows: tuple[int, ...], n: int) -> CycleProfile:
+    """The cycle profile read off the subset-DP cover; never truncated."""
+    cover = _cycle_cover(rows, n)
+    lengths = tuple(k for k in range(1, n + 1) if cover[k])
+    per_vertex = tuple(frozenset(k for k in lengths if cover[k] >> v & 1) for v in range(n))
+    return CycleProfile(lengths=lengths, per_vertex=per_vertex, cap_hit=False)
 
 
 def random_permutation(rng: random.Random, n: int) -> tuple[int, ...]:
@@ -73,6 +81,35 @@ def test_round_trip_on_random_matrices():
         n = rng.randint(2, 9)
         m = BoolMatrix(n, tuple(rng.getrandbits(n) for _ in range(n)))
         assert to_matrix(from_matrix(m)) == m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 64).flatmap(
+    lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+def test_arc_set_and_matrix_round_trips(rows):
+    n = len(rows)
+    a = BoolMatrix(n, tuple(rows))
+    d = from_matrix(a)
+    assert digraph(n, d.arcs) == d
+    assert to_matrix(d) == a
+    assert len(d.arcs) == sum(map(int.bit_count, rows))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: digraph(3, [(1, 4)]), r"arc \(1, 4\) out of range for order 3"),
+    (lambda: digraph(3, [(0, 1)]), r"arc \(0, 1\) out of range for order 3"),
+    (lambda: Digraph(3, (0b1000, 0, 0)), "row 1 has bits set beyond column 3"),
+    (lambda: Digraph(3, (1, 2, -1)), "row 3 has bits set beyond column 3"),
+    (lambda: Digraph(3, (1, 2)), "expected 3 rows, got 2"),
+    (lambda: Digraph(1, (1,)), r"order must be in \[2, 64\], got 1"),
+    (lambda: Digraph(65, (0,) * 65), r"order must be in \[2, 64\], got 65"),
+    (lambda: digraph(1, []), r"order must be in \[2, 64\], got 1"),
+    (lambda: digraph(65, [(65, 1)]), r"order must be in \[2, 64\], got 65"),
+], ids=["arc-above", "arc-below", "row-bits", "negative-row", "row-count",
+        "order-1", "order-65", "arcs-order-1", "arcs-order-65"])
+def test_digraph_validation(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 # -- strong connectivity -----------------------------------------------------
@@ -186,7 +223,7 @@ def girth_inputs(draw):
     if kind == "acyclic":
         upper = BoolMatrix(n, tuple(row & (full ^ ((2 << i) - 1)) for i, row in enumerate(rows)))
         perm = tuple(v + 1 for v in draw(st.permutations(range(n))))
-        rows = list(relabel(from_matrix(upper), perm).successor_rows())
+        rows = list(relabel(from_matrix(upper), perm).rows)
     elif kind == "loop":
         v = draw(st.integers(0, n - 1))
         rows[v] |= 1 << v
@@ -211,7 +248,7 @@ def test_girth_matches_the_per_vertex_bfs_oracle(case):
 def test_girth_of_relabeled_order_64_families(d, expected):
     rng = random.Random(expected)
     for _ in range(3):
-        rows = relabel(d, random_permutation(rng, 64)).successor_rows()
+        rows = relabel(d, random_permutation(rng, 64)).rows
         assert rows_girth(rows, 64) == per_vertex_bfs_girth(rows, 64) == expected
 
 
@@ -274,7 +311,7 @@ def test_per_vertex_sets_invariant_under_relabeling():
 
 def brute_force_cycles(d: Digraph) -> set[tuple[int, ...]]:
     """Oracle: DFS over simple paths from each cycle's minimal vertex."""
-    rows = d.successor_rows()
+    rows = d.rows
     found: set[tuple[int, ...]] = set()
 
     def extend(start: int, path: list[int], on_path: set[int]):
@@ -332,7 +369,7 @@ def test_subset_dp_lengths_match_enumeration_on_random_digraphs():
     for n in range(2, 9):
         for p in (0.15, 0.3, 0.5):
             for _ in range(20):
-                assert_lengths_match_the_oracles(random_digraph(rng, n, p).successor_rows(), n)
+                assert_lengths_match_the_oracles(random_digraph(rng, n, p).rows, n)
 
 
 @settings(max_examples=200, deadline=None)
@@ -340,9 +377,8 @@ def test_subset_dp_lengths_match_enumeration_on_random_digraphs():
     lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
 def test_subset_dp_profile_matches_enumeration(rows):
     n = len(rows)
-    profile = rows_cycle_profile(tuple(rows), n)
+    profile = cover_profile(tuple(rows), n)
     assert profile == simple_cycles(from_matrix(BoolMatrix(n, tuple(rows))))[1]
-    assert not profile.cap_hit
 
 
 @pytest.mark.parametrize("d", [d1(64), q1(64, 5)], ids=["d1(64)", "q1(64,5)"])
@@ -350,7 +386,7 @@ def test_subset_dp_profile_is_fast_on_sparse_order_64(d):
     # A sparse digraph spans few vertex sets with simple paths (d1(64): 189),
     # so the DP's 2^n worst case does not arise.
     start = time.perf_counter()
-    profile = rows_cycle_profile(d.successor_rows(), d.order)
+    profile = cover_profile(d.rows, d.order)
     assert time.perf_counter() - start < 1.0
     assert profile == simple_cycles(d)[1]
 
@@ -427,7 +463,7 @@ def test_period_equals_cycle_length_gcd():
         if not is_strongly_connected(d):
             continue
         _, profile = simple_cycles(d)
-        rows = d.successor_rows()
+        rows = d.rows
         assert rows_period(rows, d.order) == math.gcd(*profile.lengths)
 
 

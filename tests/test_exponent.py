@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import random
 import subprocess
 import sys
@@ -24,7 +25,6 @@ from primexp.digraph import (
     distance,
     from_matrix,
     relabel,
-    rows_cycle_profile,
     rows_primitive,
     simple_cycles,
     to_matrix,
@@ -38,7 +38,6 @@ from primexp.exponent import (
     _exponent_kernel,
     c_walk_distances,
     cwalk_of_cover,
-    cwalk_of_rows,
     exponent,
     exponent_of_rows,
     formula_thm33,
@@ -92,13 +91,20 @@ def exponent_by_all_pairs_walks(d: Digraph) -> int:
     raise AssertionError("no all-positive power within the maximum")
 
 
+def profile_cover(profile, n: int) -> list[int]:
+    """Per length of a cycle profile, the bit-set of the vertices on a cycle of it."""
+    return [sum(1 << v for v in range(n) if length in profile.per_vertex[v])
+            for length in profile.lengths]
+
+
+def cwalk_of_profile(d: Digraph, profile) -> CWalkResult:
+    """The c-walk kernel on a (Johnson) profile's cover instead of the subset-DP cover."""
+    return cwalk_of_cover(d.rows, d.order, profile_cover(profile, d.order))
+
+
 def cwalk_by_length_dp(d: Digraph):
     """Oracle: ``cover_walks_by_length_dp`` on the cover of a Johnson profile."""
-    n = d.order
-    _, profile = simple_cycles(d)
-    cover = [sum(1 << v for v in range(n) if length in profile.per_vertex[v])
-             for length in profile.lengths]
-    return cover_walks_by_length_dp(d.successor_rows(), n, cover)
+    return cover_walks_by_length_dp(d.rows, d.order, profile_cover(simple_cycles(d)[1], d.order))
 
 
 def cover_walks_by_length_dp(rows: tuple[int, ...], n: int, cover: list[int]):
@@ -210,7 +216,7 @@ def test_spanning_subgraph_monotonicity():
             (rng.randint(1, n), rng.randint(1, n))
             for _ in range(rng.randint(1, 4))
         }
-        g = Digraph(n, d.arcs | frozenset(extra))
+        g = digraph(n, d.arcs | extra)
         assert exponent(g).value <= exponent(d).value
         checked += 1
 
@@ -236,7 +242,7 @@ def test_kernel_matches_linear_scan_on_every_order4_code():
 def test_extremal_families_match_closed_form_and_linear_scan(family, closed_form):
     for n in range(3, 65):  # both constructors need n >= 3
         d = family(n)
-        rows = d.successor_rows()
+        rows = d.rows
         assert _exponent_kernel(rows, n) == linear_exponent_scan(rows, n), n
         result = exponent(d)
         assert result.value == exponent_of_rows(rows, n) == closed_form(n), n
@@ -279,7 +285,7 @@ KERNEL_BOUNDARY_CASES = [
 @pytest.mark.parametrize("d, value", KERNEL_BOUNDARY_CASES,
                          ids=[str(value) for _, value in KERNEL_BOUNDARY_CASES])
 def test_kernel_at_power_of_two_boundaries(d, value):
-    rows = d.successor_rows()
+    rows = d.rows
     found = _exponent_kernel(rows, d.order)
     assert found == linear_exponent_scan(rows, d.order)
     assert found[0] == value
@@ -288,11 +294,11 @@ def test_kernel_at_power_of_two_boundaries(d, value):
 
 def _period_two_64() -> Digraph:
     # The descending 64-cycle plus v_1 -> v_2 closes a 2-cycle: lengths {2, 64}.
-    return Digraph(64, standard_cycle(64).arcs | {(1, 2)})
+    return digraph(64, standard_cycle(64).arcs | {(1, 2)})
 
 
 def _zero_row_64() -> Digraph:
-    return Digraph(64, frozenset((i, j) for i, j in d1(64).arcs if i != 64))
+    return digraph(64, ((i, j) for i, j in d1(64).arcs if i != 64))
 
 
 NONPRIMITIVE_EDGE_CASES = {
@@ -307,7 +313,7 @@ NONPRIMITIVE_EDGE_CASES = {
 @pytest.mark.parametrize("name", sorted(NONPRIMITIVE_EDGE_CASES))
 def test_nonprimitive_edge_inputs(name, tmp_path, capsys):
     d = NONPRIMITIVE_EDGE_CASES[name]
-    rows = d.successor_rows()
+    rows = d.rows
     assert exponent_of_rows(rows, d.order) is None
     assert linear_exponent_scan(rows, d.order) is None
     with pytest.raises(NotPrimitiveError, match="not primitive"):
@@ -376,18 +382,18 @@ def test_cwalk_matches_length_dp_oracle():
 
 
 def test_cwalk_kernel_on_the_dp_profile_matches_length_dp_oracle():
-    # The bound suite's path: the unchecked kernel fed the subset-DP profile.
+    # The bound suite's path: the unchecked kernel fed the subset-DP cover.
     rng = random.Random(131)
     digraphs = [random_primitive_digraph(rng, rng.randint(2, 10), rng.choice([0.05, 0.1, 0.2]))
                 for _ in range(60)]
     digraphs += [chord_member(10, 3, mask) for mask in (1, 5, 77, 1000)]
     digraphs += [d1(11), d2(11), q1(11, 4)]
     for d in digraphs:
-        rows, n = d.successor_rows(), d.order
+        rows, n = d.rows, d.order
         if not rows_primitive(rows, n):
             continue
-        result = cwalk_of_rows(rows, n, rows_cycle_profile(rows, n))
-        assert result == c_walk_distances(d)
+        result = cwalk_of_cover(rows, n, _cycle_cover(rows, n))
+        assert result == cwalk_of_profile(d, simple_cycles(d)[1])
         assert result.per_pair == cwalk_by_length_dp(d)
 
 
@@ -413,11 +419,11 @@ def test_cwalk_kernel_on_the_cycle_cover_matches_c_walk_distances():
     digraphs += [d1(n) for n in (24, 40, 64)] + [d2(48), q1(28, 9), h_graph(28, 7, 10)]
     full_starts = partial_starts = 0
     for d in digraphs:
-        rows, n = d.successor_rows(), d.order
+        rows, n = d.rows, d.order
         if not rows_primitive(rows, n):
             continue
         result = c_walk_distances(d)
-        assert result == c_walk_distances(d, profile=simple_cycles(d)[1]), d
+        assert result == cwalk_of_profile(d, simple_cycles(d)[1]), d
         assert result.per_pair == cwalk_by_length_dp(d), d
         on_all = _starts_on_every_set(_cycle_cover(rows, n), n)
         full_starts += on_all
@@ -432,7 +438,7 @@ def test_cwalk_kernel_on_nested_and_repeated_cover_sets_matches_length_dp():
     for _ in range(120):
         n = rng.randint(2, 10)
         d = random_primitive_digraph(rng, n, rng.choice([0.1, 0.2, 0.4]))
-        rows = d.successor_rows()
+        rows = d.rows
         cover = [rng.getrandbits(n) | (1 << rng.randrange(n)) for _ in range(rng.randint(1, 4))]
         cover += [c | rng.getrandbits(n) for c in cover if rng.random() < 0.5]
         cover += [rng.choice(cover)] + [0]
@@ -521,13 +527,13 @@ CHAIN_GUARD_WALL_S = 10.0
 def _chain_guard_cases():
     """(name, rows, n, cover) inputs the kernel takes unchecked: none is primitive."""
     for n in (2, 3, 7, 16, 64):
-        rows = standard_cycle(n).successor_rows()
+        rows = standard_cycle(n).rows
         full = (1 << n) - 1
         # A bare cycle is one chain that closes on itself.
         yield f"cycle({n}) [full]", rows, n, [full]
         yield f"cycle({n}) cover", rows, n, _cycle_cover(rows, n)
         yield f"cycle({n}) half", rows, n, [full, full & 0x5555555555555555]
-    rows = SINK_CYCLE.successor_rows()
+    rows = SINK_CYCLE.rows
     for cover in ([0b111111], [0b000111], [0b111000], _cycle_cover(rows, 6), []):
         yield f"sink {cover}", rows, 6, cover
     rng = random.Random(149)
@@ -558,9 +564,9 @@ def test_cwalk_chain_rows_match_the_per_start_kernel_on_unchecked_input():
         "from primexp.exponent import NotPrimitiveError, cwalk_of_cover\n"
         "from primexp.families import standard_cycle\n"
         "for n in (2, 3, 7, 16, 64):\n"
-        "    cwalk_of_cover(standard_cycle(n).successor_rows(), n, [(1 << n) - 1])\n"
+        "    cwalk_of_cover(standard_cycle(n).rows, n, [(1 << n) - 1])\n"
         "try:\n"
-        f"    cwalk_of_cover({SINK_CYCLE.successor_rows()}, 6, [0b111111])\n"
+        f"    cwalk_of_cover({SINK_CYCLE.rows}, 6, [0b111111])\n"
         "except NotPrimitiveError:\n"
         "    pass\n"
     )
@@ -577,11 +583,11 @@ def test_cwalk_chain_rows_match_the_per_start_kernel_on_unchecked_input():
             returned += 1
     assert raised and returned
     # The bare 64-cycle with a full cover returns its plain distances.
-    rows = standard_cycle(64).successor_rows()
+    rows = standard_cycle(64).rows
     result = cwalk_of_cover(rows, 64, [(1 << 64) - 1])
     assert result.max == 63 and result.pair(2, 1) == 1 and result.pair(1, 2) == 63
     with pytest.raises(NotPrimitiveError):
-        cwalk_of_cover(SINK_CYCLE.successor_rows(), 6, [0b111111])
+        cwalk_of_cover(SINK_CYCLE.rows, 6, [0b111111])
 
 
 def test_cwalk_on_chord_members_and_d1_64_matches_the_oracles():
@@ -593,7 +599,7 @@ def test_cwalk_on_chord_members_and_d1_64_matches_the_oracles():
     digraphs.append(d1(64))
     chained = 0
     for d in digraphs:
-        rows, n = d.successor_rows(), d.order
+        rows, n = d.rows, d.order
         cover = _cycle_cover(rows, n)
         result = cwalk_of_cover(rows, n, cover)
         assert result == cwalk_of_cover_per_start(rows, n, cover), d
@@ -602,13 +608,14 @@ def test_cwalk_on_chord_members_and_d1_64_matches_the_oracles():
     assert chained > len(digraphs) * 3
 
 
-def test_cwalk_rejects_nonprimitive_and_truncated():
+def test_cwalk_rejects_nonprimitive_and_truncated(monkeypatch):
     with pytest.raises(NotPrimitiveError):
         c_walk_distances(standard_cycle(5))
-    d = d2(7)
-    _, truncated = simple_cycles(d, cap=2)
+    # d2(7)'s cover creates 23 vertex-set keys.  One cut short at the budget
+    # would be a lower approximation, so it raises instead.
+    monkeypatch.setattr(importlib.import_module("primexp.digraph"), "CYCLE_COVER_BUDGET", 8)
     with pytest.raises(TruncatedProfileError):
-        c_walk_distances(d, profile=truncated)
+        c_walk_distances(d2(7))
 
 
 def test_cwalk_rejects_too_many_lengths():
@@ -620,11 +627,9 @@ def test_cwalk_rejects_too_many_lengths():
         cap_hit=False,
     )
     with pytest.raises(TooManyCycleLengthsError):
-        c_walk_distances(d, profile=fake)
+        cwalk_of_profile(d, fake)
     with pytest.raises(TooManyCycleLengthsError):
-        cwalk_of_rows(d.successor_rows(), 4, fake)
-    with pytest.raises(TooManyCycleLengthsError):
-        cwalk_of_cover(d.successor_rows(), 4, [0b1111] * 21)
+        cwalk_of_cover(d.rows, 4, [0b1111] * 21)
 
 
 # The complete digraph of order 64 and the seeded n = 24, p = 0.3 digraph

@@ -189,3 +189,52 @@ def test_chord_member_validation():
         chord_member(10, 3, 0)
     with pytest.raises(ValueError):
         chord_member(10, 3, 1 << 10)
+
+
+# -- the row constructor against arc-set constructors ---------------------------
+#
+# The chorded cycles are built from one row constructor.  These oracles
+# build the same digraphs as arc sets, one arc at a time.
+
+def _oracle_standard_cycle(n: int) -> set[tuple[int, int]]:
+    arcs = {(j, j - 1) for j in range(2, n + 1)}
+    arcs.add((1, n))
+    return arcs
+
+
+def _oracle_d1(n: int) -> set[tuple[int, int]]:
+    return _oracle_standard_cycle(n) | {(1, n - 1)}
+
+
+def _oracle_d2(n: int) -> set[tuple[int, int]]:
+    return _oracle_d1(n) | {(2, n)}
+
+
+def _oracle_d_gN(n: int, g: int, N) -> set[tuple[int, int]]:
+    return _oracle_standard_cycle(n) | {(i, g + i - 1) for i in N}
+
+
+def _oracle_chord_member(n: int, g: int, mask: int) -> set[tuple[int, int]]:
+    arcs = _oracle_standard_cycle(n)
+    for i in range(1, n + 1):
+        if (mask >> (i - 1)) & 1:
+            arcs.add((i, (g + i - 2) % n + 1))
+    return arcs
+
+
+def test_chord_constructors_match_the_arc_set_oracles():
+    for n in range(2, 65):
+        assert standard_cycle(n).arcs == _oracle_standard_cycle(n), n
+    for n in range(3, 65):
+        assert d1(n).arcs == _oracle_d1(n), n
+        assert d2(n).arcs == _oracle_d2(n), n
+    for n in range(5, 13):
+        for g in range(1, n):
+            if math.gcd(n, g) == 1:
+                for spec in enumerate_DgN(n, g):
+                    assert d_gN(n, g, spec.N).arcs == _oracle_d_gN(n, g, spec.N), (n, g, spec.N)
+    for n in range(3, 12):
+        for g in range(2, n):
+            for mask in range(1, 1 << n):
+                assert chord_member(n, g, mask).arcs == _oracle_chord_member(n, g, mask), (
+                    n, g, mask)

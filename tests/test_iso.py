@@ -26,9 +26,9 @@ from primexp.verify import census
 
 
 def random_digraph(rng: random.Random, n: int, p: float) -> Digraph:
-    return Digraph(
+    return digraph(
         n,
-        frozenset(
+        (
             (i, j)
             for i in range(1, n + 1)
             for j in range(1, n + 1)
@@ -46,7 +46,7 @@ def random_permutation(rng: random.Random, n: int) -> tuple[int, ...]:
 def brute_canonical_bits(d: Digraph) -> str:
     """Oracle: minimum over all permutations by direct enumeration."""
     n = d.order
-    rows = d.successor_rows()
+    rows = d.rows
     best = None
     for perm in itertools.permutations(range(n)):
         bits = "".join(
@@ -207,7 +207,7 @@ def test_table_code_matches_canonical_form_on_order_four_classes():
     for row in classes:
         rows = rows_of_code(int(row.canonical_bits[::-1], 2), 4)
         moved = relabel(from_matrix(BoolMatrix(4, rows)), random_permutation(rng, 4))
-        assert table_bits(moved.successor_rows(), tables) == row.canonical_bits
+        assert table_bits(moved.rows, tables) == row.canonical_bits
         assert canonical_form(moved).canonical_bits == row.canonical_bits
 
 

@@ -11,7 +11,7 @@ import pytest
 import primexp.verify as verify_module
 from primexp.boolmat import BoolMatrix, serialize_matrix
 from primexp.digraph import (
-    Digraph,
+    digraph,
     from_matrix,
     is_primitive,
     rows_cycle_lengths,
@@ -22,7 +22,7 @@ from primexp.digraph import (
     to_matrix,
 )
 from primexp.exponent import (
-    c_walk_distances,
+    cwalk_of_cover,
     exponent,
     exponent_of_rows,
     lemma25_bound,
@@ -35,7 +35,6 @@ from primexp.semigroup import frobenius
 from primexp.verify import (
     BERNOULLI_SWEEP,
     _bound_facts,
-    _chord_rows,
     _chord_universe_rows,
     _converse_facts,
     _girth_floor_walk,
@@ -82,8 +81,8 @@ def _arc_set_random_primitive_digraph(rng, n, p, max_tries=100_000):
             for j in range(1, n + 1):
                 if (i, j) not in arcs and rng.random() < p:
                     arcs.add((i, j))
-        d = Digraph(n, frozenset(arcs))
-        if rows_primitive(d.successor_rows(), n):
+        d = digraph(n, arcs)
+        if rows_primitive(d.rows, n):
             return d
     raise RuntimeError(f"no primitive digraph found in {max_tries} tries (n={n}, p={p})")
 
@@ -313,7 +312,7 @@ def test_per_orbit_evaluates_each_least_mask_once(n, g):
     values = dict(_per_orbit(n, g, evaluate))
     assert sorted(values) == list(range(1, 1 << n))
     least = sorted({_least_rotation(mask, n) for mask in values})
-    assert evaluated == [chord_member(n, g, mask).successor_rows() for mask in least]
+    assert evaluated == [chord_member(n, g, mask).rows for mask in least]
     for mask, value in values.items():
         assert value == values[_least_rotation(mask, n)], mask
 
@@ -334,17 +333,9 @@ def test_per_orbit_with_mirror_evaluates_each_least_dihedral_mask_once(n, g, orb
     assert sorted(values) == list(range(1, 1 << n))
     least = sorted({_least_dihedral(mask, n, g) for mask in values})
     assert len(least) == orbits
-    assert evaluated == [chord_member(n, g, mask).successor_rows() for mask in least]
+    assert evaluated == [chord_member(n, g, mask).rows for mask in least]
     for mask, value in values.items():
-        assert value == facts(chord_member(n, g, mask).successor_rows()), mask
-
-
-def test_chord_rows_equal_the_member_rows_on_every_mask():
-    for n in range(3, 12):
-        for g in range(2, n):
-            for mask in range(1, 1 << n):
-                assert _chord_rows(n, g, mask) == chord_member(n, g, mask).successor_rows(), (
-                    n, g, mask)
+        assert value == facts(chord_member(n, g, mask).rows), mask
 
 
 def test_every_chord_member_has_period_gcd_n_g():
@@ -352,7 +343,7 @@ def test_every_chord_member_has_period_gcd_n_g():
     for n in range(3, 10):
         for g in range(2, n):
             for mask in range(1, 1 << n):
-                rows = chord_member(n, g, mask).successor_rows()
+                rows = chord_member(n, g, mask).rows
                 assert rows_period(rows, n) == math.gcd(n, g), (n, g, mask)
                 assert rows_primitive(rows, n) == (math.gcd(n, g) == 1), (n, g, mask)
 
@@ -367,6 +358,13 @@ def test_chord_universe_labels_and_params_on_every_mask():
             assert [(label, params) for label, params, _ in entries] == [
                 (spec.label(), {"n": n, "g": g, "mask": spec.chord_mask})
                 for spec in chord_family(n, g)], (n, g)
+
+
+def johnson_cwalk_max(d, profile) -> int:
+    """The c-walk kernel's maximum on a Johnson profile's cover, not the subset-DP cover."""
+    cover = [sum(1 << v for v in range(d.order) if length in profile.per_vertex[v])
+             for length in profile.lengths]
+    return cwalk_of_cover(d.rows, d.order, cover).max
 
 
 def test_lemma22_rows_equal_the_johnson_cwalk_oracle():
@@ -385,7 +383,7 @@ def test_lemma22_rows_equal_the_johnson_cwalk_oracle():
         else:
             d = digraphs[int(row.instance.split(":")[1])]
         _, profile = simple_cycles(d)
-        assert row.predicted == c_walk_distances(d, profile).max + frobenius(profile.lengths), (
+        assert row.predicted == johnson_cwalk_max(d, profile) + frobenius(profile.lengths), (
             row.instance)
 
 
@@ -405,7 +403,7 @@ def _memo_run():
 
 def test_memoized_bound_facts_equal_the_memo_less_facts():
     for instance, _, d, facts in _memo_run():
-        assert facts == _bound_facts(d.successor_rows(), d.order), instance
+        assert facts == _bound_facts(d.rows, d.order), instance
 
 
 def test_bound_suite_entries_share_one_fact_list_per_key():
@@ -415,7 +413,7 @@ def test_bound_suite_entries_share_one_fact_list_per_key():
     for _, params, d, facts in _memo_run():
         _, profile = simple_cycles(d)
         key = (d.order, exponent(d).value, tuple(profile.lengths),
-               c_walk_distances(d, profile).max)
+               johnson_cwalk_max(d, profile))
         scope = params.get("g", "rand")
         ids.setdefault((scope, key), set()).add(id(facts))
     assert all(len(shared) == 1 for shared in ids.values())
@@ -430,7 +428,7 @@ def test_chord_universe_rows_equal_the_per_member_loop(pair):
     oracle = Report()
     for spec in chord_family(n, g):
         d = spec.build()
-        if rows_primitive(d.successor_rows(), n):
+        if rows_primitive(d.rows, n):
             bound_rows_for(d, spec.label(), oracle, n=n, g=g, mask=spec.chord_mask)
     assert Report(_chord_universe_rows(pair)).to_jsonl() == oracle.to_jsonl()
 
@@ -439,7 +437,7 @@ def test_random_sweep_rows_equal_the_per_instance_loop():
     # Orders 2..3 repeat often, so most instances reuse an earlier one's facts.
     kwargs = dict(seed=5, samples=300, n_max=3)
     instances = list(random_instances(**kwargs))
-    assert len({d.successor_rows() for _, _, _, d in instances}) < len(instances) // 4
+    assert len({d.rows for _, _, _, d in instances}) < len(instances) // 4
     oracle = Report()
     for idx, n, p, d in instances:
         digest = hashlib.sha256(serialize_matrix(to_matrix(d)).encode()).hexdigest()[:12]
@@ -719,7 +717,7 @@ def test_verify_thm36_converse_rows_equal_the_per_member_loop():
     references: dict = {}
     expected = []
     for mask in range(1, 1 << n):
-        facts = _converse_facts(chord_member(n, g, mask).successor_rows(), n, g, low, high,
+        facts = _converse_facts(chord_member(n, g, mask).rows, n, g, low, high,
                                 references)
         if facts is not None and facts[2] is not None:
             expected.append((mask, "none" if facts[3] is None else facts[3]))
