@@ -47,6 +47,9 @@ class BoolMatrix:
 
     def __post_init__(self):
         _check_rows(self.order, self.rows)
+        # Rows given as a list are stored as a tuple, so equal matrices
+        # compare equal and hash.
+        object.__setattr__(self, "rows", tuple(self.rows))
 
     def entry(self, i: int, j: int) -> int:
         """Entry a_{ij} with 1-based indices."""

@@ -32,7 +32,7 @@ class Digraph:
     """Directed graph on vertices 1..order, held as its successor rows.
 
     Bit j-1 of rows[i-1] is set iff there is an arc i -> j; the rows are
-    checked as ``BoolMatrix`` checks them.
+    checked and stored as ``BoolMatrix`` checks and stores them.
     """
 
     order: int
@@ -40,6 +40,7 @@ class Digraph:
 
     def __post_init__(self):
         _check_rows(self.order, self.rows)
+        object.__setattr__(self, "rows", tuple(self.rows))
 
     @property
     def arcs(self) -> frozenset[tuple[int, int]]:
@@ -272,7 +273,11 @@ def rows_period(rows: tuple[int, ...], n: int) -> int:
     Uses BFS levels from vertex 0: every arc (u, v) contributes
     |level(u) + 1 - level(v)| to the gcd.
     """
-    level = _bfs_dist(rows, n, 0)
+    return _period_of_levels(rows, n, _bfs_dist(rows, n, 0))
+
+
+def _period_of_levels(rows: tuple[int, ...], n: int, level: list[int]) -> int:
+    """``rows_period`` from the BFS levels of vertex 0."""
     g = 0
     for u in range(n):
         row = rows[u]
@@ -285,7 +290,15 @@ def rows_period(rows: tuple[int, ...], n: int) -> int:
 
 
 def rows_primitive(rows: tuple[int, ...], n: int) -> bool:
-    return rows_strongly_connected(rows, n) and rows_period(rows, n) == 1
+    """Strongly connected with period 1, from two BFS runs.
+
+    The forward levels from vertex 0 decide that it reaches every vertex and
+    also give the period, so only the reverse search is added.
+    """
+    level = _bfs_dist(rows, n, 0)
+    return (-1 not in level
+            and -1 not in _bfs_dist(transpose_rows(rows, n), n, 0)
+            and _period_of_levels(rows, n, level) == 1)
 
 
 def is_primitive(d: Digraph) -> bool:

@@ -6,7 +6,10 @@ matrix power is entirely positive.  One kernel computes it for both
 ``exponent`` and ``exponent_of_rows`` in O(log k) Boolean products: it
 squares the matrix until a square is all-positive, keeping every square,
 then binary-searches below that square with the stored ones.  The search
-ends on the power k - 1, whose least zero entry is the witness pair.
+ends on the power k - 1, whose least zero entry is the witness pair.  A
+non-positive square equal to an earlier one means the matrix is not
+primitive: the bare 64-cycle is refused at its 7th square, where the
+Wielandt cap would take 12.
 
 ``c_walk_distances`` computes, for every ordered vertex pair, the length of
 the shortest walk that shares a vertex with at least one simple cycle of
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .boolmat import mul_rows, pow_rows
+from .boolmat import pow_rows
 from .digraph import (
     Digraph,
     TruncatedProfileError,
@@ -81,32 +84,60 @@ def _exponent_kernel(rows: tuple[int, ...], n: int) -> tuple[int, tuple[int, ...
     binary-searches below it: the largest non-positive power is assembled
     from the stored squares one bit at a time, which is exact because the
     all-positive predicate is monotone in k for primitive matrices.  A
-    non-primitive matrix has no all-positive power, so a non-positive square
-    whose index reaches the Wielandt cap is the not-primitive verdict.
+    primitive matrix has an all-positive square, so a non-positive square
+    equal to an earlier stored one is the not-primitive verdict: from there
+    the squares cycle and never reach all-ones.  A non-positive square whose
+    index reaches the Wielandt cap is the verdict too.  Both phases share
+    one inline product loop, left times right, whose rows stop once they
+    are all ones: at small orders, where exhaustive scans call this with
+    exponents of 10 or less, a function call per product costs about as
+    much as its ORs.  For the same reason each all-positive test is one
+    tuple comparison.
     """
-    cap = wielandt_bound(n)
-    # One tuple comparison per test: the per-call overhead matters at small
-    # orders, where exhaustive scans call this with exponents of 10 or less.
-    positive = ((1 << n) - 1,) * n
-    squares = [tuple(rows)]
-    index = 1
-    while squares[-1] != positive:
-        if index >= cap:
-            return None
-        squares.append(mul_rows(squares[-1], squares[-1]))
-        index *= 2
-    if index == 1:
+    full = (1 << n) - 1
+    positive = (full,) * n
+    square = tuple(rows)
+    if square == positive:
         return 1, tuple(1 << i for i in range(n))
-    below = squares[-2]
-    k = index // 2
-    for bit in range(len(squares) - 3, -1, -1):
+    cap = wielandt_bound(n)
+    squares = [square]
+    index = 1
+    # bit < 0 while squaring; then the stored square the search tries next.
+    bit = -1
+    left = right = square
+    while True:
+        out = []
+        for row in left:
+            acc = 0
+            while row:
+                low = row & -row
+                acc |= right[low.bit_length() - 1]
+                if acc == full:
+                    break
+                row ^= low
+            out.append(acc)
+        product = tuple(out)
+        if bit < 0:
+            index *= 2
+            if product != positive:
+                if index >= cap or product in squares:
+                    return None
+                squares.append(product)
+                left = right = product
+                continue
+            below = squares[-1]
+            k = index // 2
+            bit = len(squares) - 2
+        else:
+            if product != positive:
+                below = product
+                k += 1 << bit
+            bit -= 1
+        if bit < 0:
+            return k + 1, below
         # Powers of A commute; the sparser stored square goes on the left,
-        # because mul_rows costs one row OR per set bit of its left operand.
-        candidate = mul_rows(squares[bit], below)
-        if candidate != positive:
-            below = candidate
-            k += 1 << bit
-    return k + 1, below
+        # because the product costs one row OR per set bit of its left operand.
+        left, right = squares[bit], below
 
 
 def exponent_of_rows(rows: tuple[int, ...], n: int) -> int | None:

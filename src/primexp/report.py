@@ -298,6 +298,11 @@ def _census_order(rows: list[CensusRow]) -> list[CensusRow]:
     return sorted(rows, key=attrgetter("order", "canonical_bits"))
 
 
+def _cycle_texts(rows: list[CensusRow], sep: str) -> dict[tuple[int, ...], str]:
+    """Each distinct cycle-length tuple of the rows, joined by sep once."""
+    return {lengths: sep.join(map(str, lengths)) for lengths in {row.cycle_lengths for row in rows}}
+
+
 def census_to_jsonl(rows: list[CensusRow]) -> str:
     """``json.dumps(row.to_json_obj(), sort_keys=True, separators=(",", ":"))`` per row.
 
@@ -306,8 +311,9 @@ def census_to_jsonl(rows: list[CensusRow]) -> str:
     pattern with the keys in sorted order.
     """
     pattern = '{"canonical":"%s","count":%d,"cycles":[%s],"exp":%d,"girth":%d,"kind":"census","n":%d}'
+    cycles = _cycle_texts(rows, ",")
     lines = [
-        pattern % (row.canonical_bits, row.labeled_count, ",".join(map(str, row.cycle_lengths)),
+        pattern % (row.canonical_bits, row.labeled_count, cycles[row.cycle_lengths],
                    row.exponent, row.girth, row.order)
         for row in _census_order(rows)
     ]
@@ -320,8 +326,9 @@ def census_to_csv(rows: list[CensusRow]) -> str:
     No field holds a comma, a quote or a line break, so none is quoted.
     """
     pattern = "%d,%s,%d,%s,%d,%d\n"
+    cycles = _cycle_texts(rows, " ")
     return "n,canonical,girth,cycles,exp,count\n" + "".join(
-        pattern % (row.order, row.canonical_bits, row.girth, " ".join(map(str, row.cycle_lengths)),
+        pattern % (row.order, row.canonical_bits, row.girth, cycles[row.cycle_lengths],
                    row.exponent, row.labeled_count)
         for row in _census_order(rows)
     )

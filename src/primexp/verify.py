@@ -44,7 +44,7 @@ import math
 import os
 import random
 from functools import reduce
-from operator import getitem, or_
+from operator import getitem, itemgetter, or_
 
 from .boolmat import serialize_rows
 from .digraph import (
@@ -707,7 +707,7 @@ def _degree_preserving(perms: list[tuple[int, ...]], degrees: tuple[int, ...]) -
     Relabeled by p, row v of a code becomes row p[v], so these are the
     relabelings that take a code with row popcounts ``degrees`` to another.
     """
-    return [k for k, p in enumerate(perms) if all(degrees[w] == d for w, d in zip(p, degrees))]
+    return [k for k, p in enumerate(perms) if itemgetter(*p)(degrees) == degrees]
 
 
 def _cycle_masks(n: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -797,13 +797,15 @@ def census(n: int, jobs: int = 1) -> list[CensusRow]:
     """Exhaustive isomorphism-class table of primitive digraphs of order n.
 
     The sorted out-degree sequence is a class invariant, so the work splits
-    by it into blocks with disjoint classes, 4 per worker, and each block
-    canonicalizes each of its classes once.  The labeled class sizes must
-    add up to the number of matrices with no zero row and no zero column,
-    sum_k (-1)^k C(n,k) (2^(n-k) - 1)^n; a census that misses a class,
-    counts one twice or miscounts one raises RuntimeError.  Order 5
-    (155 452 classes) takes about 11 s on one worker and 7 s on two
-    (2-core VM, Python 3.11).
+    by it into blocks with disjoint classes, and each block canonicalizes
+    each of its classes once.  One worker runs one block, so the relabeling
+    tables, permutations, popcount buckets and cycle masks are built once
+    per call; more workers run 4 blocks each, to even out their loads.
+    The labeled class sizes must add up to the number of matrices with no
+    zero row and no zero column, sum_k (-1)^k C(n,k) (2^(n-k) - 1)^n; a
+    census that misses a class, counts one twice or miscounts one raises
+    RuntimeError.  Order 5 (155 452 classes) takes about 11 s on one worker
+    and 7 s on two (2-core VM, Python 3.11).
     """
     if n not in (2, 3, 4, 5):
         raise ValueError(f"census supports orders 2..5, got {n}")
@@ -812,7 +814,8 @@ def census(n: int, jobs: int = 1) -> list[CensusRow]:
         itertools.combinations_with_replacement(range(1, n + 1), n),
         key=lambda degrees: -math.prod(math.comb(n, d) for d in degrees),
     )
-    blocks = 4 * max(min(jobs, os.cpu_count() or 1), 1)
+    workers = min(jobs, os.cpu_count() or 1)
+    blocks = 4 * workers if workers > 1 else 1
     argses = [(n, tuple(sequences[b::blocks])) for b in range(min(blocks, len(sequences)))]
     rows = []
     labeled = 0

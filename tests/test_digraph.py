@@ -112,6 +112,14 @@ def test_digraph_validation(build, message):
         build()
 
 
+@pytest.mark.parametrize("cls", [BoolMatrix, Digraph])
+def test_rows_given_as_a_list_are_stored_as_a_tuple(cls):
+    listed = cls(3, [2, 4, 1])
+    assert type(listed.rows) is tuple
+    assert listed == cls(3, (2, 4, 1))
+    assert hash(listed) == hash(cls(3, (2, 4, 1)))
+
+
 # -- strong connectivity -----------------------------------------------------
 
 def test_cycle_is_strongly_connected():
@@ -465,6 +473,26 @@ def test_period_equals_cycle_length_gcd():
         _, profile = simple_cycles(d)
         rows = d.rows
         assert rows_period(rows, d.order) == math.gcd(*profile.lengths)
+
+
+def test_primitivity_takes_two_searches(monkeypatch):
+    # The forward levels from vertex 0 give both reachability and the period.
+    module = importlib.import_module("primexp.digraph")
+    calls = []
+
+    def counted(rows, n, start):
+        calls.append(start)
+        return _bfs_dist(rows, n, start)
+
+    monkeypatch.setattr(module, "_bfs_dist", counted)
+    for d, primitive in ((d1(9), True), (standard_cycle(9), False)):
+        calls.clear()
+        assert module.rows_primitive(d.rows, d.order) is primitive
+        assert len(calls) == 2
+    # A digraph that does not reach every vertex from vertex 0 needs one.
+    calls.clear()
+    assert not module.rows_primitive((0b01, 0b11), 2)
+    assert len(calls) == 1
 
 
 # -- subgraph relation ---------------------------------------------------------------

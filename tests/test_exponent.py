@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import importlib
+import json
+import math
 import random
 import subprocess
 import sys
@@ -25,7 +27,9 @@ from primexp.digraph import (
     distance,
     from_matrix,
     relabel,
+    rows_period,
     rows_primitive,
+    rows_strongly_connected,
     simple_cycles,
     to_matrix,
 )
@@ -322,6 +326,72 @@ def test_nonprimitive_edge_inputs(name, tmp_path, capsys):
     path.write_text(serialize_matrix(to_matrix(d)))
     assert main(["exp", "-f", str(path)]) == 3
     assert "not primitive" in capsys.readouterr().err
+
+
+def _periodic_rows(rng: random.Random, n: int, period: int) -> tuple[int, ...]:
+    """Seeded strongly connected rows of this period: every arc goes one class ahead."""
+    while True:
+        cls = [v % period for v in range(n)]
+        rng.shuffle(cls)
+        rows = tuple(sum(1 << w for w in range(n) if cls[w] == (cls[v] + 1) % period and rng.random() < 0.5)
+                     for v in range(n))
+        if rows_strongly_connected(rows, n) and rows_period(rows, n) == period:
+            return rows
+
+
+def _split_rows(rng: random.Random, n: int) -> tuple[int, ...]:
+    """Seeded rows with no arc into a nonempty proper vertex set from outside it."""
+    inside = rng.randrange(1, (1 << n) - 1)
+    return tuple(row if inside >> v & 1 else row & ~inside
+                 for v, row in enumerate(rng.getrandbits(n) for _ in range(n)))
+
+
+def _repeated_square_cases() -> list[tuple[str, tuple[int, ...], int]]:
+    """Non-primitive rows whose squares cycle: bare cycles, imprimitive chord
+    members, seeded period-2 and period-3 rows and seeded split rows."""
+    cases = [(f"cycle({n})", standard_cycle(n).rows, n) for n in range(2, 65)]
+    cases += [(f"chord({n}, {g}, {mask})", chord_member(n, g, mask).rows, n)
+              for n in range(3, 11) for g in range(2, n) if math.gcd(n, g) > 1
+              for mask in range(1, 1 << n)]
+    rng = random.Random(2015)
+    for n in range(5, 13):
+        for index in range(12):
+            cases.append((f"period2 {n} {index}", _periodic_rows(rng, n, 2), n))
+            cases.append((f"period3 {n} {index}", _periodic_rows(rng, n, 3), n))
+            cases.append((f"split {n} {index}", _split_rows(rng, n), n))
+    return cases
+
+
+def test_kernel_refuses_exactly_the_imprimitive_inputs_whose_squares_cycle():
+    # The primitive chord members of the same orders must still get a value.
+    primitive_members = [(f"chord({n}, {g}, {mask})", chord_member(n, g, mask).rows, n)
+                         for n in range(3, 11) for g in range(2, n) if math.gcd(n, g) == 1
+                         for mask in range(1, 1 << n)]
+    for name, rows, n in _repeated_square_cases() + primitive_members:
+        found = _exponent_kernel(rows, n)
+        assert (found is None) == (not rows_primitive(rows, n)), name
+        if n < 9:
+            assert found == linear_exponent_scan(rows, n), name
+    assert all(not rows_primitive(rows, n) for _, rows, n in _repeated_square_cases())
+
+
+def test_kernel_refuses_repeated_squares_without_the_wielandt_cap():
+    # With the cap at infinity only the repeated-square exit ends these
+    # calls.  A child process with a timeout and a 1 GiB address-space limit
+    # runs them, so that a missing exit, which stores squares without end,
+    # fails this test instead of hanging it or filling the memory.
+    cases = [[list(rows), n] for _, rows, n in _repeated_square_cases()]
+    script = (
+        "import importlib, json, math, resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "module = importlib.import_module('primexp.exponent')\n"
+        "module.wielandt_bound = lambda n: math.inf\n"
+        "cases = json.load(sys.stdin)\n"
+        "print(sum(module._exponent_kernel(tuple(rows), n) is None for rows, n in cases))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], input=json.dumps(cases),
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert int(done.stdout) == len(cases)
 
 
 # -- walk existence ------------------------------------------------------------

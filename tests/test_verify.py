@@ -903,6 +903,30 @@ def test_degree_preserving_relabelings_keep_codes_degree_sorted(n):
                 assert sorted(popcounts) == list(degrees)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_degree_preserving_equals_the_per_vertex_predicate(n):
+    perms = list(itertools.permutations(range(n)))
+    for degrees in itertools.combinations_with_replacement(range(n + 1), n):
+        oracle = [k for k, p in enumerate(perms) if all(degrees[w] == d for w, d in zip(p, degrees))]
+        assert verify_module._degree_preserving(perms, degrees) == oracle, degrees
+
+
+def test_census_on_one_worker_runs_one_block(monkeypatch):
+    # One block builds the relabeling tables, permutations, popcount
+    # buckets and cycle masks once per call.
+    real = verify_module._census_block
+    blocks = []
+
+    def counted(args):
+        blocks.append(args)
+        return real(args)
+
+    monkeypatch.setattr(verify_module, "_census_block", counted)
+    text = census_to_jsonl(census(4, jobs=1))
+    assert len(blocks) == 1
+    assert _sha256(text) == "2beb86970af1df7fefc985939bbe42837f6c3f88afe06b12903ca21ef1898cb0"
+
+
 def test_census_rejects_a_class_counted_twice(monkeypatch):
     # Without one degree-preserving relabeling, a class whose code under it
     # differs from its other codes is met again and counted a second time.
