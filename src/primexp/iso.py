@@ -8,11 +8,11 @@ digraphs this package works with.
 Canonical forms are the lexicographically minimal row-major adjacency
 bit-string over all relabelings, found by branch-and-bound.
 
-The census and the Lemma 2.4 check compute the same code from tables
-instead: one table per row index maps a row value to its relabeled bits
-under each of the n! relabelings, so the code of a matrix is n lookups,
-summed per relabeling, and the least of the n! sums.  The sums equal to
-the identity's count the automorphisms.
+The census computes the same code from tables instead: one table per row
+index maps a row value to its relabeled bits under each of the n!
+relabelings, so the code of a matrix is n lookups, summed per relabeling,
+and the least of the n! sums.  The sums equal to the identity's count the
+automorphisms.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ def canonical_form(d: Digraph) -> CanonicalForm:
 
 
 def canonical_code_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Relabeling tables for ``canonical_code``: one table per row index.
+    """Relabeling tables for ``relabeled_codes``: one table per row index.
 
     Table i maps a value r of row i to a tuple with one entry per relabeling
     p of the n! (p[v] is the new position of vertex v): the bits of row i
@@ -236,16 +236,6 @@ def relabeled_codes(rows: tuple[int, ...], tables) -> list[int]:
     automorphisms.
     """
     return list(map(sum, zip(*map(getitem, tables, rows))))
-
-
-def canonical_code(rows: tuple[int, ...], tables) -> int:
-    """Least relabeled row-major code of the successor rows, as an integer.
-
-    ``tables`` comes from ``canonical_code_tables(len(rows))``; the result
-    equals ``int(canonical_form(d).canonical_bits, 2)`` for the digraph d
-    with these rows.
-    """
-    return min(relabeled_codes(rows, tables))
 
 
 def classify_against(d: Digraph, family: Iterable[Digraph]) -> int | None:

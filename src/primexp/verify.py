@@ -78,13 +78,14 @@ from .families import (
     h_graph,
     q1,
     q2,
+    standard_cycle,
 )
 from .iso import (
+    ISO_ORDER_CAP,
     automorphism_count,
-    canonical_code,
     canonical_code_tables,
-    canonical_form,
     classify_against,
+    find_isomorphism,
     relabeled_codes,
 )
 from .report import CensusRow, Entry, Report, VerificationRow, make_row
@@ -93,6 +94,7 @@ from .semigroup import frobenius
 BERNOULLI_SWEEP = (0.05, 0.1, 0.2)
 DEFAULT_CHORD_PAIRS = ((10, 3), (10, 7), (10, 9), (11, 3))
 CHORD_ORDER_CAP = 16
+THM33_ORDER_CAP = 20
 
 
 # -- random instance generation --------------------------------------------
@@ -362,27 +364,23 @@ def _run_blocks(worker, argses, jobs: int):
 
 # -- top exponent classes (Lemma 2.4) ---------------------------------------------
 
-def _girth_floor_block(args: tuple[int, int, int, tuple[int, ...]]):
-    """Walk the order-n matrices with no cycle shorter than ``floor`` and row 0 ``row0``.
+def _fixed_cycle_walk(n: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(exponent, rows) of each primitive supergraph of ``standard_cycle(n)``
+    with no cycle shorter than n - 1.
 
-    Those matrices form a down-set: deleting an arc creates no cycle.  A
-    depth-first walk adds the off-diagonal arcs of rows 1..n-1 in index
-    order and refuses arc i -> j when a walk j -> i of length <= floor - 2
-    exists, so it visits every member once.  ``floor`` must be at least 2
-    and ``row0`` must leave bit 0 clear: the walk adds no loops.  Returns
-    the exponent histogram of the primitive members and, per exponent in
-    ``keyed``, their rows.
+    Deleting an arc creates no cycle, so a depth-first walk that adds the
+    off-cycle arcs in row-major order, refusing arc i -> j when a walk
+    j -> i of length <= n - 3 exists, visits each such supergraph once.
+    That test cannot see a 1-cycle, so the arcs leave out the loops.
     """
-    n, floor, row0, keyed = args
-    full = (1 << n) - 1
-    arcs = [(i, j) for i in range(1, n) for j in range(n) if i != j]
-    rows = [row0] + [0] * (n - 1)
-    counts: dict[int, int] = {}
-    hits: dict[int, list] = {exp: [] for exp in keyed}
+    base = standard_cycle(n).rows
+    arcs = [(i, j) for i in range(n) for j in range(n) if i != j and not base[i] >> j & 1]
+    rows = list(base)
+    nodes = []
 
     def closes_short_cycle(i: int, j: int) -> bool:
         seen = frontier = 1 << j
-        for _ in range(floor - 2):
+        for _ in range(n - 3):
             reached = 0
             while frontier:
                 low = frontier & -frontier
@@ -396,76 +394,72 @@ def _girth_floor_block(args: tuple[int, int, int, tuple[int, ...]]):
             seen |= reached
         return False
 
-    def descend(first: int, arc_count: int) -> None:
-        # A primitive matrix is strongly connected and not a single n-cycle,
-        # so it has more than n arcs, no zero row and no zero column.
-        if arc_count > n and all(rows) and reduce(or_, rows) == full:
-            exp = exponent_of_rows(tuple(rows), n)
-            if exp is not None:
-                counts[exp] = counts.get(exp, 0) + 1
-                if exp in hits:
-                    hits[exp].append(tuple(rows))
+    def descend(first: int) -> None:
+        exp = exponent_of_rows(tuple(rows), n)
+        if exp is not None:
+            nodes.append((exp, tuple(rows)))
         for k in range(first, len(arcs)):
             i, j = arcs[k]
             if not closes_short_cycle(i, j):
                 rows[i] |= 1 << j
-                descend(k + 1, arc_count + 1)
+                descend(k + 1)
                 rows[i] ^= 1 << j
 
-    descend(0, bin(row0).count("1"))
-    return counts, hits
+    descend(0)
+    return nodes
 
 
-def _girth_floor_walk(n: int, floor: int, keyed: tuple[int, ...], jobs: int = 1):
-    """``_girth_floor_block`` over every loop-free row 0, one block each, merged."""
-    argses = [(n, floor, row0, keyed) for row0 in range(0, 1 << n, 2)]
-    counts: dict[int, int] = {}
-    hits: dict[int, list] = {exp: [] for exp in keyed}
-    for block_counts, block_hits in _run_blocks(_girth_floor_block, argses, jobs):
-        for exp, count in block_counts.items():
-            counts[exp] = counts.get(exp, 0) + count
-        for exp, rows in block_hits.items():
-            hits[exp] += rows
-    return counts, hits
-
-
-def verify_lemma24(n: int = 4, jobs: int = 1) -> Report:
+def verify_lemma24(n: int = 4) -> Report:
     """Exhaustive check that the two highest exponent classes are exactly the
     isomorphism classes of d1(n) and d2(n).
 
     A primitive matrix of girth g has exp <= n + g(n-2) (Lemma 2.3,
     Dulmage-Mendelsohn), so for n >= 4 an exponent of at least
-    t2 = (n-1)^2 needs girth >= n-1.  Only the matrices without a shorter
-    cycle are walked; every other primitive matrix has exponent at most
-    n^2-3n+4 < t2, so the rows equal those of a scan over all 2^(n^2)
-    matrices.  With jobs > 1 the walk is split by row 0.
+    t2 = (n-1)^2 needs girth >= n-1; every other primitive matrix has
+    exponent at most n^2-3n+4 < t2.  A primitive matrix with girth >= n-1
+    has cycle lengths in {n-1, n} and needs both, so it has a Hamiltonian
+    cycle and is a relabeling of a supergraph of the fixed n-cycle; the
+    walk ``_fixed_cycle_walk`` visits those supergraphs.
+
+    Each walk node stands for (n-1)! labeled matrices, one per directed
+    Hamiltonian cycle of K_n, because it has exactly one Hamiltonian cycle.
+    Its off-cycle arcs each skip one cycle vertex, so a Hamiltonian cycle
+    through k of them advances n + k places around the fixed cycle, and k is
+    0 or n.  Two skip arcs that do not overlap close an (n-2)-cycle with the
+    fixed cycle, so the node with all n skip arcs is never reached: the walk
+    has 2n + 1 nodes, the bare cycle, n single skip arcs and n overlapping
+    pairs.  The weighted counts equal those of a scan over all 2^(n^2)
+    matrices.
+
+    A hit at a top exponent counts against membership when it is not
+    isomorphic to the reference (``find_isomorphism``), and the class size
+    is checked against n!/|Aut| of the reference.  Orders 4..ISO_ORDER_CAP
+    are accepted; order 14 takes under 0.1 s.
     """
-    if n not in (4, 5, 6):
-        raise ValueError(f"supported orders are 4..6, got {n}")
+    if not 4 <= n <= ISO_ORDER_CAP:
+        raise ValueError(f"supported orders are 4..{ISO_ORDER_CAP}, got {n}")
     t1 = (n - 1) ** 2 + 1
     t2 = (n - 1) ** 2
-    floor = min(g for g in range(1, n) if lemma23_bound(n, g) >= t2)
-    counts, hits = _girth_floor_walk(n, floor, (t1, t2), jobs)
-    tables = canonical_code_tables(n)
+    weight = math.factorial(n - 1)
+    nodes = _fixed_cycle_walk(n)
 
     report = Report()
     for target, reference in ((t1, d1(n)), (t2, d2(n))):
-        # The branch-and-bound form of the reference cross-checks the table code.
-        form = int(canonical_form(reference).canonical_bits, 2)
-        offenders = sum(canonical_code(rows, tables) != form for rows in hits[target])
+        hits = [rows for exp, rows in nodes if exp == target]
+        offenders = sum(find_isomorphism(Digraph(n, rows), reference) is None for rows in hits)
         orbit = math.factorial(n) // automorphism_count(reference)
         report.add(make_row(
-            "L2.4", f"n={n}:exp={target}:membership", 0, offenders,
+            "L2.4", f"n={n}:exp={target}:membership", 0, weight * offenders,
             asserted=True, n=n, target=target,
             notes="count of matrices at this exponent not isomorphic to the reference",
         ))
         report.add(make_row(
-            "L2.4", f"n={n}:exp={target}:class-size", orbit, counts.get(target, 0),
+            "L2.4", f"n={n}:exp={target}:class-size", orbit, weight * len(hits),
             asserted=True, n=n, target=target,
             notes="labeled matrices at this exponent vs n!/|Aut| of the reference",
         ))
     report.add(make_row(
-        "L2.4", f"n={n}:max-exponent", t1, max(counts), asserted=True, n=n,
+        "L2.4", f"n={n}:max-exponent", t1, max(exp for exp, _ in nodes), asserted=True, n=n,
         notes="largest exponent over the census equals the order-n maximum",
     ))
     return report
@@ -498,7 +492,14 @@ def verify_thm33(n_min: int = 5, n_max: int = 12) -> Report:
     Also records the claimed cycle-meeting-diameter attaining pair against
     the computed one, and summarizes the agreement pattern split by whether
     N contains position 1 and whether it is a prefix 1..r.
+
+    Each coprime pair (n, g) has 2^min(n-g+1, g) - 1 chord sets, so n_max
+    above THM33_ORDER_CAP = 20 raises ValueError before any work.  Order 20
+    alone took 0.8 s and orders 5..20 3.4 s (2-core VM, Python 3.11); order
+    23 alone took 6 s, and the cost keeps growing with the order.
     """
+    if n_max > THM33_ORDER_CAP:
+        raise ValueError(f"n_max must be at most {THM33_ORDER_CAP}, got {n_max}")
     report = Report()
     stats = {"prefix": [0, 0], "has-1": [0, 0], "no-1": [0, 0]}
     for n in range(n_min, n_max + 1):

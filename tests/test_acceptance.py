@@ -2,18 +2,14 @@
 
 Each test prints one pass/fail line (visible with ``pytest -s``).  Time
 limits are part of the criteria and asserted.  The exhaustive extremal
-classes run at orders 4 and 5 here; the order-6 check (tens of seconds)
-is gated behind PRIMEXP_ACCEPT_LONG=1.
+classes run at orders 4, 5 and 6; each takes a few milliseconds.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from contextlib import contextmanager
-
-import pytest
 
 from primexp.boolmat import pow_rows, rows_all_positive
 from primexp.exponent import exponent, lemma34_bound, wielandt_bound
@@ -71,13 +67,9 @@ def test_criterion_2_long_extremal_classes_order_five():
         assert report.all_asserts_pass, [r.instance for r in report.failures()]
 
 
-@pytest.mark.skipif(
-    os.environ.get("PRIMEXP_ACCEPT_LONG") != "1",
-    reason="order-6 extremal classes are the optional long mode (PRIMEXP_ACCEPT_LONG=1)",
-)
 def test_criterion_2_long_extremal_classes_order_six():
-    with criterion("2-long", "exhaustive extremal classes at order 6", 120):
-        report = verify_lemma24(6, jobs=os.cpu_count() or 1)
+    with criterion("2-long", "exhaustive extremal classes at order 6", 1):
+        report = verify_lemma24(6)
         assert report.all_asserts_pass, [r.instance for r in report.failures()]
         sizes = {r.instance: r.oracle for r in report.rows if r.instance.endswith("class-size")}
         assert sizes == {"n=6:exp=26:class-size": 720, "n=6:exp=25:class-size": 720}

@@ -344,6 +344,24 @@ def test_jobs_below_one_or_on_a_serial_verb_is_usage_error(capsys, argv):
     assert "--jobs" in capsys.readouterr().err
 
 
+def test_lemma24_jobs_has_no_effect_on_the_output(capsys):
+    code, plain, _ = run_cli(capsys, "verify", "lemma24", "--n", "5")
+    assert code == 0
+    assert run_cli(capsys, "verify", "lemma24", "--n", "5", "--jobs", "2") == (0, plain, "")
+
+
+def test_verify_thm33_above_the_order_cap_is_input_error(capsys, monkeypatch):
+    import primexp.verify as verify_module
+
+    def no_work(*args):
+        raise AssertionError("a chord set was enumerated before the order check")
+
+    monkeypatch.setattr(verify_module, "enumerate_DgN", no_work)
+    cap = verify_module.THM33_ORDER_CAP
+    code, out, err = run_cli(capsys, "verify", "thm33", "--n-max", str(cap + 1))
+    assert (code, out, err) == (3, "", f"error: n_max must be at most {cap}, got {cap + 1}\n")
+
+
 def test_missing_file_is_input_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "girth", "-f", str(tmp_path / "nope.txt"))
     assert code == 3
@@ -411,9 +429,10 @@ def test_verify_census_verb(capsys, tmp_path):
     ("census", "--n", "4", "--long"),
     ("census", "--n", "3", "--start", "0"),
     ("census", "--n", "3", "--end", "8"),
-    ("lemma24", "--n", "7"),
-], ids=["census-long", "census-start", "census-end", "lemma24-7"])
+    ("lemma24", "--n", "15"),
+], ids=["census-long", "census-start", "census-end", "lemma24-15"])
 def test_removed_census_range_options_and_lemma24_order_seven_are_usage_errors(capsys, argv):
+    # lemma24 accepts orders 4..14, so its case is order 15, the first above the cap.
     with pytest.raises(SystemExit) as exc:
         main(["verify", *argv])
     assert exc.value.code == 2

@@ -15,7 +15,6 @@ from primexp.iso import (
     _vertex_invariants,
     are_isomorphic,
     automorphism_count,
-    canonical_code,
     canonical_code_tables,
     canonical_form,
     classify_against,
@@ -23,6 +22,8 @@ from primexp.iso import (
     perm_cycle_notation,
 )
 from primexp.verify import census
+
+from helpers import canonical_code
 
 
 def random_digraph(rng: random.Random, n: int, p: float) -> Digraph:

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import os
+import time
 
 import pytest
 
@@ -28,8 +29,8 @@ from primexp.exponent import (
     lemma25_bound,
     thm36_range,
 )
-from primexp.families import chord_family, chord_member, d1, q1
-from primexp.iso import canonical_code, canonical_code_tables
+from primexp.families import chord_family, chord_member, d1, d2, q1
+from primexp.iso import ISO_ORDER_CAP, automorphism_count, canonical_code_tables
 from primexp.report import Report, census_to_jsonl
 from primexp.semigroup import frobenius
 from primexp.verify import (
@@ -37,7 +38,7 @@ from primexp.verify import (
     _bound_facts,
     _chord_universe_rows,
     _converse_facts,
-    _girth_floor_walk,
+    _fixed_cycle_walk,
     _mirror_mask,
     _per_orbit,
     _random_primitive_rows,
@@ -56,6 +57,8 @@ from primexp.verify import (
     verify_thm36,
 )
 import random
+
+from helpers import canonical_code
 
 
 def rows_by_claim(report: Report, claim: str):
@@ -504,8 +507,8 @@ def test_scan_sizes_its_blocks_from_the_cpu_count(monkeypatch):
 
 
 # -- full-scan oracle ----------------------------------------------------------------
-# The decode-and-filter scan over all 2^(n^2) codes that the girth-pruned walk
-# and the degree-sorted census replace.
+# The decode-and-filter scan over all 2^(n^2) codes: the oracle of the girth
+# walks and of the degree-sorted census.
 
 def _decode_rows(code: int, n: int) -> tuple[int, ...]:
     mask = (1 << n) - 1
@@ -564,6 +567,60 @@ def _scan(n: int, blocks: int = 4):
 
 # -- exhaustive extremal classes -----------------------------------------------------
 
+def _girth_floor_walk(n: int, floor: int, keyed: tuple[int, ...]):
+    """Walk every order-n matrix with no cycle shorter than ``floor``.
+
+    The down-set oracle for ``_fixed_cycle_walk``: it walks labeled matrices
+    with no fixed cycle and no weights.  Those matrices form a down-set, since
+    deleting an arc creates no cycle.  A depth-first walk adds the
+    off-diagonal arcs in row-major order and refuses arc i -> j when a walk
+    j -> i of length <= floor - 2 exists, so it visits every member once;
+    ``floor`` must be at least 2, as the walk adds no loops.  Returns the
+    exponent histogram of the primitive members and, per exponent in
+    ``keyed``, their rows.
+    """
+    full = (1 << n) - 1
+    arcs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    rows = [0] * n
+    counts: dict[int, int] = {}
+    hits: dict[int, list] = {exp: [] for exp in keyed}
+
+    def closes_short_cycle(i: int, j: int) -> bool:
+        seen = frontier = 1 << j
+        for _ in range(floor - 2):
+            reached = 0
+            while frontier:
+                low = frontier & -frontier
+                reached |= rows[low.bit_length() - 1]
+                frontier ^= low
+            if (reached >> i) & 1:
+                return True
+            frontier = reached & ~seen
+            if not frontier:
+                return False
+            seen |= reached
+        return False
+
+    def descend(first: int, arc_count: int) -> None:
+        # A primitive matrix is strongly connected and not a single n-cycle,
+        # so it has more than n arcs, no zero row and no zero column.
+        if arc_count > n and all(rows) and functools.reduce(int.__or__, rows) == full:
+            exp = exponent_of_rows(tuple(rows), n)
+            if exp is not None:
+                counts[exp] = counts.get(exp, 0) + 1
+                if exp in hits:
+                    hits[exp].append(tuple(rows))
+        for k in range(first, len(arcs)):
+            i, j = arcs[k]
+            if not closes_short_cycle(i, j):
+                rows[i] |= 1 << j
+                descend(k + 1, arc_count + 1)
+                rows[i] ^= 1 << j
+
+    descend(0, 0)
+    return counts, hits
+
+
 def test_verify_lemma24_order_four():
     report = verify_lemma24(4)
     assert report.all_asserts_pass
@@ -574,23 +631,51 @@ def test_verify_lemma24_order_four():
     assert by_instance["n=4:max-exponent"].oracle == 10
 
 
-def test_verify_lemma24_jobs_do_not_change_output():
-    sequential = verify_lemma24(4, jobs=1)
-    parallel = verify_lemma24(4, jobs=3)
-    assert sequential.to_jsonl() == parallel.to_jsonl()
-
-
 def test_verify_lemma24_report_bytes_are_pinned():
-    text = verify_lemma24(4).to_jsonl()
-    assert hashlib.sha256(text.encode()).hexdigest() == (
+    assert _sha256(verify_lemma24(4).to_jsonl()) == (
         "d6b2ba0fcda8fa3d033433dda5017ec136577abd9ac3e787832bfb868b1d19b4"
     )
 
 
+@pytest.mark.parametrize("n, digest", [
+    (5, "5bc67d6921391f278ac2a31dd783ebff7e001e488b198a297c218f9769f79340"),
+    (6, "c88efbb59723b4eba8f3fd7f977a86dfc8f4770518be8bbc703f58bc694ee649"),
+])
+def test_verify_lemma24_report_bytes_are_pinned_at_orders_five_and_six(n, digest):
+    assert _sha256(verify_lemma24(n).to_jsonl()) == digest
+
+
 def test_verify_lemma24_rejects_other_orders():
-    for n in (3, 7):
+    for n in (3, 15):
         with pytest.raises(ValueError):
             verify_lemma24(n)
+
+
+def test_verify_lemma24_passes_at_every_order_with_orbit_class_sizes():
+    for n in range(4, ISO_ORDER_CAP + 1):
+        report = verify_lemma24(n)
+        assert report.all_asserts_pass, n
+        sizes = [r.oracle for r in report.rows if r.instance.endswith("class-size")]
+        assert sizes == [math.factorial(n) // automorphism_count(ref) for ref in (d1(n), d2(n))], n
+        # The bare cycle is not primitive; one skip arc gives d1 and two from
+        # consecutive cycle vertices give d2, so 2n of the 2n + 1 nodes are hits.
+        exps = sorted(exp for exp, _ in _fixed_cycle_walk(n))
+        assert exps == [(n - 1) ** 2] * n + [(n - 1) ** 2 + 1] * n, n
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_fixed_cycle_walk_weighted_histogram_equals_the_down_set_walk(n):
+    # Every exponent, not only the two top ones: each node stands for (n-1)!
+    # labeled matrices with girth >= n-1.
+    weighted: dict[int, int] = {}
+    for exp, _ in _fixed_cycle_walk(n):
+        weighted[exp] = weighted.get(exp, 0) + math.factorial(n - 1)
+    counts, _ = _girth_floor_walk(n, n - 1, ())
+    assert weighted == counts
+    if n == 4:
+        scan, _ = _scan(n)
+        skip_bound = n * n - 3 * n + 4
+        assert weighted == {e: c for e, c in scan.items() if e > skip_bound}
 
 
 def test_girth_floor_walk_matches_the_full_scan_above_the_skip_bound():
@@ -640,6 +725,26 @@ def test_verify_thm33_report_bytes_are_pinned():
     assert _sha256(verify_thm33(5, 12).to_jsonl()) == (
         "fa41b4491f8e01709935ff11299fccd3148130a4e87dc638a89873c3f70cd97f"
     )
+
+
+def test_verify_thm33_refuses_orders_above_the_cap_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a chord set was enumerated before the order check")
+
+    monkeypatch.setattr(verify_module, "enumerate_DgN", no_work)
+    assert verify_module.THM33_ORDER_CAP >= 12
+    for n_min, n_max in ((5, verify_module.THM33_ORDER_CAP + 1), (64, 64)):
+        with pytest.raises(ValueError, match=f"at most {verify_module.THM33_ORDER_CAP}"):
+            verify_thm33(n_min, n_max)
+
+
+def test_verify_thm33_at_the_cap_finishes_in_bounded_time():
+    # The docstring states about 1 s for the cap order alone.
+    cap = verify_module.THM33_ORDER_CAP
+    start = time.perf_counter()
+    report = verify_thm33(cap, cap)
+    assert time.perf_counter() - start < 15
+    assert report.all_asserts_pass
 
 
 def test_verify_thm33_notes_record_attainment_pairs():
