@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
-from operator import getitem
 
 from .digraph import Digraph, _cycle_cover
 from .boolmat import transpose_rows
@@ -202,7 +201,7 @@ def canonical_form(d: Digraph) -> CanonicalForm:
 
 
 def canonical_code_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Relabeling tables for ``relabeled_codes``: one table per row index.
+    """Relabeling tables of the census's row codes: one table per row index.
 
     Table i maps a value r of row i to a tuple with one entry per relabeling
     p of the n! (p[v] is the new position of vertex v): the bits of row i
@@ -226,16 +225,6 @@ def canonical_code_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
             ))
         tables.append(tuple(table))
     return tuple(tables)
-
-
-def relabeled_codes(rows: tuple[int, ...], tables) -> list[int]:
-    """Row-major code of the successor rows under each of the n! relabelings.
-
-    ``tables`` comes from ``canonical_code_tables(len(rows))``.  The first
-    entry is the identity's, so the entries equal to it count the
-    automorphisms.
-    """
-    return list(map(sum, zip(*map(getitem, tables, rows))))
 
 
 def classify_against(d: Digraph, family: Iterable[Digraph]) -> int | None:

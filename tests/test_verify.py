@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import math
+import operator
 import os
 import time
 
@@ -58,7 +59,7 @@ from primexp.verify import (
 )
 import random
 
-from helpers import canonical_code
+from helpers import canonical_code, degree_sorted_rows, relabeled_codes
 
 
 def rows_by_claim(report: Report, claim: str):
@@ -931,7 +932,7 @@ def test_census_order_four_bytes_are_pinned():
 
 @pytest.mark.skipif(
     os.environ.get("PRIMEXP_ACCEPT_LONG") != "1",
-    reason="the order-5 census takes about 7 s on two workers (PRIMEXP_ACCEPT_LONG=1)",
+    reason="the order-5 census takes about 5.5 s on two workers (PRIMEXP_ACCEPT_LONG=1)",
 )
 def test_census_order_five_bytes_are_pinned():
     text = census_to_jsonl(census(5, jobs=2))
@@ -945,49 +946,125 @@ def test_census_jobs_do_not_change_output():
 
 
 def test_census_rejects_a_wrong_automorphism_count(monkeypatch):
-    real = verify_module.relabeled_codes
+    real = verify_module._class_codes
     calls = []
 
-    def one_extra_automorphism_once(rows, tables):
-        codes = real(rows, tables)
-        calls.append(rows)
+    def one_extra_automorphism_once(head_codes, last_codes):
+        codes = real(head_codes, last_codes)
+        calls.append(last_codes)
         return codes + [codes[0]] if len(calls) == 1 else codes
 
-    monkeypatch.setattr(verify_module, "relabeled_codes", one_extra_automorphism_once)
+    monkeypatch.setattr(verify_module, "_class_codes", one_extra_automorphism_once)
     with pytest.raises(RuntimeError, match="labeled matrices"):
         census(3)
 
 
 def test_census_rejects_a_dropped_code(monkeypatch):
-    # Out-degrees 1, 2, 3 are all distinct, so this primitive class has no
-    # other degree-sorted code: dropping this one loses the class.
-    dropped = (0b010, 0b101, 0b111)
-    real = verify_module._degree_sorted_rows
-    assert dropped in set(real(verify_module._rows_by_popcount(3), (1, 2, 3)))
+    # Out-degrees 1, 2, 3 are all distinct, so the primitive class of
+    # (0b010, 0b101, 0b111) has no other degree-sorted code: dropping the
+    # pair of rows 1 and 2 from its group loses the class.
+    dropped = (0b101, 0b111)
+    real = verify_module._row_group
+    tables = canonical_code_tables(3)
+    assert dropped in [e[3] for e in real(tables, verify_module._rows_by_popcount(3), 1, (2, 3))]
 
-    def without_one(by_popcount, degrees):
-        return (rows for rows in real(by_popcount, degrees) if rows != dropped)
+    def without_one(tables, by_popcount, first, degrees):
+        return [e for e in real(tables, by_popcount, first, degrees) if e[3] != dropped]
 
-    monkeypatch.setattr(verify_module, "_degree_sorted_rows", without_one)
+    monkeypatch.setattr(verify_module, "_row_group", without_one)
     with pytest.raises(RuntimeError, match="labeled matrices"):
         census(3)
 
 
 def test_census_canonicalizes_each_class_once(monkeypatch):
-    real = verify_module.relabeled_codes
+    real = verify_module._class_codes
     forms = []
 
-    def counted(rows, tables):
-        codes = real(rows, tables)
+    def counted(head_codes, last_codes):
+        codes = real(head_codes, last_codes)
         forms.append(min(codes))
         return codes
 
-    monkeypatch.setattr(verify_module, "relabeled_codes", counted)
+    monkeypatch.setattr(verify_module, "_class_codes", counted)
     census(4)
     # 1 918 classes of order-4 matrices without a zero row or column, 1 159
     # of them primitive, against 6 757 degree-sorted codes that pass the
     # column filter.
     assert len(forms) == len(set(forms)) == 1918
+
+
+@pytest.mark.parametrize("n, sequences, scanned", [
+    (2, None, 5),
+    (3, None, 100),
+    (4, None, 6757),
+    # Order 5 is the only one whose heads merge two groups.
+    (5, ((1, 1, 1, 1, 5), (1, 1, 2, 4, 4), (1, 2, 3, 4, 5)), 8895),
+])
+def test_grouped_scan_keeps_the_codes_of_the_column_filter(monkeypatch, n, sequences, scanned):
+    # With no degree-preserving relabeling nothing is known in advance, so
+    # the block canonicalizes every code its scan keeps, each once; they must
+    # be the degree-sorted codes whose rows cover every column.  With them,
+    # the labeled total is that of every ordering of the degrees, and each
+    # ordering has as many covering codes as the sorted one.
+    tables = canonical_code_tables(n)
+    by_popcount = verify_module._rows_by_popcount(n)
+    full = (1 << n) - 1
+    real = verify_module._class_codes
+    kept = []
+
+    def recorded(head_codes, last_codes):
+        codes = real(head_codes, last_codes)
+        kept.append(codes[0])
+        return codes
+
+    total = 0
+    for degrees in sequences or itertools.combinations_with_replacement(range(1, n + 1), n):
+        expected = [relabeled_codes(rows, tables)[0]
+                    for rows in degree_sorted_rows(by_popcount, degrees)
+                    if functools.reduce(operator.or_, rows) == full]
+        _, labeled = verify_module._census_block((n, (degrees,)))
+        assert labeled == len(set(itertools.permutations(degrees))) * len(expected), degrees
+        with monkeypatch.context() as patch:
+            patch.setattr(verify_module, "_degree_preserving", lambda perms, degrees: [])
+            patch.setattr(verify_module, "_class_codes", recorded)
+            kept.clear()
+            verify_module._census_block((n, (degrees,)))
+        assert sorted(kept) == sorted(expected), degrees
+        total += len(expected)
+    assert total == scanned
+
+
+def _check_group_sums(rowses, n):
+    """Each row group's entry for the rows, and their vectors summed, against
+    the per-row oracle ``relabeled_codes``.
+
+    The groups are the census block's: a lone row 0 when n is odd, then pairs.
+    """
+    tables = canonical_code_tables(n)
+    by_popcount = verify_module._rows_by_popcount(n)
+    slices = [(0, 1)] * (n % 2) + [(first, first + 2) for first in range(n % 2, n, 2)]
+    groups = {}
+    for rows in rowses:
+        vectors = []
+        for first, end in slices:
+            part = rows[first:end]
+            key = (first, tuple(r.bit_count() for r in part))
+            if key not in groups:
+                groups[key] = {e[3]: e for e in verify_module._row_group(tables, by_popcount, *key)}
+            union, ident, codes, _ = groups[key][part]
+            assert union == functools.reduce(operator.or_, part) and ident == codes[0]
+            vectors.append(codes)
+        assert list(map(sum, zip(*vectors))) == relabeled_codes(rows, tables), rows
+
+
+def test_row_group_vectors_sum_to_the_relabeled_codes_at_order_three():
+    _check_group_sums(list(itertools.product(range(8), repeat=3)), 3)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_row_group_vectors_sum_to_the_relabeled_codes_on_seeded_codes(n):
+    rng = random.Random(n)
+    _check_group_sums([tuple(rng.getrandbits(n) for _ in range(n)) for _ in range(300)], n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -998,10 +1075,10 @@ def test_degree_preserving_relabelings_keep_codes_degree_sorted(n):
     mask = (1 << n) - 1
     for degrees in itertools.combinations_with_replacement(range(n + 1), n):
         kept = set(verify_module._degree_preserving(perms, degrees))
-        codes = verify_module._degree_sorted_rows(by_popcount, degrees)
+        codes = degree_sorted_rows(by_popcount, degrees)
         sample = [next(codes), *itertools.islice(codes, 0, None, 997)]
         for rows in sample:
-            for k, code in enumerate(verify_module.relabeled_codes(rows, tables)):
+            for k, code in enumerate(relabeled_codes(rows, tables)):
                 # Row i is the i-th n-bit group from the top of the code.
                 popcounts = [((code >> (n * (n - 1 - i))) & mask).bit_count() for i in range(n)]
                 assert (popcounts == sorted(popcounts)) == (k in kept), (degrees, rows, perms[k])
