@@ -51,29 +51,11 @@ class BoolMatrix:
         # compare equal and hash.
         object.__setattr__(self, "rows", tuple(self.rows))
 
-    def entry(self, i: int, j: int) -> int:
-        """Entry a_{ij} with 1-based indices."""
-        if not (1 <= i <= self.order and 1 <= j <= self.order):
-            raise ValueError(f"indices ({i}, {j}) out of range for order {self.order}")
-        return (self.rows[i - 1] >> (j - 1)) & 1
-
-
-def identity(n: int) -> BoolMatrix:
-    _check_order(n)
-    return BoolMatrix(n, tuple(1 << i for i in range(n)))
-
-
-def all_ones(n: int) -> BoolMatrix:
-    _check_order(n)
-    full = (1 << n) - 1
-    return BoolMatrix(n, (full,) * n)
-
 
 # -- row-tuple kernels ---------------------------------------------------
 #
 # The hot paths (exhaustive censuses, exponent scans) work on bare row
-# tuples to avoid per-step dataclass construction.  BoolMatrix operations
-# wrap these kernels.
+# tuples to avoid per-step dataclass construction.
 
 def mul_rows(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Boolean product of row tuples; a row stops ORing once it is all ones."""
@@ -104,11 +86,6 @@ def pow_rows(a: tuple[int, ...], k: int, n: int) -> tuple[int, ...]:
     return result
 
 
-def rows_all_positive(rows: tuple[int, ...], n: int) -> bool:
-    full = (1 << n) - 1
-    return all(row == full for row in rows)
-
-
 def transpose_rows(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
     out = [0] * n
     for i, row in enumerate(rows):
@@ -118,26 +95,6 @@ def transpose_rows(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
             out[low.bit_length() - 1] |= 1 << i
             r ^= low
     return tuple(out)
-
-
-# -- public operations ---------------------------------------------------
-
-def multiply(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
-    """Boolean product: result[i][j] = OR_k (a[i][k] AND b[k][j])."""
-    if a.order != b.order:
-        raise ValueError(f"order mismatch: {a.order} != {b.order}")
-    return BoolMatrix(a.order, mul_rows(a.rows, b.rows))
-
-
-def power(a: BoolMatrix, k: int) -> BoolMatrix:
-    """k-th Boolean power; A^0 is the identity."""
-    if k < 0:
-        raise ValueError(f"exponent must be >= 0, got {k}")
-    return BoolMatrix(a.order, pow_rows(a.rows, k, a.order))
-
-
-def is_all_positive(a: BoolMatrix) -> bool:
-    return rows_all_positive(a.rows, a.order)
 
 
 # -- text format ----------------------------------------------------------
@@ -175,12 +132,8 @@ def parse_matrix(text: str) -> BoolMatrix:
     return BoolMatrix(n, tuple(rows))
 
 
-def serialize_matrix(a: BoolMatrix) -> str:
-    return serialize_rows(a.rows, a.order)
-
-
 def serialize_rows(rows: tuple[int, ...], n: int) -> str:
-    """``serialize_matrix`` of the order-n matrix with these rows, unchecked."""
+    """The text format of the order-n matrix with these rows, unchecked."""
     lines = [str(n)]
     for row in rows:
         lines.append(format(row, f"0{n}b")[::-1])

@@ -87,10 +87,6 @@ def from_matrix(a: BoolMatrix) -> Digraph:
     return Digraph(a.order, a.rows)
 
 
-def to_matrix(d: Digraph) -> BoolMatrix:
-    return BoolMatrix(d.order, d.rows)
-
-
 # -- adjacency helpers ----------------------------------------------------
 
 def _adj_lists(rows: tuple[int, ...], n: int) -> list[list[int]]:
@@ -130,26 +126,6 @@ def _bfs_dist(rows: tuple[int, ...], n: int, start: int) -> list[int]:
         seen |= nxt
         frontier = nxt
     return dist
-
-
-def rows_strongly_connected(rows: tuple[int, ...], n: int) -> bool:
-    """Every vertex reaches vertex 0 and is reached from it."""
-    return -1 not in _bfs_dist(rows, n, 0) and -1 not in _bfs_dist(transpose_rows(rows, n), n, 0)
-
-
-def is_strongly_connected(d: Digraph) -> bool:
-    """True iff every ordered vertex pair is joined by a directed path."""
-    return rows_strongly_connected(d.rows, d.order)
-
-
-def distance(d: Digraph, source: int, target: int) -> int | None:
-    """Shortest directed path length, None when unreachable; d(v, v) = 0."""
-    n = d.order
-    if not (1 <= source <= n and 1 <= target <= n):
-        raise ValueError(f"vertex out of range for order {n}")
-    dist = _bfs_dist(d.rows, n, source - 1)
-    value = dist[target - 1]
-    return None if value < 0 else value
 
 
 def rows_girth(rows: tuple[int, ...], n: int) -> int | None:
@@ -267,17 +243,11 @@ def girth(d: Digraph) -> int | None:
 
 # -- primitivity -----------------------------------------------------------
 
-def rows_period(rows: tuple[int, ...], n: int) -> int:
-    """gcd of all cycle lengths of a strongly connected digraph.
-
-    Uses BFS levels from vertex 0: every arc (u, v) contributes
+def _period_of_levels(rows: tuple[int, ...], n: int, level: list[int]) -> int:
+    """gcd of all cycle lengths of a strongly connected digraph, from the
+    BFS levels of vertex 0: every arc (u, v) contributes
     |level(u) + 1 - level(v)| to the gcd.
     """
-    return _period_of_levels(rows, n, _bfs_dist(rows, n, 0))
-
-
-def _period_of_levels(rows: tuple[int, ...], n: int, level: list[int]) -> int:
-    """``rows_period`` from the BFS levels of vertex 0."""
     g = 0
     for u in range(n):
         row = rows[u]
@@ -299,25 +269,6 @@ def rows_primitive(rows: tuple[int, ...], n: int) -> bool:
     return (-1 not in level
             and -1 not in _bfs_dist(transpose_rows(rows, n), n, 0)
             and _period_of_levels(rows, n, level) == 1)
-
-
-def is_primitive(d: Digraph) -> bool:
-    """True iff strongly connected with cycle-length gcd 1."""
-    return rows_primitive(d.rows, d.order)
-
-
-def is_spanning_subgraph(sub: Digraph, sup: Digraph) -> bool:
-    return sub.order == sup.order and all(a & ~b == 0 for a, b in zip(sub.rows, sup.rows))
-
-
-def relabel(d: Digraph, perm: tuple[int, ...]) -> Digraph:
-    """Apply the vertex bijection perm (perm[i-1] is the image of vertex i)."""
-    if sorted(perm) != list(range(1, d.order + 1)):
-        raise ValueError("perm must be a permutation of 1..order")
-    rows = [0] * d.order
-    for i, row in enumerate(d.rows):
-        rows[perm[i] - 1] = sum(1 << (perm[j] - 1) for j in range(d.order) if row >> j & 1)
-    return Digraph(d.order, tuple(rows))
 
 
 # -- simple-cycle enumeration (Johnson) ------------------------------------

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .boolmat import pow_rows
 from .digraph import (
     Digraph,
     TruncatedProfileError,
@@ -170,17 +169,6 @@ def _least_zero_entry(rows: tuple[int, ...], n: int) -> tuple[int, int] | None:
         if missing:
             return (i + 1, (missing & -missing).bit_length())
     return None
-
-
-def walk_exists(d: Digraph, source: int, target: int, length: int) -> bool:
-    """True iff some directed walk of exactly the given length joins the pair."""
-    n = d.order
-    if not (1 <= source <= n and 1 <= target <= n):
-        raise ValueError(f"vertex out of range for order {n}")
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
-    rows = pow_rows(d.rows, length, n)
-    return bool((rows[source - 1] >> (target - 1)) & 1)
 
 
 def _primitive_rows(d: Digraph) -> tuple[int, ...]:

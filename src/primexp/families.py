@@ -199,15 +199,3 @@ def enumerate_Dr(n: int, g: int, r: int) -> Iterator[FamilySpec]:
     top = 1 << (r - 1)
     for low in range(top):
         yield FamilySpec(kind="d_gN", n=n, g=g, N=_mask_positions(low | top))
-
-
-def chord_family(n: int, g: int) -> Iterator[FamilySpec]:
-    """Every nonempty subset of the n rotational span-g chord positions.
-
-    A strict superset of the d_gN family: positions beyond t are included,
-    so converse searches cover every single-span chord placement.
-    """
-    if not 2 <= g <= n - 1:
-        raise ValueError(f"need 2 <= g <= n-1, got g={g}, n={n}")
-    for mask in range(1, 1 << n):
-        yield FamilySpec(kind="chord", n=n, g=g, chord_mask=mask)

@@ -46,7 +46,7 @@ import os
 import random
 from operator import add, itemgetter
 
-from .boolmat import serialize_rows
+from .boolmat import MAX_ORDER, serialize_rows
 from .digraph import (
     Digraph,
     _cycle_cover,
@@ -94,12 +94,13 @@ BERNOULLI_SWEEP = (0.05, 0.1, 0.2)
 DEFAULT_CHORD_PAIRS = ((10, 3), (10, 7), (10, 9), (11, 3))
 CHORD_ORDER_CAP = 16
 THM33_ORDER_CAP = 20
+MAX_RANDOM_TRIES = 100_000
 
 
 # -- random instance generation --------------------------------------------
 
 def _random_tries(rng: random.Random, n: int, p: float):
-    """Endless (successor rows, period) tries of ``random_primitive_digraph``.
+    """Endless (successor rows, period) tries of ``_random_primitive_rows``.
 
     Number the vertices by their position on the drawn cycle.  Every arc
     u -> v of a strongly connected digraph of period d joins consecutive
@@ -132,25 +133,20 @@ def _random_tries(rng: random.Random, n: int, p: float):
         yield tuple(rows), period
 
 
-def _random_primitive_rows(rng: random.Random, n: int, p: float,
-                           max_tries: int = 100_000) -> tuple[int, ...]:
-    """Successor rows of ``random_primitive_digraph``, with the same draws."""
-    for rows, period in itertools.islice(_random_tries(rng, n, p), max_tries):
-        if period == 1:
-            return rows
-    raise RuntimeError(f"no primitive digraph found in {max_tries} tries (n={n}, p={p})")
-
-
-def random_primitive_digraph(rng: random.Random, n: int, p: float, max_tries: int = 100_000) -> Digraph:
-    """Random Hamiltonian cycle plus Bernoulli(p) arcs, retained if primitive.
+def _random_primitive_rows(rng: random.Random, n: int, p: float) -> tuple[int, ...]:
+    """Successor rows of a random Hamiltonian cycle plus Bernoulli(p) arcs, retained if primitive.
 
     Each try shuffles the n vertices into a cycle, then draws rng.random()
     once for every arc not on it, in row-major order, and adds the arc when
     the draw is below p.  The cycle makes every try strongly connected, and
     its period is read off the drawn arcs' positions on the cycle (see
-    ``_random_tries``), so a try costs no search.
+    ``_random_tries``), so a try costs no search.  After MAX_RANDOM_TRIES
+    tries it raises RuntimeError.
     """
-    return Digraph(n, _random_primitive_rows(rng, n, p, max_tries))
+    for rows, period in itertools.islice(_random_tries(rng, n, p), MAX_RANDOM_TRIES):
+        if period == 1:
+            return rows
+    raise RuntimeError(f"no primitive digraph found in {MAX_RANDOM_TRIES} tries (n={n}, p={p})")
 
 
 def _random_rows(seed: int, samples: int, n_max: int):
@@ -551,7 +547,14 @@ def valid_h_triples(n_max: int):
 
 
 def verify_lemma34(n_max: int = 12) -> Report:
-    """Assert the (n-1)g + n - 2g bound on every valid two-cycle construction."""
+    """Assert the (n-1)g + n - 2g bound on every valid two-cycle construction.
+
+    The constructions are digraphs of order n <= n_max, so n_max above
+    boolmat.MAX_ORDER = 64 raises ValueError before any work.  n_max = 64
+    took 11 to 13 s (2-core VM, Python 3.11).
+    """
+    if n_max > MAX_ORDER:
+        raise ValueError(f"n_max must be at most {MAX_ORDER}, got {n_max}")
     report = Report()
     for n, g, k in valid_h_triples(n_max):
         d = h_graph(n, g, k)
@@ -613,9 +616,16 @@ def verify_thm36(n: int, g: int) -> Report:
     classified against the corresponding max-z family, once per rotation
     orbit.  Phase c: audit of the two competing girth thresholds.  Only the
     forced cycle-set condition is asserted; everything else is reported.
+
+    The chord member with mask 1 is q1(n, g), whose exponent tops the
+    window, so phase b always classifies and needs n <= ISO_ORDER_CAP = 14.
+    A larger n raises ValueError before phase a, whose 2^t - 1 forward
+    chord sets would otherwise run first.
     """
     if math.gcd(n, g) != 1:
         raise ValueError(f"need gcd(n, g) = 1, got gcd({n}, {g})")
+    if n > ISO_ORDER_CAP:
+        raise ValueError(f"n must be at most {ISO_ORDER_CAP}, the isomorphism order cap, got {n}")
     report = Report()
     t = chord_position_cap(n, g)
     low, high = thm36_range(n, g)

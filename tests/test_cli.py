@@ -5,14 +5,15 @@ import json
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
 
 from primexp import families
-from primexp.boolmat import BoolMatrix, all_ones, serialize_matrix
+from primexp.boolmat import BoolMatrix, serialize_rows
 from primexp.cli import BOUNDS, main
-from primexp.digraph import CYCLE_COVER_BUDGET, from_matrix, simple_cycles, to_matrix
+from primexp.digraph import CYCLE_COVER_BUDGET, from_matrix, simple_cycles
 from primexp.exponent import (
     formula_thm33,
     lemma23_bound,
@@ -28,7 +29,7 @@ from primexp.families import KINDS, d1, q1, standard_cycle
 @pytest.fixture
 def d1_file(tmp_path):
     path = tmp_path / "d1.txt"
-    path.write_text(serialize_matrix(to_matrix(d1(5))))
+    path.write_text(serialize_rows(d1(5).rows, 5))
     return str(path)
 
 
@@ -66,7 +67,7 @@ def test_exp_verbose_certificate(capsys, d1_file):
 
 def test_exp_on_nonprimitive_is_input_error(capsys, tmp_path):
     path = tmp_path / "cycle.txt"
-    path.write_text(serialize_matrix(to_matrix(standard_cycle(6))))
+    path.write_text(serialize_rows(standard_cycle(6).rows, 6))
     code, _, err = run_cli(capsys, "exp", "-f", str(path))
     assert code == 3
     assert "not primitive" in err
@@ -74,7 +75,7 @@ def test_exp_on_nonprimitive_is_input_error(capsys, tmp_path):
 
 def test_cwalk_and_lemma22_past_the_cover_budget_are_input_errors(capsys, tmp_path):
     path = tmp_path / "complete.txt"
-    path.write_text(serialize_matrix(all_ones(64)))
+    path.write_text(serialize_rows(((1 << 64) - 1,) * 64, 64))
     for argv in (["cwalk", "-f", str(path)], ["bound", "lemma22", "-f", str(path)]):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, "")
@@ -99,7 +100,7 @@ def test_girth_and_cycles_verbs(capsys, d1_file):
 
 def test_cwalk_verb(capsys, tmp_path):
     path = tmp_path / "q1.txt"
-    path.write_text(serialize_matrix(to_matrix(q1(10, 3))))
+    path.write_text(serialize_rows(q1(10, 3).rows, 10))
     code, out, _ = run_cli(capsys, "cwalk", "-f", str(path))
     assert (code, out) == (0, "16\n")
 
@@ -155,7 +156,7 @@ def test_bound_missing_option_is_input_error(capsys):
 
 def test_bound_lemma22_reads_matrix(capsys, tmp_path):
     path = tmp_path / "q1.txt"
-    path.write_text(serialize_matrix(to_matrix(q1(10, 3))))
+    path.write_text(serialize_rows(q1(10, 3).rows, 10))
     code, out, _ = run_cli(capsys, "bound", "lemma22", "-f", str(path))
     assert (code, out) == (0, "34\n")
 
@@ -200,7 +201,8 @@ def test_family_verb_prints_the_constructor(capsys, kind):
             for x in (flag, ",".join(map(str, value)) if flag == "--N" else str(value))]
     code, out, _ = run_cli(capsys, "family", kind, *argv)
     assert code == 0
-    assert out == serialize_matrix(to_matrix(constructor(*options.values())))
+    d = constructor(*options.values())
+    assert out == serialize_rows(d.rows, d.order)
     code, out, err = run_cli(capsys, "family", kind, *argv[:-2])
     assert (code, out) == (3, "")
     assert err == f"error: missing required option {argv[-2]}\n"
@@ -216,8 +218,8 @@ def test_iso_verb(capsys, tmp_path):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
     from primexp.families import d_gN
-    a.write_text(serialize_matrix(to_matrix(d_gN(10, 3, {1}))))
-    b.write_text(serialize_matrix(to_matrix(d_gN(10, 3, {3}))))
+    a.write_text(serialize_rows(d_gN(10, 3, {1}).rows, 10))
+    b.write_text(serialize_rows(d_gN(10, 3, {3}).rows, 10))
     code, out, _ = run_cli(capsys, "iso", "-a", str(a), "-b", str(b))
     assert (code, out) == (0, "true\n")
     code, out, _ = run_cli(capsys, "iso", "-a", str(a), "-b", str(a), "--verbose")
@@ -260,7 +262,7 @@ def test_cycles_verbose_output_equals_the_listed_cycles(capsys, tmp_path):
         rows = tuple(sum(1 << j for j in range(n) if rng.random() < p) for _ in range(n))
         d = from_matrix(BoolMatrix(n, rows))
         cap = rng.choice([3, 500, 10**6])
-        path.write_text(serialize_matrix(to_matrix(d)))
+        path.write_text(serialize_rows(d.rows, d.order))
         cycles, profile = simple_cycles(d, cap=cap)
         code, out, _ = run_cli(capsys, "cycles", "-f", str(path), "--cap", str(cap), "--verbose")
         assert (code, out) == (0, _cycles_text(cycles, n, profile.cap_hit)), (rows, cap)
@@ -269,7 +271,7 @@ def test_cycles_verbose_output_equals_the_listed_cycles(capsys, tmp_path):
 def test_cycles_cap_hit_only_past_the_cap(capsys, tmp_path):
     # The complete order-4 digraph with loops has 4 + 6 + 8 + 6 = 24 simple cycles.
     path = tmp_path / "k4.txt"
-    path.write_text(serialize_matrix(all_ones(4)))
+    path.write_text(serialize_rows(((1 << 4) - 1,) * 4, 4))
     for cap, hit in ((25, "false"), (24, "false"), (23, "true")):
         code, out, _ = run_cli(capsys, "cycles", "-f", str(path), "--cap", str(cap), "--verbose")
         assert code == 0
@@ -279,7 +281,7 @@ def test_cycles_cap_hit_only_past_the_cap(capsys, tmp_path):
 def test_cycles_verb_does_not_store_the_cycles(capsys, tmp_path):
     # Listing 50 000 cycles of about 63 vertices each would take some 30 MB.
     path = tmp_path / "k64.txt"
-    path.write_text(serialize_matrix(all_ones(64)))
+    path.write_text(serialize_rows(((1 << 64) - 1,) * 64, 64))
     tracemalloc.start()
     try:
         code, out, _ = run_cli(capsys, "cycles", "-f", str(path), "--cap", "50000", "--verbose")
@@ -360,6 +362,18 @@ def test_verify_thm33_above_the_order_cap_is_input_error(capsys, monkeypatch):
     cap = verify_module.THM33_ORDER_CAP
     code, out, err = run_cli(capsys, "verify", "thm33", "--n-max", str(cap + 1))
     assert (code, out, err) == (3, "", f"error: n_max must be at most {cap}, got {cap + 1}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("thm36", "--n", "15", "--g", "4"), "n must be at most 14, the isomorphism order cap, got 15"),
+    (("thm36", "--n", "40", "--g", "19"), "n must be at most 14, the isomorphism order cap, got 40"),
+    (("lemma34", "--n-max", "65"), "n_max must be at most 64, got 65"),
+], ids=["thm36-15", "thm36-40", "lemma34-65"])
+def test_verify_above_a_verb_order_cap_is_input_error_at_once(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
 def test_missing_file_is_input_error(capsys, tmp_path):

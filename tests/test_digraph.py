@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primexp.boolmat import BoolMatrix, identity, is_all_positive, pow_rows, power, rows_all_positive
+from primexp.boolmat import BoolMatrix, mul_rows, pow_rows, transpose_rows
 from primexp.digraph import (
     CYCLE_COVER_BUDGET,
     CycleProfile,
@@ -17,21 +17,19 @@ from primexp.digraph import (
     TruncatedProfileError,
     _bfs_dist,
     _cycle_cover,
+    _period_of_levels,
     digraph,
-    distance,
     from_matrix,
     girth,
-    is_primitive,
-    is_spanning_subgraph,
-    is_strongly_connected,
-    relabel,
     rows_cycle_lengths,
     rows_girth,
+    rows_primitive,
     simple_cycles,
-    to_matrix,
 )
 from primexp.exponent import wielandt_bound
 from primexp.families import d1, d2, d_gN, h_graph, q1, standard_cycle
+
+from helpers import relabel
 
 
 def random_digraph(rng: random.Random, n: int, p: float) -> Digraph:
@@ -48,7 +46,12 @@ def closure_strongly_connected(d: Digraph) -> bool:
     """Oracle: strong connectivity via the (A OR I)^(n-1) all-positive criterion."""
     n = d.order
     rows = tuple(r | (1 << i) for i, r in enumerate(d.rows))
-    return rows_all_positive(pow_rows(rows, n - 1, n), n)
+    return pow_rows(rows, n - 1, n) == ((1 << n) - 1,) * n
+
+
+def reaches_every_vertex(rows: tuple[int, ...], n: int) -> bool:
+    """Every BFS from a vertex reaches all n vertices."""
+    return all(-1 not in _bfs_dist(rows, n, v) for v in range(n))
 
 
 def cover_profile(rows: tuple[int, ...], n: int) -> CycleProfile:
@@ -72,7 +75,7 @@ def test_zero_matrix_gives_no_arcs():
 
 
 def test_identity_gives_loops():
-    assert from_matrix(identity(3)).arcs == frozenset({(1, 1), (2, 2), (3, 3)})
+    assert from_matrix(BoolMatrix(3, (0b001, 0b010, 0b100))).arcs == frozenset({(1, 1), (2, 2), (3, 3)})
 
 
 def test_round_trip_on_random_matrices():
@@ -80,7 +83,7 @@ def test_round_trip_on_random_matrices():
     for _ in range(100):
         n = rng.randint(2, 9)
         m = BoolMatrix(n, tuple(rng.getrandbits(n) for _ in range(n)))
-        assert to_matrix(from_matrix(m)) == m
+        assert from_matrix(m).rows == m.rows
 
 
 @settings(max_examples=200, deadline=None)
@@ -91,7 +94,7 @@ def test_arc_set_and_matrix_round_trips(rows):
     a = BoolMatrix(n, tuple(rows))
     d = from_matrix(a)
     assert digraph(n, d.arcs) == d
-    assert to_matrix(d) == a
+    assert d.rows == a.rows
     assert len(d.arcs) == sum(map(int.bit_count, rows))
 
 
@@ -123,45 +126,44 @@ def test_rows_given_as_a_list_are_stored_as_a_tuple(cls):
 # -- strong connectivity -----------------------------------------------------
 
 def test_cycle_is_strongly_connected():
-    assert is_strongly_connected(standard_cycle(7))
+    assert reaches_every_vertex(standard_cycle(7).rows, 7)
 
 
 def test_disjoint_loops_are_not():
-    assert not is_strongly_connected(digraph(2, [(1, 1), (2, 2)]))
+    assert _bfs_dist(digraph(2, [(1, 1), (2, 2)]).rows, 2, 0) == [0, -1]
 
 
 def test_strong_connectivity_matches_closure_oracle():
+    # Reaching every vertex from vertex 0 forward and backward, as
+    # rows_primitive tests it, is reaching every vertex from every vertex.
     rng = random.Random(11)
     for _ in range(500):
         n = rng.randint(2, 8)
         d = random_digraph(rng, n, rng.choice([0.1, 0.2, 0.35]))
-        assert is_strongly_connected(d) == closure_strongly_connected(d)
+        from_zero = (-1 not in _bfs_dist(d.rows, n, 0)
+                     and -1 not in _bfs_dist(transpose_rows(d.rows, n), n, 0))
+        assert from_zero == reaches_every_vertex(d.rows, n) == closure_strongly_connected(d)
 
 
 # -- distance -----------------------------------------------------------------
 
 def test_distance_along_descending_cycle():
-    assert distance(standard_cycle(10), 10, 4) == 6
+    assert _bfs_dist(standard_cycle(10).rows, 10, 9)[3] == 6
 
 
 def test_distance_to_self_is_zero():
-    assert distance(standard_cycle(5), 3, 3) == 0
+    assert _bfs_dist(standard_cycle(5).rows, 5, 2)[2] == 0
 
 
 def test_distance_unreachable_is_none():
     d = digraph(3, [(1, 2)])
-    assert distance(d, 2, 1) is None
-
-
-def test_distance_vertex_range_checked():
-    with pytest.raises(ValueError):
-        distance(standard_cycle(4), 0, 1)
+    assert _bfs_dist(d.rows, 3, 1)[0] == -1
 
 
 @pytest.mark.parametrize("n,g,r", [(10, 3, 1), (10, 3, 2), (11, 4, 3), (9, 5, 2)])
 def test_case1_geometry_distance(n, g, r):
     d = d_gN(n, g, set(range(1, r + 1)))
-    assert distance(d, n, g + r) == n - g - r
+    assert _bfs_dist(d.rows, n, n - 1)[g + r - 1] == n - g - r
 
 
 # -- girth ---------------------------------------------------------------------
@@ -424,55 +426,56 @@ def test_cycle_cover_budget_counts_every_vertex_set_key(monkeypatch):
 
 def test_pure_cycle_is_not_primitive():
     for n in (2, 3, 6):
-        assert not is_primitive(standard_cycle(n))
+        assert not rows_primitive(standard_cycle(n).rows, n)
 
 
 def test_chorded_cycle_with_coprime_girth_is_primitive():
-    assert is_primitive(d_gN(10, 3, {1}))
-    assert is_primitive(d_gN(9, 2, {1, 2}))
+    assert rows_primitive(d_gN(10, 3, {1}).rows, 10)
+    assert rows_primitive(d_gN(9, 2, {1, 2}).rows, 9)
 
 
 def test_primitive_matches_wielandt_power_oracle():
     rng = random.Random(17)
     for _ in range(1000):
         n = rng.randint(2, 8)
-        d = random_digraph(rng, n, rng.choice([0.1, 0.2, 0.3]))
-        a = to_matrix(d)
-        oracle = any(
-            is_all_positive(power(a, k)) for k in range(1, wielandt_bound(n) + 1)
-        )
-        assert is_primitive(d) == oracle
+        rows = random_digraph(rng, n, rng.choice([0.1, 0.2, 0.3])).rows
+        full = ((1 << n) - 1,) * n
+        power, oracle = rows, False
+        for _ in range(wielandt_bound(n)):
+            if power == full:
+                oracle = True
+                break
+            power = mul_rows(power, rows)
+        assert rows_primitive(rows, n) == oracle
 
 
 def test_primitive_implies_strongly_connected():
     rng = random.Random(19)
     for _ in range(300):
         d = random_digraph(rng, rng.randint(2, 7), 0.25)
-        if is_primitive(d):
-            assert is_strongly_connected(d)
+        if rows_primitive(d.rows, d.order):
+            assert closure_strongly_connected(d)
 
 
 def test_primitivity_matches_cycle_gcd():
     rng = random.Random(23)
     for _ in range(300):
         d = random_digraph(rng, rng.randint(2, 7), 0.3)
-        if not is_strongly_connected(d):
+        if not closure_strongly_connected(d):
             continue
         _, profile = simple_cycles(d)
-        assert is_primitive(d) == (math.gcd(*profile.lengths) == 1)
+        assert rows_primitive(d.rows, d.order) == (math.gcd(*profile.lengths) == 1)
 
 
 def test_period_equals_cycle_length_gcd():
-    from primexp.digraph import rows_period
-
     rng = random.Random(27)
     for _ in range(300):
         d = random_digraph(rng, rng.randint(2, 7), 0.3)
-        if not is_strongly_connected(d):
+        if not closure_strongly_connected(d):
             continue
         _, profile = simple_cycles(d)
-        rows = d.rows
-        assert rows_period(rows, d.order) == math.gcd(*profile.lengths)
+        rows, n = d.rows, d.order
+        assert _period_of_levels(rows, n, _bfs_dist(rows, n, 0)) == math.gcd(*profile.lengths)
 
 
 def test_primitivity_takes_two_searches(monkeypatch):
@@ -498,13 +501,10 @@ def test_primitivity_takes_two_searches(monkeypatch):
 # -- subgraph relation ---------------------------------------------------------------
 
 def test_cycle_spans_chorded_families():
-    assert is_spanning_subgraph(standard_cycle(10), d_gN(10, 3, {1, 2}))
+    sup = d_gN(10, 3, {1, 2}).rows
+    assert all(a & ~b == 0 for a, b in zip(standard_cycle(10).rows, sup))
 
 
 def test_d1_does_not_span_into_cycle():
-    assert not is_spanning_subgraph(d1(5), standard_cycle(5))
-
-
-def test_spanning_is_reflexive():
-    g = d2(6)
-    assert is_spanning_subgraph(g, g)
+    sup = standard_cycle(5).rows
+    assert not all(a & ~b == 0 for a, b in zip(d1(5).rows, sup))

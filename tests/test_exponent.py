@@ -10,28 +10,16 @@ import time
 
 import pytest
 
-from primexp.boolmat import (
-    all_ones,
-    is_all_positive,
-    mul_rows,
-    pow_rows,
-    power,
-    rows_all_positive,
-    serialize_matrix,
-)
+from primexp.boolmat import mul_rows, pow_rows, serialize_rows, transpose_rows
 from primexp.cli import main
 from primexp.digraph import (
     Digraph,
+    _bfs_dist,
     _cycle_cover,
+    _period_of_levels,
     digraph,
-    distance,
-    from_matrix,
-    relabel,
-    rows_period,
     rows_primitive,
-    rows_strongly_connected,
     simple_cycles,
-    to_matrix,
 )
 from primexp.exponent import (
     MAX_CYCLE_LENGTHS,
@@ -52,12 +40,13 @@ from primexp.exponent import (
     lemma32_bound,
     lemma34_bound,
     thm36_range,
-    walk_exists,
     wielandt_bound,
     z_of_w,
 )
 from primexp.families import chord_member, d1, d2, d_gN, h_graph, q1, q2, standard_cycle
-from primexp.verify import random_primitive_digraph
+from primexp.verify import _random_primitive_rows
+
+from helpers import relabel
 
 
 def linear_exponent_scan(rows: tuple[int, ...], n: int) -> tuple[int, tuple[int, ...]] | None:
@@ -67,10 +56,11 @@ def linear_exponent_scan(rows: tuple[int, ...], n: int) -> tuple[int, tuple[int,
     Each step multiplies A on the left of the running power: powers of A
     commute, and mul_rows costs one row OR per set bit of its left operand.
     """
+    full = ((1 << n) - 1,) * n
     previous = tuple(1 << i for i in range(n))
     current = rows
     for k in range(1, wielandt_bound(n) + 1):
-        if rows_all_positive(current, n):
+        if current == full:
             return k, previous
         previous = current
         current = mul_rows(rows, current)
@@ -88,9 +78,9 @@ def least_zero_pair(rows: tuple[int, ...], n: int) -> tuple[int, int] | None:
 
 def exponent_by_all_pairs_walks(d: Digraph) -> int:
     """Oracle: smallest k such that every ordered pair has a length-k walk."""
-    a = to_matrix(d)
-    for k in range(1, wielandt_bound(d.order) + 1):
-        if is_all_positive(power(a, k)):
+    n = d.order
+    for k in range(1, wielandt_bound(n) + 1):
+        if pow_rows(d.rows, k, n) == ((1 << n) - 1,) * n:
             return k
     raise AssertionError("no all-positive power within the maximum")
 
@@ -151,7 +141,7 @@ def cover_walks_by_length_dp(rows: tuple[int, ...], n: int, cover: list[int]):
 
 
 def complete_with_loops(n: int) -> Digraph:
-    return from_matrix(all_ones(n))
+    return Digraph(n, ((1 << n) - 1,) * n)
 
 
 # -- exponent --------------------------------------------------------------
@@ -170,14 +160,13 @@ def test_exponent_rejects_nonprimitive():
 def test_certificate_is_least_failing_pair():
     result = exponent(d1(4))
     assert result.certificate_length == result.value - 1
-    a = to_matrix(d1(4))
-    prev = power(a, result.value - 1)
+    prev = pow_rows(d1(4).rows, result.value - 1, 4)
     u, v = result.certificate_pair
-    assert prev.entry(u, v) == 0
+    assert (prev[u - 1] >> (v - 1)) & 1 == 0
     for i in range(1, 5):
         for j in range(1, 5):
             if (i, j) < (u, v):
-                assert prev.entry(i, j) == 1
+                assert (prev[i - 1] >> (j - 1)) & 1 == 1
             else:
                 return
 
@@ -186,25 +175,27 @@ def test_exponent_equals_all_pairs_walk_oracle_on_random_instances():
     rng = random.Random(101)
     for _ in range(60):
         n = rng.randint(2, 8)
-        d = random_primitive_digraph(rng, n, rng.choice([0.05, 0.1, 0.2]))
+        d = Digraph(n, _random_primitive_rows(rng, n, rng.choice([0.05, 0.1, 0.2])))
         assert exponent(d).value == exponent_by_all_pairs_walks(d)
 
 
 def test_exponent_brackets_the_all_positive_transition():
     rng = random.Random(211)
     for _ in range(30):
-        d = random_primitive_digraph(rng, rng.randint(2, 7), 0.15)
-        a = to_matrix(d)
-        value = exponent(d).value
-        assert is_all_positive(power(a, value))
+        n = rng.randint(2, 7)
+        rows = _random_primitive_rows(rng, n, 0.15)
+        full = ((1 << n) - 1,) * n
+        value = exponent(Digraph(n, rows)).value
+        assert pow_rows(rows, value, n) == full
         if value >= 2:
-            assert not is_all_positive(power(a, value - 1))
+            assert pow_rows(rows, value - 1, n) != full
 
 
 def test_exponent_is_relabeling_invariant():
     rng = random.Random(103)
     for _ in range(30):
-        d = random_primitive_digraph(rng, rng.randint(3, 7), 0.15)
+        n = rng.randint(3, 7)
+        d = Digraph(n, _random_primitive_rows(rng, n, 0.15))
         perm = list(range(1, d.order + 1))
         rng.shuffle(perm)
         assert exponent(relabel(d, tuple(perm))).value == exponent(d).value
@@ -214,8 +205,8 @@ def test_spanning_subgraph_monotonicity():
     rng = random.Random(107)
     checked = 0
     while checked < 40:
-        d = random_primitive_digraph(rng, rng.randint(3, 7), 0.1)
-        n = d.order
+        n = rng.randint(3, 7)
+        d = Digraph(n, _random_primitive_rows(rng, n, 0.1))
         extra = {
             (rng.randint(1, n), rng.randint(1, n))
             for _ in range(rng.randint(1, 4))
@@ -258,8 +249,8 @@ def test_extremal_families_match_closed_form_and_linear_scan(family, closed_form
 # (digraph, exponent): exponent 1, every 2^k and 2^k + 1 up to 2^11 + 1,
 # and the Wielandt cap at orders 2 and 64.
 KERNEL_BOUNDARY_CASES = [
-    (from_matrix(all_ones(2)), 1),
-    (from_matrix(all_ones(64)), 1),
+    (complete_with_loops(2), 1),
+    (complete_with_loops(64), 1),
     (digraph(2, [(1, 1), (1, 2), (2, 1)]), 2),
     (digraph(3, [(1, 1), (1, 2), (1, 3), (2, 3), (3, 1)]), 3),
     (d_gN(3, 1, {1}), 4),
@@ -323,7 +314,7 @@ def test_nonprimitive_edge_inputs(name, tmp_path, capsys):
     with pytest.raises(NotPrimitiveError, match="not primitive"):
         exponent(d)
     path = tmp_path / "m.txt"
-    path.write_text(serialize_matrix(to_matrix(d)))
+    path.write_text(serialize_rows(d.rows, d.order))
     assert main(["exp", "-f", str(path)]) == 3
     assert "not primitive" in capsys.readouterr().err
 
@@ -335,7 +326,9 @@ def _periodic_rows(rng: random.Random, n: int, period: int) -> tuple[int, ...]:
         rng.shuffle(cls)
         rows = tuple(sum(1 << w for w in range(n) if cls[w] == (cls[v] + 1) % period and rng.random() < 0.5)
                      for v in range(n))
-        if rows_strongly_connected(rows, n) and rows_period(rows, n) == period:
+        level = _bfs_dist(rows, n, 0)
+        if (-1 not in level and -1 not in _bfs_dist(transpose_rows(rows, n), n, 0)
+                and _period_of_levels(rows, n, level) == period):
             return rows
 
 
@@ -396,24 +389,22 @@ def test_kernel_refuses_repeated_squares_without_the_wielandt_cap():
 
 # -- walk existence ------------------------------------------------------------
 
+def walk_10_to_4(d: Digraph, length: int) -> bool:
+    """Whether a walk of exactly this length joins v_10 to v_4: entry (10, 4) of A^length."""
+    return bool((pow_rows(d.rows, length, d.order)[9] >> 3) & 1)
+
+
 def test_walks_on_pure_cycle_fixed_length_classes():
     c = standard_cycle(10)
-    assert walk_exists(c, 10, 4, 6)
-    assert not walk_exists(c, 10, 4, 7)
-    assert walk_exists(c, 10, 4, 16)
+    assert walk_10_to_4(c, 6)
+    assert not walk_10_to_4(c, 7)
+    assert walk_10_to_4(c, 16)
 
 
 def test_no_walk_at_one_below_the_chord_family_exponent():
     d = d_gN(10, 3, {1})
-    assert not walk_exists(d, 10, 4, formula_thm33(10, 3, 1) - 1)
-    assert walk_exists(d, 10, 4, formula_thm33(10, 3, 1))
-
-
-def test_walk_argument_validation():
-    with pytest.raises(ValueError):
-        walk_exists(standard_cycle(4), 5, 1, 2)
-    with pytest.raises(ValueError):
-        walk_exists(standard_cycle(4), 1, 1, -1)
+    assert not walk_10_to_4(d, formula_thm33(10, 3, 1) - 1)
+    assert walk_10_to_4(d, formula_thm33(10, 3, 1))
 
 
 # -- cycle-meeting walks ----------------------------------------------------------
@@ -423,7 +414,7 @@ def test_full_coverage_reduces_to_plain_distances():
     result = c_walk_distances(d)
     for i in range(1, 5):
         for j in range(1, 5):
-            assert result.pair(i, j) == distance(d, i, j)
+            assert result.pair(i, j) == _bfs_dist(d.rows, 4, i - 1)[j - 1]
         assert result.pair(i, i) == 0
 
 
@@ -437,25 +428,29 @@ def test_chord_family_attains_claimed_maximum():
 def test_per_pair_dominates_distance():
     rng = random.Random(109)
     for _ in range(40):
-        d = random_primitive_digraph(rng, rng.randint(2, 7), 0.15)
+        n = rng.randint(2, 7)
+        d = Digraph(n, _random_primitive_rows(rng, n, 0.15))
         result = c_walk_distances(d)
         for i in range(1, d.order + 1):
             for j in range(1, d.order + 1):
-                assert result.pair(i, j) >= distance(d, i, j)
+                assert result.pair(i, j) >= _bfs_dist(d.rows, d.order, i - 1)[j - 1]
 
 
 def test_cwalk_matches_length_dp_oracle():
     rng = random.Random(113)
     for _ in range(80):
-        d = random_primitive_digraph(rng, rng.randint(2, 8), rng.choice([0.1, 0.2]))
+        n = rng.randint(2, 8)
+        d = Digraph(n, _random_primitive_rows(rng, n, rng.choice([0.1, 0.2])))
         assert c_walk_distances(d).per_pair == cwalk_by_length_dp(d)
 
 
 def test_cwalk_kernel_on_the_dp_profile_matches_length_dp_oracle():
     # The bound suite's path: the unchecked kernel fed the subset-DP cover.
     rng = random.Random(131)
-    digraphs = [random_primitive_digraph(rng, rng.randint(2, 10), rng.choice([0.05, 0.1, 0.2]))
-                for _ in range(60)]
+    digraphs = []
+    for _ in range(60):
+        n = rng.randint(2, 10)
+        digraphs.append(Digraph(n, _random_primitive_rows(rng, n, rng.choice([0.05, 0.1, 0.2]))))
     digraphs += [chord_member(10, 3, mask) for mask in (1, 5, 77, 1000)]
     digraphs += [d1(11), d2(11), q1(11, 4)]
     for d in digraphs:
@@ -477,7 +472,7 @@ def test_cwalk_kernel_on_the_cycle_cover_matches_c_walk_distances():
     # profile path and the exact-length DP take their cycles from
     # simple_cycles instead, so neither shares the cover.
     rng = random.Random(137)
-    digraphs = [random_primitive_digraph(rng, n, p)
+    digraphs = [Digraph(n, _random_primitive_rows(rng, n, p))
                 for n, p in [(rng.randint(2, 12), rng.choice([0.05, 0.1, 0.2, 0.3]))
                              for _ in range(150)]
                 + [(rng.randint(13, 20), rng.choice([0.02, 0.05])) for _ in range(20)]]
@@ -507,7 +502,7 @@ def test_cwalk_kernel_on_nested_and_repeated_cover_sets_matches_length_dp():
     rng = random.Random(139)
     for _ in range(120):
         n = rng.randint(2, 10)
-        d = random_primitive_digraph(rng, n, rng.choice([0.1, 0.2, 0.4]))
+        d = Digraph(n, _random_primitive_rows(rng, n, rng.choice([0.1, 0.2, 0.4])))
         rows = d.rows
         cover = [rng.getrandbits(n) | (1 << rng.randrange(n)) for _ in range(rng.randint(1, 4))]
         cover += [c | rng.getrandbits(n) for c in cover if rng.random() < 0.5]
@@ -707,7 +702,7 @@ def test_cwalk_rejects_too_many_lengths():
 BUDGET_WALL_S = 20.0
 BEYOND_BUDGET = {
     "complete(64)": lambda: complete_with_loops(64),
-    "random(24, 0.3)": lambda: random_primitive_digraph(random.Random(24), 24, 0.3),
+    "random(24, 0.3)": lambda: Digraph(24, _random_primitive_rows(random.Random(24), 24, 0.3)),
 }
 
 
@@ -744,7 +739,8 @@ def test_lemma22_with_a_loop_equals_cwalk_max():
 def test_lemma22_holds_on_random_instances():
     rng = random.Random(127)
     for _ in range(150):
-        d = random_primitive_digraph(rng, rng.randint(2, 8), rng.choice([0.05, 0.1, 0.2]))
+        n = rng.randint(2, 8)
+        d = Digraph(n, _random_primitive_rows(rng, n, rng.choice([0.05, 0.1, 0.2])))
         assert exponent(d).value <= lemma22_bound(d)
 
 
@@ -754,7 +750,8 @@ def test_lemma23_values_and_random_instances():
         assert lemma23_bound(n, n - 1) == (n - 1) ** 2 + 1
     rng = random.Random(131)
     for _ in range(150):
-        d = random_primitive_digraph(rng, rng.randint(2, 8), 0.15)
+        n = rng.randint(2, 8)
+        d = Digraph(n, _random_primitive_rows(rng, n, 0.15))
         _, profile = simple_cycles(d)
         assert exponent(d).value <= lemma23_bound(d.order, profile.lengths[0])
 

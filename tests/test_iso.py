@@ -6,7 +6,7 @@ import random
 import pytest
 
 from primexp.boolmat import BoolMatrix
-from primexp.digraph import Digraph, digraph, from_matrix, girth, relabel, simple_cycles
+from primexp.digraph import Digraph, digraph, from_matrix, girth, simple_cycles
 from primexp.exponent import exponent
 from primexp.families import d1, d2, d_gN, enumerate_Dr, q1, standard_cycle
 from primexp.iso import (
@@ -23,7 +23,7 @@ from primexp.iso import (
 )
 from primexp.verify import census
 
-from helpers import canonical_code
+from helpers import canonical_code, relabel
 
 
 def random_digraph(rng: random.Random, n: int, p: float) -> Digraph:

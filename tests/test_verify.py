@@ -11,17 +11,16 @@ import time
 import pytest
 
 import primexp.verify as verify_module
-from primexp.boolmat import BoolMatrix, serialize_matrix
+from primexp.boolmat import serialize_rows
 from primexp.digraph import (
+    Digraph,
+    _bfs_dist,
+    _period_of_levels,
     digraph,
-    from_matrix,
-    is_primitive,
     rows_cycle_lengths,
     rows_girth,
-    rows_period,
     rows_primitive,
     simple_cycles,
-    to_matrix,
 )
 from primexp.exponent import (
     cwalk_of_cover,
@@ -30,7 +29,7 @@ from primexp.exponent import (
     lemma25_bound,
     thm36_range,
 )
-from primexp.families import chord_family, chord_member, d1, d2, q1
+from primexp.families import FamilySpec, chord_member, d1, d2, q1
 from primexp.iso import ISO_ORDER_CAP, automorphism_count, canonical_code_tables
 from primexp.report import Report, census_to_jsonl
 from primexp.semigroup import frobenius
@@ -49,7 +48,6 @@ from primexp.verify import (
     printed_threshold_min_g,
     proof_threshold_min_g,
     random_instances,
-    random_primitive_digraph,
     valid_h_triples,
     verify_bounds,
     verify_lemma24,
@@ -69,10 +67,10 @@ def rows_by_claim(report: Report, claim: str):
 # -- random generation ---------------------------------------------------------
 
 def test_random_primitive_digraph_is_primitive_and_deterministic():
-    a = random_primitive_digraph(random.Random(5), 6, 0.1)
-    b = random_primitive_digraph(random.Random(5), 6, 0.1)
-    assert a.arcs == b.arcs
-    assert is_primitive(a)
+    a = _random_primitive_rows(random.Random(5), 6, 0.1)
+    b = _random_primitive_rows(random.Random(5), 6, 0.1)
+    assert a == b
+    assert rows_primitive(a, 6)
 
 
 def _arc_set_random_primitive_digraph(rng, n, p, max_tries=100_000):
@@ -96,7 +94,7 @@ def test_random_primitive_digraph_matches_the_arc_set_oracle():
         for n in range(2, 11):
             for p in BERNOULLI_SWEEP:
                 rng, oracle_rng = random.Random(seed), random.Random(seed)
-                d = random_primitive_digraph(rng, n, p)
+                d = Digraph(n, _random_primitive_rows(rng, n, p))
                 assert d == _arc_set_random_primitive_digraph(oracle_rng, n, p), (seed, n, p)
                 # the same draws were made: both generators leave rng in one state
                 assert rng.random() == oracle_rng.random(), (seed, n, p)
@@ -133,14 +131,15 @@ def test_random_primitive_rows_equal_the_genexpr_form():
 
 
 def test_in_loop_period_equals_rows_period_on_every_try():
-    # The generator reads the period off its drawn cycle; rows_period runs a BFS.
+    # The generator reads the period off its drawn cycle; the BFS levels give it too.
     periods = set()
     for seed in range(12):
         for n in range(2, 11):
             for p in BERNOULLI_SWEEP:
                 tries = _random_tries(random.Random(seed), n, p)
                 for rows, period in itertools.islice(tries, 25):
-                    assert period == rows_period(rows, n), (seed, n, p, rows)
+                    level = _bfs_dist(rows, n, 0)
+                    assert period == _period_of_levels(rows, n, level), (seed, n, p, rows)
                     periods.add(period)
     # rejected tries with periods up to 10 are covered, not only accepted ones
     assert periods == set(range(1, 11))
@@ -348,7 +347,7 @@ def test_every_chord_member_has_period_gcd_n_g():
         for g in range(2, n):
             for mask in range(1, 1 << n):
                 rows = chord_member(n, g, mask).rows
-                assert rows_period(rows, n) == math.gcd(n, g), (n, g, mask)
+                assert _period_of_levels(rows, n, _bfs_dist(rows, n, 0)) == math.gcd(n, g), (n, g, mask)
                 assert rows_primitive(rows, n) == (math.gcd(n, g) == 1), (n, g, mask)
 
 
@@ -360,8 +359,9 @@ def test_chord_universe_labels_and_params_on_every_mask():
                 assert entries == [], (n, g)
                 continue
             assert [(label, params) for label, params, _ in entries] == [
-                (spec.label(), {"n": n, "g": g, "mask": spec.chord_mask})
-                for spec in chord_family(n, g)], (n, g)
+                (FamilySpec(kind="chord", n=n, g=g, chord_mask=mask).label(),
+                 {"n": n, "g": g, "mask": mask})
+                for mask in range(1, 1 << n)], (n, g)
 
 
 def johnson_cwalk_max(d, profile) -> int:
@@ -426,14 +426,13 @@ def test_bound_suite_entries_share_one_fact_list_per_key():
 
 @pytest.mark.parametrize("pair", [(7, 3), (8, 3), (9, 2), (9, 4)])
 def test_chord_universe_rows_equal_the_per_member_loop(pair):
-    from primexp.digraph import rows_primitive
-
     n, g = pair
     oracle = Report()
-    for spec in chord_family(n, g):
+    for mask in range(1, 1 << n):
+        spec = FamilySpec(kind="chord", n=n, g=g, chord_mask=mask)
         d = spec.build()
         if rows_primitive(d.rows, n):
-            bound_rows_for(d, spec.label(), oracle, n=n, g=g, mask=spec.chord_mask)
+            bound_rows_for(d, spec.label(), oracle, n=n, g=g, mask=mask)
     assert Report(_chord_universe_rows(pair)).to_jsonl() == oracle.to_jsonl()
 
 
@@ -444,7 +443,7 @@ def test_random_sweep_rows_equal_the_per_instance_loop():
     assert len({d.rows for _, _, _, d in instances}) < len(instances) // 4
     oracle = Report()
     for idx, n, p, d in instances:
-        digest = hashlib.sha256(serialize_matrix(to_matrix(d)).encode()).hexdigest()[:12]
+        digest = hashlib.sha256(serialize_rows(d.rows, d.order).encode()).hexdigest()[:12]
         bound_rows_for(d, f"rand:{idx:06d}:{digest}", oracle,
                        n=n, p=p, seed=kwargs["seed"])
     report = verify_bounds(**kwargs, chord_pairs=())
@@ -764,6 +763,16 @@ def test_verify_lemma34_passes():
     assert any(r.notes == "tight" for r in report.rows)
 
 
+def test_verify_lemma34_refuses_orders_above_64_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("an exponent was computed before the order check")
+
+    monkeypatch.setattr(verify_module, "exponent", no_work)
+    for n_max in (65, 1000):
+        with pytest.raises(ValueError, match=f"n_max must be at most 64, got {n_max}"):
+            verify_lemma34(n_max)
+
+
 # -- window characterization ------------------------------------------------------
 
 def test_thresholds_match_hand_computation():
@@ -836,6 +845,26 @@ def test_verify_thm36_rejects_gcd_violation():
         verify_thm36(10, 5)
 
 
+@pytest.mark.parametrize("n, g", [(15, 4), (40, 19)])
+def test_verify_thm36_refuses_orders_above_the_iso_cap_before_any_work(monkeypatch, n, g):
+    # Phase b classifies q1(n, g), whose exponent tops the window, so every
+    # pair above the cap would fail there, after the whole forward sweep.
+    def no_work(*args):
+        raise AssertionError("a chord set was enumerated before the order check")
+
+    monkeypatch.setattr(verify_module, "enumerate_Dr", no_work)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"at most {ISO_ORDER_CAP}.*got {n}"):
+        verify_thm36(n, g)
+    assert time.perf_counter() - start < 1
+
+
+def test_verify_thm36_runs_at_the_iso_cap():
+    report = verify_thm36(ISO_ORDER_CAP, 3)
+    assert report.all_asserts_pass
+    assert rows_by_claim(report, "C3.7")
+
+
 # -- census -------------------------------------------------------------------------
 
 def test_census_order_two_classes():
@@ -890,7 +919,7 @@ def test_cycle_mask_lengths_match_the_oracles_at_order_five():
         lengths = _table_lengths(code, cycle_masks)
         assert lengths == rows_cycle_lengths(rows, n), code
         if t % 10 == 0:
-            assert lengths == simple_cycles(from_matrix(BoolMatrix(n, rows)))[1].lengths, code
+            assert lengths == simple_cycles(Digraph(n, rows))[1].lengths, code
 
 
 def test_census_girth_and_cycle_lengths_match_the_oracles():
@@ -899,7 +928,7 @@ def test_census_girth_and_cycle_lengths_match_the_oracles():
     for row in census(4):
         rows = _decode_rows(int(row.canonical_bits[::-1], 2), 4)
         assert row.girth == rows_girth(rows, 4)
-        assert row.cycle_lengths == simple_cycles(from_matrix(BoolMatrix(4, rows)))[1].lengths
+        assert row.cycle_lengths == simple_cycles(Digraph(4, rows))[1].lengths
 
 
 def test_census_is_deterministic():
