@@ -13,7 +13,7 @@ import sys
 
 from . import families
 from .boolmat import MatrixParseError, parse_matrix, serialize_rows
-from .digraph import Digraph, count_cycles, from_matrix, girth
+from .digraph import DEFAULT_CYCLE_CAP, Digraph, count_cycles, from_matrix, girth
 from .exponent import (
     c_walk_distances,
     exponent,
@@ -30,6 +30,7 @@ from .iso import ISO_ORDER_CAP, find_isomorphism, perm_cycle_notation
 from .report import Report, census_to_csv, census_to_jsonl
 from .semigroup import frobenius
 from .verify import (
+    DEFAULT_CHORD_PAIRS,
     census,
     verify_bounds,
     verify_lemma24,
@@ -244,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cycles", help="simple cycle length set")
     p.add_argument("-f", "--file", required=True)
-    p.add_argument("--cap", type=int, default=10**6)
+    p.add_argument("--cap", type=int, default=DEFAULT_CYCLE_CAP)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(handler=_cmd_cycles)
 
@@ -294,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n-max", dest="n_max", type=int, default=8)
     v.add_argument("--samples", type=int, default=1000)
     v.add_argument("--seed", type=int, required=True)
-    v.add_argument("--chord-pairs", dest="chord_pairs", default="10:3,10:7,10:9,11:3")
+    v.add_argument("--chord-pairs", dest="chord_pairs",
+                   default=",".join(f"{n}:{g}" for n, g in DEFAULT_CHORD_PAIRS))
     v.add_argument("--jobs", type=_jobs, default=1)
 
     v = verb("lemma24", "exhaustive extremal-class check", lambda a: verify_lemma24(n=a.n))

@@ -6,31 +6,30 @@ read from the subset-DP cover ``digraph._cycle_cover``, which has no cap and
 spans at most 2^ISO_ORDER_CAP vertex sets); practical for the near-cycle
 digraphs this package works with.
 Canonical forms are the lexicographically minimal row-major adjacency
-bit-string over all relabelings, found by branch-and-bound.
-
-The census computes the same code from tables instead: one table per row
+bit-string over all relabelings, computed from tables: one table per row
 index maps a row value to its relabeled bits under each of the n!
 relabelings, so the code of a matrix is n lookups, summed per relabeling,
-and the least of the n! sums.  The sums equal to the identity's count the
-automorphisms.
+and the least of the n! sums.  The census sums the same tables, and the
+sums equal to the identity's count the automorphisms.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import getitem
 
 from .digraph import Digraph, _cycle_cover
 from .boolmat import transpose_rows
 
 ISO_ORDER_CAP = 14
-CANONICAL_ORDER_CAP = 10
 TABLE_CODE_ORDER_CAP = 6
 
 
 class OrderCapError(ValueError):
-    """Input order exceeds the supported backtracking size."""
+    """Input order exceeds a stated order cap."""
 
 
 @dataclass(frozen=True)
@@ -131,75 +130,16 @@ def automorphism_count(d: Digraph) -> int:
 
 
 def canonical_form(d: Digraph) -> CanonicalForm:
-    """Branch-and-bound minimization of the row-major adjacency bit-string.
-
-    A partial relabeling fixes the leading k x k block; filling the unknown
-    positions with zeros lower-bounds every completion, so any partial value
-    already above the incumbent is pruned.
-
-    Orders above CANONICAL_ORDER_CAP = 10 raise OrderCapError.  Each order
-    costs about ten times the one before, and symmetry defeats the pruning:
-    at order 10 the complete digraph takes 33 s and the empty one 27 s,
-    d1/d2/q1 take 5-6 s, dense random digraphs up to 3.4 s (2-core x86 VM,
-    Python 3.11).  d1(11) takes 132 s.
+    """Least of the n! relabeled codes, summed from the rows' entries in
+    ``canonical_code_tables`` as the census does; orders above 6 raise
+    OrderCapError.
     """
     n = d.order
-    if n > CANONICAL_ORDER_CAP:
-        raise OrderCapError(f"order exceeds the cap {CANONICAL_ORDER_CAP}")
-    rows = d.rows
-    total = n * n
-
-    def bit(i: int, j: int) -> int:
-        return (rows[i] >> j) & 1
-
-    def full_value(perm: list[int]) -> int:
-        value = 0
-        for i in range(n):
-            for j in range(n):
-                value = (value << 1) | bit(perm[i], perm[j])
-        return value
-
-    best = full_value(list(range(n)))
-    perm: list[int] = []
-    used = [False] * n
-
-    def added_bits(v: int) -> int:
-        """Newly determined positions when v becomes image index k = len(perm)."""
-        k = len(perm)
-        value = 0
-        for j in range(k):
-            value |= bit(v, perm[j]) << (total - 1 - (k * n + j))
-        value |= bit(v, v) << (total - 1 - (k * n + k))
-        for i in range(k):
-            value |= bit(perm[i], v) << (total - 1 - (i * n + k))
-        return value
-
-    def descend(partial: int):
-        nonlocal best
-        k = len(perm)
-        if k == n:
-            if partial < best:
-                best = partial
-            return
-        options = []
-        for v in range(n):
-            if not used[v]:
-                options.append((partial | added_bits(v), v))
-        options.sort()
-        for value, v in options:
-            if value > best:
-                break
-            used[v] = True
-            perm.append(v)
-            descend(value)
-            perm.pop()
-            used[v] = False
-
-    descend(0)
-    bits = format(best, f"0{total}b")
-    return CanonicalForm(order=n, canonical_bits=bits)
+    codes = map(sum, zip(*map(getitem, canonical_code_tables(n), d.rows)))
+    return CanonicalForm(order=n, canonical_bits=format(min(codes), f"0{n * n}b"))
 
 
+@functools.cache
 def canonical_code_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Relabeling tables of the census's row codes: one table per row index.
 
@@ -207,7 +147,7 @@ def canonical_code_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     p of the n! (p[v] is the new position of vertex v): the bits of row i
     after relabeling, where bit j of r lands at bit n*n-1-(p[i]*n+p[j]) of
     the row-major, most-significant-first code.  The tables hold
-    n * 2^n * n! entries, hence the small order cap.
+    n * 2^n * n! entries, 9 MB at order 6, hence the cap and the cache.
     """
     if n > TABLE_CODE_ORDER_CAP:
         raise OrderCapError(f"order exceeds the cap {TABLE_CODE_ORDER_CAP}")

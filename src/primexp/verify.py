@@ -619,20 +619,25 @@ def verify_thm36(n: int, g: int) -> Report:
 
     The chord member with mask 1 is q1(n, g), whose exponent tops the
     window, so phase b always classifies and needs n <= ISO_ORDER_CAP = 14.
-    A larger n raises ValueError before phase a, whose 2^t - 1 forward
-    chord sets would otherwise run first.
+    Phase c needs n >= 4, a chord span 2 <= g <= n - 1 and a primitive
+    universe gcd(n, g) = 1.  Any other (n, g) raises ValueError before
+    phase a, whose 2^t - 1 forward chord sets would otherwise run first.
     """
-    if math.gcd(n, g) != 1:
-        raise ValueError(f"need gcd(n, g) = 1, got gcd({n}, {g})")
+    if n < 4:
+        raise ValueError(f"n must be at least 4, got {n}")
     if n > ISO_ORDER_CAP:
         raise ValueError(f"n must be at most {ISO_ORDER_CAP}, the isomorphism order cap, got {n}")
+    if not 2 <= g <= n - 1:
+        raise ValueError(f"g must lie in 2..{n - 1}, got {g}")
+    if math.gcd(n, g) != 1:
+        raise ValueError(f"need gcd(n, g) = 1, got gcd({n}, {g})")
     report = Report()
     t = chord_position_cap(n, g)
     low, high = thm36_range(n, g)
 
     # Phase a: forward sweep over D^z, z = 1..t.
     for z in range(1, t + 1):
-        w = (n - 2) * g + 1 + n - z
+        w = formula_thm33(n, g, z)
         for spec in enumerate_Dr(n, g, z):
             oracle = exponent(spec.build()).value
             report.add(make_row(
@@ -640,12 +645,12 @@ def verify_thm36(n: int, g: int) -> Report:
                 asserted=False, n=n, g=g, N=list(spec.N), z=z,
             ))
     report.add(make_row(
-        "C3.8", f"q1:n={n},g={g}", (n - 2) * g + n, exponent(q1(n, g)).value,
+        "C3.8", f"q1:n={n},g={g}", high, exponent(q1(n, g)).value,
         asserted=True, n=n, g=g,
     ))
     if t >= 2:
         report.add(make_row(
-            "C3.8", f"q2:n={n},g={g}", (n - 2) * g + n - 1, exponent(q2(n, g)).value,
+            "C3.8", f"q2:n={n},g={g}", high - 1, exponent(q2(n, g)).value,
             asserted=True, n=n, g=g,
         ))
 
@@ -850,9 +855,9 @@ def census(n: int, jobs: int = 1) -> list[CensusRow]:
     The sorted out-degree sequence is a class invariant, so the work splits
     by it into blocks with disjoint classes, and each block scans its codes
     by row pairs and canonicalizes each of its classes once.  One worker
-    runs one block, so the relabeling tables, row groups, permutations,
-    popcount buckets and cycle masks are built once per call; more workers
-    run 4 blocks each, to even out their loads.
+    runs one block, so its row groups, permutations, popcount buckets and
+    cycle masks are built once per call; more workers run 4 blocks each, to
+    even out their loads.
     The labeled class sizes must add up to the number of matrices with no
     zero row and no zero column, sum_k (-1)^k C(n,k) (2^(n-k) - 1)^n; a
     census that misses a class, counts one twice or miscounts one raises

@@ -845,16 +845,25 @@ def test_verify_thm36_rejects_gcd_violation():
         verify_thm36(10, 5)
 
 
-@pytest.mark.parametrize("n, g", [(15, 4), (40, 19)])
-def test_verify_thm36_refuses_orders_above_the_iso_cap_before_any_work(monkeypatch, n, g):
+@pytest.mark.parametrize("n, g, message", [
+    (15, 4, f"at most {ISO_ORDER_CAP}.*got 15"),
+    (40, 19, f"at most {ISO_ORDER_CAP}.*got 40"),
+    (10, 11, r"^g must lie in 2\.\.9, got 11$"),
+    (10, 1, r"^g must lie in 2\.\.9, got 1$"),
+    (-5, 2, r"^n must be at least 4, got -5$"),
+    (3, 2, r"^n must be at least 4, got 3$"),
+], ids=["15-4", "40-19", "10-11", "10-1", "-5-2", "3-2"])
+def test_verify_thm36_refuses_orders_above_the_iso_cap_before_any_work(monkeypatch, n, g, message):
     # Phase b classifies q1(n, g), whose exponent tops the window, so every
     # pair above the cap would fail there, after the whole forward sweep.
+    # A g outside 2..n-1 or an n below 4, where phase c's threshold is
+    # undefined, is refused just as early, by an error that names n or g.
     def no_work(*args):
         raise AssertionError("a chord set was enumerated before the order check")
 
     monkeypatch.setattr(verify_module, "enumerate_Dr", no_work)
     start = time.perf_counter()
-    with pytest.raises(ValueError, match=f"at most {ISO_ORDER_CAP}.*got {n}"):
+    with pytest.raises(ValueError, match=message):
         verify_thm36(n, g)
     assert time.perf_counter() - start < 1
 
