@@ -114,9 +114,8 @@ def _cmd_exp(args) -> int:
     result = exponent(_load_digraph(args.file))
     _emit(result.value)
     if args.verbose:
-        pair = result.certificate_pair
-        if pair is not None:
-            _emit(f"no-walk pair=({pair[0]},{pair[1]}) length={result.certificate_length}")
+        u, v = result.certificate_pair
+        _emit(f"no-walk pair=({u},{v}) length={result.certificate_length}")
     return EXIT_OK
 
 

@@ -136,7 +136,8 @@ def rows_girth(rows: tuple[int, ...], n: int) -> int | None:
     first level that meets a predecessor of s (that level + 1 is the shortest
     cycle whose least vertex is s), or once its depth can no longer beat the
     best cycle found so far.  No distance list is kept.  Independent of the
-    simple-cycle enumerator and of the subset DP, so they cross-validate.
+    subset DP and of Johnson's search, which also start each cycle from its
+    least vertex, so they cross-validate.
     """
     for v in range(n):
         if (rows[v] >> v) & 1:
@@ -170,38 +171,39 @@ def rows_girth(rows: tuple[int, ...], n: int) -> int | None:
 def _cycle_cover(rows: tuple[int, ...], n: int) -> list[int]:
     """cover[k] is the bit-set of vertices on some simple k-cycle, k = 0..n.
 
-    Each cycle is found from its least vertex s.  Simple paths out of s
-    grow one vertex at a time through vertices above s, keeping per vertex
-    set the bit-set of path endpoints, and a k-vertex set with an endpoint
-    that has an arc back to s is the vertex set of a k-cycle (k = 1 is a
-    loop at s), so it is ORed into cover[k].  The cost is one step per
+    Each cycle is found from its least vertex s, so s is expanded only when
+    an arc from s or from a vertex above s closes back on it.  Simple paths
+    out of s grow one vertex at a time through vertices above s, keeping per
+    vertex set the bit-set of path endpoints, and a k-vertex set with an
+    endpoint that has an arc back to s is the vertex set of a k-cycle (k = 1
+    is a loop at s), so it is ORed into cover[k].  The cost is one step per
     endpoint of each vertex set that a simple path from its least vertex
     spans: up to 2^n * n time and 2^n memory on dense input, but d1(64)
     spans only 189 such sets.  No cycle is stored.  Each vertex set is one
-    key, and a run creates at most 2^n - 1 of them; past
-    CYCLE_COVER_BUDGET keys it raises TruncatedProfileError, checked after
-    every expanded set so that no level overshoots.  So the budget never
-    binds at n <= 20, and dense input at orders up to 64 fails within
-    seconds.  Every cycle-profile caller but the ``cycles`` verb and the
-    census uses it: the bound suite (n <= 16), verify_thm33's attainment
-    notes and the iso invariants (n <= 14), which read the lengths and the
-    per-vertex bit-sets straight from the cover; c_walk_distances and
-    lemma22_bound, which feed it to the c-walk BFS; and the thm36 converse
-    (chord members) through rows_cycle_lengths.  Johnson's search stays behind
-    the ``cycles`` verb, which counts cycles under its cap through
-    count_cycles, and behind simple_cycles, the test oracle.  The census
-    (n <= 5) matches its codes against a table of the simple-cycle arc
-    masks of K_n, which the tests check against this DP.  Independent of
-    simple_cycles and of the BFS girth, which searches from the same least
-    vertex s but keeps one visited set per s instead of one state per
-    vertex set, so they cross-check.
+    key, and a run creates at most 2^n - 1 of them; past CYCLE_COVER_BUDGET
+    keys it raises TruncatedProfileError, checked after every expanded set
+    so that no level overshoots.  So the budget never binds at n <= 20, and
+    dense input at orders up to 64 fails within seconds.  Every
+    cycle-profile caller but the ``cycles`` verb and the census uses it: the
+    bound suite (n <= 16), verify_thm33's attainment notes and the iso
+    invariants (n <= 14), which read the lengths and the per-vertex bit-sets
+    straight from the cover; c_walk_distances and lemma22_bound, which feed
+    it to the c-walk BFS; and the thm36 converse (chord members) through
+    rows_cycle_lengths.  Johnson's search stays behind the ``cycles`` verb,
+    which counts cycles under its cap through count_cycles, and behind
+    simple_cycles, the test oracle.  The census (n <= 5) matches its codes
+    against a table of the simple-cycle arc masks of K_n, which the tests
+    check against this DP.  Independent of simple_cycles and of the BFS
+    girth, which search from the same least vertex s but keep one path or
+    one visited set per s instead of one state per vertex set, so they
+    cross-check.
     """
     into = transpose_rows(rows, n)
     full = (1 << n) - 1
     cover = [0] * (n + 1)
     created = 0
     for s in range(n):
-        if not into[s]:
+        if not into[s] >> s:
             continue
         above = full ^ ((2 << s) - 1)
         level = {1 << s: 1 << s}
@@ -273,61 +275,18 @@ def rows_primitive(rows: tuple[int, ...], n: int) -> bool:
 
 # -- simple-cycle enumeration (Johnson) ------------------------------------
 
-def _scc_decompose(adj: list[list[int]], vertices: list[int]) -> list[list[int]]:
-    """Strongly connected components of the induced subgraph (iterative Kosaraju)."""
-    inset = set(vertices)
-    order: list[int] = []
-    seen: set[int] = set()
-    for root in vertices:
-        if root in seen:
-            continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        seen.add(root)
-        while stack:
-            v, idx = stack[-1]
-            nxt = None
-            out = adj[v]
-            while idx < len(out):
-                w = out[idx]
-                idx += 1
-                if w in inset and w not in seen:
-                    nxt = w
-                    break
-            stack[-1] = (v, idx)
-            if nxt is None:
-                order.append(v)
-                stack.pop()
-            else:
-                seen.add(nxt)
-                stack.append((nxt, 0))
-    radj: dict[int, list[int]] = {v: [] for v in vertices}
-    for v in vertices:
-        for w in adj[v]:
-            if w in inset:
-                radj[w].append(v)
-    comps: list[list[int]] = []
-    assigned: set[int] = set()
-    for root in reversed(order):
-        if root in assigned:
-            continue
-        comp = [root]
-        assigned.add(root)
-        stack2 = [root]
-        while stack2:
-            v = stack2.pop()
-            for w in radj[v]:
-                if w not in assigned:
-                    assigned.add(w)
-                    comp.append(w)
-                    stack2.append(w)
-        comps.append(sorted(comp))
-    return comps
+def _johnson_cycles_through(adj: list[list[int]], start: int):
+    """Yield every simple cycle whose least vertex is start (Johnson's search).
 
-
-def _johnson_cycles_through(adj: dict[int, list[int]], start: int):
-    """Yield all simple cycles through start inside adj (Johnson's search)."""
+    adj lists the successors of each vertex, loops left out; arcs into
+    vertices below start are skipped, so the search runs in the digraph
+    induced by start and the vertices above it.  Johnson (SIAM J. Comput.
+    4(1), 1975) also restricts it to the strongly connected component of
+    start, but the search stays exact without that: a vertex that cannot
+    reach start never closes a cycle, so it is entered once and stays blocked.
+    """
     blocked = {start}
-    closure: dict[int, set[int]] = {v: set() for v in adj}
+    closure: dict[int, set[int]] = {}
     path = [start]
     stack = [iter(adj[start])]
     closed = [False]
@@ -337,7 +296,7 @@ def _johnson_cycles_through(adj: dict[int, list[int]], start: int):
             if w == start:
                 yield list(path)
                 closed[-1] = True
-            elif w not in blocked:
+            elif w > start and w not in blocked:
                 path.append(w)
                 blocked.add(w)
                 stack.append(iter(adj[w]))
@@ -356,34 +315,25 @@ def _johnson_cycles_through(adj: dict[int, list[int]], start: int):
                 u = unblock.pop()
                 if u in blocked:
                     blocked.remove(u)
-                    unblock.extend(closure[u])
-                    closure[u].clear()
+                    unblock.extend(closure.pop(u, ()))
         else:
             for w in adj[v]:
-                closure[w].add(v)
+                if w > start:
+                    closure.setdefault(w, set()).add(v)
 
 
 def _iter_cycles(rows: tuple[int, ...], n: int):
     """Yield every simple cycle once, as a list of 0-based vertices.
 
-    The loops come first.  Then each strongly connected component of the
-    loopless digraph yields the cycles through its least vertex (Johnson's
-    search) and is split again without that vertex.
+    The loops come first.  Then each start s = 0..n-2 yields, by Johnson's
+    search, the cycles whose least vertex is s, each listed from s.
     """
     for v in range(n):
         if (rows[v] >> v) & 1:
             yield [v]
-    base_adj = _adj_lists(rows, n)
-    loopless = [[w for w in base_adj[v] if w != v] for v in range(n)]
-    components = [c for c in _scc_decompose(loopless, list(range(n))) if len(c) >= 2]
-    while components:
-        comp = components.pop()
-        root = comp[0]
-        compset = set(comp)
-        sub = {v: [w for w in loopless[v] if w in compset] for v in comp}
-        yield from _johnson_cycles_through(sub, root)
-        rest = [v for v in comp if v != root]
-        components.extend(c for c in _scc_decompose(loopless, rest) if len(c) >= 2)
+    adj = _adj_lists(tuple(row & ~(1 << v) for v, row in enumerate(rows)), n)
+    for s in range(n - 1):
+        yield from _johnson_cycles_through(adj, s)
 
 
 def _capped_cycles(d: Digraph, cap: int):

@@ -52,11 +52,13 @@ class ExponentResult:
     """Exponent value plus the witness pair missing a walk of length value-1.
 
     The witness is the lexicographically least ordered pair (u, v) with no
-    u -> v walk of length value - 1; None only when the caller suppressed it.
+    u -> v walk of length value - 1.  One always exists: the power value - 1
+    is not all-positive by the exponent's minimality, and at value 1 it is
+    the identity.
     """
 
     value: int
-    certificate_pair: tuple[int, int] | None
+    certificate_pair: tuple[int, int]
     certificate_length: int
 
 
@@ -162,13 +164,12 @@ def exponent(d: Digraph) -> ExponentResult:
     )
 
 
-def _least_zero_entry(rows: tuple[int, ...], n: int) -> tuple[int, int] | None:
+def _least_zero_entry(rows: tuple[int, ...], n: int) -> tuple[int, int]:
+    """The least zero entry (i, j), 1-based, of rows that are not all ones."""
     full = (1 << n) - 1
-    for i in range(n):
-        missing = full & ~rows[i]
-        if missing:
-            return (i + 1, (missing & -missing).bit_length())
-    return None
+    i = next(i for i, row in enumerate(rows) if row != full)
+    missing = full & ~rows[i]
+    return (i + 1, (missing & -missing).bit_length())
 
 
 def _primitive_rows(d: Digraph) -> tuple[int, ...]:

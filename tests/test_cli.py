@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import random
 import subprocess
@@ -10,9 +11,9 @@ import tracemalloc
 
 import pytest
 
-from primexp import families
+from primexp import families, verify
 from primexp.boolmat import BoolMatrix, serialize_rows
-from primexp.cli import BOUNDS, main
+from primexp.cli import BOUNDS, _parse_chord_pairs, build_parser, main
 from primexp.digraph import CYCLE_COVER_BUDGET, from_matrix, simple_cycles
 from primexp.exponent import (
     formula_thm33,
@@ -63,6 +64,37 @@ def test_exp_verbose_certificate(capsys, d1_file):
     lines = out.splitlines()
     assert lines[0] == "17"
     assert lines[1].startswith("no-walk pair=")
+
+
+def test_exp_verbose_certificate_at_exponent_one(capsys, tmp_path):
+    # A^0 = I is the power that is not all-positive; its least zero is (1, 2).
+    path = tmp_path / "ones.txt"
+    path.write_text("2\n11\n11\n")
+    code, out, _ = run_cli(capsys, "exp", "-f", str(path), "--verbose")
+    assert code == 0
+    assert out == "1\nno-walk pair=(1,2) length=0\n"
+
+
+def test_cli_defaults_match_the_library_defaults():
+    parser = build_parser()
+
+    def defaults(function):
+        return {name: p.default for name, p in inspect.signature(function).parameters.items()}
+
+    args = parser.parse_args(["verify", "bounds", "--seed", "1"])
+    library = defaults(verify.verify_bounds)
+    assert (args.n_max, args.samples, args.jobs) == (
+        library["n_max"], library["samples"], library["jobs"])
+    assert _parse_chord_pairs(args.chord_pairs) == library["chord_pairs"]
+    assert parser.parse_args(["verify", "lemma24"]).n == defaults(verify.verify_lemma24)["n"]
+    args = parser.parse_args(["verify", "thm33"])
+    library = defaults(verify.verify_thm33)
+    assert (args.n_min, args.n_max) == (library["n_min"], library["n_max"])
+    assert (parser.parse_args(["verify", "lemma34"]).n_max
+            == defaults(verify.verify_lemma34)["n_max"])
+    assert (parser.parse_args(["verify", "census", "--n", "4"]).jobs
+            == defaults(verify.census)["jobs"])
+    assert parser.parse_args(["cycles", "-f", "m.txt"]).cap == defaults(simple_cycles)["cap"]
 
 
 def test_exp_on_nonprimitive_is_input_error(capsys, tmp_path):
