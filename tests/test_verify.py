@@ -23,6 +23,7 @@ from primexp.digraph import (
     simple_cycles,
 )
 from primexp.exponent import (
+    _exponent_kernel,
     cwalk_of_cover,
     exponent,
     exponent_of_rows,
@@ -912,18 +913,24 @@ def test_cycle_mask_lengths_match_the_dp_on_every_code(n):
         assert _table_lengths(code, cycle_masks) == rows_cycle_lengths(_msb_rows(code, n), n), code
 
 
-def test_cycle_mask_lengths_match_the_oracles_at_order_five():
-    # Each code is a planted simple cycle plus arcs drawn at a density from
-    # 0.05 to 0.5, so every length, and a lone cycle of it, is met often.
-    n = 5
-    rng = random.Random(5)
-    cycle_masks = verify_module._cycle_masks(n)
-    for t in range(2000):
+def _planted_codes(n: int, count: int, seed: int) -> list[int]:
+    """Seeded codes, each a planted simple cycle plus arcs drawn at a density
+    from 0.05 to 0.5, so every length, and a lone cycle of it, is met often."""
+    rng = random.Random(seed)
+    codes = []
+    for t in range(count):
         cycle = rng.sample(range(n), rng.randint(1, n))
         arcs = set(zip(cycle, cycle[1:] + cycle[:1]))
         p = (0.05, 0.1, 0.2, 0.35, 0.5)[t % 5]
         arcs |= {(i, j) for i in range(n) for j in range(n) if rng.random() < p}
-        code = sum(1 << (n * n - 1 - i * n - j) for i, j in arcs)
+        codes.append(sum(1 << (n * n - 1 - i * n - j) for i, j in arcs))
+    return codes
+
+
+def test_cycle_mask_lengths_match_the_oracles_at_order_five():
+    n = 5
+    cycle_masks = verify_module._cycle_masks(n)
+    for t, code in enumerate(_planted_codes(n, 2000, 5)):
         rows = _msb_rows(code, n)
         lengths = _table_lengths(code, cycle_masks)
         assert lengths == rows_cycle_lengths(rows, n), code
@@ -931,9 +938,47 @@ def test_cycle_mask_lengths_match_the_oracles_at_order_five():
             assert lengths == simple_cycles(Digraph(n, rows))[1].lengths, code
 
 
+def _check_lane_facts(codes: list[int], n: int) -> None:
+    """``_lane_facts`` of the codes, packed in one batch, against the
+    logarithmic exponent kernel and the subset DP, code by code."""
+    facts = verify_module._lane_facts(codes, n)
+    assert len(facts) == len(codes)
+    for code, (exp, lengths) in zip(codes, facts):
+        rows = _msb_rows(code, n)
+        found = _exponent_kernel(rows, n)
+        assert exp == (None if found is None else found[0]), code
+        assert lengths == rows_cycle_lengths(rows, n), code
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lane_facts_match_the_oracles_on_every_code(n):
+    # Zero rows and columns included: such a code is never positive.
+    _check_lane_facts(list(range(1 << (n * n))), n)
+
+
+def test_lane_facts_match_the_oracles_at_order_five():
+    _check_lane_facts(_planted_codes(5, 2000, 5), 5)
+
+
+def test_lane_facts_keep_the_lane_order():
+    # Lane t of a batch is its t-th code, whatever the order of the codes,
+    # and a batch whose lanes are all positive before Wielandt's bound stops
+    # its power scan early.
+    n = 5
+    codes = _planted_codes(n, 2000, 6)
+    facts = dict(zip(codes, verify_module._lane_facts(codes, n)))
+    shuffled = random.Random(7).sample(codes, len(codes))
+    assert verify_module._lane_facts(shuffled, n) == [facts[c] for c in shuffled]
+    early = [c for c in shuffled if facts[c][0] is not None and facts[c][0] < (n - 1) ** 2 + 1]
+    assert len(early) > 100
+    assert verify_module._lane_facts(early, n) == [facts[c] for c in early]
+    assert verify_module._lane_facts([], n) == []
+
+
 def test_census_girth_and_cycle_lengths_match_the_oracles():
-    # The census reads the lengths from its cycle-mask table and the girth
-    # as the least of them; neither oracle runs inside it.
+    # The census reads the lengths from its cycle-mask table, one lane-packed
+    # pass per block, and the girth as the least of them; neither oracle
+    # runs inside it.
     for row in census(4):
         rows = _decode_rows(int(row.canonical_bits[::-1], 2), 4)
         assert row.girth == rows_girth(rows, 4)
@@ -970,7 +1015,7 @@ def test_census_order_four_bytes_are_pinned():
 
 @pytest.mark.skipif(
     os.environ.get("PRIMEXP_ACCEPT_LONG") != "1",
-    reason="the order-5 census takes about 5.5 s on two workers (PRIMEXP_ACCEPT_LONG=1)",
+    reason="the order-5 census takes about 3.5 s on two workers (PRIMEXP_ACCEPT_LONG=1)",
 )
 def test_census_order_five_bytes_are_pinned():
     text = census_to_jsonl(census(5, jobs=2))
@@ -1001,13 +1046,14 @@ def test_census_rejects_a_dropped_code(monkeypatch):
     # Out-degrees 1, 2, 3 are all distinct, so the primitive class of
     # (0b010, 0b101, 0b111) has no other degree-sorted code: dropping the
     # pair of rows 1 and 2 from its group loses the class.
-    dropped = (0b101, 0b111)
+    # A group lists its choices of rows in lexicographic order.
     real = verify_module._row_group
-    tables = canonical_code_tables(3)
-    assert dropped in [e[3] for e in real(tables, verify_module._rows_by_popcount(3), 1, (2, 3))]
+    by_popcount = verify_module._rows_by_popcount(3)
+    entries = real(canonical_code_tables(3), by_popcount, 1, (2, 3))
+    dropped = dict(zip(degree_sorted_rows(by_popcount, (2, 3)), entries))[(0b101, 0b111)]
 
     def without_one(tables, by_popcount, first, degrees):
-        return [e for e in real(tables, by_popcount, first, degrees) if e[3] != dropped]
+        return [e for e in real(tables, by_popcount, first, degrees) if e != dropped]
 
     monkeypatch.setattr(verify_module, "_row_group", without_one)
     with pytest.raises(RuntimeError, match="labeled matrices"):
@@ -1076,7 +1122,8 @@ def _check_group_sums(rowses, n):
     """Each row group's entry for the rows, and their vectors summed, against
     the per-row oracle ``relabeled_codes``.
 
-    The groups are the census block's: a lone row 0 when n is odd, then pairs.
+    The groups are the census block's: a lone row 0 when n is odd, then
+    pairs, each listing its choices of rows in lexicographic order.
     """
     tables = canonical_code_tables(n)
     by_popcount = verify_module._rows_by_popcount(n)
@@ -1088,8 +1135,9 @@ def _check_group_sums(rowses, n):
             part = rows[first:end]
             key = (first, tuple(r.bit_count() for r in part))
             if key not in groups:
-                groups[key] = {e[3]: e for e in verify_module._row_group(tables, by_popcount, *key)}
-            union, ident, codes, _ = groups[key][part]
+                entries = verify_module._row_group(tables, by_popcount, *key)
+                groups[key] = dict(zip(degree_sorted_rows(by_popcount, key[1]), entries, strict=True))
+            union, ident, codes = groups[key][part]
             assert union == functools.reduce(operator.or_, part) and ident == codes[0]
             vectors.append(codes)
         assert list(map(sum, zip(*vectors))) == relabeled_codes(rows, tables), rows
@@ -1129,6 +1177,11 @@ def test_degree_preserving_equals_the_per_vertex_predicate(n):
     for degrees in itertools.combinations_with_replacement(range(n + 1), n):
         oracle = [k for k, p in enumerate(perms) if all(degrees[w] == d for w, d in zip(p, degrees))]
         assert verify_module._degree_preserving(perms, degrees) == oracle, degrees
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_census_block_without_sequences_is_empty(n):
+    assert verify_module._census_block((n, ())) == ([], 0)
 
 
 def test_census_on_one_worker_runs_one_block(monkeypatch):
