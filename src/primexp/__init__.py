@@ -58,7 +58,6 @@ from .iso import (
     are_isomorphic,
     automorphism_count,
     canonical_form,
-    classify_against,
     find_isomorphism,
 )
 from .semigroup import frobenius, gcd_set
@@ -74,6 +73,6 @@ __all__ = [
     "FamilySpec", "chord_member", "d1", "d2", "d_gN",
     "enumerate_DgN", "enumerate_Dr", "h_graph", "q1", "q2", "standard_cycle",
     "CanonicalForm", "OrderCapError", "are_isomorphic", "automorphism_count",
-    "canonical_form", "classify_against", "find_isomorphism",
+    "canonical_form", "find_isomorphism",
     "frobenius", "gcd_set",
 ]

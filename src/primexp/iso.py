@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import getitem
 
@@ -165,14 +164,6 @@ def canonical_code_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
             ))
         tables.append(tuple(table))
     return tuple(tables)
-
-
-def classify_against(d: Digraph, family: Iterable[Digraph]) -> int | None:
-    """Index of the first family member isomorphic to d, or None."""
-    for index, member in enumerate(family):
-        if find_isomorphism(d, member) is not None:
-            return index
-    return None
 
 
 def perm_cycle_notation(perm: tuple[int, ...]) -> str:

@@ -9,22 +9,32 @@ reports byte for byte.
 
 The bound suite and the thm36 converse sweep evaluate each orbit of a
 chord universe once: rotating a chord mask relabels its member, and every
-checked value is an isomorphism invariant, so the members of an orbit
-differ only in their label and mask.  The first mask of an orbit is its
-least, because masks ascend; its value is stored under every mask of the
-orbit, so every later member is one lookup.  The bound suite's orbits are
+checked value is constant on an orbit, so the members of an orbit differ
+only in their label and mask.  The first mask of an orbit is its least,
+because masks ascend; its value is stored under every mask of the orbit,
+so every later member is one lookup.  The bound suite's orbits are
 dihedral: one mirror mask's member is the transpose of the other's,
 relabeled, and every bound-suite fact survives transposition.  The thm36
-converse keeps rotation orbits, because the ``classify_against`` index it
-reports does not.  Both get each orbit's successor rows straight from its
-mask through ``families._chord_rows``, the one chorded-cycle constructor,
-and build no Digraph per member; the converse builds one only for
-``classify_against``.  Every member of the (n, g) universe has period
+converse keeps rotation orbits, because the D^z index it reports does not.
+Both get each orbit's successor rows straight from its mask through
+``families._chord_rows``, the one chorded-cycle constructor, and build no
+Digraph per member.  Every member of the (n, g) universe has period
 gcd(n, g), so primitivity is one gcd test per universe: the bound suite
 skips a universe with gcd(n, g) > 1, and thm36 refuses the pair.  In the
 same way the bound suite's random sweep, drawn on bit rows, evaluates each
 distinct labeled matrix once and re-emits its facts under the label and
 params of every later instance with equal rows.
+
+Chord members are isomorphic only by rotation, so lemma24 and the thm36
+converse compare masks and run no isomorphism search.  Take the n-cycle
+plus span-g chords, gcd(n, g) = 1, with a mask that is not full.  A
+Hamiltonian cycle through k chords and n - k cycle arcs moves
+k(g - 1) - (n - k) = kg - n places around the fixed cycle, a multiple of n,
+so n divides k and k = 0: the fixed cycle is the only Hamiltonian cycle.
+An isomorphism maps it onto itself, so it is a rotation and takes the mask
+to a rotation of the other.  The full mask's member has the most arcs and
+is isomorphic to no other member.
+
 The bound suite's facts are template rows with an empty instance.  They
 depend only on the order, the exponent, the cycle lengths and the c-walk
 maximum, so they are built (and their claim checked and agree flag
@@ -71,8 +81,6 @@ from .exponent import (
 from .families import (
     _chord_rows,
     chord_position_cap,
-    d1,
-    d2,
     enumerate_DgN,
     enumerate_Dr,
     h_graph,
@@ -80,13 +88,7 @@ from .families import (
     q2,
     standard_cycle,
 )
-from .iso import (
-    ISO_ORDER_CAP,
-    automorphism_count,
-    canonical_code_tables,
-    classify_against,
-    find_isomorphism,
-)
+from .iso import canonical_code_tables
 from .report import CensusRow, Entry, Report, VerificationRow, make_row
 from .semigroup import frobenius
 
@@ -251,37 +253,42 @@ def _mirror_mask(mask: int, n: int, g: int) -> int:
     return mirrored
 
 
-def _per_orbit(n: int, g: int, evaluate, mirror: bool = False):
-    """(mask, evaluate(rows)) for every member of the (n, g) chord universe.
+def _rotations(mask: int, n: int) -> list[int]:
+    """The n rotations of an n-bit chord mask, ``mask`` first; each relabels its member."""
+    full = (1 << n) - 1
+    rotations = []
+    for _ in range(n):
+        rotations.append(mask)
+        mask = ((mask << 1) | (mask >> (n - 1))) & full
+    return rotations
 
-    Masks ascend from 1 to 2^n - 1, and ``evaluate`` gets the member's
-    successor rows (``_chord_rows``).  Relabeling v_i -> v_{i+1} maps the
-    member of a mask onto the member of the mask rotated by one position,
-    so ``evaluate``, which must return an isomorphism invariant, runs once
-    per rotation orbit: on the member of its least mask, which comes first
-    because masks ascend.  The value is then stored under all n rotations
-    of that mask, so every later member of the orbit is one lookup.
+
+def _per_orbit(n: int, g: int, evaluate, mirror: bool = False):
+    """(mask, evaluate(least, rows)) for every member of the (n, g) chord universe.
+
+    Masks ascend from 1 to 2^n - 1.  ``evaluate``, which must return a
+    value constant on a rotation orbit, runs once per orbit: on its least
+    mask, which comes first because masks ascend, and that member's
+    successor rows (``_chord_rows``).  The value is then stored under every
+    rotation of that mask, so every later member of the orbit is one lookup.
 
     With ``mirror`` the value is also stored under every rotation of
     ``_mirror_mask``, whose member is the transpose of this one relabeled,
     so ``evaluate`` runs once per dihedral orbit (77 instead of 107 at
     n = 10).  Only the bound suite turns it on: its facts do not change
     when every arc is reversed.  The thm36 converse must not, because the
-    ``classify_against`` index it stores is not invariant under
-    transposition: with it on, the thm36 report changes at 15 of the 43
-    coprime pairs with 5 <= n <= 13, (10, 7) among them.
+    D^z index it stores is not invariant under transposition: with it on,
+    the thm36 report changes at 15 of the 43 coprime pairs with
+    5 <= n <= 13, (10, 7) among them.
     """
     if not 2 <= g <= n - 1:
         raise ValueError(f"need 2 <= g <= n-1, got g={g}, n={n}")
-    full = (1 << n) - 1
     orbit_values: dict[int, object] = {}
-    for mask in range(1, full + 1):
+    for mask in range(1, 1 << n):
         if mask not in orbit_values:
-            value = evaluate(_chord_rows(n, g, mask))
-            for rotated in (mask, _mirror_mask(mask, n, g)) if mirror else (mask,):
-                for _ in range(n):
-                    orbit_values[rotated] = value
-                    rotated = ((rotated << 1) | (rotated >> (n - 1))) & full
+            value = evaluate(mask, _chord_rows(n, g, mask))
+            for start in (mask, _mirror_mask(mask, n, g)) if mirror else (mask,):
+                orbit_values.update(dict.fromkeys(_rotations(start, n), value))
         yield mask, orbit_values[mask]
 
 
@@ -297,7 +304,7 @@ def _chord_universe_rows(pair: tuple[int, int]) -> list[Entry]:
     memo: dict[tuple, list[VerificationRow]] = {}
     label = f"chord:n={n},g={g},mask="
     return [(label + str(mask), {"n": n, "g": g, "mask": mask}, facts)
-            for mask, facts in _per_orbit(n, g, lambda rows: _bound_facts(rows, n, memo),
+            for mask, facts in _per_orbit(n, g, lambda _, rows: _bound_facts(rows, n, memo),
                                           mirror=True)]
 
 
@@ -416,40 +423,37 @@ def verify_lemma24(n: int = 4) -> Report:
     cycle and is a relabeling of a supergraph of the fixed n-cycle; the
     walk ``_fixed_cycle_walk`` visits those supergraphs.
 
-    Each walk node stands for (n-1)! labeled matrices, one per directed
-    Hamiltonian cycle of K_n, because it has exactly one Hamiltonian cycle.
-    Its off-cycle arcs each skip one cycle vertex, so a Hamiltonian cycle
-    through k of them advances n + k places around the fixed cycle, and k is
-    0 or n.  Two skip arcs that do not overlap close an (n-2)-cycle with the
-    fixed cycle, so the node with all n skip arcs is never reached: the walk
-    has 2n + 1 nodes, the bare cycle, n single skip arcs and n overlapping
-    pairs.  The weighted counts equal those of a scan over all 2^(n^2)
-    matrices.
-
-    A hit at a top exponent counts against membership when it is not
-    isomorphic to the reference (``find_isomorphism``), and the class size
-    is checked against n!/|Aut| of the reference.  Orders 4..ISO_ORDER_CAP
-    are accepted; order 14 takes under 0.1 s.
+    Each off-cycle arc of a walk node skips one cycle vertex, so a node is
+    the span-(n-1) chord member of its mask; d1 and d2 are masks 0b1 and
+    0b11.  Two skip arcs that do not overlap close an (n-2)-cycle with the
+    fixed cycle, so the full mask is never reached: the walk has 2n + 1
+    nodes, the bare cycle, n single skip arcs and n overlapping pairs.  By
+    the module docstring each node has one Hamiltonian cycle, so it stands
+    for (n-1)! labeled matrices, and the weighted counts equal those of a
+    scan over all 2^(n^2) matrices.  A hit at a top exponent counts against
+    membership unless its rows are a rotation of the reference's, and the
+    class size n!/|Aut| is (n-1)! times the number of distinct rotations.
+    Order 64 takes about 3.5 s (2-core VM, Python 3.11).
     """
-    if not 4 <= n <= ISO_ORDER_CAP:
-        raise ValueError(f"supported orders are 4..{ISO_ORDER_CAP}, got {n}")
+    if not 4 <= n <= MAX_ORDER:
+        raise ValueError(f"supported orders are 4..{MAX_ORDER}, got {n}")
     t1 = (n - 1) ** 2 + 1
     t2 = (n - 1) ** 2
     weight = math.factorial(n - 1)
     nodes = _fixed_cycle_walk(n)
 
     report = Report()
-    for target, reference in ((t1, d1(n)), (t2, d2(n))):
+    for target, reference in ((t1, 0b1), (t2, 0b11)):
+        members = {_chord_rows(n, n - 1, mask) for mask in _rotations(reference, n)}
         hits = [rows for exp, rows in nodes if exp == target]
-        offenders = sum(find_isomorphism(Digraph(n, rows), reference) is None for rows in hits)
-        orbit = math.factorial(n) // automorphism_count(reference)
+        offenders = sum(rows not in members for rows in hits)
         report.add(make_row(
             "L2.4", f"n={n}:exp={target}:membership", 0, weight * offenders,
             asserted=True, n=n, target=target,
             notes="count of matrices at this exponent not isomorphic to the reference",
         ))
         report.add(make_row(
-            "L2.4", f"n={n}:exp={target}:class-size", orbit, weight * len(hits),
+            "L2.4", f"n={n}:exp={target}:class-size", weight * len(members), weight * len(hits),
             asserted=True, n=n, target=target,
             notes="labeled matrices at this exponent vs n!/|Aut| of the reference",
         ))
@@ -585,14 +589,15 @@ def proof_threshold_min_g(n: int) -> int:
     return g
 
 
-def _converse_facts(rows: tuple[int, ...], n: int, g: int, low: int, high: int,
-                    reference_families: dict[int, list[Digraph]]):
-    """Isomorphism-invariant converse facts of one chord member's successor rows.
+def _converse_facts(mask: int, rows: tuple[int, ...], n: int, g: int, low: int, high: int):
+    """Converse facts of ``mask``'s member, whose successor rows are ``rows``.
 
     The member must be primitive, as every member is when gcd(n, g) = 1.
     None unless its girth is g; otherwise (exponent, cycle lengths from the
-    subset DP when the exponent exceeds low, window index z and the
-    classify_against index when the exponent is in (low, high]).
+    subset DP when the exponent exceeds low, window index z and the D^z
+    index when the exponent is in (low, high]).  D^z is the masks
+    2^(z-1) + i, i ascending (``enumerate_Dr``), so the index of the first
+    member isomorphic to this one is that of its least rotation there.
     """
     if rows_girth(rows, n) != g:
         return None
@@ -601,9 +606,9 @@ def _converse_facts(rows: tuple[int, ...], n: int, g: int, low: int, high: int,
     z = match = None
     if low < oracle <= high:
         z = z_of_w(n, g, oracle)
-        if z not in reference_families:
-            reference_families[z] = [s.build() for s in enumerate_Dr(n, g, z)]
-        match = classify_against(Digraph(n, rows), reference_families[z])
+        first = 1 << (z - 1)
+        match = min((r - first for r in _rotations(mask, n) if first <= r < 2 * first),
+                    default=None)
     return oracle, lengths, z, match
 
 
@@ -617,16 +622,17 @@ def verify_thm36(n: int, g: int) -> Report:
     orbit.  Phase c: audit of the two competing girth thresholds.  Only the
     forced cycle-set condition is asserted; everything else is reported.
 
-    The chord member with mask 1 is q1(n, g), whose exponent tops the
-    window, so phase b always classifies and needs n <= ISO_ORDER_CAP = 14.
-    Phase c needs n >= 4, a chord span 2 <= g <= n - 1 and a primitive
-    universe gcd(n, g) = 1.  Any other (n, g) raises ValueError before
-    phase a, whose 2^t - 1 forward chord sets would otherwise run first.
+    Phase b walks 2^n - 1 chord masks, so n above CHORD_ORDER_CAP = 16
+    raises ValueError, as in the bound suite; each coprime g at n = 16 took
+    0.1-0.4 s (2-core VM, Python 3.11).  Phase c needs n >= 4, a chord
+    span 2 <= g <= n - 1 and a primitive universe gcd(n, g) = 1.  Any other
+    (n, g) raises ValueError before phase a, whose 2^t - 1 forward chord
+    sets would otherwise run first.
     """
     if n < 4:
         raise ValueError(f"n must be at least 4, got {n}")
-    if n > ISO_ORDER_CAP:
-        raise ValueError(f"n must be at most {ISO_ORDER_CAP}, the isomorphism order cap, got {n}")
+    if n > CHORD_ORDER_CAP:
+        raise ValueError(f"n must be at most {CHORD_ORDER_CAP}, the chord universe cap, got {n}")
     if not 2 <= g <= n - 1:
         raise ValueError(f"g must lie in 2..{n - 1}, got {g}")
     if math.gcd(n, g) != 1:
@@ -655,12 +661,11 @@ def verify_thm36(n: int, g: int) -> Report:
         ))
 
     # Phase b: converse classification over the whole chord universe.
-    reference_families: dict[int, list[Digraph]] = {}
     processed = 0
     eligible = 0
     in_window = 0
     for mask, facts in _per_orbit(
-            n, g, lambda rows: _converse_facts(rows, n, g, low, high, reference_families)):
+            n, g, lambda least, rows: _converse_facts(least, rows, n, g, low, high)):
         processed += 1
         if facts is None:
             continue

@@ -6,6 +6,7 @@ import itertools
 from operator import getitem
 
 from primexp.digraph import Digraph
+from primexp.iso import find_isomorphism
 
 
 def relabeled_codes(rows: tuple[int, ...], tables) -> list[int]:
@@ -41,3 +42,11 @@ def relabel(d: Digraph, perm: tuple[int, ...]) -> Digraph:
     for i, row in enumerate(d.rows):
         rows[perm[i] - 1] = sum(1 << (perm[j] - 1) for j in range(d.order) if row >> j & 1)
     return Digraph(d.order, tuple(rows))
+
+
+def classify_against(d: Digraph, family) -> int | None:
+    """Index of the first family member isomorphic to d, or None."""
+    for index, member in enumerate(family):
+        if find_isomorphism(d, member) is not None:
+            return index
+    return None

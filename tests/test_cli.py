@@ -397,15 +397,17 @@ def test_verify_thm33_above_the_order_cap_is_input_error(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("thm36", "--n", "15", "--g", "4"), "n must be at most 14, the isomorphism order cap, got 15"),
-    (("thm36", "--n", "40", "--g", "19"), "n must be at most 14, the isomorphism order cap, got 40"),
+    (("thm36", "--n", "17", "--g", "4"), "n must be at most 16, the chord universe cap, got 17"),
+    (("thm36", "--n", "40", "--g", "19"), "n must be at most 16, the chord universe cap, got 40"),
     (("thm36", "--n", "10", "--g", "11"), "g must lie in 2..9, got 11"),
     (("thm36", "--n", "10", "--g", "1"), "g must lie in 2..9, got 1"),
     (("thm36", "--n", "-5", "--g", "2"), "n must be at least 4, got -5"),
     (("thm36", "--n", "3", "--g", "2"), "n must be at least 4, got 3"),
     (("lemma34", "--n-max", "65"), "n_max must be at most 64, got 65"),
-], ids=["thm36-15", "thm36-40", "thm36-10-11", "thm36-10-1", "thm36-neg5", "thm36-3",
-        "lemma34-65"])
+    (("lemma24", "--n", "3"), "supported orders are 4..64, got 3"),
+    (("lemma24", "--n", "65"), "supported orders are 4..64, got 65"),
+], ids=["thm36-17", "thm36-40", "thm36-10-11", "thm36-10-1", "thm36-neg5", "thm36-3",
+        "lemma34-65", "lemma24-3", "lemma24-65"])
 def test_verify_above_a_verb_order_cap_is_input_error_at_once(capsys, argv, message):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", *argv)
@@ -480,10 +482,8 @@ def test_verify_census_verb(capsys, tmp_path):
     ("census", "--n", "4", "--long"),
     ("census", "--n", "3", "--start", "0"),
     ("census", "--n", "3", "--end", "8"),
-    ("lemma24", "--n", "15"),
-], ids=["census-long", "census-start", "census-end", "lemma24-15"])
-def test_removed_census_range_options_and_lemma24_order_seven_are_usage_errors(capsys, argv):
-    # lemma24 accepts orders 4..14, so its case is order 15, the first above the cap.
+], ids=["census-long", "census-start", "census-end"])
+def test_removed_census_range_options_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(["verify", *argv])
     assert exc.value.code == 2

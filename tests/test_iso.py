@@ -17,13 +17,12 @@ from primexp.iso import (
     automorphism_count,
     canonical_code_tables,
     canonical_form,
-    classify_against,
     find_isomorphism,
     perm_cycle_notation,
 )
 from primexp.verify import census
 
-from helpers import canonical_code, relabel
+from helpers import canonical_code, classify_against, relabel
 
 
 def random_digraph(rng: random.Random, n: int, p: float) -> Digraph:

@@ -31,11 +31,12 @@ from primexp.exponent import (
     thm36_range,
 )
 from primexp.families import FamilySpec, chord_member, d1, d2, q1
-from primexp.iso import ISO_ORDER_CAP, automorphism_count, canonical_code_tables
+from primexp.iso import ISO_ORDER_CAP, automorphism_count, canonical_code_tables, find_isomorphism
 from primexp.report import Report, census_to_jsonl
 from primexp.semigroup import frobenius
 from primexp.verify import (
     BERNOULLI_SWEEP,
+    CHORD_ORDER_CAP,
     _bound_facts,
     _chord_universe_rows,
     _converse_facts,
@@ -44,6 +45,7 @@ from primexp.verify import (
     _per_orbit,
     _random_primitive_rows,
     _random_tries,
+    _rotations,
     bound_rows_for,
     census,
     printed_threshold_min_g,
@@ -58,7 +60,7 @@ from primexp.verify import (
 )
 import random
 
-from helpers import canonical_code, degree_sorted_rows, relabeled_codes
+from helpers import canonical_code, classify_against, degree_sorted_rows, relabeled_codes
 
 
 def rows_by_claim(report: Report, claim: str):
@@ -305,18 +307,27 @@ def test_least_rotation_counts_the_orbits():
         assert _least_rotation(mask, 7) == min(orbit) <= mask
 
 
+def test_rotations_lists_the_n_rotations_from_the_mask_itself():
+    for n in range(2, 9):
+        for mask in range(1 << n):
+            expected = [mask]
+            for _ in range(n - 1):
+                expected.append(_rotate(expected[-1], n))
+            assert _rotations(mask, n) == expected, (n, mask)
+
+
 @pytest.mark.parametrize("n, g", [(3, 2), (6, 5), (8, 3), (10, 3), (11, 4)])
 def test_per_orbit_evaluates_each_least_mask_once(n, g):
     evaluated = []
 
-    def evaluate(rows):
-        evaluated.append(rows)
+    def evaluate(mask, rows):
+        evaluated.append((mask, rows))
         return len(evaluated)
 
     values = dict(_per_orbit(n, g, evaluate))
     assert sorted(values) == list(range(1, 1 << n))
     least = sorted({_least_rotation(mask, n) for mask in values})
-    assert evaluated == [chord_member(n, g, mask).rows for mask in least]
+    assert evaluated == [(mask, chord_member(n, g, mask).rows) for mask in least]
     for mask, value in values.items():
         assert value == values[_least_rotation(mask, n)], mask
 
@@ -329,15 +340,15 @@ def test_per_orbit_with_mirror_evaluates_each_least_dihedral_mask_once(n, g, orb
     def facts(rows):
         return _bound_facts(rows, n) if rows_primitive(rows, n) else []
 
-    def evaluate(rows):
-        evaluated.append(rows)
+    def evaluate(mask, rows):
+        evaluated.append((mask, rows))
         return facts(rows)
 
     values = dict(_per_orbit(n, g, evaluate, mirror=True))
     assert sorted(values) == list(range(1, 1 << n))
     least = sorted({_least_dihedral(mask, n, g) for mask in values})
     assert len(least) == orbits
-    assert evaluated == [chord_member(n, g, mask).rows for mask in least]
+    assert evaluated == [(mask, chord_member(n, g, mask).rows) for mask in least]
     for mask, value in values.items():
         assert value == facts(chord_member(n, g, mask).rows), mask
 
@@ -646,8 +657,19 @@ def test_verify_lemma24_report_bytes_are_pinned_at_orders_five_and_six(n, digest
     assert _sha256(verify_lemma24(n).to_jsonl()) == digest
 
 
+@pytest.mark.parametrize("n, digest", [
+    (15, "f428b9c0cede2e53545bea455fa7e8a39ed8f9d5bc052220be5122769c4e8fe3"),
+    (16, "a972c428a1f1cd85562ccc7d264ee16e7f8639d8aea4ecf3a39975afdd3d3dcf"),
+    (20, "64f36c2c00b090a2e9bec1eb7dd445d76da079c50de5f69ac832cc17138eaa0d"),
+    (32, "8be2c9c53363f771fe8e5110e865de63858248c905a0595c30dfb18492b6c855"),
+])
+def test_verify_lemma24_report_bytes_are_pinned_above_order_fourteen(n, digest):
+    # Produced by the backtracking isomorphism search with its order cap lifted.
+    assert _sha256(verify_lemma24(n).to_jsonl()) == digest
+
+
 def test_verify_lemma24_rejects_other_orders():
-    for n in (3, 15):
+    for n in (3, 65):
         with pytest.raises(ValueError):
             verify_lemma24(n)
 
@@ -662,6 +684,17 @@ def test_verify_lemma24_passes_at_every_order_with_orbit_class_sizes():
         # consecutive cycle vertices give d2, so 2n of the 2n + 1 nodes are hits.
         exps = sorted(exp for exp, _ in _fixed_cycle_walk(n))
         assert exps == [(n - 1) ** 2] * n + [(n - 1) ** 2 + 1] * n, n
+
+
+def test_lemma24_rotation_sets_accept_exactly_the_isomorphic_walk_nodes():
+    # Every walk node, not only the hits at the reference's exponent.
+    for n in range(4, ISO_ORDER_CAP + 1):
+        nodes = [Digraph(n, rows) for _, rows in _fixed_cycle_walk(n)]
+        for mask, reference in ((0b1, d1(n)), (0b11, d2(n))):
+            members = {chord_member(n, n - 1, m).rows for m in _rotations(mask, n)}
+            accepted = [d.rows in members for d in nodes]
+            assert accepted == [find_isomorphism(d, reference) is not None for d in nodes], n
+            assert sum(accepted) == n, n
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -825,20 +858,36 @@ def test_verify_thm36_report_bytes_are_pinned_at_order_thirteen():
     )
 
 
+@pytest.mark.parametrize("n, g, digest", [
+    (15, 4, "dcb296a92dec7a7fbe936ca661d6f6ec5a7d4b1075869aa788f962c0e5253f68"),
+    (16, 5, "534d05c0e7f44cf1294addc46018bc614acba7cdc49d255524c74699f815087f"),
+    (16, 3, "ab51f1d61df976e23be21c3b922456ce8c97c5bad7d4cf336262d8942524f690"),
+])
+def test_verify_thm36_report_bytes_are_pinned_at_orders_fifteen_and_sixteen(n, g, digest):
+    # Produced by the backtracking isomorphism search with its order cap lifted.
+    assert _sha256(verify_thm36(n, g).to_jsonl()) == digest
+
+
 def test_verify_thm36_converse_rows_equal_the_per_member_loop():
-    # (10, 7) is a pair where dihedral orbits would change the report: the
-    # classify_against index is not invariant under transposition.
-    n, g = 10, 7
-    low, high = thm36_range(n, g)
-    references: dict = {}
-    expected = []
-    for mask in range(1, 1 << n):
-        facts = _converse_facts(chord_member(n, g, mask).rows, n, g, low, high,
-                                references)
-        if facts is not None and facts[2] is not None:
-            expected.append((mask, "none" if facts[3] is None else facts[3]))
-    converse = [(r.params["mask"], r.oracle) for r in rows_by_claim(verify_thm36(n, g), "C3.7")]
-    assert converse and sorted(converse) == expected
+    # Every mask on its own, with no orbit cache, against the isomorphism
+    # search over the D^z members.  (10, 7) is among the pairs where
+    # dihedral orbits would change the report: the D^z index is not
+    # invariant under transposition.
+    pairs = [(n, g) for n in range(5, 12) for g in range(2, n) if math.gcd(n, g) == 1]
+    for n, g in pairs:
+        low, high = thm36_range(n, g)
+        expected = []
+        for mask in range(1, 1 << n):
+            member = chord_member(n, g, mask)
+            facts = _converse_facts(mask, member.rows, n, g, low, high)
+            if facts is not None and facts[2] is not None:
+                first = 1 << (facts[2] - 1)
+                family = [chord_member(n, g, m) for m in range(first, 2 * first)]
+                assert facts[3] == classify_against(member, family), (n, g, mask)
+                expected.append((mask, "none" if facts[3] is None else facts[3]))
+        report = verify_thm36(n, g)
+        converse = [(r.params["mask"], r.oracle) for r in rows_by_claim(report, "C3.7")]
+        assert converse and sorted(converse) == expected, (n, g)
 
 
 def test_verify_thm36_rejects_gcd_violation():
@@ -847,17 +896,16 @@ def test_verify_thm36_rejects_gcd_violation():
 
 
 @pytest.mark.parametrize("n, g, message", [
-    (15, 4, f"at most {ISO_ORDER_CAP}.*got 15"),
-    (40, 19, f"at most {ISO_ORDER_CAP}.*got 40"),
+    (17, 4, f"at most {CHORD_ORDER_CAP}.*got 17"),
+    (40, 19, f"at most {CHORD_ORDER_CAP}.*got 40"),
     (10, 11, r"^g must lie in 2\.\.9, got 11$"),
     (10, 1, r"^g must lie in 2\.\.9, got 1$"),
     (-5, 2, r"^n must be at least 4, got -5$"),
     (3, 2, r"^n must be at least 4, got 3$"),
-], ids=["15-4", "40-19", "10-11", "10-1", "-5-2", "3-2"])
+], ids=["17-4", "40-19", "10-11", "10-1", "-5-2", "3-2"])
 def test_verify_thm36_refuses_orders_above_the_iso_cap_before_any_work(monkeypatch, n, g, message):
-    # Phase b classifies q1(n, g), whose exponent tops the window, so every
-    # pair above the cap would fail there, after the whole forward sweep.
-    # A g outside 2..n-1 or an n below 4, where phase c's threshold is
+    # Phase b walks all 2^n - 1 chord masks, so a pair above the chord
+    # universe cap is refused before the forward sweep.  A g outside 2..n-1 or an n below 4, where phase c's threshold is
     # undefined, is refused just as early, by an error that names n or g.
     def no_work(*args):
         raise AssertionError("a chord set was enumerated before the order check")
@@ -870,7 +918,7 @@ def test_verify_thm36_refuses_orders_above_the_iso_cap_before_any_work(monkeypat
 
 
 def test_verify_thm36_runs_at_the_iso_cap():
-    report = verify_thm36(ISO_ORDER_CAP, 3)
+    report = verify_thm36(CHORD_ORDER_CAP, 3)
     assert report.all_asserts_pass
     assert rows_by_claim(report, "C3.7")
 
