@@ -45,8 +45,6 @@ from .families import (
     d1,
     d2,
     d_gN,
-    enumerate_DgN,
-    enumerate_Dr,
     h_graph,
     q1,
     q2,
@@ -70,8 +68,8 @@ __all__ = [
     "exponent", "formula_thm33", "lemma22_bound", "lemma23_bound",
     "lemma25_bound", "lemma26_bound", "lemma32_bound", "lemma34_bound",
     "thm36_range", "wielandt_bound", "z_of_w",
-    "FamilySpec", "chord_member", "d1", "d2", "d_gN",
-    "enumerate_DgN", "enumerate_Dr", "h_graph", "q1", "q2", "standard_cycle",
+    "FamilySpec", "chord_member", "d1", "d2", "d_gN", "h_graph", "q1", "q2",
+    "standard_cycle",
     "CanonicalForm", "OrderCapError", "are_isomorphic", "automorphism_count",
     "canonical_form", "find_isomorphism",
     "frobenius", "gcd_set",

@@ -1,4 +1,4 @@
-"""Constructors and enumerators for the named chord-on-a-cycle digraph families.
+"""Constructors for the named chord-on-a-cycle digraph families.
 
 The base object is the standard descending n-cycle
 C = (v_n, v_{n-1}, ..., v_2, v_1, v_n); chords of one span g are added on
@@ -7,14 +7,11 @@ chorded cycle from a bitmask of chord positions: the standard cycle is
 mask 0, d1 and d2 are span n-1 with masks 0b1 and 0b11, d_gN is the mask of
 N, and q1, q2 and the chord members follow.  The two-disjoint-g-cycle
 family H rides on an ascending n-cycle instead and is built from its arcs.
-Enumeration streams are deterministic (subset bitmasks ascending) so
-verification runs are reproducible and resumable by index.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .digraph import Digraph, digraph
@@ -52,10 +49,6 @@ class FamilySpec:
     N: tuple[int, ...] = field(default=())
     k: int | None = None
     chord_mask: int | None = None
-
-    @property
-    def r(self) -> int | None:
-        return max(self.N) if self.N else None
 
     def build(self) -> Digraph:
         try:
@@ -169,33 +162,3 @@ KINDS = {
     "h": (h_graph, ("n", "g", "k")),
     "chord": (chord_member, ("n", "g", "chord_mask")),
 }
-
-
-def _mask_positions(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return tuple(out)
-
-
-def enumerate_DgN(n: int, g: int) -> Iterator[FamilySpec]:
-    """All nonempty chord sets N within 1..t, as ascending subset bitmasks."""
-    if math.gcd(n, g) != 1:
-        raise ValueError(f"gcd violation: gcd({n}, {g}) = {math.gcd(n, g)}, need 1")
-    t = chord_position_cap(n, g)
-    for mask in range(1, 1 << t):
-        yield FamilySpec(kind="d_gN", n=n, g=g, N=_mask_positions(mask))
-
-
-def enumerate_Dr(n: int, g: int, r: int) -> Iterator[FamilySpec]:
-    """Chord sets with maximum exactly r, in ascending subset-bitmask order."""
-    if math.gcd(n, g) != 1:
-        raise ValueError(f"gcd violation: gcd({n}, {g}) = {math.gcd(n, g)}, need 1")
-    t = chord_position_cap(n, g)
-    if not 1 <= r <= t:
-        raise ValueError(f"need 1 <= r <= {t}, got r={r}")
-    top = 1 << (r - 1)
-    for low in range(top):
-        yield FamilySpec(kind="d_gN", n=n, g=g, N=_mask_positions(low | top))

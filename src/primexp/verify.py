@@ -18,7 +18,8 @@ relabeled, and every bound-suite fact survives transposition.  The thm36
 converse keeps rotation orbits, because the D^z index it reports does not.
 Both get each orbit's successor rows straight from its mask through
 ``families._chord_rows``, the one chorded-cycle constructor, and build no
-Digraph per member.  Every member of the (n, g) universe has period
+Digraph per member; so do ``verify_thm33`` and the thm36 forward sweep,
+which read each chord set's exponent off its mask's rows (``_chord_sets``).  Every member of the (n, g) universe has period
 gcd(n, g), so primitivity is one gcd test per universe: the bound suite
 skips a universe with gcd(n, g) > 1, and thm36 refuses the pair.  In the
 same way the bound suite's random sweep, drawn on bit rows, evaluates each
@@ -78,16 +79,7 @@ from .exponent import (
     thm36_range,
     z_of_w,
 )
-from .families import (
-    _chord_rows,
-    chord_position_cap,
-    enumerate_DgN,
-    enumerate_Dr,
-    h_graph,
-    q1,
-    q2,
-    standard_cycle,
-)
+from .families import _chord_rows, chord_position_cap, h_graph, standard_cycle
 from .iso import canonical_code_tables
 from .report import CensusRow, Entry, Report, VerificationRow, make_row
 from .semigroup import frobenius
@@ -370,14 +362,15 @@ def _fixed_cycle_walk(n: int) -> list[tuple[int, tuple[int, ...]]]:
     """(exponent, rows) of each primitive supergraph of ``standard_cycle(n)``
     with no cycle shorter than n - 1.
 
-    Deleting an arc creates no cycle, so a depth-first walk that adds the
-    off-cycle arcs in row-major order, refusing arc i -> j when a walk
-    j -> i of length <= n - 3 exists, visits each such supergraph once.
-    That test cannot see a 1-cycle, so the arcs leave out the loops.
+    An off-cycle arc i -> j closes a cycle of length (j - i) mod n + 1, its
+    span, with the fixed cycle, so only the n arcs of span n - 1,
+    i -> (i - 2) mod n, can be added.  Deleting an arc creates no cycle, so
+    a depth-first walk that adds those arcs in order of i, refusing arc
+    i -> j when a walk j -> i of length <= n - 3 exists, visits each such
+    supergraph once.
     """
-    base = standard_cycle(n).rows
-    arcs = [(i, j) for i in range(n) for j in range(n) if i != j and not base[i] >> j & 1]
-    rows = list(base)
+    arcs = [(i, (i - 2) % n) for i in range(n)]
+    rows = list(standard_cycle(n).rows)
     nodes = []
 
     def closes_short_cycle(i: int, j: int) -> bool:
@@ -433,7 +426,7 @@ def verify_lemma24(n: int = 4) -> Report:
     scan over all 2^(n^2) matrices.  A hit at a top exponent counts against
     membership unless its rows are a rotation of the reference's, and the
     class size n!/|Aut| is (n-1)! times the number of distinct rotations.
-    Order 64 takes about 3.5 s (2-core VM, Python 3.11).
+    Order 64 takes about 0.35 s (2-core VM, Python 3.11).
     """
     if not 4 <= n <= MAX_ORDER:
         raise ValueError(f"supported orders are 4..{MAX_ORDER}, got {n}")
@@ -466,6 +459,23 @@ def verify_lemma24(n: int = 4) -> Report:
 
 # -- chord-family exact formula ----------------------------------------------
 
+def _chord_sets(n: int, g: int):
+    """(mask, label, N, successor rows, exponent) of every chord set N within
+    1..t, t = ``chord_position_cap(n, g)``, masks ascending from 1.
+
+    Bit i - 1 of the mask is position i, so max(N) is its bit length.
+    Raises NotPrimitiveError on a member that is not primitive; none is when
+    gcd(n, g) = 1.
+    """
+    for mask in range(1, 1 << chord_position_cap(n, g)):
+        rows = _chord_rows(n, g, mask)
+        oracle = exponent_of_rows(rows, n)
+        if oracle is None:
+            raise NotPrimitiveError(f"digraph of order {n} is not primitive")
+        N = [i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1]
+        yield mask, f"d_gN:n={n},g={g},N=" + ",".join(map(str, N)), N, rows, oracle
+
+
 def _attainment_note(n: int, g: int, r: int, rows: tuple[int, ...]) -> str:
     """Claimed against computed cycle-meeting diameter and its attaining pair.
 
@@ -494,8 +504,8 @@ def verify_thm33(n_min: int = 5, n_max: int = 12) -> Report:
 
     Each coprime pair (n, g) has 2^min(n-g+1, g) - 1 chord sets, so n_max
     above THM33_ORDER_CAP = 20 raises ValueError before any work.  Order 20
-    alone took 0.8 s and orders 5..20 3.4 s (2-core VM, Python 3.11); order
-    23 alone took 6 s, and the cost keeps growing with the order.
+    alone took 0.7 s and orders 5..20 2.1 s (2-core VM, Python 3.11); order
+    23 alone took 4.6 s, and the cost keeps growing with the order.
     """
     if n_max > THM33_ORDER_CAP:
         raise ValueError(f"n_max must be at most {THM33_ORDER_CAP}, got {n_max}")
@@ -505,24 +515,18 @@ def verify_thm33(n_min: int = 5, n_max: int = 12) -> Report:
         for g in range(2, n):
             if math.gcd(n, g) != 1:
                 continue
-            for spec in enumerate_DgN(n, g):
-                d = spec.build()
-                r = spec.r
-                predicted = formula_thm33(n, g, r)
-                # exponent raises unless d is primitive, as _attainment_note needs.
-                oracle = exponent(d).value
-                anchored = spec.N in ((1,), (1, 2))
-                notes = _attainment_note(n, g, r, d.rows)
+            for mask, label, N, rows, oracle in _chord_sets(n, g):
+                r = mask.bit_length()
                 row = make_row(
-                    "T3.3", spec.label(), predicted, oracle,
-                    asserted=anchored, notes=notes,
-                    n=n, g=g, N=list(spec.N), r=r,
+                    "T3.3", label, formula_thm33(n, g, r), oracle,
+                    asserted=mask in (1, 3), notes=_attainment_note(n, g, r, rows),
+                    n=n, g=g, N=N, r=r,
                 )
                 report.add(row)
-                if spec.N == tuple(range(1, r + 1)):
+                if mask & (mask + 1) == 0:
                     stats["prefix"][0] += row.agree
                     stats["prefix"][1] += 1
-                key = "has-1" if 1 in spec.N else "no-1"
+                key = "has-1" if mask & 1 else "no-1"
                 stats[key][0] += row.agree
                 stats[key][1] += 1
     report.add(make_row(
@@ -596,8 +600,9 @@ def _converse_facts(mask: int, rows: tuple[int, ...], n: int, g: int, low: int, 
     None unless its girth is g; otherwise (exponent, cycle lengths from the
     subset DP when the exponent exceeds low, window index z and the D^z
     index when the exponent is in (low, high]).  D^z is the masks
-    2^(z-1) + i, i ascending (``enumerate_Dr``), so the index of the first
-    member isomorphic to this one is that of its least rotation there.
+    2^(z-1) + i, i ascending, as the forward sweep lists them, so the index
+    of the first member isomorphic to this one is that of its least rotation
+    there.
     """
     if rows_girth(rows, n) != g:
         return None
@@ -638,27 +643,21 @@ def verify_thm36(n: int, g: int) -> Report:
     if math.gcd(n, g) != 1:
         raise ValueError(f"need gcd(n, g) = 1, got gcd({n}, {g})")
     report = Report()
-    t = chord_position_cap(n, g)
     low, high = thm36_range(n, g)
 
-    # Phase a: forward sweep over D^z, z = 1..t.
-    for z in range(1, t + 1):
-        w = formula_thm33(n, g, z)
-        for spec in enumerate_Dr(n, g, z):
-            oracle = exponent(spec.build()).value
-            report.add(make_row(
-                "T3.6", f"forward:z={z}:{spec.label()}", w, oracle,
-                asserted=False, n=n, g=g, N=list(spec.N), z=z,
-            ))
-    report.add(make_row(
-        "C3.8", f"q1:n={n},g={g}", high, exponent(q1(n, g)).value,
-        asserted=True, n=n, g=g,
-    ))
-    if t >= 2:
+    # Phase a: forward sweep over D^z, z = 1..t, the masks of bit length z.
+    exps = {}
+    for mask, label, N, _, oracle in _chord_sets(n, g):
+        z = mask.bit_length()
+        exps[mask] = oracle
         report.add(make_row(
-            "C3.8", f"q2:n={n},g={g}", high - 1, exponent(q2(n, g)).value,
-            asserted=True, n=n, g=g,
+            "T3.6", f"forward:z={z}:{label}", formula_thm33(n, g, z), oracle,
+            asserted=False, n=n, g=g, N=N, z=z,
         ))
+    # q1 and q2 are the chord sets {1} and {1, 2}, masks 1 and 3; with
+    # 2 <= g <= n - 1, t = min(n - g + 1, g) >= 2 and the sweep has both.
+    report.add(make_row("C3.8", f"q1:n={n},g={g}", high, exps[1], asserted=True, n=n, g=g))
+    report.add(make_row("C3.8", f"q2:n={n},g={g}", high - 1, exps[3], asserted=True, n=n, g=g))
 
     # Phase b: converse classification over the whole chord universe.
     processed = 0

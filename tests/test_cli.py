@@ -390,7 +390,7 @@ def test_verify_thm33_above_the_order_cap_is_input_error(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("a chord set was enumerated before the order check")
 
-    monkeypatch.setattr(verify_module, "enumerate_DgN", no_work)
+    monkeypatch.setattr(verify_module, "_chord_rows", no_work)
     cap = verify_module.THM33_ORDER_CAP
     code, out, err = run_cli(capsys, "verify", "thm33", "--n-max", str(cap + 1))
     assert (code, out, err) == (3, "", f"error: n_max must be at most {cap}, got {cap + 1}\n")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -13,8 +14,6 @@ from primexp.families import (
     d1,
     d2,
     d_gN,
-    enumerate_DgN,
-    enumerate_Dr,
     h_graph,
     q1,
     q2,
@@ -73,6 +72,7 @@ def test_d_gN_error_messages_name_the_constraint():
         d_gN(10, 5, {1})
     with pytest.raises(ValueError, match="empt"):
         d_gN(10, 3, set())
+    assert chord_position_cap(10, 3) == 3
     with pytest.raises(ValueError, match="range"):
         d_gN(10, 3, {4})
 
@@ -124,20 +124,6 @@ def test_h_graph_parameter_validation():
         h_graph(10, 3, 9)  # second cycle runs off the end
 
 
-def test_enumerate_DgN_count():
-    specs = list(enumerate_DgN(10, 3))
-    assert len(specs) == 7
-    assert chord_position_cap(10, 3) == 3
-
-
-def test_enumerate_Dr_members():
-    specs = list(enumerate_Dr(10, 3, 2))
-    assert [s.N for s in specs] == [(2,), (1, 2)]
-    for n, g in ((10, 3), (10, 7), (11, 5)):
-        for r in range(1, chord_position_cap(n, g) + 1):
-            assert len(list(enumerate_Dr(n, g, r))) == 2 ** (r - 1)
-
-
 def test_chord_family_singleton_matches_q1():
     first = chord_member(10, 3, 1)
     assert first.arcs == q1(10, 3).arcs
@@ -157,17 +143,24 @@ def test_chord_family_contains_richer_cycle_sets():
     assert found
 
 
+def _position_sets(n: int, g: int):
+    """Every nonempty chord set N within 1..chord_position_cap(n, g)."""
+    positions = range(1, chord_position_cap(n, g) + 1)
+    for k in positions:
+        yield from itertools.combinations(positions, k)
+
+
 def test_every_d_gN_is_primitive_chorded_cycle():
     for n in range(4, 10):
         for g in range(2, n):
             if math.gcd(n, g) != 1:
                 continue
-            for spec in enumerate_DgN(n, g):
-                d = spec.build()
+            for N in _position_sets(n, g):
+                d = d_gN(n, g, N)
                 assert girth(d) == g
                 assert rows_primitive(d.rows, n)
                 assert all(a & ~b == 0 for a, b in zip(standard_cycle(n).rows, d.rows))
-                assert len(d.arcs) == n + len(spec.N)
+                assert len(d.arcs) == n + len(N)
                 _, profile = simple_cycles(d)
                 assert set(profile.lengths) <= {g, n}
 
@@ -175,7 +168,6 @@ def test_every_d_gN_is_primitive_chorded_cycle():
 def test_family_spec_labels():
     spec = FamilySpec(kind="d_gN", n=10, g=3, N=(1, 2))
     assert spec.label() == "d_gN:n=10,g=3,N=1,2"
-    assert spec.r == 2
     assert spec.build().arcs == q2(10, 3).arcs
     chord = FamilySpec(kind="chord", n=10, g=3, chord_mask=5)
     assert chord.label() == "chord:n=10,g=3,mask=5"
@@ -230,8 +222,8 @@ def test_chord_constructors_match_the_arc_set_oracles():
     for n in range(5, 13):
         for g in range(1, n):
             if math.gcd(n, g) == 1:
-                for spec in enumerate_DgN(n, g):
-                    assert d_gN(n, g, spec.N).arcs == _oracle_d_gN(n, g, spec.N), (n, g, spec.N)
+                for N in _position_sets(n, g):
+                    assert d_gN(n, g, N).arcs == _oracle_d_gN(n, g, N), (n, g, N)
     for n in range(3, 12):
         for g in range(2, n):
             for mask in range(1, 1 << n):

@@ -23,6 +23,7 @@ from primexp.digraph import (
     simple_cycles,
 )
 from primexp.exponent import (
+    NotPrimitiveError,
     _exponent_kernel,
     cwalk_of_cover,
     exponent,
@@ -30,7 +31,7 @@ from primexp.exponent import (
     lemma25_bound,
     thm36_range,
 )
-from primexp.families import FamilySpec, chord_member, d1, d2, q1
+from primexp.families import FamilySpec, chord_member, chord_position_cap, d1, d2, d_gN, q1
 from primexp.iso import ISO_ORDER_CAP, automorphism_count, canonical_code_tables, find_isomorphism
 from primexp.report import Report, census_to_jsonl
 from primexp.semigroup import frobenius
@@ -38,6 +39,7 @@ from primexp.verify import (
     BERNOULLI_SWEEP,
     CHORD_ORDER_CAP,
     _bound_facts,
+    _chord_sets,
     _chord_universe_rows,
     _converse_facts,
     _fixed_cycle_walk,
@@ -662,9 +664,11 @@ def test_verify_lemma24_report_bytes_are_pinned_at_orders_five_and_six(n, digest
     (16, "a972c428a1f1cd85562ccc7d264ee16e7f8639d8aea4ecf3a39975afdd3d3dcf"),
     (20, "64f36c2c00b090a2e9bec1eb7dd445d76da079c50de5f69ac832cc17138eaa0d"),
     (32, "8be2c9c53363f771fe8e5110e865de63858248c905a0595c30dfb18492b6c855"),
+    (64, "3256b511cb86c32dcf133e7a2f501175576b978a3e8abb21b98d610080551fbd"),
 ])
 def test_verify_lemma24_report_bytes_are_pinned_above_order_fourteen(n, digest):
-    # Produced by the backtracking isomorphism search with its order cap lifted.
+    # Orders 15-32 were produced by the backtracking isomorphism search with
+    # its order cap lifted; order 64 is the top of the accepted range.
     assert _sha256(verify_lemma24(n).to_jsonl()) == digest
 
 
@@ -740,6 +744,23 @@ def test_girth_floor_walk_at_order_five():
 
 # -- chord-set formula ------------------------------------------------------------
 
+def test_chord_sets_match_the_d_gN_constructor():
+    # The sweep of verify_thm33 and the thm36 forward phase against the
+    # public constructor, its exponent and FamilySpec's label.
+    for n, g in ((10, 3), (11, 5), (13, 4)):
+        sets = list(_chord_sets(n, g))
+        assert [mask for mask, *_ in sets] == list(range(1, 1 << chord_position_cap(n, g)))
+        for mask, label, N, rows, oracle in sets:
+            assert sum(1 << (i - 1) for i in N) == mask and max(N) == mask.bit_length()
+            d = d_gN(n, g, N)
+            assert label == FamilySpec(kind="d_gN", n=n, g=g, N=tuple(N)).label()
+            assert rows == d.rows and oracle == exponent(d).value
+    # gcd(10, 4) = 2: no member is primitive, and the sweep says so as
+    # exponent() does.
+    with pytest.raises(NotPrimitiveError):
+        next(_chord_sets(10, 4))
+
+
 def test_verify_thm33_asserted_rows_pass_and_pattern_is_reported():
     report = verify_thm33(n_min=5, n_max=7)
     assert report.all_asserts_pass
@@ -765,7 +786,7 @@ def test_verify_thm33_refuses_orders_above_the_cap_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("a chord set was enumerated before the order check")
 
-    monkeypatch.setattr(verify_module, "enumerate_DgN", no_work)
+    monkeypatch.setattr(verify_module, "_chord_rows", no_work)
     assert verify_module.THM33_ORDER_CAP >= 12
     for n_min, n_max in ((5, verify_module.THM33_ORDER_CAP + 1), (64, 64)):
         with pytest.raises(ValueError, match=f"at most {verify_module.THM33_ORDER_CAP}"):
@@ -910,7 +931,7 @@ def test_verify_thm36_refuses_orders_above_the_iso_cap_before_any_work(monkeypat
     def no_work(*args):
         raise AssertionError("a chord set was enumerated before the order check")
 
-    monkeypatch.setattr(verify_module, "enumerate_Dr", no_work)
+    monkeypatch.setattr(verify_module, "_chord_rows", no_work)
     start = time.perf_counter()
     with pytest.raises(ValueError, match=message):
         verify_thm36(n, g)
