@@ -194,6 +194,19 @@ def c_walk_distances(d: Digraph) -> CWalkResult:
 def cwalk_of_cover(rows: tuple[int, ...], n: int, cover: list[int]) -> CWalkResult:
     """``c_walk_distances`` of a primitive digraph from its cycle cover, unchecked.
 
+    The distances are ``_cwalk_rows``; this adds their maximum and its least
+    attaining pair.
+    """
+    per_pair = tuple(map(tuple, _cwalk_rows(rows, n, cover)))
+    row_max = [max(row) for row in per_pair]
+    best = max(row_max)
+    i = row_max.index(best)
+    return CWalkResult(per_pair=per_pair, max=best, arg_max=(i + 1, per_pair[i].index(best) + 1))
+
+
+def _cwalk_rows(rows: tuple[int, ...], n: int, cover: list[int]) -> list[list[int]]:
+    """Row u - 1 holds the c-walk distances from u of a primitive digraph, unchecked.
+
     ``cover`` holds, per cycle length, the bit-set of vertices on some simple
     cycle of that length; empty entries are skipped, so the list that
     ``digraph._cycle_cover`` returns can be passed as it is.  A walk that
@@ -265,16 +278,11 @@ def cwalk_of_cover(rows: tuple[int, ...], n: int, cover: list[int]) -> CWalkResu
                 if met[v] == full:
                     row[v] = 0
                 per_row[v] = row
-
-    per_pair = tuple(map(tuple, per_row))
-    row_max = [max(row) for row in per_pair]
-    best = max(row_max)
-    i = row_max.index(best)
-    return CWalkResult(per_pair=per_pair, max=best, arg_max=(i + 1, per_pair[i].index(best) + 1))
+    return per_row
 
 
 def _cwalk_search(start: int, n: int, succ: list, met: list[int], full: int) -> list[int]:
-    """One row of ``cwalk_of_cover`` by search; see there."""
+    """One row of ``_cwalk_rows`` by search; see there."""
     dist = [-1] * n
     if met[start] == full:
         # Every walk from here has met every set: plain distances.  A list

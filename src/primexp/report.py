@@ -12,11 +12,12 @@ the instance and params, so the bound suite hands each instance the one
 fact list it computed, and instances with equal facts share it.
 
 Each JSON line equals ``json.dumps(row.to_json_obj(), sort_keys=True,
-separators=(",", ":"))`` but is built from cached fragments: one
-``str.format`` pattern per check and tuple of param names, with the keys
-already in sorted order and the check's fields (claim, predicted, oracle,
-agree, asserted, rule, notes) filled in, so that each row encodes only its
-instance and its param values, once per entry.
+separators=(",", ":"))`` but is built from cached fragments: one ``%``
+pattern per check and tuple of param names, with the keys already in
+sorted order, the check's fields (claim, predicted, oracle, agree,
+asserted, rule, notes) filled in and a ``%s`` slot for the instance and
+each param, so that each row encodes only its instance and its param
+values, once per entry, and each line is one ``%`` format.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -132,8 +134,8 @@ def _encode(value) -> str:
 
 
 def _escape(text: str) -> str:
-    """``text`` as literal text of a ``str.format`` pattern."""
-    return text.replace("{", "{{").replace("}", "}}")
+    """``text`` as literal text of a ``%`` pattern."""
+    return text.replace("%", "%%")
 
 
 def _check_fields(check: VerificationRow, cache: dict[tuple, tuple[str, ...]]) -> tuple[str, ...]:
@@ -151,24 +153,31 @@ def _check_fields(check: VerificationRow, cache: dict[tuple, tuple[str, ...]]) -
     return fields
 
 
-def _line_pattern(names: tuple[str, ...]) -> str:
-    """``str.format`` pattern of the line patterns of rows with params ``names``.
+def _line_pattern(names: tuple[str, ...]) -> tuple[str, itemgetter]:
+    """(``str.format`` pattern, slot getter) of the lines of rows with params ``names``.
 
-    Formatted with a check's ``_check_fields``, it gives that check's line
-    pattern: a ``str.format`` pattern whose field 0 is the encoded instance
-    and 1 + i param i, ending in a newline.  The keys are in sorted order,
-    and a param replaces the base key of the same name, as
-    ``obj.update(params)`` does in ``to_json_obj``.
+    Formatted with a check's ``_check_fields``, the pattern gives that
+    check's line pattern: a ``%`` pattern with one ``%s`` slot per key an
+    entry fills, its instance and each param, in sorted-key order, ending
+    in a newline.  The getter takes (instance, *param values) to the
+    values of those slots, in order.  A param replaces the base key of the
+    same name, as ``obj.update(params)`` does in ``to_json_obj``.
     """
-    fields = {key: f"{{{i}}}" for i, key in enumerate(_CHECK_FIELDS)}
-    fields["instance"] = "{{0}}"
+    # A check field's str.format field, or the index of an entry's value.
+    fields: dict[str, str | int] = {key: f"{{{i}}}" for i, key in enumerate(_CHECK_FIELDS)}
+    fields["instance"] = 0
     for i, name in enumerate(names, start=1):
-        fields[name] = f"{{{{{i}}}}}"
-    members = ",".join(
-        _escape(_escape(encode_basestring_ascii(key))) + ":" + fields[key]
-        for key in sorted(fields)
-    )
-    return "{{{{" + members + "}}}}\n"
+        fields[name] = i
+    members = []
+    slots = []
+    for key in sorted(fields):
+        value = fields[key]
+        if isinstance(value, int):
+            slots.append(value)
+            value = "%s"
+        literal = _escape(encode_basestring_ascii(key)).replace("{", "{{").replace("}", "}}")
+        members.append(literal + ":" + value)
+    return "{{" + ",".join(members) + "}}\n", itemgetter(*slots)
 
 
 # The rows of one instance: (instance, params, checks).  Each check is a
@@ -209,32 +218,35 @@ class Report:
         """The JSON lines of ``to_jsonl``, each ending in a newline, per claim in claim order.
 
         Each entry's instance and params are encoded once, and each (checks,
-        param names) pair gets one pattern per check with only the instance
-        and the params left open.  Entries are sorted by instance, stably,
-        and each line goes to its claim's bucket, so the buckets in claim
-        order are sorted by (claim, instance) with ties in row order.
+        param names) pair gets one ``%`` pattern per check with only the
+        instance and the params left open, so a line is one ``%`` format.
+        Entries are sorted by instance, stably, and each line goes to its
+        claim's bucket, so the buckets in claim order are sorted by
+        (claim, instance) with ties in row order.
         """
-        line_patterns: dict[tuple[str, ...], str] = {}
+        line_patterns: dict[tuple[str, ...], tuple[str, itemgetter]] = {}
         check_fields: dict[tuple, tuple[str, ...]] = {}
         # Every checks object stays alive in self.entries, so its id is a
         # key for the call.
-        fact_patterns: dict[tuple[int, tuple[str, ...]], list] = {}
+        fact_patterns: dict[tuple[int, tuple[str, ...]], tuple[itemgetter, list]] = {}
         buckets: dict[str, list[str]] = {}
         for instance, params, checks in sorted(self.entries, key=itemgetter(0)):
             names = tuple(params)
-            patterns = fact_patterns.get((id(checks), names))
-            if patterns is None:
-                line = line_patterns.get(names)
-                if line is None:
-                    line = line_patterns[names] = _line_pattern(names)
-                patterns = fact_patterns[id(checks), names] = [
+            found = fact_patterns.get((id(checks), names))
+            if found is None:
+                layout = line_patterns.get(names)
+                if layout is None:
+                    layout = line_patterns[names] = _line_pattern(names)
+                line, slots = layout
+                found = fact_patterns[id(checks), names] = slots, [
                     (buckets.setdefault(check.claim, []).append,
                      line.format(*_check_fields(check, check_fields)))
                     for check in checks
                 ]
-            encoded = (_encode(instance), *map(_encode, params.values()))
+            slots, patterns = found
+            encoded = slots((_encode(instance), *map(_encode, params.values())))
             for append, pattern in patterns:
-                append(pattern.format(*encoded))
+                append(pattern % encoded)
         return [buckets[claim] for claim in sorted(buckets)]
 
     def to_jsonl(self) -> str:
@@ -242,16 +254,23 @@ class Report:
         return "".join(map("".join, self._jsonl_buckets()))
 
     def summary_counts(self) -> list[tuple[str, int, int, int]]:
-        """(claim, agree, total, asserted_disagree) per claim id, sorted."""
+        """(claim, agree, total, asserted_disagree) per claim id, sorted.
+
+        Entries may share one checks list, so each list is counted once,
+        times the number of entries that hold it.
+        """
+        lists = [checks for _, _, checks in self.entries]
+        holders = Counter(map(id, lists))
         stats: dict[str, list[int]] = {}
-        for _, _, checks in self.entries:
+        for checks in {id(checks): checks for checks in lists}.values():
+            times = holders[id(checks)]
             for check in checks:
                 entry = stats.setdefault(check.claim, [0, 0, 0])
-                entry[1] += 1
+                entry[1] += times
                 if check.agree:
-                    entry[0] += 1
+                    entry[0] += times
                 if check.asserted and not check.agree:
-                    entry[2] += 1
+                    entry[2] += times
         return [(claim, v[0], v[1], v[2]) for claim, v in sorted(stats.items())]
 
     def to_summary_csv(self) -> str:

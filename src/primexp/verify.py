@@ -23,8 +23,12 @@ which read each chord set's exponent off its mask's rows (``_chord_sets``).  Eve
 gcd(n, g), so primitivity is one gcd test per universe: the bound suite
 skips a universe with gcd(n, g) > 1, and thm36 refuses the pair.  In the
 same way the bound suite's random sweep, drawn on bit rows, evaluates each
-distinct labeled matrix once and re-emits its facts under the label and
-params of every later instance with equal rows.
+rotation orbit of its drawn Hamiltonian cycle once: a try's offset pattern
+(``_random_tries``) rebuilds it up to relabeling, so tries whose patterns
+have one least rotation are isomorphic and get the facts of the first.
+Each distinct labeled matrix still gets its own digest, and its facts are
+re-emitted under the label and params of every later instance with equal
+rows.
 
 Chord members are isomorphic only by rotation, so lemma24 and the thm36
 converse compare masks and run no isomorphism search.  Take the n-cycle
@@ -41,8 +45,11 @@ depend only on the order, the exponent, the cycle lengths and the c-walk
 maximum, so they are built (and their claim checked and agree flag
 computed) once per such invariant key, not once per evaluation: each chord
 universe and the random sweep keep a dict from key to fact list, and the
-1 699 evaluations of ``verify bounds --n-max 8 --samples 2000 --seed 1``
-build 619 lists.  The kernels still run on every evaluation.  Each
+1 318 evaluations of ``verify bounds --n-max 8 --samples 2000 --seed 1``
+(356 chord orbits and 962 random pattern orbits; one evaluation per
+distinct random matrix made 1 699) still build 619 lists.  The kernels run
+on every evaluation, and the c-walk's distance rows are read only for
+their maximum.  Each
 instance adds one report entry that holds its label, its params and its
 key's fact list, so instances with equal keys share one list.
 """
@@ -67,6 +74,7 @@ from .digraph import (
 from .exponent import (
     NotPrimitiveError,
     TooManyCycleLengthsError,
+    _cwalk_rows,
     cwalk_of_cover,
     exponent,
     exponent_of_rows,
@@ -94,7 +102,7 @@ MAX_RANDOM_TRIES = 100_000
 # -- random instance generation --------------------------------------------
 
 def _random_tries(rng: random.Random, n: int, p: float):
-    """Endless (successor rows, period) tries of ``_random_primitive_rows``.
+    """Endless (successor rows, period, pattern) tries of ``_random_primitive_rows``.
 
     Number the vertices by their position on the drawn cycle.  Every arc
     u -> v of a strongly connected digraph of period d joins consecutive
@@ -102,61 +110,79 @@ def _random_tries(rng: random.Random, n: int, p: float):
     k + c mod d, so d divides pos(u) + 1 - pos(v) for every arc; that sum
     over the arcs of any closed walk is its length, so d is the gcd of these
     values.  The cycle's own arcs give 0 and n, so the period is the gcd of
-    n and the value of each drawn arc.
+    n and o - 1 over the drawn arcs, o being how many positions ahead of its
+    tail an arc lands.
+
+    ``pattern[k]`` has bit o set for each drawn arc out of position k that
+    lands o positions ahead: o = 0 is a loop, and o = 1 is never drawn,
+    because that is the cycle arc.  The n-cycle on the positions plus these
+    arcs is the try relabeled by position, so tries whose patterns are
+    rotations of each other are isomorphic.
+
+    The draws are one per slot s < n(n - 1), in order: slot s is row
+    s // (n - 1), and its column s % (n - 1) skips the row's cycle column.
     """
     draw = rng.random
     gcd = math.gcd
+    m = n - 1
+    slots = range(n * m)
     while True:
         perm = list(range(n))
         rng.shuffle(perm)
-        cycle = [0] * n
+        # perm[k] is the vertex at position k, and perm[k - m] the next one.
         pos = [0] * n
-        for i in range(n):
-            cycle[perm[i - 1]] = perm[i]
-            pos[perm[i]] = i
-        rows = []
+        rows = [0] * n
+        for k, v in enumerate(perm):
+            pos[v] = k
+            rows[perm[k - 1]] = 1 << v
+        hits = [s for s in slots if draw() < p]
+        pattern = [0] * n
         period = n
-        for v, c in enumerate(cycle):
-            row = 1 << c
-            after = pos[v] + 1
-            for j in range(n):
-                if j != c and draw() < p:
-                    row |= 1 << j
-                    period = gcd(period, after - pos[j])
-            rows.append(row)
-        yield tuple(rows), period
+        for s in hits:
+            v, j = divmod(s, m)
+            k = pos[v]
+            if j >= perm[k - m]:
+                j += 1
+            rows[v] |= 1 << j
+            o = (pos[j] - k) % n
+            pattern[k] |= 1 << o
+            period = gcd(period, o - 1)
+        yield tuple(rows), period, tuple(pattern)
 
 
-def _random_primitive_rows(rng: random.Random, n: int, p: float) -> tuple[int, ...]:
-    """Successor rows of a random Hamiltonian cycle plus Bernoulli(p) arcs, retained if primitive.
+def _random_primitive_rows(rng: random.Random, n: int,
+                           p: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(successor rows, pattern) of a random Hamiltonian cycle plus
+    Bernoulli(p) arcs, retained if primitive.
 
     Each try shuffles the n vertices into a cycle, then draws rng.random()
     once for every arc not on it, in row-major order, and adds the arc when
     the draw is below p.  The cycle makes every try strongly connected, and
     its period is read off the drawn arcs' positions on the cycle (see
-    ``_random_tries``), so a try costs no search.  After MAX_RANDOM_TRIES
-    tries it raises RuntimeError.
+    ``_random_tries``), so a try costs no search.  The pattern holds those
+    positions too: patterns with equal least rotations give isomorphic
+    digraphs.  After MAX_RANDOM_TRIES tries it raises RuntimeError.
     """
-    for rows, period in itertools.islice(_random_tries(rng, n, p), MAX_RANDOM_TRIES):
+    for rows, period, pattern in itertools.islice(_random_tries(rng, n, p), MAX_RANDOM_TRIES):
         if period == 1:
-            return rows
+            return rows, pattern
     raise RuntimeError(f"no primitive digraph found in {MAX_RANDOM_TRIES} tries (n={n}, p={p})")
 
 
 def _random_rows(seed: int, samples: int, n_max: int):
-    """Deterministic stream of (index, n, p, successor rows) primitive instances."""
+    """Deterministic stream of (index, n, p, successor rows, pattern) primitive instances."""
     if n_max > 10:
         raise ValueError(f"random sampling is capped at order 10, got n_max={n_max}")
     rng = random.Random(seed)
     for idx in range(samples):
         p = BERNOULLI_SWEEP[idx % len(BERNOULLI_SWEEP)]
         n = rng.randint(2, n_max)
-        yield idx, n, p, _random_primitive_rows(rng, n, p)
+        yield idx, n, p, *_random_primitive_rows(rng, n, p)
 
 
 def random_instances(seed: int, samples: int, n_max: int):
     """Deterministic stream of (index, n, p, digraph) primitive instances."""
-    for idx, n, p, rows in _random_rows(seed, samples, n_max):
+    for idx, n, p, rows, _ in _random_rows(seed, samples, n_max):
         yield idx, n, p, Digraph(n, rows)
 
 
@@ -213,7 +239,7 @@ def _bound_facts(rows: tuple[int, ...], n: int,
     cover = _cycle_cover(rows, n)
     lengths = tuple([k for k in range(1, n + 1) if cover[k]])
     try:
-        cw = cwalk_of_cover(rows, n, cover).max
+        cw = max(map(max, _cwalk_rows(rows, n, cover)))
     except TooManyCycleLengthsError as exc:
         cw = f"skipped: {exc}"
     key = (n, exp, lengths, cw)
@@ -330,13 +356,23 @@ def verify_bounds(
     for entries in _run_blocks(_chord_universe_rows, chord_pairs, jobs):
         report.entries += entries
     # Small orders repeat: at seed 1, 657 of 2 000 instances have the rows of
-    # an earlier one.  Their digest and facts are computed once, keyed by rows.
+    # an earlier one, and their digest and facts are looked up by rows.  The
+    # facts of new rows are keyed by the least rotation of their pattern,
+    # which is equal on isomorphic tries, so the 1 343 distinct rows take 962
+    # evaluations.
     seen: dict[tuple[int, ...], tuple[str, list[VerificationRow]]] = {}
+    orbit_facts: dict[tuple[int, ...], list[VerificationRow]] = {}
     memo: dict[tuple, list[VerificationRow]] = {}
-    for idx, n, p, rows in _random_rows(seed, samples, n_max):
-        if rows not in seen:
-            seen[rows] = matrix_digest(rows, n), _bound_facts(rows, n, memo)
-        digest, facts = seen[rows]
+    for idx, n, p, rows, pattern in _random_rows(seed, samples, n_max):
+        known = seen.get(rows)
+        if known is None:
+            twice = pattern + pattern
+            key = min(twice[s:s + n] for s in range(n))
+            facts = orbit_facts.get(key)
+            if facts is None:
+                facts = orbit_facts[key] = _bound_facts(rows, n, memo)
+            known = seen[rows] = matrix_digest(rows, n), facts
+        digest, facts = known
         report.entries.append((f"rand:{idx:06d}:{digest}", {"n": n, "p": p, "seed": seed}, facts))
     return report
 

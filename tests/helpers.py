@@ -7,6 +7,7 @@ from operator import getitem
 
 from primexp.digraph import Digraph
 from primexp.iso import find_isomorphism
+from primexp.verify import _random_primitive_rows
 
 
 def relabeled_codes(rows: tuple[int, ...], tables) -> list[int]:
@@ -50,3 +51,42 @@ def classify_against(d: Digraph, family) -> int | None:
         if find_isomorphism(d, member) is not None:
             return index
     return None
+
+
+def random_primitive_digraph(rng, n: int, p: float) -> Digraph:
+    """The digraph of ``_random_primitive_rows``, its pattern dropped."""
+    rows, _ = _random_primitive_rows(rng, n, p)
+    return Digraph(n, rows)
+
+
+def replay_cycle_positions(rng, n: int) -> list[int]:
+    """Position on its drawn cycle of each vertex of one generator try.
+
+    Makes the try's draws on ``rng``: one shuffle of the n vertices, then
+    one draw per arc off the cycle.
+    """
+    perm = list(range(n))
+    rng.shuffle(perm)
+    for _ in range(n * (n - 1)):
+        rng.random()
+    pos = [0] * n
+    for i, v in enumerate(perm):
+        pos[v] = i
+    return pos
+
+
+def pattern_rows(pattern: tuple[int, ...]) -> tuple[int, ...]:
+    """Successor rows of the n-cycle k -> k + 1 plus k -> k + o for each bit o of pattern[k]."""
+    n = len(pattern)
+    return tuple(
+        (1 << (k + 1) % n) | sum(1 << (k + o) % n for o in range(n) if bits >> o & 1)
+        for k, bits in enumerate(pattern)
+    )
+
+
+def relabel_rows(rows: tuple[int, ...], label: list[int]) -> tuple[int, ...]:
+    """Successor rows with vertex v renamed label[v], labels 0-based."""
+    out = [0] * len(rows)
+    for v, row in enumerate(rows):
+        out[label[v]] = sum(1 << label[w] for w in range(len(rows)) if row >> w & 1)
+    return tuple(out)

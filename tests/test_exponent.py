@@ -27,6 +27,7 @@ from primexp.exponent import (
     NotPrimitiveError,
     TooManyCycleLengthsError,
     TruncatedProfileError,
+    _cwalk_rows,
     _exponent_kernel,
     c_walk_distances,
     cwalk_of_cover,
@@ -44,9 +45,9 @@ from primexp.exponent import (
     z_of_w,
 )
 from primexp.families import chord_member, d1, d2, d_gN, h_graph, q1, q2, standard_cycle
-from primexp.verify import _random_primitive_rows
+from primexp.verify import _bound_facts, _random_primitive_rows
 
-from helpers import relabel
+from helpers import random_primitive_digraph, relabel
 
 
 def linear_exponent_scan(rows: tuple[int, ...], n: int) -> tuple[int, tuple[int, ...]] | None:
@@ -175,7 +176,7 @@ def test_exponent_equals_all_pairs_walk_oracle_on_random_instances():
     rng = random.Random(101)
     for _ in range(60):
         n = rng.randint(2, 8)
-        d = Digraph(n, _random_primitive_rows(rng, n, rng.choice([0.05, 0.1, 0.2])))
+        d = random_primitive_digraph(rng, n, rng.choice([0.05, 0.1, 0.2]))
         assert exponent(d).value == exponent_by_all_pairs_walks(d)
 
 
@@ -183,7 +184,7 @@ def test_exponent_brackets_the_all_positive_transition():
     rng = random.Random(211)
     for _ in range(30):
         n = rng.randint(2, 7)
-        rows = _random_primitive_rows(rng, n, 0.15)
+        rows, _ = _random_primitive_rows(rng, n, 0.15)
         full = ((1 << n) - 1,) * n
         value = exponent(Digraph(n, rows)).value
         assert pow_rows(rows, value, n) == full
@@ -195,7 +196,7 @@ def test_exponent_is_relabeling_invariant():
     rng = random.Random(103)
     for _ in range(30):
         n = rng.randint(3, 7)
-        d = Digraph(n, _random_primitive_rows(rng, n, 0.15))
+        d = random_primitive_digraph(rng, n, 0.15)
         perm = list(range(1, d.order + 1))
         rng.shuffle(perm)
         assert exponent(relabel(d, tuple(perm))).value == exponent(d).value
@@ -206,7 +207,7 @@ def test_spanning_subgraph_monotonicity():
     checked = 0
     while checked < 40:
         n = rng.randint(3, 7)
-        d = Digraph(n, _random_primitive_rows(rng, n, 0.1))
+        d = random_primitive_digraph(rng, n, 0.1)
         extra = {
             (rng.randint(1, n), rng.randint(1, n))
             for _ in range(rng.randint(1, 4))
@@ -429,7 +430,7 @@ def test_per_pair_dominates_distance():
     rng = random.Random(109)
     for _ in range(40):
         n = rng.randint(2, 7)
-        d = Digraph(n, _random_primitive_rows(rng, n, 0.15))
+        d = random_primitive_digraph(rng, n, 0.15)
         result = c_walk_distances(d)
         for i in range(1, d.order + 1):
             for j in range(1, d.order + 1):
@@ -440,7 +441,7 @@ def test_cwalk_matches_length_dp_oracle():
     rng = random.Random(113)
     for _ in range(80):
         n = rng.randint(2, 8)
-        d = Digraph(n, _random_primitive_rows(rng, n, rng.choice([0.1, 0.2])))
+        d = random_primitive_digraph(rng, n, rng.choice([0.1, 0.2]))
         assert c_walk_distances(d).per_pair == cwalk_by_length_dp(d)
 
 
@@ -450,7 +451,7 @@ def test_cwalk_kernel_on_the_dp_profile_matches_length_dp_oracle():
     digraphs = []
     for _ in range(60):
         n = rng.randint(2, 10)
-        digraphs.append(Digraph(n, _random_primitive_rows(rng, n, rng.choice([0.05, 0.1, 0.2]))))
+        digraphs.append(random_primitive_digraph(rng, n, rng.choice([0.05, 0.1, 0.2])))
     digraphs += [chord_member(10, 3, mask) for mask in (1, 5, 77, 1000)]
     digraphs += [d1(11), d2(11), q1(11, 4)]
     for d in digraphs:
@@ -472,7 +473,7 @@ def test_cwalk_kernel_on_the_cycle_cover_matches_c_walk_distances():
     # profile path and the exact-length DP take their cycles from
     # simple_cycles instead, so neither shares the cover.
     rng = random.Random(137)
-    digraphs = [Digraph(n, _random_primitive_rows(rng, n, p))
+    digraphs = [random_primitive_digraph(rng, n, p)
                 for n, p in [(rng.randint(2, 12), rng.choice([0.05, 0.1, 0.2, 0.3]))
                              for _ in range(150)]
                 + [(rng.randint(13, 20), rng.choice([0.02, 0.05])) for _ in range(20)]]
@@ -502,7 +503,7 @@ def test_cwalk_kernel_on_nested_and_repeated_cover_sets_matches_length_dp():
     rng = random.Random(139)
     for _ in range(120):
         n = rng.randint(2, 10)
-        d = Digraph(n, _random_primitive_rows(rng, n, rng.choice([0.1, 0.2, 0.4])))
+        d = random_primitive_digraph(rng, n, rng.choice([0.1, 0.2, 0.4]))
         rows = d.rows
         cover = [rng.getrandbits(n) | (1 << rng.randrange(n)) for _ in range(rng.randint(1, 4))]
         cover += [c | rng.getrandbits(n) for c in cover if rng.random() < 0.5]
@@ -697,12 +698,48 @@ def test_cwalk_rejects_too_many_lengths():
         cwalk_of_cover(d.rows, 4, [0b1111] * 21)
 
 
+def test_cwalk_rows_are_the_per_pair_rows_of_cwalk_of_cover():
+    # The bound suite reads only the maximum of the kernel's rows; the
+    # cwalk verb reads them through cwalk_of_cover.
+    rng = random.Random(149)
+    digraphs = [random_primitive_digraph(rng, n, rng.choice([0.05, 0.1, 0.2, 0.3]))
+                for n in [rng.randint(2, 12) for _ in range(80)]]
+    digraphs += [chord_member(n, g, mask)
+                 for n, g in [(7, 3), (10, 3), (11, 4), (13, 5)]
+                 for mask in (1, 3, 5, 0b101011, (1 << n) - 1)]
+    digraphs += [h_graph(n, g, k) for n, g, k in [(9, 2, 5), (12, 5, 7), (28, 9, 10)]]
+    for d in digraphs:
+        rows, n = d.rows, d.order
+        cover = _cycle_cover(rows, n)
+        per_row = _cwalk_rows(rows, n, cover)
+        assert [tuple(row) for row in per_row] == list(cwalk_of_cover(rows, n, cover).per_pair), d
+        assert max(map(max, per_row)) == c_walk_distances(d).max, d
+
+
+def test_cwalk_rows_raise_as_cwalk_of_cover_does():
+    # Both are unchecked: the bare 64-cycle with its own cover gives plain
+    # distances, and only the checked readers refuse it.
+    rows = standard_cycle(64).rows
+    cover = _cycle_cover(rows, 64)
+    assert [tuple(row) for row in _cwalk_rows(rows, 64, cover)] == list(
+        cwalk_of_cover(rows, 64, cover).per_pair)
+    with pytest.raises(NotPrimitiveError):
+        c_walk_distances(standard_cycle(64))
+    with pytest.raises(NotPrimitiveError):
+        _bound_facts(rows, 64)
+    for kernel in (_cwalk_rows, cwalk_of_cover):
+        with pytest.raises(NotPrimitiveError):
+            kernel(SINK_CYCLE.rows, 6, [0b111111])
+        with pytest.raises(TooManyCycleLengthsError):
+            kernel(complete_with_loops(4).rows, 4, [0b1111] * (MAX_CYCLE_LENGTHS + 1))
+
+
 # The complete digraph of order 64 and the seeded n = 24, p = 0.3 digraph
 # reach the cover budget in about 3 s on a 2-core VM (Python 3.11).
 BUDGET_WALL_S = 20.0
 BEYOND_BUDGET = {
     "complete(64)": lambda: complete_with_loops(64),
-    "random(24, 0.3)": lambda: Digraph(24, _random_primitive_rows(random.Random(24), 24, 0.3)),
+    "random(24, 0.3)": lambda: random_primitive_digraph(random.Random(24), 24, 0.3),
 }
 
 
@@ -740,7 +777,7 @@ def test_lemma22_holds_on_random_instances():
     rng = random.Random(127)
     for _ in range(150):
         n = rng.randint(2, 8)
-        d = Digraph(n, _random_primitive_rows(rng, n, rng.choice([0.05, 0.1, 0.2])))
+        d = random_primitive_digraph(rng, n, rng.choice([0.05, 0.1, 0.2]))
         assert exponent(d).value <= lemma22_bound(d)
 
 
@@ -751,7 +788,7 @@ def test_lemma23_values_and_random_instances():
     rng = random.Random(131)
     for _ in range(150):
         n = rng.randint(2, 8)
-        d = Digraph(n, _random_primitive_rows(rng, n, 0.15))
+        d = random_primitive_digraph(rng, n, 0.15)
         _, profile = simple_cycles(d)
         assert exponent(d).value <= lemma23_bound(d.order, profile.lengths[0])
 

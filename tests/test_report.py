@@ -136,6 +136,12 @@ def test_jsonl_lines_equal_json_dumps_of_each_row():
         make_row("L3.2", "override", 4, 5, asserted=True, agree="forced"),
         make_row("L3.2", "override", 4, 5, asserted=True, agree=None, k={"b": 1, "a": 2}),
         make_row("L3.2", "brace-key", 4, 5, asserted=True, **{"{0}": 1, 'q"k': 2}),
+        # percent signs, which a line's % pattern must keep literal
+        make_row("C3.7", "pct:%s%%%(n)s%", "100%", "%s", asserted=False, rule="member",
+                 notes="50% of %(n)s, %% and %s", label="%(n)s%", n=5),
+        make_row("C3.7", "pct:%s%%%(n)s%", "100%", "%s", asserted=False, rule="member",
+                 notes="%", **{"%": "%%", "%(n)s": 1, "%s": "%s"}),
+        VerificationRow("L2.3", "%", "%%", ["%s"], False, False, "eq", "%(notes)s", shared),
     ])
     _assert_lines_match_the_oracle(report)
 
@@ -160,17 +166,20 @@ def test_write_gives_the_bytes_of_to_jsonl_and_to_summary_csv(run, tmp_path):
 
 _values = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from([0.0, -0.0, 1.0, 0.1, 2.5]),
-    st.text(max_size=4), st.lists(st.integers(-2, 2), max_size=3),
+    st.text(max_size=4), st.sampled_from(["%", "%s", "%%", "%(n)s"]),
+    st.lists(st.integers(-2, 2), max_size=3),
 )
 _names = st.sampled_from(
-    ["AA", "N", "agree", "claim", "instance", "mask", "n", "notes", "p", "z", "{", 'k"']
+    ["AA", "N", "agree", "claim", "instance", "mask", "n", "notes", "p", "z", "{", 'k"',
+     "%", "%s", "%%", "%(n)s"]
 )
 
 
 @settings(max_examples=80)
 @given(st.lists(st.tuples(
-    st.sampled_from(CLAIM_IDS[:3]), st.sampled_from(["a", "b", "é{", "c"]),
-    _values, _values, _values, _values, st.sampled_from(["eq", "le"]), st.sampled_from(["", "x"]),
+    st.sampled_from(CLAIM_IDS[:3]), st.sampled_from(["a", "b", "é{", "c", "%", "%s", "%%", "%(n)s"]),
+    _values, _values, _values, _values, st.sampled_from(["eq", "le"]),
+    st.sampled_from(["", "x", "%", "%s", "%%", "%(n)s"]),
     st.dictionaries(_names, _values, max_size=4),
 ), max_size=12))
 def test_jsonl_lines_equal_json_dumps_on_random_rows(fields):
@@ -182,7 +191,8 @@ def test_jsonl_lines_equal_json_dumps_on_random_rows(fields):
 _checks = st.builds(
     VerificationRow, claim=st.sampled_from(CLAIM_IDS[:4]), instance=st.just(""),
     predicted=_values, oracle=_values, agree=st.booleans(), asserted=st.booleans(),
-    rule=st.sampled_from(["eq", "le"]), notes=st.sampled_from(["", "n{0}"]),
+    rule=st.sampled_from(["eq", "le"]),
+    notes=st.sampled_from(["", "n{0}", "%", "%s", "%%", "%(n)s"]),
 )
 # Two param-name sets: one with a float, one with a list and a base key's name.
 _params = st.one_of(
@@ -190,8 +200,12 @@ _params = st.one_of(
                            "seed": st.integers(0, 3)}),
     st.fixed_dictionaries({"n": st.integers(2, 9), "agree": _values,
                            "N": st.lists(st.integers(1, 9), max_size=3)}),
+    # percent signs in param keys and string values
+    st.fixed_dictionaries({"%(n)s": _values, "%": st.sampled_from(["%", "%s", "%%", "%(n)s"]),
+                           "%s": st.integers(0, 3)}),
 )
-_instances = st.sampled_from(["chord:7:3:5", "rand:000001:ab", "é✓", "a"])
+_instances = st.sampled_from(["chord:7:3:5", "rand:000001:ab", "é✓", "a",
+                              "%", "%s", "%%", "%(n)s"])
 
 
 @st.composite

@@ -62,7 +62,16 @@ from primexp.verify import (
 )
 import random
 
-from helpers import canonical_code, classify_against, degree_sorted_rows, relabeled_codes
+from helpers import (
+    canonical_code,
+    classify_against,
+    degree_sorted_rows,
+    pattern_rows,
+    random_primitive_digraph,
+    relabel_rows,
+    relabeled_codes,
+    replay_cycle_positions,
+)
 
 
 def rows_by_claim(report: Report, claim: str):
@@ -72,8 +81,8 @@ def rows_by_claim(report: Report, claim: str):
 # -- random generation ---------------------------------------------------------
 
 def test_random_primitive_digraph_is_primitive_and_deterministic():
-    a = _random_primitive_rows(random.Random(5), 6, 0.1)
-    b = _random_primitive_rows(random.Random(5), 6, 0.1)
+    a, _ = _random_primitive_rows(random.Random(5), 6, 0.1)
+    b, _ = _random_primitive_rows(random.Random(5), 6, 0.1)
     assert a == b
     assert rows_primitive(a, 6)
 
@@ -99,7 +108,7 @@ def test_random_primitive_digraph_matches_the_arc_set_oracle():
         for n in range(2, 11):
             for p in BERNOULLI_SWEEP:
                 rng, oracle_rng = random.Random(seed), random.Random(seed)
-                d = Digraph(n, _random_primitive_rows(rng, n, p))
+                d = random_primitive_digraph(rng, n, p)
                 assert d == _arc_set_random_primitive_digraph(oracle_rng, n, p), (seed, n, p)
                 # the same draws were made: both generators leave rng in one state
                 assert rng.random() == oracle_rng.random(), (seed, n, p)
@@ -129,23 +138,30 @@ def test_random_primitive_rows_equal_the_genexpr_form():
             for p in BERNOULLI_SWEEP:
                 rng, oracle_rng = random.Random(seed), random.Random(seed)
                 for _ in range(3):
-                    assert _random_primitive_rows(rng, n, p) == _genexpr_random_primitive_rows(
-                        oracle_rng, n, p), (seed, n, p)
+                    rows, _ = _random_primitive_rows(rng, n, p)
+                    assert rows == _genexpr_random_primitive_rows(oracle_rng, n, p), (seed, n, p)
                 # the same draws were made, in the same order
                 assert rng.getstate() == oracle_rng.getstate(), (seed, n, p)
 
 
 def test_in_loop_period_equals_rows_period_on_every_try():
     # The generator reads the period off its drawn cycle; the BFS levels give it too.
+    # Its pattern rebuilds the try: relabeled by cycle position, the rows are the
+    # n-cycle plus the pattern's arcs.
     periods = set()
     for seed in range(12):
         for n in range(2, 11):
             for p in BERNOULLI_SWEEP:
                 tries = _random_tries(random.Random(seed), n, p)
-                for rows, period in itertools.islice(tries, 25):
+                replay = random.Random(seed)
+                for rows, period, pattern in itertools.islice(tries, 25):
                     level = _bfs_dist(rows, n, 0)
                     assert period == _period_of_levels(rows, n, level), (seed, n, p, rows)
                     periods.add(period)
+                    positions = replay_cycle_positions(replay, n)
+                    assert pattern_rows(pattern) == relabel_rows(rows, positions), (
+                        seed, n, p, rows)
+                    assert not any(bits & 2 for bits in pattern), (seed, n, p, pattern)
     # rejected tries with periods up to 10 are covered, not only accepted ones
     assert periods == set(range(1, 11))
 
@@ -462,6 +478,46 @@ def test_random_sweep_rows_equal_the_per_instance_loop():
                        n=n, p=p, seed=kwargs["seed"])
     report = verify_bounds(**kwargs, chord_pairs=())
     assert report.rows == oracle.rows
+
+
+def _random_sweep_oracle(seed: int, samples: int, n_max: int) -> Report:
+    """The random sweep with one ``_bound_facts`` call per distinct rows."""
+    report = Report()
+    seen = {}
+    for idx, n, p, d in random_instances(seed, samples, n_max):
+        if d.rows not in seen:
+            digest = hashlib.sha256(serialize_rows(d.rows, n).encode()).hexdigest()[:12]
+            seen[d.rows] = digest, _bound_facts(d.rows, n)
+        digest, facts = seen[d.rows]
+        report.entries.append((f"rand:{idx:06d}:{digest}", {"n": n, "p": p, "seed": seed}, facts))
+    return report
+
+
+@pytest.mark.parametrize("n_max", [4, 6, 8])
+def test_random_sweep_per_pattern_orbit_equals_the_per_rows_oracle(n_max):
+    # The sweep evaluates one try per rotation orbit of its pattern; the oracle
+    # evaluates every distinct labeled matrix.
+    for seed in range(1, 7):
+        report = verify_bounds(n_max=n_max, samples=300, seed=seed, chord_pairs=())
+        assert report.to_jsonl() == _random_sweep_oracle(seed, 300, n_max).to_jsonl(), seed
+
+
+def test_bound_suite_evaluation_count_is_pinned(monkeypatch):
+    # `verify bounds --n-max 8 --samples 2000 --seed 1`: 356 chord orbits, and
+    # 962 pattern orbits among the 1 343 distinct random rows.
+    calls = 0
+    bound_facts = verify_module._bound_facts
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return bound_facts(*args, **kwargs)
+
+    monkeypatch.setattr(verify_module, "_bound_facts", counting)
+    verify_bounds(n_max=8, samples=0, seed=1)
+    assert calls == 356
+    verify_bounds(n_max=8, samples=2000, seed=1, chord_pairs=())
+    assert calls == 356 + 962
 
 
 def test_run_blocks_starts_at_most_one_worker_per_cpu(monkeypatch):
