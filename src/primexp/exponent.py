@@ -15,7 +15,12 @@ Wielandt cap would take 12.
 the shortest walk that shares a vertex with at least one simple cycle of
 each length occurring in the digraph.  It and ``lemma22_bound`` read the
 cycle lengths from the budgeted subset DP ``digraph._cycle_cover``, which
-raises ``TruncatedProfileError`` on input too dense for it.
+raises ``TruncatedProfileError`` on input too dense for it.  Neither runs a
+separate primitivity test: the gcd of the cover's cycle lengths is the
+period, and the c-walk search fails from a start that cannot reach every
+vertex, so the two together are the verdict.  ``rows_primitive`` runs only
+when the cover or the search gives up, so dense non-primitive input is
+refused only after the cover's budget runs out, within seconds.
 """
 
 from __future__ import annotations
@@ -172,32 +177,52 @@ def _least_zero_entry(rows: tuple[int, ...], n: int) -> tuple[int, int]:
     return (i + 1, (missing & -missing).bit_length())
 
 
-def _primitive_rows(d: Digraph) -> tuple[int, ...]:
-    if not rows_primitive(d.rows, d.order):
-        raise NotPrimitiveError(f"digraph of order {d.order} is not primitive")
-    return d.rows
+def _primitive_cwalk(rows: tuple[int, ...], n: int) -> tuple[list[int], list[list[int]]]:
+    """(cycle lengths, ``_cwalk_rows``) of a primitive digraph from one cover.
+
+    A digraph is primitive when it is strongly connected and the gcd of its
+    cycle lengths, its period, is 1.  The gcd is read off the cover, and the
+    c-walk search raises NotPrimitiveError from a start that cannot reach
+    every vertex, which happens exactly when the digraph is not strongly
+    connected.  When the cover passes its budget or the search has too many
+    cycle lengths, ``rows_primitive`` decides which error to raise.  Every
+    refusal is NotPrimitiveError with one message.
+    """
+    try:
+        cover = _cycle_cover(rows, n)
+        lengths = [k for k in range(1, n + 1) if cover[k]]
+        if math.gcd(*lengths) == 1:
+            return lengths, _cwalk_rows(rows, n, cover)
+    except (TruncatedProfileError, TooManyCycleLengthsError):
+        if rows_primitive(rows, n):
+            raise
+    except NotPrimitiveError:
+        pass
+    raise NotPrimitiveError(f"digraph of order {n} is not primitive")
 
 
 def c_walk_distances(d: Digraph) -> CWalkResult:
     """All-pairs shortest walks meeting one cycle of every occurring length.
 
     A walk meets a p-cycle when it shares a vertex with some simple cycle of
-    length p; the zero-length walk at v meets every cycle through v.  Checks
-    primitivity, then runs ``cwalk_of_cover`` on the subset-DP cover, which
-    raises ``TruncatedProfileError`` past its state budget.
+    length p; the zero-length walk at v meets every cycle through v.  Runs
+    ``_cwalk_rows`` on the subset-DP cover, which raises
+    ``TruncatedProfileError`` past its state budget, and reads primitivity
+    off the same work (see ``_primitive_cwalk``).  Non-primitive input raises
+    NotPrimitiveError; when it is too dense for the cover, only after the
+    budget runs out, which takes seconds at order 64.
     """
-    n = d.order
-    rows = _primitive_rows(d)
-    return cwalk_of_cover(rows, n, _cycle_cover(rows, n))
+    return _cwalk_result(_primitive_cwalk(d.rows, d.order)[1])
 
 
 def cwalk_of_cover(rows: tuple[int, ...], n: int, cover: list[int]) -> CWalkResult:
-    """``c_walk_distances`` of a primitive digraph from its cycle cover, unchecked.
+    """``c_walk_distances`` of a primitive digraph from its cycle cover, unchecked."""
+    return _cwalk_result(_cwalk_rows(rows, n, cover))
 
-    The distances are ``_cwalk_rows``; this adds their maximum and its least
-    attaining pair.
-    """
-    per_pair = tuple(map(tuple, _cwalk_rows(rows, n, cover)))
+
+def _cwalk_result(per_row: list[list[int]]) -> CWalkResult:
+    """The c-walk rows with their maximum and its least attaining pair."""
+    per_pair = tuple(map(tuple, per_row))
     row_max = [max(row) for row in per_pair]
     best = max(row_max)
     i = row_max.index(best)
@@ -329,13 +354,11 @@ def _cwalk_search(start: int, n: int, succ: list, met: list[int], full: int) -> 
 def lemma22_bound(d: Digraph) -> int:
     """Cycle-meeting diameter plus the conductor of the cycle length set.
 
-    Both terms come from one subset-DP cover; see ``c_walk_distances``.
+    Both terms and the primitivity verdict come from one subset-DP cover;
+    see ``c_walk_distances``, whose errors it raises.
     """
-    n = d.order
-    rows = _primitive_rows(d)
-    cover = _cycle_cover(rows, n)
-    lengths = [k for k in range(1, n + 1) if cover[k]]
-    return cwalk_of_cover(rows, n, cover).max + frobenius(lengths)
+    lengths, per_row = _primitive_cwalk(d.rows, d.order)
+    return max(map(max, per_row)) + frobenius(lengths)
 
 
 def lemma23_bound(n: int, g: int) -> int:

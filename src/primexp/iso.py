@@ -3,8 +3,10 @@
 Backtracking over vertex bijections with cheap invariant pruning
 (in/out-degrees and the set of simple-cycle lengths through each vertex,
 read from the subset-DP cover ``digraph._cycle_cover``, which has no cap and
-spans at most 2^ISO_ORDER_CAP vertex sets); practical for the near-cycle
-digraphs this package works with.
+spans at most 2^ISO_ORDER_CAP vertex sets).  Vertices are placed in
+connectivity order, each next one joined by an arc to one already placed
+where possible, so a wrong candidate fails at once on its arcs to the placed
+vertices; practical for the near-cycle digraphs this package works with.
 Canonical forms are the lexicographically minimal row-major adjacency
 bit-string over all relabelings, computed from tables: one table per row
 index maps a row value to its relabeled bits under each of the n!
@@ -54,8 +56,14 @@ def _vertex_invariants(d: Digraph) -> list[tuple]:
 def _search_isomorphisms(a: Digraph, b: Digraph):
     """Backtracking core: yields every arc-preserving bijection a -> b.
 
-    Vertices of a are processed in invariant order; candidates in b are
-    restricted to the matching invariant class.  Callers stop consuming
+    Vertices of a are placed in connectivity order: first a vertex of the
+    rarest invariant class, then always a vertex with an arc to or from one
+    already placed, the rarest class first, while one exists, so a wrong
+    candidate fails on the arcs to the placed vertices at once instead of
+    several levels deeper (the VF2 order).  Candidates in b are restricted to
+    the matching invariant class, and a candidate y for x must have, towards
+    the placed vertices of b, exactly the images of x's arcs to and from the
+    placed vertices of a, compared as bit-sets.  Callers stop consuming
     after the first witness when one suffices.
     """
     n = a.order
@@ -65,41 +73,50 @@ def _search_isomorphisms(a: Digraph, b: Digraph):
     inv_b = _vertex_invariants(b)
     if sorted(inv_a) != sorted(inv_b):
         return
-    order = sorted(range(n), key=lambda v: (inv_a[v], v))
-    candidates = [
-        [w for w in range(n) if inv_b[w] == inv_a[v]]
-        for v in order
-    ]
+    cols_a = transpose_rows(rows_a, n)
+    cols_b = transpose_rows(rows_b, n)
+    class_b: dict[tuple, int] = {}
+    for w, inv in enumerate(inv_b):
+        class_b[inv] = class_b.get(inv, 0) | 1 << w
+    ranked = sorted(range(n), key=lambda v: (class_b[inv_a[v]].bit_count(), inv_a[v]))
+    # Per depth: the vertex, its out- and in-neighbours placed before it, and
+    # the bit-set of its candidates in b.  A loop is a 1-cycle, so the
+    # invariant class already matches loops.
+    steps = []
+    placed = reached = 0
+    while ranked:
+        x = next((v for v in ranked if reached >> v & 1), ranked[0])
+        ranked.remove(x)
+        steps.append((x, _bits(rows_a[x] & placed), _bits(cols_a[x] & placed), class_b[inv_a[x]]))
+        placed |= 1 << x
+        reached |= rows_a[x] | cols_a[x]
     mapping = [-1] * n  # a-vertex (0-based) -> b-vertex
-    used = [False] * n
 
-    def consistent(x: int, y: int, depth: int) -> bool:
-        if (rows_a[x] >> x) & 1 != (rows_b[y] >> y) & 1:
-            return False
-        for d_idx in range(depth):
-            xp = order[d_idx]
-            yp = mapping[xp]
-            if (rows_a[x] >> xp) & 1 != (rows_b[y] >> yp) & 1:
-                return False
-            if (rows_a[xp] >> x) & 1 != (rows_b[yp] >> y) & 1:
-                return False
-        return True
-
-    def backtrack(depth: int):
+    def backtrack(depth: int, used: int):
         if depth == n:
             yield tuple(mapping[v] + 1 for v in range(n))
             return
-        x = order[depth]
-        for y in candidates[depth]:
-            if used[y] or not consistent(x, y, depth):
-                continue
-            mapping[x] = y
-            used[y] = True
-            yield from backtrack(depth + 1)
-            mapping[x] = -1
-            used[y] = False
+        x, outs, ins, free = steps[depth]
+        out_image = in_image = 0
+        for xp in outs:
+            out_image |= 1 << mapping[xp]
+        for xp in ins:
+            in_image |= 1 << mapping[xp]
+        free &= ~used
+        while free:
+            low = free & -free
+            free ^= low
+            y = low.bit_length() - 1
+            if rows_b[y] & used == out_image and cols_b[y] & used == in_image:
+                mapping[x] = y
+                yield from backtrack(depth + 1, used | low)
 
-    yield from backtrack(0)
+    yield from backtrack(0, 0)
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
 def find_isomorphism(a: Digraph, b: Digraph) -> tuple[int, ...] | None:

@@ -209,7 +209,9 @@ class Report:
 
     @property
     def all_asserts_pass(self) -> bool:
-        return all(c.agree for _, _, checks in self.entries for c in checks if c.asserted)
+        """No asserted check disagrees; a checks list shared by entries is read once."""
+        lists = {id(checks): checks for _, _, checks in self.entries}.values()
+        return all(c.agree for checks in lists for c in checks if c.asserted)
 
     def failures(self) -> list[VerificationRow]:
         return [r for r in self.sorted_rows() if r.asserted and not r.agree]

@@ -114,6 +114,24 @@ def test_cwalk_and_lemma22_past_the_cover_budget_are_input_errors(capsys, tmp_pa
         assert err == f"error: cycle cover passed its budget of {CYCLE_COVER_BUDGET} vertex sets\n"
 
 
+NOT_PRIMITIVE_ROWS = {
+    "cycle(6)": (standard_cycle(6).rows, 6),
+    "two looped 2-cycles": ((0b0011, 0b0001, 0b1100, 0b0100), 4),
+    "acyclic": ((0b0110, 0b0100, 0b0000), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_PRIMITIVE_ROWS))
+def test_cwalk_and_lemma22_on_non_primitive_input_are_input_errors(capsys, tmp_path, name):
+    rows, n = NOT_PRIMITIVE_ROWS[name]
+    path = tmp_path / "m.txt"
+    path.write_text(serialize_rows(rows, n))
+    for argv in (["cwalk", "-f", str(path)], ["bound", "lemma22", "-f", str(path)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"error: digraph of order {n} is not primitive\n"
+
+
 def test_options_do_not_carry_over_between_calls(capsys, d1_file):
     # main reuses one parser across calls
     _, verbose, _ = run_cli(capsys, "exp", "-f", d1_file, "--verbose")

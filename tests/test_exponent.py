@@ -18,6 +18,7 @@ from primexp.digraph import (
     _cycle_cover,
     _period_of_levels,
     digraph,
+    rows_cycle_lengths,
     rows_primitive,
     simple_cycles,
 )
@@ -45,6 +46,7 @@ from primexp.exponent import (
     z_of_w,
 )
 from primexp.families import chord_member, d1, d2, d_gN, h_graph, q1, q2, standard_cycle
+from primexp.semigroup import frobenius
 from primexp.verify import _bound_facts, _random_primitive_rows
 
 from helpers import random_primitive_digraph, relabel
@@ -732,6 +734,88 @@ def test_cwalk_rows_raise_as_cwalk_of_cover_does():
             kernel(SINK_CYCLE.rows, 6, [0b111111])
         with pytest.raises(TooManyCycleLengthsError):
             kernel(complete_with_loops(4).rows, 4, [0b1111] * (MAX_CYCLE_LENGTHS + 1))
+
+
+def _verdict_cases() -> list[tuple[tuple[int, ...], int]]:
+    """Every order-3 code, named non-primitive digraphs, then seeded rows at
+    orders 4..8: random at several densities, strongly connected of period 2
+    and 3, split (not strongly connected) and acyclic (every arc goes up)."""
+    cases = [(tuple(code >> 3 * i & 7 for i in range(3)), 3) for code in range(1 << 9)]
+    cases += [(d.rows, d.order) for d in (
+        standard_cycle(6),
+        digraph(4, [(1, 2), (2, 1), (1, 1), (3, 4), (4, 3), (3, 3)]),  # two looped 2-cycles
+        SINK_CYCLE,
+    )]
+    rng = random.Random(2031)
+    for n in range(4, 9):
+        for _ in range(40):
+            p = rng.choice([0.1, 0.2, 0.35, 0.5])
+            cases.append((tuple(sum(1 << j for j in range(n) if rng.random() < p)
+                                for _ in range(n)), n))
+        cases += [(_periodic_rows(rng, n, period), n) for period in (2, 3) for _ in range(5)]
+        cases += [(_split_rows(rng, n), n) for _ in range(10)]
+        cases += [(tuple(rng.getrandbits(n) & ~((2 << v) - 1) for v in range(n)), n)
+                  for _ in range(5)]
+    return cases
+
+
+def test_cwalk_and_lemma22_refuse_exactly_the_non_primitive_inputs():
+    # Both read primitivity off the cover and the c-walk search instead of
+    # running rows_primitive first; the verdict must be the same.
+    refused = kept = 0
+    for rows, n in _verdict_cases():
+        d = Digraph(n, rows)
+        if not rows_primitive(rows, n):
+            refused += 1
+            for evaluate in (c_walk_distances, lemma22_bound):
+                with pytest.raises(NotPrimitiveError) as info:
+                    evaluate(d)
+                assert str(info.value) == f"digraph of order {n} is not primitive", (rows, n)
+            continue
+        kept += 1
+        cover = _cycle_cover(rows, n)
+        expected = cwalk_of_cover(rows, n, cover)
+        assert c_walk_distances(d) == expected, (rows, n)
+        lengths = [k for k in range(1, n + 1) if cover[k]]
+        assert lemma22_bound(d) == expected.max + frobenius(lengths), (rows, n)
+    assert refused > 500 and kept > 100
+
+
+def _ladder_rows(n: int) -> tuple[int, ...]:
+    """The n-cycle 0 -> 1 -> ... -> n-1 -> 0 with an arc from every vertex
+    back to 0: vertex i closes a cycle of length i + 1, so the lengths are
+    1..n, and the cover spans only the n paths out of 0."""
+    return tuple((1 << (v + 1) % n) | 1 for v in range(n))
+
+
+def test_too_many_cycle_lengths_falls_back_to_rows_primitive():
+    # With lengths 1..21 the gcd is 1 and the c-walk search gives up before
+    # it can find a start that misses a vertex; rows_primitive decides.
+    n = MAX_CYCLE_LENGTHS + 1
+    ladder = _ladder_rows(n)
+    assert rows_primitive(ladder, n)
+    for evaluate in (c_walk_distances, lemma22_bound):
+        with pytest.raises(TooManyCycleLengthsError):
+            evaluate(Digraph(n, ladder))
+    # A sink vertex added below the ladder: not strongly connected.
+    sink = Digraph(n + 1, (ladder[0] | 1 << n,) + ladder[1:] + (0,))
+    assert rows_cycle_lengths(sink.rows, n + 1) == tuple(range(1, n + 1))
+    assert not rows_primitive(sink.rows, n + 1)
+    for evaluate in (c_walk_distances, lemma22_bound):
+        with pytest.raises(NotPrimitiveError, match=f"^digraph of order {n + 1} is not primitive$"):
+            evaluate(sink)
+
+
+def test_truncated_cover_falls_back_to_rows_primitive(monkeypatch):
+    # Past the budget, rows_primitive decides: NotPrimitiveError for the
+    # bipartite K_{3,3} (period 2), TruncatedProfileError for d2(7).
+    monkeypatch.setattr(importlib.import_module("primexp.digraph"), "CYCLE_COVER_BUDGET", 8)
+    bipartite = digraph(6, [(i, j) for i in range(1, 7) for j in range(1, 7) if (i + j) % 2])
+    for evaluate in (c_walk_distances, lemma22_bound):
+        with pytest.raises(NotPrimitiveError, match="^digraph of order 6 is not primitive$"):
+            evaluate(bipartite)
+        with pytest.raises(TruncatedProfileError):
+            evaluate(d2(7))
 
 
 # The complete digraph of order 64 and the seeded n = 24, p = 0.3 digraph

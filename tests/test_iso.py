@@ -8,7 +8,7 @@ import pytest
 from primexp.boolmat import BoolMatrix
 from primexp.digraph import Digraph, digraph, from_matrix, girth, simple_cycles
 from primexp.exponent import exponent
-from primexp.families import d1, d2, d_gN, q1, standard_cycle
+from primexp.families import chord_member, d1, d2, d_gN, q1, standard_cycle
 from primexp.iso import (
     ISO_ORDER_CAP,
     OrderCapError,
@@ -140,6 +140,89 @@ def test_relabeled_dense_digraph_at_the_order_cap_is_isomorphic():
     witness = find_isomorphism(d, moved)
     assert witness is not None
     assert relabel(d, witness).arcs == moved.arcs
+
+
+def brute_isomorphisms(a: Digraph, b: Digraph) -> list[tuple[int, ...]]:
+    """Oracle: every arc-preserving bijection a -> b, by trying all n! of them."""
+    n = a.order
+    return [tuple(p + 1 for p in perm) for perm in itertools.permutations(range(n))
+            if all(sum(1 << perm[j] for j in range(n) if a.rows[i] >> j & 1) == b.rows[perm[i]]
+                   for i in range(n))]
+
+
+def _disjoint_union(rng: random.Random, n: int) -> Digraph:
+    """Two or three random digraphs side by side with no arc between them,
+    relabeled at random, so some vertices have no arc to the placed ones."""
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(min(rng.randint(1, 3), n - sum(sizes)))
+    arcs = []
+    base = 0
+    for size in sizes:
+        arcs += [(base + i, base + j) for i in range(1, size + 1) for j in range(1, size + 1)
+                 if rng.random() < 0.5]
+        base += size
+    return relabel(digraph(n, arcs), random_permutation(rng, n))
+
+
+def test_search_equals_the_brute_force_oracle_on_small_digraphs():
+    # The search places vertices in connectivity order; its answers and
+    # automorphism counts must not depend on that order.
+    rng = random.Random(2004)
+    cases = []
+    for _ in range(150):
+        n = rng.randint(2, 7)
+        a = _disjoint_union(rng, n) if rng.random() < 0.3 else random_digraph(
+            rng, n, rng.choice((0.15, 0.3, 0.5, 0.8)))
+        b = relabel(a, random_permutation(rng, n))
+        if rng.random() < 0.4:
+            # flip one entry: usually not isomorphic, sometimes still is
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows = list(b.rows)
+            rows[i] ^= 1 << j
+            b = Digraph(n, tuple(rows))
+        cases.append((a, b))
+    isomorphic = disconnected = 0
+    for a, b in cases:
+        oracle = brute_isomorphisms(a, b)
+        witness = find_isomorphism(a, b)
+        assert (witness is None) == (not oracle), (a, b)
+        if witness is not None:
+            isomorphic += 1
+            assert witness in oracle
+            assert witness == find_isomorphism(a, b)
+        assert automorphism_count(a) == len(brute_isomorphisms(a, a)), a
+        joined = [a.rows[v] | sum(1 << u for u in range(a.order) if a.rows[u] >> v & 1)
+                  for v in range(a.order)]
+        disconnected += len(_component(joined, 0)) < a.order
+    assert isomorphic > 50 and disconnected > 20
+
+
+def _component(joined: list[int], v: int) -> set[int]:
+    """Vertices joined to v by paths of arcs taken in either direction."""
+    seen, stack = {v}, [v]
+    while stack:
+        u = stack.pop()
+        for w in range(len(joined)):
+            if joined[u] >> w & 1 and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def test_relabeled_chord_members_at_the_order_cap_have_valid_witnesses():
+    rng = random.Random(14)
+    n = ISO_ORDER_CAP
+    for g in (3, 5, 9, 11):
+        for _ in range(4):
+            mask = rng.randrange(1, 1 << n)
+            a = chord_member(n, g, mask)
+            shift = rng.randrange(1, n)
+            rotated = chord_member(n, g, (mask << shift | mask >> (n - shift)) & ((1 << n) - 1))
+            b = relabel(rotated, random_permutation(rng, n))
+            witness = find_isomorphism(a, b)
+            assert witness is not None and relabel(a, witness).arcs == b.arcs, (g, mask)
+            assert witness == find_isomorphism(a, b)
 
 
 def test_canonical_form_is_relabeling_invariant():

@@ -45,6 +45,34 @@ def test_report_sorting_and_exit_semantics():
     assert [r.claim for r in report.failures()] == ["L2.2"]
 
 
+class _CountingChecks(list):
+    """A checks list that counts how often it is iterated."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def test_all_asserts_pass_reads_each_shared_checks_list_once():
+    failing = _CountingChecks([make_row("L2.3", "", 5, 9, asserted=True, rule="le"),
+                               make_row("T3.3", "", 1, 2, asserted=False)])
+    passing = _CountingChecks([make_row("L2.3", "", 9, 5, asserted=True, rule="le")])
+    unasserted = _CountingChecks([make_row("T3.3", "", 1, 2, asserted=False)])
+    for lists, expected in (([passing, unasserted], True), ([passing, failing, unasserted], False)):
+        entries = [(f"i{k}", {"n": k}, lists[k % len(lists)]) for k in range(9)]
+        for checks in lists:
+            checks.walks = 0
+        report = Report(entries)
+        rows = [c for _, _, checks in entries for c in list.__iter__(checks)]
+        # the row-by-row definition
+        assert report.all_asserts_pass == all(r.agree for r in rows if r.asserted) == expected
+        # each shared list is walked at most once by the one call above, and
+        # exactly once when nothing fails
+        assert all(checks.walks == 1 if expected else checks.walks <= 1 for checks in lists)
+
+
 def test_jsonl_is_sorted_and_parseable():
     report = Report()
     report.add(make_row("T3.3", "inst", 32, 34, asserted=False, n=10, g=3, N=[3]))
