@@ -71,10 +71,6 @@ def _load_digraph(path: str) -> Digraph:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _emit(value) -> None:
-    print(value)
-
-
 def _required(args, names) -> list:
     """Values of the named options, in order; a missing one is an input error."""
     values = [getattr(args, name) for name in names]
@@ -112,44 +108,44 @@ def _jobs(text: str) -> int:
 
 def _cmd_exp(args) -> int:
     result = exponent(_load_digraph(args.file))
-    _emit(result.value)
+    print(result.value)
     if args.verbose:
         u, v = result.certificate_pair
-        _emit(f"no-walk pair=({u},{v}) length={result.certificate_length}")
+        print(f"no-walk pair=({u},{v}) length={result.certificate_length}")
     return EXIT_OK
 
 
 def _cmd_girth(args) -> int:
     d = _load_digraph(args.file)
     value = girth(d)
-    _emit("acyclic" if value is None else value)
+    print("acyclic" if value is None else value)
     return EXIT_OK
 
 
 def _cmd_cycles(args) -> int:
     d = _load_digraph(args.file)
     count, profile = count_cycles(d, cap=args.cap)
-    _emit(",".join(str(x) for x in profile.lengths) if profile.lengths else "none")
+    print(",".join(str(x) for x in profile.lengths) if profile.lengths else "none")
     if args.verbose:
-        _emit(f"count={count} cap_hit={str(profile.cap_hit).lower()}")
+        print(f"count={count} cap_hit={str(profile.cap_hit).lower()}")
         for v in range(1, d.order + 1):
             through = sorted(profile.vertex_lengths(v))
-            _emit(f"v{v}: {','.join(str(x) for x in through) if through else '-'}")
+            print(f"v{v}: {','.join(str(x) for x in through) if through else '-'}")
     return EXIT_OK
 
 
 def _cmd_frobenius(args) -> int:
-    _emit(frobenius(args.values))
+    print(frobenius(args.values))
     return EXIT_OK
 
 
 def _cmd_cwalk(args) -> int:
     result = c_walk_distances(_load_digraph(args.file))
-    _emit(result.max)
+    print(result.max)
     if args.verbose:
-        _emit(f"arg_max=({result.arg_max[0]},{result.arg_max[1]})")
+        print(f"arg_max=({result.arg_max[0]},{result.arg_max[1]})")
         for row in result.per_pair:
-            _emit(" ".join(str(x) for x in row))
+            print(" ".join(str(x) for x in row))
     return EXIT_OK
 
 
@@ -157,11 +153,11 @@ def _cmd_bound(args) -> int:
     if args.which == "lemma22":
         if args.file is None:
             raise ValueError("bound lemma22 requires -f MATRIX")
-        _emit(lemma22_bound(_load_digraph(args.file)))
+        print(lemma22_bound(_load_digraph(args.file)))
         return EXIT_OK
     evaluator, names = BOUNDS[args.which]
     value = evaluator(*_required(args, names))
-    _emit(",".join(map(str, value)) if isinstance(value, tuple) else value)
+    print(",".join(map(str, value)) if isinstance(value, tuple) else value)
     return EXIT_OK
 
 
@@ -184,9 +180,9 @@ def _cmd_iso(args) -> int:
     a = _load_digraph(args.a)
     b = _load_digraph(args.b)
     witness = find_isomorphism(a, b)
-    _emit("true" if witness is not None else "false")
+    print("true" if witness is not None else "false")
     if args.verbose and witness is not None:
-        _emit(perm_cycle_notation(witness))
+        print(perm_cycle_notation(witness))
     return EXIT_OK
 
 

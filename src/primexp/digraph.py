@@ -102,29 +102,34 @@ def _adj_lists(rows: tuple[int, ...], n: int) -> list[list[int]]:
     return adj
 
 
+def _bfs_levels(rows, frontier: int, allowed: int):
+    """Yield the BFS levels out of ``frontier`` as bit-sets.
+
+    Level 0 is ``frontier``; each later level holds the vertices of
+    ``allowed`` that an arc enters from the level before and that no
+    earlier level holds.  It stops after the last nonempty level.  ``rows``
+    is read as the levels are drawn, so a caller may change it in between.
+    """
+    seen = frontier
+    while frontier:
+        yield frontier
+        reached = 0
+        while frontier:
+            low = frontier & -frontier
+            reached |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reached & allowed & ~seen
+        seen |= frontier
+
+
 def _bfs_dist(rows: tuple[int, ...], n: int, start: int) -> list[int]:
     """Distances from start (0-based); -1 marks unreachable."""
     dist = [-1] * n
-    dist[start] = 0
-    frontier = 1 << start
-    seen = frontier
-    level = 0
-    while frontier:
-        nxt = 0
-        r = frontier
-        while r:
-            low = r & -r
-            nxt |= rows[low.bit_length() - 1]
-            r ^= low
-        nxt &= ~seen
-        level += 1
-        r = nxt
-        while r:
-            low = r & -r
-            dist[low.bit_length() - 1] = level
-            r ^= low
-        seen |= nxt
-        frontier = nxt
+    for d, level in enumerate(_bfs_levels(rows, 1 << start, (1 << n) - 1)):
+        while level:
+            low = level & -level
+            dist[low.bit_length() - 1] = d
+            level ^= low
     return dist
 
 
@@ -132,12 +137,13 @@ def rows_girth(rows: tuple[int, ...], n: int) -> int | None:
     """Minimum cycle length by a least-vertex BFS; None for acyclic digraphs.
 
     A loop answers 1 at once.  Otherwise every cycle is found from its least
-    vertex s: a bit-set BFS from s through the vertices above s stops at the
-    first level that meets a predecessor of s (that level + 1 is the shortest
-    cycle whose least vertex is s), or once its depth can no longer beat the
-    best cycle found so far.  No distance list is kept.  Independent of the
-    subset DP and of Johnson's search, which also start each cycle from its
-    least vertex, so they cross-validate.
+    vertex s: the ``_bfs_levels`` from the successors of s through the
+    vertices above s stop at the first level that meets a predecessor of s
+    (that level + 1 is the shortest cycle whose least vertex is s), or once
+    their depth can no longer beat the best cycle found so far.  No distance
+    list is kept.  Independent of the subset DP and of Johnson's search,
+    which also start each cycle from its least vertex, so they
+    cross-validate.
     """
     for v in range(n):
         if (rows[v] >> v) & 1:
@@ -148,23 +154,15 @@ def rows_girth(rows: tuple[int, ...], n: int) -> int | None:
     for s in range(n - 1):
         above = full ^ ((2 << s) - 1)
         back = into[s] & above
-        if not back:
+        start = rows[s] & above
+        if not (back and start):
             continue
-        frontier = rows[s] & above
-        seen = frontier
-        depth = 1
-        while frontier and depth + 1 < best:
-            if frontier & back:
+        for depth, level in enumerate(_bfs_levels(rows, start, above), 1):
+            if depth + 1 >= best:
+                break
+            if level & back:
                 best = depth + 1
                 break
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= rows[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & above & ~seen
-            seen |= frontier
-            depth += 1
     return best if best <= n else None
 
 

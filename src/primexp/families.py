@@ -27,13 +27,6 @@ def _chord_rows(n: int, g: int, mask: int) -> tuple[int, ...]:
     return tuple((1 << (v - 1) % n) | ((mask >> v & 1) << (g + v - 1) % n) for v in range(n))
 
 
-def _chorded_cycle(n: int, g: int, mask: int) -> Digraph:
-    """``_chord_rows`` as a Digraph, for any n >= 2."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    return Digraph(n, _chord_rows(n, g, mask))
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """Parameters selecting one constructed digraph.
@@ -72,21 +65,21 @@ class FamilySpec:
 
 def standard_cycle(n: int) -> Digraph:
     """Descending n-cycle: arcs v_j -> v_{j-1} for j = 2..n plus v_1 -> v_n."""
-    return _chorded_cycle(n, 0, 0)
+    return Digraph(n, _chord_rows(n, 0, 0))
 
 
 def d1(n: int) -> Digraph:
     """Standard cycle plus the chord (v_1, v_{n-1})."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    return _chorded_cycle(n, n - 1, 0b1)
+    return Digraph(n, _chord_rows(n, n - 1, 0b1))
 
 
 def d2(n: int) -> Digraph:
     """d1 plus the chord (v_2, v_n)."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    return _chorded_cycle(n, n - 1, 0b11)
+    return Digraph(n, _chord_rows(n, n - 1, 0b11))
 
 
 def chord_position_cap(n: int, g: int) -> int:
@@ -108,7 +101,7 @@ def d_gN(n: int, g: int, N) -> Digraph:
     t = chord_position_cap(n, g)
     if positions[0] < 1 or positions[-1] > t:
         raise ValueError(f"range violation: N must lie in 1..{t}, got {positions}")
-    return _chorded_cycle(n, g, sum(1 << (i - 1) for i in positions))
+    return Digraph(n, _chord_rows(n, g, sum(1 << (i - 1) for i in positions)))
 
 
 def q1(n: int, g: int) -> Digraph:
@@ -148,7 +141,7 @@ def chord_member(n: int, g: int, mask: int) -> Digraph:
         raise ValueError(f"need 2 <= g <= n-1, got g={g}, n={n}")
     if not 1 <= mask < (1 << n):
         raise ValueError(f"mask must be in 1..{(1 << n) - 1}, got {mask}")
-    return _chorded_cycle(n, g, mask)
+    return Digraph(n, _chord_rows(n, g, mask))
 
 
 # kind -> (constructor, the FamilySpec fields it takes, in call order)

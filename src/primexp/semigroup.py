@@ -19,7 +19,7 @@ def gcd_set(values: Iterable[int]) -> int:
         raise ValueError("generator set must be nonempty")
     if vals[0] < 1:
         raise ValueError(f"generators must be positive, got {vals[0]}")
-    return math.gcd(*vals) if len(vals) > 1 else vals[0]
+    return math.gcd(*vals)
 
 
 def frobenius(values: Iterable[int]) -> int:
@@ -31,12 +31,9 @@ def frobenius(values: Iterable[int]) -> int:
     pair closed form is never used here (tests cross-check against it).
     """
     vals = sorted(set(values))
-    if not vals:
-        raise ValueError("generator set must be nonempty")
-    if vals[0] < 1:
-        raise ValueError(f"generators must be positive, got {vals[0]}")
-    if gcd_set(vals) != 1:
-        raise ValueError(f"conductor undefined: gcd of {vals} is {gcd_set(vals)} != 1")
+    d = gcd_set(vals)
+    if d != 1:
+        raise ValueError(f"conductor undefined: gcd of {vals} is {d} != 1")
     m = vals[0]
     if m == 1:
         return 0

@@ -26,9 +26,7 @@ same way the bound suite's random sweep, drawn on bit rows, evaluates each
 rotation orbit of its drawn Hamiltonian cycle once: a try's offset pattern
 (``_random_tries``) rebuilds it up to relabeling, so tries whose patterns
 have one least rotation are isomorphic and get the facts of the first.
-Each distinct labeled matrix still gets its own digest, and its facts are
-re-emitted under the label and params of every later instance with equal
-rows.
+Each instance still gets the digest of its own labeled matrix.
 
 Chord members are isomorphic only by rotation, so lemma24 and the thm36
 converse compare masks and run no isomorphism search.  Take the n-cycle
@@ -67,6 +65,7 @@ from operator import add, and_, itemgetter, or_
 from .boolmat import MAX_ORDER, serialize_rows
 from .digraph import (
     Digraph,
+    _bfs_levels,
     _cycle_cover,
     rows_cycle_lengths,
     rows_girth,
@@ -355,25 +354,19 @@ def verify_bounds(
     report = Report()
     for entries in _run_blocks(_chord_universe_rows, chord_pairs, jobs):
         report.entries += entries
-    # Small orders repeat: at seed 1, 657 of 2 000 instances have the rows of
-    # an earlier one, and their digest and facts are looked up by rows.  The
-    # facts of new rows are keyed by the least rotation of their pattern,
-    # which is equal on isomorphic tries, so the 1 343 distinct rows take 962
+    # Facts are keyed by the least rotation of the try's pattern, which is
+    # equal on isomorphic tries, so the 2 000 instances at seed 1 take 962
     # evaluations.
-    seen: dict[tuple[int, ...], tuple[str, list[VerificationRow]]] = {}
     orbit_facts: dict[tuple[int, ...], list[VerificationRow]] = {}
     memo: dict[tuple, list[VerificationRow]] = {}
     for idx, n, p, rows, pattern in _random_rows(seed, samples, n_max):
-        known = seen.get(rows)
-        if known is None:
-            twice = pattern + pattern
-            key = min(twice[s:s + n] for s in range(n))
-            facts = orbit_facts.get(key)
-            if facts is None:
-                facts = orbit_facts[key] = _bound_facts(rows, n, memo)
-            known = seen[rows] = matrix_digest(rows, n), facts
-        digest, facts = known
-        report.entries.append((f"rand:{idx:06d}:{digest}", {"n": n, "p": p, "seed": seed}, facts))
+        twice = pattern + pattern
+        key = min(twice[s:s + n] for s in range(n))
+        facts = orbit_facts.get(key)
+        if facts is None:
+            facts = orbit_facts[key] = _bound_facts(rows, n, memo)
+        report.entries.append((f"rand:{idx:06d}:{matrix_digest(rows, n)}",
+                               {"n": n, "p": p, "seed": seed}, facts))
     return report
 
 
@@ -402,28 +395,14 @@ def _fixed_cycle_walk(n: int) -> list[tuple[int, tuple[int, ...]]]:
     span, with the fixed cycle, so only the n arcs of span n - 1,
     i -> (i - 2) mod n, can be added.  Deleting an arc creates no cycle, so
     a depth-first walk that adds those arcs in order of i, refusing arc
-    i -> j when a walk j -> i of length <= n - 3 exists, visits each such
-    supergraph once.
+    i -> j when a walk j -> i of length <= n - 3 exists (i lies on one of
+    the ``_bfs_levels`` 1..n - 3 out of j), visits each such supergraph
+    once.
     """
     arcs = [(i, (i - 2) % n) for i in range(n)]
     rows = list(standard_cycle(n).rows)
+    full = (1 << n) - 1
     nodes = []
-
-    def closes_short_cycle(i: int, j: int) -> bool:
-        seen = frontier = 1 << j
-        for _ in range(n - 3):
-            reached = 0
-            while frontier:
-                low = frontier & -frontier
-                reached |= rows[low.bit_length() - 1]
-                frontier ^= low
-            if (reached >> i) & 1:
-                return True
-            frontier = reached & ~seen
-            if not frontier:
-                return False
-            seen |= reached
-        return False
 
     def descend(first: int) -> None:
         exp = exponent_of_rows(tuple(rows), n)
@@ -431,7 +410,8 @@ def _fixed_cycle_walk(n: int) -> list[tuple[int, tuple[int, ...]]]:
             nodes.append((exp, tuple(rows)))
         for k in range(first, len(arcs)):
             i, j = arcs[k]
-            if not closes_short_cycle(i, j):
+            if not any(level >> i & 1
+                       for level in itertools.islice(_bfs_levels(rows, 1 << j, full), 1, n - 2)):
                 rows[i] |= 1 << j
                 descend(k + 1)
                 rows[i] ^= 1 << j

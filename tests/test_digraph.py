@@ -4,6 +4,7 @@ import importlib
 import math
 import random
 import time
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -200,13 +201,23 @@ def test_girth_matches_cycle_enumeration():
 
 
 def per_vertex_bfs_girth(rows: tuple[int, ...], n: int) -> int | None:
-    """Oracle: a full BFS from every vertex v; the shortest cycle through v
-    is 1 + the distance from v to its nearest predecessor."""
+    """Oracle: a full queue BFS over successor lists from every vertex v; the
+    shortest cycle through v is 1 + the distance from v to its nearest
+    predecessor.  It shares no code with the bit-set levels of rows_girth."""
+    succ = [[w for w in range(n) if (rows[u] >> w) & 1] for u in range(n)]
     best = None
     for v in range(n):
         if (rows[v] >> v) & 1:
             return 1
-        dist = _bfs_dist(rows, n, v)
+        dist = [-1] * n
+        dist[v] = 0
+        queue = deque([v])
+        while queue:
+            u = queue.popleft()
+            for w in succ[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
         for u in range(n):
             if dist[u] >= 0 and (rows[u] >> v) & 1:
                 length = dist[u] + 1

@@ -874,6 +874,12 @@ def test_verify_lemma34_passes():
     assert any(r.notes == "tight" for r in report.rows)
 
 
+def test_verify_lemma34_report_bytes_are_pinned():
+    assert _sha256(verify_lemma34(20).to_jsonl()) == (
+        "f35a4f7d6329ad48cf176de2373e04325611696179e8cfa7ecd7b49e7c101186"
+    )
+
+
 def test_verify_lemma34_refuses_orders_above_64_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("an exponent was computed before the order check")
