@@ -7,6 +7,8 @@ chorded cycle from a bitmask of chord positions: the standard cycle is
 mask 0, d1 and d2 are span n-1 with masks 0b1 and 0b11, d_gN is the mask of
 N, and q1, q2 and the chord members follow.  The two-disjoint-g-cycle
 family H rides on an ascending n-cycle instead and is built from its arcs.
+Every constructor checks the order before it builds a row or an arc, so an
+order far past the cap is refused at once.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .boolmat import _check_order
 from .digraph import Digraph, digraph
 
 
@@ -65,11 +68,13 @@ class FamilySpec:
 
 def standard_cycle(n: int) -> Digraph:
     """Descending n-cycle: arcs v_j -> v_{j-1} for j = 2..n plus v_1 -> v_n."""
+    _check_order(n)
     return Digraph(n, _chord_rows(n, 0, 0))
 
 
 def d1(n: int) -> Digraph:
     """Standard cycle plus the chord (v_1, v_{n-1})."""
+    _check_order(n)
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     return Digraph(n, _chord_rows(n, n - 1, 0b1))
@@ -77,6 +82,7 @@ def d1(n: int) -> Digraph:
 
 def d2(n: int) -> Digraph:
     """d1 plus the chord (v_2, v_n)."""
+    _check_order(n)
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     return Digraph(n, _chord_rows(n, n - 1, 0b11))
@@ -93,6 +99,7 @@ def d_gN(n: int, g: int, N) -> Digraph:
     Each chord closes a g-cycle v_i -> v_{g+i-1} -> v_{g+i-2} -> ... -> v_i.
     Positions are at most t <= n - g + 1, so no chord wraps around.
     """
+    _check_order(n)
     if math.gcd(n, g) != 1:
         raise ValueError(f"gcd violation: gcd({n}, {g}) = {math.gcd(n, g)}, need 1")
     positions = sorted(set(N))
@@ -120,6 +127,7 @@ def h_graph(n: int, g: int, k: int) -> Digraph:
     The construction itself does not require gcd(n, g) = 1; without it the
     result is simply not primitive.
     """
+    _check_order(n)
     if g < 1:
         raise ValueError(f"need g >= 1, got {g}")
     if n < 2 * g:
@@ -137,6 +145,7 @@ def h_graph(n: int, g: int, k: int) -> Digraph:
 
 def chord_member(n: int, g: int, mask: int) -> Digraph:
     """Standard cycle plus the rotational span-g chord at each masked position."""
+    _check_order(n)
     if not 2 <= g <= n - 1:
         raise ValueError(f"need 2 <= g <= n-1, got g={g}, n={n}")
     if not 1 <= mask < (1 << n):

@@ -19,8 +19,9 @@ converse keeps rotation orbits, because the D^z index it reports does not.
 Both get each orbit's successor rows straight from its mask through
 ``families._chord_rows``, the one chorded-cycle constructor, and build no
 Digraph per member; so do ``verify_thm33`` and the thm36 forward sweep,
-which read each chord set's exponent off its mask's rows (``_chord_sets``).  Every member of the (n, g) universe has period
-gcd(n, g), so primitivity is one gcd test per universe: the bound suite
+which read the exponents of a pair's chord sets off their masks' rows in
+one lane pass (``_chord_sets``).  Every member of the (n, g) universe has
+period gcd(n, g), so primitivity is one gcd test per universe: the bound suite
 skips a universe with gcd(n, g) > 1, and thm36 refuses the pair.  In the
 same way the bound suite's random sweep, drawn on bit rows, evaluates each
 rotation orbit of its drawn Hamiltonian cycle once: a try's offset pattern
@@ -45,11 +46,15 @@ computed) once per such invariant key, not once per evaluation: each chord
 universe and the random sweep keep a dict from key to fact list, and the
 1 318 evaluations of ``verify bounds --n-max 8 --samples 2000 --seed 1``
 (356 chord orbits and 962 random pattern orbits; one evaluation per
-distinct random matrix made 1 699) still build 619 lists.  The kernels run
-on every evaluation, and the c-walk's distance rows are read only for
-their maximum.  Each
-instance adds one report entry that holds its label, its params and its
-key's fact list, so instances with equal keys share one list.
+distinct random matrix made 1 699) still build 619 lists.  The suite runs
+in two phases: it first collects every orbit representative (a chord
+universe's least dihedral masks, the random tries that are the first with
+their least pattern rotation), then evaluates them order by order, all
+exponents of one order from one ``_lane_exponents`` pass.  The cycle
+cover and the c-walk run on every representative, and the c-walk's
+distance rows are read only for their maximum.  Each instance adds one
+report entry that holds its label, its params and its key's fact list, so
+instances with equal keys share one list.
 """
 
 from __future__ import annotations
@@ -74,6 +79,7 @@ from .exponent import (
     NotPrimitiveError,
     TooManyCycleLengthsError,
     _cwalk_rows,
+    _lane_exponents,
     cwalk_of_cover,
     exponent,
     exponent_of_rows,
@@ -221,18 +227,18 @@ def _fact_rows(n: int, exp: int, lengths: tuple[int, ...], cw: int | str) -> lis
             for claim, predicted, oracle, options in facts]
 
 
-def _bound_facts(rows: tuple[int, ...], n: int,
+def _bound_facts(rows: tuple[int, ...], n: int, exp: int | None,
                  memo: dict[tuple, list[VerificationRow]] | None = None) -> list[VerificationRow]:
     """``_fact_rows`` of a digraph's order, exponent, cycle lengths and c-walk.
 
-    The successor rows must be primitive; NotPrimitiveError is raised
-    otherwise.  Every value is an isomorphism invariant and does not change
-    when every arc is reversed.  The cycle lengths and the c-walk come from
-    one subset-DP cycle cover, which has no cap.  The kernels run on every
-    call; with ``memo`` the rows are built once per key of those four
-    values, and calls with equal keys return one shared list.
+    ``exp`` is the exponent of the successor rows, None when they are not
+    primitive, which raises NotPrimitiveError.  Every value is an
+    isomorphism invariant and does not change when every arc is reversed.
+    The cycle lengths and the c-walk come from one subset-DP cycle cover,
+    which has no cap.  The kernels run on every call; with ``memo`` the rows
+    are built once per key of those four values, and calls with equal keys
+    return one shared list.
     """
-    exp = exponent_of_rows(rows, n)
     if exp is None:
         raise NotPrimitiveError(f"digraph of order {n} is not primitive")
     cover = _cycle_cover(rows, n)
@@ -250,9 +256,17 @@ def _bound_facts(rows: tuple[int, ...], n: int,
     return facts
 
 
+def _batch_bound_facts(reps: list[tuple[object, tuple[int, ...]]], n: int,
+                       memo: dict[tuple, list[VerificationRow]]) -> list[list[VerificationRow]]:
+    """``_bound_facts`` of each (key, successor rows) of order n, exponents read in one lane pass."""
+    exps = _lane_exponents([rows for _, rows in reps], n)
+    return [_bound_facts(rows, n, exp, memo) for (_, rows), exp in zip(reps, exps)]
+
+
 def bound_rows_for(d: Digraph, instance: str, report: Report, **params) -> None:
     """Append one row per applicable established bound for one primitive digraph."""
-    report.entries.append((instance, params, _bound_facts(d.rows, d.order)))
+    report.entries.append(
+        (instance, params, _bound_facts(d.rows, d.order, exponent_of_rows(d.rows, d.order))))
 
 
 def _mirror_mask(mask: int, n: int, g: int) -> int:
@@ -280,18 +294,18 @@ def _rotations(mask: int, n: int) -> list[int]:
     return rotations
 
 
-def _per_orbit(n: int, g: int, evaluate, mirror: bool = False):
-    """(mask, evaluate(least, rows)) for every member of the (n, g) chord universe.
+def _per_orbit(n: int, g: int, evaluate, mirror: bool = False) -> list[tuple[int, object]]:
+    """(mask, its orbit's value) for every member of the (n, g) chord universe.
 
-    Masks ascend from 1 to 2^n - 1.  ``evaluate``, which must return a
-    value constant on a rotation orbit, runs once per orbit: on its least
-    mask, which comes first because masks ascend, and that member's
-    successor rows (``_chord_rows``).  The value is then stored under every
-    rotation of that mask, so every later member of the orbit is one lookup.
+    Masks ascend from 1 to 2^n - 1.  The first mask of each rotation orbit
+    is its least, because masks ascend; ``evaluate`` is called once, on the
+    list of (least mask, successor rows) of every orbit (``_chord_rows``)
+    in ascending mask order, and returns one value per item, which must be
+    constant on the item's orbit.  Every member then gets its orbit's value.
 
-    With ``mirror`` the value is also stored under every rotation of
+    With ``mirror`` the orbit also takes in every rotation of
     ``_mirror_mask``, whose member is the transpose of this one relabeled,
-    so ``evaluate`` runs once per dihedral orbit (77 instead of 107 at
+    so ``evaluate`` sees one mask per dihedral orbit (77 instead of 107 at
     n = 10).  Only the bound suite turns it on: its facts do not change
     when every arc is reversed.  The thm36 converse must not, because the
     D^z index it stores is not invariant under transposition: with it on,
@@ -300,13 +314,15 @@ def _per_orbit(n: int, g: int, evaluate, mirror: bool = False):
     """
     if not 2 <= g <= n - 1:
         raise ValueError(f"need 2 <= g <= n-1, got g={g}, n={n}")
-    orbit_values: dict[int, object] = {}
+    orbit_of: dict[int, int] = {}
+    reps = []
     for mask in range(1, 1 << n):
-        if mask not in orbit_values:
-            value = evaluate(mask, _chord_rows(n, g, mask))
+        if mask not in orbit_of:
             for start in (mask, _mirror_mask(mask, n, g)) if mirror else (mask,):
-                orbit_values.update(dict.fromkeys(_rotations(start, n), value))
-        yield mask, orbit_values[mask]
+                orbit_of.update(dict.fromkeys(_rotations(start, n), len(reps)))
+            reps.append((mask, _chord_rows(n, g, mask)))
+    values = evaluate(reps)
+    return [(mask, values[orbit_of[mask]]) for mask in range(1, 1 << n)]
 
 
 def _chord_universe_rows(pair: tuple[int, int]) -> list[Entry]:
@@ -321,7 +337,7 @@ def _chord_universe_rows(pair: tuple[int, int]) -> list[Entry]:
     memo: dict[tuple, list[VerificationRow]] = {}
     label = f"chord:n={n},g={g},mask="
     return [(label + str(mask), {"n": n, "g": g, "mask": mask}, facts)
-            for mask, facts in _per_orbit(n, g, lambda _, rows: _bound_facts(rows, n, memo),
+            for mask, facts in _per_orbit(n, g, lambda reps: _batch_bound_facts(reps, n, memo),
                                           mirror=True)]
 
 
@@ -338,7 +354,7 @@ def verify_bounds(
     checked before any universe runs.  A universe has 2^n - 1 members, and
     its time and memory about double with each order: on 2 cores under
     Python 3.11, each of (16, 3), (16, 5), (16, 7), (16, 9) and (16, 15)
-    took 0.6-1.4 s and 48 MB.  With jobs > 1 the chord universes run in
+    took 0.5-0.8 s, and (16, 7) 48 MB.  With jobs > 1 the chord universes run in
     worker processes, one per (n, g) pair; the random sweep always runs
     here.
     """
@@ -356,17 +372,26 @@ def verify_bounds(
         report.entries += entries
     # Facts are keyed by the least rotation of the try's pattern, which is
     # equal on isomorphic tries, so the 2 000 instances at seed 1 take 962
-    # evaluations.
-    orbit_facts: dict[tuple[int, ...], list[VerificationRow]] = {}
-    memo: dict[tuple, list[VerificationRow]] = {}
+    # evaluations.  Every try is drawn first, keeping the rows of the first
+    # try of each key only; then those are evaluated, one batch per order.
+    slot_of: dict[tuple[int, ...], int] = {}
+    batches: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    pending = []
     for idx, n, p, rows, pattern in _random_rows(seed, samples, n_max):
         twice = pattern + pattern
         key = min(twice[s:s + n] for s in range(n))
-        facts = orbit_facts.get(key)
-        if facts is None:
-            facts = orbit_facts[key] = _bound_facts(rows, n, memo)
-        report.entries.append((f"rand:{idx:06d}:{matrix_digest(rows, n)}",
-                               {"n": n, "p": p, "seed": seed}, facts))
+        slot = slot_of.get(key)
+        if slot is None:
+            slot = slot_of[key] = len(slot_of)
+            batches.setdefault(n, []).append((slot, rows))
+        pending.append((f"rand:{idx:06d}:{matrix_digest(rows, n)}",
+                        {"n": n, "p": p, "seed": seed}, slot))
+    orbit_facts: list[list[VerificationRow]] = [[]] * len(slot_of)
+    memo: dict[tuple, list[VerificationRow]] = {}
+    for n, reps in batches.items():
+        for (slot, _), facts in zip(reps, _batch_bound_facts(reps, n, memo)):
+            orbit_facts[slot] = facts
+    report.entries += [(label, params, orbit_facts[slot]) for label, params, slot in pending]
     return report
 
 
@@ -479,15 +504,17 @@ def _chord_sets(n: int, g: int):
     """(mask, label, N, successor rows, exponent) of every chord set N within
     1..t, t = ``chord_position_cap(n, g)``, masks ascending from 1.
 
-    Bit i - 1 of the mask is position i, so max(N) is its bit length.
-    Raises NotPrimitiveError on a member that is not primitive; none is when
-    gcd(n, g) = 1.
+    Bit i - 1 of the mask is position i, so max(N) is its bit length.  All
+    exponents come from one ``_lane_exponents`` pass, made at the first
+    item.  Raises NotPrimitiveError on a member that is not primitive; none
+    is when gcd(n, g) = 1.
     """
-    for mask in range(1, 1 << chord_position_cap(n, g)):
-        rows = _chord_rows(n, g, mask)
-        oracle = exponent_of_rows(rows, n)
-        if oracle is None:
-            raise NotPrimitiveError(f"digraph of order {n} is not primitive")
+    masks = range(1, 1 << chord_position_cap(n, g))
+    rowsets = [_chord_rows(n, g, mask) for mask in masks]
+    exps = _lane_exponents(rowsets, n)
+    if None in exps:
+        raise NotPrimitiveError(f"digraph of order {n} is not primitive")
+    for mask, rows, oracle in zip(masks, rowsets, exps):
         N = [i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1]
         yield mask, f"d_gN:n={n},g={g},N=" + ",".join(map(str, N)), N, rows, oracle
 
@@ -520,8 +547,9 @@ def verify_thm33(n_min: int = 5, n_max: int = 12) -> Report:
 
     Each coprime pair (n, g) has 2^min(n-g+1, g) - 1 chord sets, so n_max
     above THM33_ORDER_CAP = 20 raises ValueError before any work.  Order 20
-    alone took 0.7 s and orders 5..20 2.1 s (2-core VM, Python 3.11); order
-    23 alone took 4.6 s, and the cost keeps growing with the order.
+    alone took 0.3 s and orders 5..20 1.3 s (2-core VM, Python 3.11); order
+    23 alone took 4.6 s before the exponents came from one lane pass per
+    pair, and the cost keeps growing with the order.
     """
     if n_max > THM33_ORDER_CAP:
         raise ValueError(f"n_max must be at most {THM33_ORDER_CAP}, got {n_max}")
@@ -680,7 +708,8 @@ def verify_thm36(n: int, g: int) -> Report:
     eligible = 0
     in_window = 0
     for mask, facts in _per_orbit(
-            n, g, lambda least, rows: _converse_facts(least, rows, n, g, low, high)):
+            n, g, lambda reps: [_converse_facts(least, rows, n, g, low, high)
+                                for least, rows in reps]):
         processed += 1
         if facts is None:
             continue
@@ -800,6 +829,13 @@ def _lane_facts(codes: list[int], n: int) -> list[tuple[int | None, tuple[int, .
     bound, which ``d1(n)`` attains: a lane not positive by then is not
     primitive, and its exponent is None.  A lane has a k-cycle iff it holds
     every arc of one of the ``_cycle_masks`` k-masks.
+
+    The census keeps this linear scan rather than the squaring search of
+    ``exponent._lane_exponents``: its exponents are small, and the search
+    pays per-lane Python bookkeeping that the scan does not.  On the census
+    classes (2-core VM, Python 3.11) ``_lane_exponents`` took 2.0 ms at
+    order 4 (1 918 lanes) against 1.0 ms for this pass, cycle masks
+    included, and 0.62 s at order 5 (216 584 lanes) against 0.19 s.
     """
     if not codes:
         return []

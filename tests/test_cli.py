@@ -264,6 +264,14 @@ def test_family_invariant_violation_is_input_error(capsys):
     assert "gcd" in err
 
 
+def test_family_order_past_the_cap_is_input_error(capsys):
+    # Refused before any row is built: at this order the rows alone would
+    # hold about 5 * 10^11 bits.
+    code, out, err = run_cli(capsys, "family", "cycle", "--n", "1000000")
+    assert (code, out) == (3, "")
+    assert err == "error: order must be in [2, 64], got 1000000\n"
+
+
 def test_iso_verb(capsys, tmp_path):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"

@@ -30,6 +30,7 @@ from primexp.exponent import (
     TruncatedProfileError,
     _cwalk_rows,
     _exponent_kernel,
+    _lane_exponents,
     c_walk_distances,
     cwalk_of_cover,
     exponent,
@@ -288,6 +289,57 @@ def test_kernel_at_power_of_two_boundaries(d, value):
     assert found == linear_exponent_scan(rows, d.order)
     assert found[0] == value
     assert exponent(d).certificate_pair == least_zero_pair(found[1], d.order)
+
+
+# -- lane kernel against the per-matrix kernel --------------------------------
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lane_exponents_match_exponent_of_rows_on_every_code(n):
+    width = (1 << n) - 1
+    codes = [tuple(code >> (n * i) & width for i in range(n)) for code in range(1 << (n * n))]
+    exps = _lane_exponents(codes, n)
+    assert exps == [exponent_of_rows(rows, n) for rows in codes]
+    assert [exp is None for exp in exps] == [not rows_primitive(rows, n) for rows in codes]
+
+
+def test_lane_exponents_of_d1_d2_and_the_all_ones_matrix():
+    for n in range(3, 17):
+        ones = ((1 << n) - 1,) * n
+        batch = [d1(n).rows, d2(n).rows, ones, standard_cycle(n).rows]
+        assert _lane_exponents(batch, n) == [(n - 1) ** 2 + 1, (n - 1) ** 2, 1, None], n
+
+
+def _mixed_rows(rng: random.Random, n: int) -> list[tuple[int, ...]]:
+    """Seeded rows of order n at several densities, with non-primitive ones mixed in."""
+    batch = [tuple(sum(1 << j for j in range(n) if rng.random() < p) for _ in range(n))
+             for p in (0.1, 0.2, 0.35, 0.5) for _ in range(15)]
+    batch += [_periodic_rows(rng, n, period) for period in (2, 3) for _ in range(4)]
+    batch += [_split_rows(rng, n) for _ in range(4)]
+    batch += [random_primitive_digraph(rng, n, 0.1).rows for _ in range(10)]
+    rng.shuffle(batch)
+    return batch
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_lane_exponents_match_exponent_of_rows_on_seeded_rows(n):
+    batch = _mixed_rows(random.Random(7000 + n), n)
+    exps = _lane_exponents(batch, n)
+    assert exps == [exponent_of_rows(rows, n) for rows in batch]
+    assert None in exps and len(set(exps)) > 5
+
+
+def test_lane_exponents_of_empty_one_lane_and_shuffled_batches():
+    assert _lane_exponents([], 5) == []
+    for d, value in KERNEL_BOUNDARY_CASES:
+        assert _lane_exponents([d.rows], d.order) == [value], value
+    for d in NONPRIMITIVE_EDGE_CASES.values():
+        assert _lane_exponents([d.rows], d.order) == [None]
+    rng = random.Random(41)
+    batch = _mixed_rows(rng, 8)
+    exps = _lane_exponents(batch, 8)
+    order = list(range(len(batch)))
+    rng.shuffle(order)
+    assert _lane_exponents([batch[t] for t in order], 8) == [exps[t] for t in order]
 
 
 def _period_two_64() -> Digraph:
@@ -728,7 +780,7 @@ def test_cwalk_rows_raise_as_cwalk_of_cover_does():
     with pytest.raises(NotPrimitiveError):
         c_walk_distances(standard_cycle(64))
     with pytest.raises(NotPrimitiveError):
-        _bound_facts(rows, 64)
+        _bound_facts(rows, 64, exponent_of_rows(rows, 64))
     for kernel in (_cwalk_rows, cwalk_of_cover):
         with pytest.raises(NotPrimitiveError):
             kernel(SINK_CYCLE.rows, 6, [0b111111])

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from primexp import families
 from primexp.digraph import girth, rows_primitive, simple_cycles
 from primexp.exponent import exponent, lemma34_bound
 from primexp.families import (
@@ -180,6 +181,25 @@ def test_chord_member_validation():
         chord_member(10, 3, 0)
     with pytest.raises(ValueError):
         chord_member(10, 3, 1 << 10)
+
+
+@pytest.mark.parametrize("n", [65, 10**6])
+def test_constructors_check_the_order_before_building(monkeypatch, n):
+    # Row v of a chorded cycle is an int of about v bits, so building the
+    # rows first costs O(n^2) bits before the order check can refuse them.
+    def refuse(*args):
+        raise AssertionError("built before the order check")
+
+    monkeypatch.setattr(families, "_chord_rows", refuse)
+    monkeypatch.setattr(families, "digraph", refuse)
+    constructors = [
+        lambda: standard_cycle(n), lambda: d1(n), lambda: d2(n), lambda: d_gN(n, 3, {1}),
+        lambda: q1(n, 3), lambda: q2(n, 3), lambda: chord_member(n, 3, 1),
+        lambda: h_graph(n, 3, 4),
+    ]
+    for build in constructors:
+        with pytest.raises(ValueError, match=rf"^order must be in \[2, 64\], got {n}$"):
+            build()
 
 
 # -- the row constructor against arc-set constructors ---------------------------

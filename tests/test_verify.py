@@ -338,9 +338,10 @@ def test_rotations_lists_the_n_rotations_from_the_mask_itself():
 def test_per_orbit_evaluates_each_least_mask_once(n, g):
     evaluated = []
 
-    def evaluate(mask, rows):
-        evaluated.append((mask, rows))
-        return len(evaluated)
+    def evaluate(reps):
+        assert not evaluated
+        evaluated.extend(reps)
+        return list(range(1, len(reps) + 1))
 
     values = dict(_per_orbit(n, g, evaluate))
     assert sorted(values) == list(range(1, 1 << n))
@@ -356,11 +357,12 @@ def test_per_orbit_with_mirror_evaluates_each_least_dihedral_mask_once(n, g, orb
     evaluated = []
 
     def facts(rows):
-        return _bound_facts(rows, n) if rows_primitive(rows, n) else []
+        return _bound_facts(rows, n, exponent_of_rows(rows, n)) if rows_primitive(rows, n) else []
 
-    def evaluate(mask, rows):
-        evaluated.append((mask, rows))
-        return facts(rows)
+    def evaluate(reps):
+        assert not evaluated
+        evaluated.extend(reps)
+        return [facts(rows) for _, rows in reps]
 
     values = dict(_per_orbit(n, g, evaluate, mirror=True))
     assert sorted(values) == list(range(1, 1 << n))
@@ -437,7 +439,7 @@ def _memo_run():
 
 def test_memoized_bound_facts_equal_the_memo_less_facts():
     for instance, _, d, facts in _memo_run():
-        assert facts == _bound_facts(d.rows, d.order), instance
+        assert facts == _bound_facts(d.rows, d.order, exponent_of_rows(d.rows, d.order)), instance
 
 
 def test_bound_suite_entries_share_one_fact_list_per_key():
@@ -487,7 +489,7 @@ def _random_sweep_oracle(seed: int, samples: int, n_max: int) -> Report:
     for idx, n, p, d in random_instances(seed, samples, n_max):
         if d.rows not in seen:
             digest = hashlib.sha256(serialize_rows(d.rows, n).encode()).hexdigest()[:12]
-            seen[d.rows] = digest, _bound_facts(d.rows, n)
+            seen[d.rows] = digest, _bound_facts(d.rows, n, exponent_of_rows(d.rows, n))
         digest, facts = seen[d.rows]
         report.entries.append((f"rand:{idx:06d}:{digest}", {"n": n, "p": p, "seed": seed}, facts))
     return report
@@ -518,6 +520,24 @@ def test_bound_suite_evaluation_count_is_pinned(monkeypatch):
     assert calls == 356
     verify_bounds(n_max=8, samples=2000, seed=1, chord_pairs=())
     assert calls == 356 + 962
+
+
+def test_bound_suite_reads_exponents_in_one_lane_pass_per_order(monkeypatch):
+    # One pass per chord universe, then one per order of the random sweep,
+    # over the same 356 + 962 representatives the evaluation count pins.
+    passes = []
+    lane_exponents = verify_module._lane_exponents
+
+    def counting(rowsets, n):
+        passes.append((n, len(rowsets)))
+        return lane_exponents(rowsets, n)
+
+    monkeypatch.setattr(verify_module, "_lane_exponents", counting)
+    verify_bounds(n_max=8, samples=2000, seed=1)
+    chord, random_orders = passes[:4], passes[4:]
+    assert chord == [(10, 77), (10, 77), (10, 77), (11, 125)]
+    assert sorted(n for n, _ in random_orders) == list(range(2, 9))
+    assert sum(size for _, size in random_orders) == 962
 
 
 def test_run_blocks_starts_at_most_one_worker_per_cpu(monkeypatch):
@@ -800,11 +820,21 @@ def test_girth_floor_walk_at_order_five():
 
 # -- chord-set formula ------------------------------------------------------------
 
-def test_chord_sets_match_the_d_gN_constructor():
+def test_chord_sets_match_the_d_gN_constructor(monkeypatch):
     # The sweep of verify_thm33 and the thm36 forward phase against the
-    # public constructor, its exponent and FamilySpec's label.
+    # public constructor, its exponent and FamilySpec's label; each pair's
+    # exponents come from one lane pass.
+    passes = []
+    lane_exponents = verify_module._lane_exponents
+
+    def counting(rowsets, n):
+        passes.append(n)
+        return lane_exponents(rowsets, n)
+
+    monkeypatch.setattr(verify_module, "_lane_exponents", counting)
     for n, g in ((10, 3), (11, 5), (13, 4)):
         sets = list(_chord_sets(n, g))
+        assert passes.pop() == n and not passes
         assert [mask for mask, *_ in sets] == list(range(1, 1 << chord_position_cap(n, g)))
         for mask, label, N, rows, oracle in sets:
             assert sum(1 << (i - 1) for i in N) == mask and max(N) == mask.bit_length()
