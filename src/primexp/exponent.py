@@ -3,16 +3,16 @@ and the closed-form bound/prediction evaluators.
 
 The exponent of a primitive digraph is the least k >= 1 whose k-th Boolean
 matrix power is entirely positive.  One kernel computes it for both
-``exponent`` and ``exponent_of_rows`` in O(log k) Boolean products: it
-squares the matrix until a square is all-positive, keeping every square,
-then binary-searches below that square with the stored ones.  The search
-ends on the power k - 1, whose least zero entry is the witness pair.  A
-non-positive square equal to an earlier one means the matrix is not
-primitive: the bare 64-cycle is refused at its 7th square, where the
-Wielandt cap would take 12.  ``_lane_exponents`` runs the same search on a
-batch of matrices of one order at once, bit-sliced so that each AND or OR
-acts on every matrix; the bound suite and the chord-set sweeps read their
-exponents from it, one pass per order or per (n, g).
+``exponent`` and ``exponent_of_rows`` in O(log k) ``boolmat.mul_rows``
+products: it squares the matrix until a square is all-positive, keeping
+every square, then binary-searches below that square with the stored
+ones.  The search ends on the power k - 1, whose least zero entry is the
+witness pair.  A non-positive square equal to an earlier one means the
+matrix is not primitive: the bare 64-cycle is refused at its 7th square,
+where the Wielandt cap would take 12.  ``_lane_exponents`` runs the same
+search on a batch of matrices of one order at once, bit-sliced so that
+each AND or OR acts on every matrix; the bound suite and the chord-set
+sweeps read their exponents from it, one pass per order or per (n, g).
 
 ``c_walk_distances`` computes, for every ordered vertex pair, the length of
 the shortest walk that shares a vertex with at least one simple cycle of
@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass
 from operator import and_, or_
 
+from .boolmat import mul_rows
 from .digraph import (
     Digraph,
     TruncatedProfileError,
@@ -92,64 +93,41 @@ class CWalkResult:
 def _exponent_kernel(rows: tuple[int, ...], n: int) -> tuple[int, tuple[int, ...]] | None:
     """(k, rows^(k-1)) for the least k >= 1 with rows^k all-positive, or None.
 
-    Squares A until A^(2^m) is all-positive, keeping every square, then
-    binary-searches below it: the largest non-positive power is assembled
-    from the stored squares one bit at a time, which is exact because the
-    all-positive predicate is monotone in k for primitive matrices.  A
-    primitive matrix has an all-positive square, so a non-positive square
-    equal to an earlier stored one is the not-primitive verdict: from there
-    the squares cycle and never reach all-ones.  A non-positive square whose
-    index reaches the Wielandt cap is the verdict too.  Both phases share
-    one inline product loop, left times right, whose rows stop once they
-    are all ones: at small orders, where exhaustive scans call this with
-    exponents of 10 or less, a function call per product costs about as
-    much as its ORs.  For the same reason each all-positive test is one
-    tuple comparison.
+    Squares A through ``mul_rows`` until A^(2^m) is all-positive, keeping
+    every square, then binary-searches below it: the largest non-positive
+    power is assembled from the stored squares one bit at a time, which is
+    exact because the all-positive predicate is monotone in k for primitive
+    matrices.  That is 2m - 1 products, m = ceil(log2 k).  A primitive
+    matrix has an all-positive square, so a non-positive square equal to an
+    earlier stored one is the not-primitive verdict: from there the squares
+    cycle and never reach all-ones.  A non-positive square whose index
+    reaches the Wielandt cap is the verdict too.
     """
-    full = (1 << n) - 1
-    positive = (full,) * n
+    positive = ((1 << n) - 1,) * n
     square = tuple(rows)
     if square == positive:
         return 1, tuple(1 << i for i in range(n))
     cap = wielandt_bound(n)
     squares = [square]
     index = 1
-    # bit < 0 while squaring; then the stored square the search tries next.
-    bit = -1
-    left = right = square
     while True:
-        out = []
-        for row in left:
-            acc = 0
-            while row:
-                low = row & -row
-                acc |= right[low.bit_length() - 1]
-                if acc == full:
-                    break
-                row ^= low
-            out.append(acc)
-        product = tuple(out)
-        if bit < 0:
-            index *= 2
-            if product != positive:
-                if index >= cap or product in squares:
-                    return None
-                squares.append(product)
-                left = right = product
-                continue
-            below = squares[-1]
-            k = index // 2
-            bit = len(squares) - 2
-        else:
-            if product != positive:
-                below = product
-                k += 1 << bit
-            bit -= 1
-        if bit < 0:
-            return k + 1, below
+        square = mul_rows(square, square)
+        index *= 2
+        if square == positive:
+            break
+        if index >= cap or square in squares:
+            return None
+        squares.append(square)
+    below = squares[-1]
+    k = index // 2
+    for bit in range(len(squares) - 2, -1, -1):
         # Powers of A commute; the sparser stored square goes on the left,
         # because the product costs one row OR per set bit of its left operand.
-        left, right = squares[bit], below
+        product = mul_rows(squares[bit], below)
+        if product != positive:
+            below = product
+            k += 1 << bit
+    return k + 1, below
 
 
 def _lane_product(left: list[list[int]], right: list[list[int]]) -> list[list[int]]:
@@ -500,6 +478,8 @@ def lemma32_bound(n: int, g: int) -> int:
 
 def lemma34_bound(n: int, g: int) -> int:
     """(n-1)g + n - 2g for the two-disjoint-g-cycle construction."""
+    if g < 1:
+        raise ValueError(f"need g >= 1, got g={g}")
     if n < 2 * g:
         raise ValueError(f"need n >= 2g, got n={n}, g={g}")
     if math.gcd(n, g) != 1:
@@ -522,7 +502,12 @@ def formula_thm33(n: int, g: int, r: int) -> int:
 
 
 def thm36_range(n: int, g: int) -> tuple[int, int]:
-    """Exponent window (low_exclusive, high_inclusive) of the characterization."""
+    """Exponent window (low_exclusive, high_inclusive) of the characterization.
+
+    Its top is ``lemma23_bound``, so it takes the same window 1 <= g <= n-1.
+    """
+    if not 1 <= g <= n - 1:
+        raise ValueError(f"need 1 <= g <= n-1, got g={g}, n={n}")
     low = 2 * n - 2 + (g - 1) * (n - 3)
     high = n + g * (n - 2)
     return (low, high)

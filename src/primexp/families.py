@@ -53,18 +53,6 @@ class FamilySpec:
             raise ValueError(f"unknown family kind {self.kind!r}") from None
         return constructor(*(getattr(self, name) for name in fields))
 
-    def label(self) -> str:
-        parts = [f"n={self.n}"]
-        if self.g is not None:
-            parts.append(f"g={self.g}")
-        if self.N:
-            parts.append("N=" + ",".join(str(i) for i in self.N))
-        if self.k is not None:
-            parts.append(f"k={self.k}")
-        if self.chord_mask is not None:
-            parts.append(f"mask={self.chord_mask}")
-        return f"{self.kind}:" + ",".join(parts)
-
 
 def standard_cycle(n: int) -> Digraph:
     """Descending n-cycle: arcs v_j -> v_{j-1} for j = 2..n plus v_1 -> v_n."""

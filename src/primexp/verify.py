@@ -81,7 +81,6 @@ from .exponent import (
     _cwalk_rows,
     _lane_exponents,
     cwalk_of_cover,
-    exponent,
     exponent_of_rows,
     formula_thm33,
     lemma23_bound,
@@ -603,7 +602,7 @@ def verify_lemma34(n_max: int = 12) -> Report:
 
     The constructions are digraphs of order n <= n_max, so n_max above
     boolmat.MAX_ORDER = 64 raises ValueError before any work.  n_max = 64
-    took 11 to 13 s (2-core VM, Python 3.11).
+    took 7 to 8 s through the CLI (2-core VM, Python 3.11).
     """
     if n_max > MAX_ORDER:
         raise ValueError(f"n_max must be at most {MAX_ORDER}, got {n_max}")
@@ -611,7 +610,7 @@ def verify_lemma34(n_max: int = 12) -> Report:
     for n, g, k in valid_h_triples(n_max):
         d = h_graph(n, g, k)
         bound = lemma34_bound(n, g)
-        oracle = exponent(d).value
+        oracle = exponent_of_rows(d.rows, n)
         report.add(make_row(
             "L3.4", f"h:n={n},g={g},k={k}", bound, oracle,
             asserted=True, rule="le", n=n, g=g, k=k,
@@ -833,9 +832,10 @@ def _lane_facts(codes: list[int], n: int) -> list[tuple[int | None, tuple[int, .
     The census keeps this linear scan rather than the squaring search of
     ``exponent._lane_exponents``: its exponents are small, and the search
     pays per-lane Python bookkeeping that the scan does not.  On the census
-    classes (2-core VM, Python 3.11) ``_lane_exponents`` took 2.0 ms at
-    order 4 (1 918 lanes) against 1.0 ms for this pass, cycle masks
-    included, and 0.62 s at order 5 (216 584 lanes) against 0.19 s.
+    classes (2-core VM, Python 3.11, min of 15 and of 3 runs)
+    ``_lane_exponents`` took 2.0 ms at order 4 (1 918 lanes) against
+    1.0 ms for this pass, cycle masks included, and 0.33 s at order 5
+    (216 584 lanes) against 0.17 s.
     """
     if not codes:
         return []

@@ -168,6 +168,16 @@ def test_bound_verbs(capsys):
     assert (code, out) == (0, "32,34\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("range-thm36", "--n", "10", "--g", "11"), "need 1 <= g <= n-1, got g=11, n=10"),
+    (("range-thm36", "--n", "-4", "--g", "-2"), "need 1 <= g <= n-1, got g=-2, n=-4"),
+    (("lemma34", "--n", "10", "--g", "-1"), "need g >= 1, got g=-1"),
+], ids=["thm36-10-11", "thm36-neg4", "lemma34-neg1"])
+def test_bound_outside_its_girth_window_is_input_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, "bound", *argv)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
 # bound name -> (evaluator, options); the evaluator is named here, not read from BOUNDS
 BOUND_CASES = {
     "lemma23": (lemma23_bound, {"n": 10, "g": 3}),

@@ -442,6 +442,53 @@ def test_kernel_refuses_repeated_squares_without_the_wielandt_cap():
     assert int(done.stdout) == len(cases)
 
 
+def _two_disjoint_cycles_64() -> Digraph:
+    """A 59-cycle beside a 5-cycle: not strongly connected, so not primitive.
+
+    The squares A^(2^j) repeat only after lcm(58, 4) = 116 of them, since 2
+    has order 58 mod 59 and 4 mod 5, so the Wielandt cap ends the kernel.
+    """
+    arcs = [(i, i % 59 + 1) for i in range(1, 60)]
+    arcs += [(59 + i, 59 + i % 5 + 1) for i in range(1, 6)]
+    return digraph(64, arcs)
+
+
+# (digraph, exponent or None, mul_rows calls).  A primitive exponent e takes
+# m = ceil(log2 e) squares and m - 1 search products.  The bare 64-cycle is
+# refused at its 7th square, a repeat; the disjoint cycles at the 12th,
+# index 4096, the first power of two at or above the cap 3970.  The cap
+# (n-1)^2 + 1 is a power of two only at order 2, where it is 2: the bare
+# 2-cycle is refused at its first square, which reaches it.
+KERNEL_PRODUCT_CASES = [
+    (d1(64), 3970, 23),
+    (d2(64), 3969, 23),
+    (d1(5), 17, 9),
+    (d_gN(10, 3, {1}), 34, 11),
+    (standard_cycle(64), None, 7),
+    (_two_disjoint_cycles_64(), None, 12),
+    (standard_cycle(2), None, 1),
+]
+
+
+@pytest.mark.parametrize("d, value, calls", KERNEL_PRODUCT_CASES,
+                         ids=["d1-64", "d2-64", "d1-5", "d_gN-10-3", "cycle-64", "cycles-59-5",
+                              "cycle-2"])
+def test_kernel_multiplies_only_through_mul_rows(monkeypatch, d, value, calls):
+    # primexp.exponent is the function that primexp/__init__ exports, so the
+    # module comes from importlib.
+    module = importlib.import_module("primexp.exponent")
+    products = []
+
+    def counting(a, b):
+        products.append((a, b))
+        return mul_rows(a, b)
+
+    monkeypatch.setattr(module, "mul_rows", counting)
+    found = module._exponent_kernel(d.rows, d.order)
+    assert (None if found is None else found[0]) == value
+    assert len(products) == calls
+
+
 # -- walk existence ------------------------------------------------------------
 
 def walk_10_to_4(d: Digraph, length: int) -> bool:
@@ -983,6 +1030,26 @@ def test_formula_thm33_values():
         formula_thm33(10, 5, 1)  # gcd violation
     with pytest.raises(ValueError):
         formula_thm33(10, 3, 4)  # above the position cap
+
+
+def test_lemma34_refuses_girths_below_one():
+    # g = -1 passes the n >= 2g and coprimality checks, and the expression
+    # gives 3 at n = 10.
+    for n, g in ((10, -1), (10, 0), (1, 0)):
+        with pytest.raises(ValueError, match="need g >= 1"):
+            lemma34_bound(n, g)
+
+
+def test_thm36_window_takes_the_lemma23_girths():
+    for n in (4, 10, 64):
+        assert thm36_range(n, 1)[1] == lemma23_bound(n, 1)
+        assert thm36_range(n, n - 1)[1] == lemma23_bound(n, n - 1)
+    # Unchecked, (10, 11) would give (88, 98) and (-4, -2) a low above its high.
+    for n, g in ((10, 11), (10, 10), (10, 0), (-4, -2)):
+        with pytest.raises(ValueError, match="need 1 <= g <= n-1"):
+            thm36_range(n, g)
+        with pytest.raises(ValueError, match="need 1 <= g <= n-1"):
+            z_of_w(n, g, n + g * (n - 2))
 
 
 def test_thm36_window_and_index():

@@ -168,10 +168,9 @@ def test_every_d_gN_is_primitive_chorded_cycle():
 
 def test_family_spec_labels():
     spec = FamilySpec(kind="d_gN", n=10, g=3, N=(1, 2))
-    assert spec.label() == "d_gN:n=10,g=3,N=1,2"
     assert spec.build().arcs == q2(10, 3).arcs
     chord = FamilySpec(kind="chord", n=10, g=3, chord_mask=5)
-    assert chord.label() == "chord:n=10,g=3,mask=5"
+    assert chord.build().arcs == chord_member(10, 3, 5).arcs
 
 
 def test_chord_member_validation():

@@ -391,8 +391,7 @@ def test_chord_universe_labels_and_params_on_every_mask():
                 assert entries == [], (n, g)
                 continue
             assert [(label, params) for label, params, _ in entries] == [
-                (FamilySpec(kind="chord", n=n, g=g, chord_mask=mask).label(),
-                 {"n": n, "g": g, "mask": mask})
+                (f"chord:n={n},g={g},mask={mask}", {"n": n, "g": g, "mask": mask})
                 for mask in range(1, 1 << n)], (n, g)
 
 
@@ -461,10 +460,9 @@ def test_chord_universe_rows_equal_the_per_member_loop(pair):
     n, g = pair
     oracle = Report()
     for mask in range(1, 1 << n):
-        spec = FamilySpec(kind="chord", n=n, g=g, chord_mask=mask)
-        d = spec.build()
+        d = FamilySpec(kind="chord", n=n, g=g, chord_mask=mask).build()
         if rows_primitive(d.rows, n):
-            bound_rows_for(d, spec.label(), oracle, n=n, g=g, mask=mask)
+            bound_rows_for(d, f"chord:n={n},g={g},mask={mask}", oracle, n=n, g=g, mask=mask)
     assert Report(_chord_universe_rows(pair)).to_jsonl() == oracle.to_jsonl()
 
 
@@ -822,7 +820,7 @@ def test_girth_floor_walk_at_order_five():
 
 def test_chord_sets_match_the_d_gN_constructor(monkeypatch):
     # The sweep of verify_thm33 and the thm36 forward phase against the
-    # public constructor, its exponent and FamilySpec's label; each pair's
+    # public constructor, its exponent and the d_gN label format; each pair's
     # exponents come from one lane pass.
     passes = []
     lane_exponents = verify_module._lane_exponents
@@ -839,7 +837,7 @@ def test_chord_sets_match_the_d_gN_constructor(monkeypatch):
         for mask, label, N, rows, oracle in sets:
             assert sum(1 << (i - 1) for i in N) == mask and max(N) == mask.bit_length()
             d = d_gN(n, g, N)
-            assert label == FamilySpec(kind="d_gN", n=n, g=g, N=tuple(N)).label()
+            assert label == f"d_gN:n={n},g={g},N=" + ",".join(map(str, N))
             assert rows == d.rows and oracle == exponent(d).value
     # gcd(10, 4) = 2: no member is primitive, and the sweep says so as
     # exponent() does.
@@ -914,7 +912,7 @@ def test_verify_lemma34_refuses_orders_above_64_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("an exponent was computed before the order check")
 
-    monkeypatch.setattr(verify_module, "exponent", no_work)
+    monkeypatch.setattr(verify_module, "exponent_of_rows", no_work)
     for n_max in (65, 1000):
         with pytest.raises(ValueError, match=f"n_max must be at most 64, got {n_max}"):
             verify_lemma34(n_max)
