@@ -1,8 +1,8 @@
 """Digraph structure and cycle analysis.
 
 Vertices are labelled 1..n throughout.  Loops are allowed, multi-arcs are
-not.  A ``Digraph`` is its successor rows, the bit-set rows of its
-adjacency matrix, which is what every kernel here reads; ``digraph()``
+not.  A ``Digraph`` is the ``BoolMatrix`` of its adjacency matrix, whose
+bit-set successor rows are what every kernel here reads; ``digraph()``
 builds one from an arc set, and ``arcs`` reads the arc set back.
 Everything here is a pure function over immutable values; the cycle
 enumerator keeps only local state.
@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .boolmat import BoolMatrix, _check_order, _check_rows, transpose_rows
+from .boolmat import BoolMatrix, _check_order, transpose_rows
 
 DEFAULT_CYCLE_CAP = 10**6
 # Vertex-set keys one ``_cycle_cover`` run may create.  A run creates at most
@@ -28,19 +28,13 @@ class TruncatedProfileError(ValueError):
 
 
 @dataclass(frozen=True)
-class Digraph:
-    """Directed graph on vertices 1..order, held as its successor rows.
+class Digraph(BoolMatrix):
+    """Directed graph on vertices 1..order: a ``BoolMatrix`` read as successor rows.
 
-    Bit j-1 of rows[i-1] is set iff there is an arc i -> j; the rows are
-    checked and stored as ``BoolMatrix`` checks and stores them.
+    Bit j-1 of rows[i-1] is set iff there is an arc i -> j.  The rows are
+    checked and stored by ``BoolMatrix``; a digraph never equals the
+    ``BoolMatrix`` with its rows.
     """
-
-    order: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_rows(self.order, self.rows)
-        object.__setattr__(self, "rows", tuple(self.rows))
 
     @property
     def arcs(self) -> frozenset[tuple[int, int]]:

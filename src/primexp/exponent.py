@@ -506,11 +506,8 @@ def thm36_range(n: int, g: int) -> tuple[int, int]:
 
     Its top is ``lemma23_bound``, so it takes the same window 1 <= g <= n-1.
     """
-    if not 1 <= g <= n - 1:
-        raise ValueError(f"need 1 <= g <= n-1, got g={g}, n={n}")
-    low = 2 * n - 2 + (g - 1) * (n - 3)
-    high = n + g * (n - 2)
-    return (low, high)
+    high = lemma23_bound(n, g)
+    return (2 * n - 2 + (g - 1) * (n - 3), high)
 
 
 def z_of_w(n: int, g: int, w: int) -> int:

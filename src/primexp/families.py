@@ -6,9 +6,9 @@ top of it.  ``_chord_rows`` builds the successor rows of every such
 chorded cycle from a bitmask of chord positions: the standard cycle is
 mask 0, d1 and d2 are span n-1 with masks 0b1 and 0b11, d_gN is the mask of
 N, and q1, q2 and the chord members follow.  The two-disjoint-g-cycle
-family H rides on an ascending n-cycle instead and is built from its arcs.
-Every constructor checks the order before it builds a row or an arc, so an
-order far past the cap is refused at once.
+family H is the transpose of the member with mask {1, k}.  Every
+constructor checks the order before it builds a row, so an order far past
+the cap is refused at once.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .boolmat import _check_order
-from .digraph import Digraph, digraph
+from .boolmat import _check_order, transpose_rows
+from .digraph import Digraph
 
 
 def _chord_rows(n: int, g: int, mask: int) -> tuple[int, ...]:
@@ -111,9 +111,10 @@ def h_graph(n: int, g: int, k: int) -> Digraph:
     """Ascending n-cycle carrying two vertex-disjoint g-cycles.
 
     Arcs v_j -> v_{j+1} and v_n -> v_1 (note the opposite orientation from
-    the standard cycle) plus the chords (v_g, v_1) and (v_{k+g-1}, v_k).
-    The construction itself does not require gcd(n, g) = 1; without it the
-    result is simply not primitive.
+    the standard cycle) plus the chords (v_g, v_1) and (v_{k+g-1}, v_k):
+    the transpose of the chorded cycle with mask {1, k}.  The construction
+    itself does not require gcd(n, g) = 1; without it the result is simply
+    not primitive.
     """
     _check_order(n)
     if g < 1:
@@ -124,11 +125,7 @@ def h_graph(n: int, g: int, k: int) -> Digraph:
         raise ValueError(f"need k >= g+1, got k={k}, g={g}")
     if not g + k - 1 <= n:
         raise ValueError(f"need g+k-1 <= n, got g={g}, k={k}, n={n}")
-    arcs = {(j, j + 1) for j in range(1, n)}
-    arcs.add((n, 1))
-    arcs.add((g, 1))
-    arcs.add((k + g - 1, k))
-    return digraph(n, arcs)
+    return Digraph(n, transpose_rows(_chord_rows(n, g, 1 | 1 << (k - 1)), n))
 
 
 def chord_member(n: int, g: int, mask: int) -> Digraph:

@@ -12,6 +12,8 @@ import heapq
 import math
 from collections.abc import Iterable
 
+FROBENIUS_BUDGET = 2 * 10**6  # cap on m * (k - 1), see ``frobenius``
+
 
 def gcd_set(values: Iterable[int]) -> int:
     vals = sorted(set(values))
@@ -29,12 +31,16 @@ def frobenius(values: Iterable[int]) -> int:
     residues modulo the smallest generator finds, for each residue class,
     the least representable integer; the conductor follows exactly.  The
     pair closed form is never used here (tests cross-check against it).
+    It relaxes each residue along the k - 1 other distinct generators, so
+    m * (k - 1) above ``FROBENIUS_BUDGET`` = 2 * 10**6 raises ValueError.
     """
     vals = sorted(set(values))
     d = gcd_set(vals)
     if d != 1:
         raise ValueError(f"conductor undefined: gcd of {vals} is {d} != 1")
     m = vals[0]
+    if m * (len(vals) - 1) > FROBENIUS_BUDGET:
+        raise ValueError(f"m * (k - 1) = {m * (len(vals) - 1)} exceeds the budget {FROBENIUS_BUDGET}")
     if m == 1:
         return 0
     # least[r] = smallest representable integer congruent to r (mod m)

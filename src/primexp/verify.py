@@ -17,7 +17,7 @@ dihedral: one mirror mask's member is the transpose of the other's,
 relabeled, and every bound-suite fact survives transposition.  The thm36
 converse keeps rotation orbits, because the D^z index it reports does not.
 Both get each orbit's successor rows straight from its mask through
-``families._chord_rows``, the one chorded-cycle constructor, and build no
+``families._chord_rows``, the only chorded-cycle constructor, and build no
 Digraph per member; so do ``verify_thm33`` and the thm36 forward sweep,
 which read the exponents of a pair's chord sets off their masks' rows in
 one lane pass (``_chord_sets``).  Every member of the (n, g) universe has
@@ -91,7 +91,7 @@ from .exponent import (
     thm36_range,
     z_of_w,
 )
-from .families import _chord_rows, chord_position_cap, h_graph, standard_cycle
+from .families import _chord_rows, chord_position_cap, standard_cycle
 from .iso import canonical_code_tables
 from .report import CensusRow, Entry, Report, VerificationRow, make_row
 from .semigroup import frobenius
@@ -600,17 +600,18 @@ def valid_h_triples(n_max: int):
 def verify_lemma34(n_max: int = 12) -> Report:
     """Assert the (n-1)g + n - 2g bound on every valid two-cycle construction.
 
-    The constructions are digraphs of order n <= n_max, so n_max above
-    boolmat.MAX_ORDER = 64 raises ValueError before any work.  n_max = 64
-    took 7 to 8 s through the CLI (2-core VM, Python 3.11).
+    Each exponent is read off the rows of mask {1, k}, the transpose of
+    h(n, g, k): (A^T)^e = (A^e)^T.  Rotated by n - k + 1 it is mask
+    {1, n - k + 2}, so h(n, g, n - k + 2) is isomorphic to h(n, g, k).
+    n_max above boolmat.MAX_ORDER = 64 raises ValueError before any work;
+    n_max = 64 took 7 to 8 s through the CLI (2-core VM, Python 3.11).
     """
     if n_max > MAX_ORDER:
         raise ValueError(f"n_max must be at most {MAX_ORDER}, got {n_max}")
     report = Report()
     for n, g, k in valid_h_triples(n_max):
-        d = h_graph(n, g, k)
         bound = lemma34_bound(n, g)
-        oracle = exponent_of_rows(d.rows, n)
+        oracle = exponent_of_rows(_chord_rows(n, g, 1 | 1 << (k - 1)), n)
         report.add(make_row(
             "L3.4", f"h:n={n},g={g},k={k}", bound, oracle,
             asserted=True, rule="le", n=n, g=g, k=k,

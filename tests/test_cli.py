@@ -52,6 +52,13 @@ def test_frobenius_gcd_violation_is_input_error(capsys):
     assert "gcd" in err
 
 
+def test_frobenius_past_its_budget_is_input_error(capsys):
+    # m * (k - 1) = 2000001, one past the budget: refused before the sweep.
+    code, _, err = run_cli(capsys, "frobenius", "2000001", "2000002")
+    assert code == 3
+    assert "exceeds the budget 2000000" in err
+
+
 def test_exp_verb(capsys, d1_file):
     code, out, _ = run_cli(capsys, "exp", "-f", d1_file)
     assert code == 0

@@ -124,6 +124,13 @@ def test_rows_given_as_a_list_are_stored_as_a_tuple(cls):
     assert hash(listed) == hash(cls(3, (2, 4, 1)))
 
 
+def test_a_digraph_is_a_bool_matrix_that_never_equals_one():
+    rows = (2, 4, 1)
+    assert isinstance(Digraph(3, rows), BoolMatrix)
+    assert Digraph(3, rows) != BoolMatrix(3, rows)
+    assert BoolMatrix(3, rows) != Digraph(3, rows)
+
+
 # -- strong connectivity -----------------------------------------------------
 
 def test_cycle_is_strongly_connected():

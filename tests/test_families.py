@@ -190,7 +190,6 @@ def test_constructors_check_the_order_before_building(monkeypatch, n):
         raise AssertionError("built before the order check")
 
     monkeypatch.setattr(families, "_chord_rows", refuse)
-    monkeypatch.setattr(families, "digraph", refuse)
     constructors = [
         lambda: standard_cycle(n), lambda: d1(n), lambda: d2(n), lambda: d_gN(n, 3, {1}),
         lambda: q1(n, 3), lambda: q2(n, 3), lambda: chord_member(n, 3, 1),
@@ -203,8 +202,8 @@ def test_constructors_check_the_order_before_building(monkeypatch, n):
 
 # -- the row constructor against arc-set constructors ---------------------------
 #
-# The chorded cycles are built from one row constructor.  These oracles
-# build the same digraphs as arc sets, one arc at a time.
+# Every family is built from one row constructor.  These oracles build the
+# same digraphs as arc sets, one arc at a time.
 
 def _oracle_standard_cycle(n: int) -> set[tuple[int, int]]:
     arcs = {(j, j - 1) for j in range(2, n + 1)}
@@ -232,6 +231,14 @@ def _oracle_chord_member(n: int, g: int, mask: int) -> set[tuple[int, int]]:
     return arcs
 
 
+def _oracle_h_graph(n: int, g: int, k: int) -> set[tuple[int, int]]:
+    arcs = {(j, j + 1) for j in range(1, n)}
+    arcs.add((n, 1))
+    arcs.add((g, 1))
+    arcs.add((k + g - 1, k))
+    return arcs
+
+
 def test_chord_constructors_match_the_arc_set_oracles():
     for n in range(2, 65):
         assert standard_cycle(n).arcs == _oracle_standard_cycle(n), n
@@ -248,3 +255,8 @@ def test_chord_constructors_match_the_arc_set_oracles():
             for mask in range(1, 1 << n):
                 assert chord_member(n, g, mask).arcs == _oracle_chord_member(n, g, mask), (
                     n, g, mask)
+    # Every triple h_graph accepts, coprime or not, loops (g = 1) included.
+    for n in range(2, 65):
+        for g in range(1, n // 2 + 1):
+            for k in range(g + 1, n - g + 2):
+                assert h_graph(n, g, k).arcs == _oracle_h_graph(n, g, k), (n, g, k)

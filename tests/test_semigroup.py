@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primexp.semigroup import frobenius, gcd_set
+from primexp import semigroup
+from primexp.semigroup import FROBENIUS_BUDGET, frobenius, gcd_set
 
 
 def conductor_by_dp(values: list[int]) -> int:
@@ -98,6 +99,20 @@ def test_definitional_conductor_property(values):
 def test_gcd_not_one_rejected():
     with pytest.raises(ValueError, match="gcd"):
         frobenius({4, 6})
+
+
+def test_budget_bounds_the_residue_sweep(monkeypatch):
+    assert FROBENIUS_BUDGET == 2 * 10**6
+    with pytest.raises(ValueError, match="exceeds the budget 2000000"):
+        frobenius({10**6 + 1, 10**6 + 2, 10**6 + 3})
+    # m * (k - 1) at the budget runs, one past it does not.
+    monkeypatch.setattr(semigroup, "FROBENIUS_BUDGET", 10)
+    assert frobenius({5, 7, 8}) == 12
+    assert frobenius({10, 11}) == 90
+    with pytest.raises(ValueError, match="exceeds the budget 10"):
+        frobenius({11, 12})
+    with pytest.raises(ValueError, match="exceeds the budget 10"):
+        frobenius({4, 5, 6, 7})
 
 
 def test_nonpositive_rejected():

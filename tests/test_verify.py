@@ -902,6 +902,17 @@ def test_verify_lemma34_passes():
     assert any(r.notes == "tight" for r in report.rows)
 
 
+def test_h_graph_mirror_is_a_rotation_of_its_mask():
+    # Rotating the mask {1, k} by n - k + 1 positions gives {1, n - k + 2},
+    # so h(n, g, k) and h(n, g, n - k + 2) are isomorphic.
+    for n, g, k in valid_h_triples(64):
+        assert 1 | 1 << (n - k + 1) in _rotations(1 | 1 << (k - 1), n), (n, g, k)
+    oracle = {(r.params["n"], r.params["g"], r.params["k"]): r.oracle
+              for r in verify_lemma34(20).rows}
+    for (n, g, k), value in oracle.items():
+        assert oracle[n, g, n - k + 2] == value, (n, g, k)
+
+
 def test_verify_lemma34_report_bytes_are_pinned():
     assert _sha256(verify_lemma34(20).to_jsonl()) == (
         "f35a4f7d6329ad48cf176de2373e04325611696179e8cfa7ecd7b49e7c101186"
