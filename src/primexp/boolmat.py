@@ -97,6 +97,21 @@ def transpose_rows(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _lane_entries(rowsets, n: int) -> list[list[int]]:
+    """A nonempty batch of order-n row tuples, bit-sliced into lanes.
+
+    Entry [i][j] is an int that holds entry (i, j) of every matrix, matrix t
+    at bit len(rowsets)-1-t, so one AND or OR acts on every matrix at once.
+    """
+    nn = n * n
+    width = f"0{n}b"
+    text = "".join([format(row, width) for rows in rowsets for row in rows])
+    entry = [int(text[e::nn], 2) for e in range(nn)]
+    # Each row is written column n-1 first, so each row of entries is
+    # reversed out of the text.
+    return [entry[i * n:i * n + n][::-1] for i in range(n)]
+
+
 # -- text format ----------------------------------------------------------
 #
 # Line 1: decimal order n.  Lines 2..n+1: exactly n characters from {0,1};

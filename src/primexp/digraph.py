@@ -14,12 +14,12 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .boolmat import BoolMatrix, _check_order, transpose_rows
+from .boolmat import BoolMatrix, _check_order, _lane_entries, transpose_rows
 
 DEFAULT_CYCLE_CAP = 10**6
-# Vertex-set keys one ``_cycle_cover`` run may create.  A run creates at most
-# 2^n - 1, so the budget never binds at n <= 20; the complete digraph of
-# order 64 reaches it in a few seconds.
+# Keys one ``_cycle_cover`` or ``_lane_cycle_covers`` run may create.  A
+# ``_cycle_cover`` run creates at most 2^n - 1, so the budget never binds at
+# n <= 20; the complete digraph of order 64 reaches it in a few seconds.
 CYCLE_COVER_BUDGET = 1 << 20
 
 
@@ -175,20 +175,21 @@ def _cycle_cover(rows: tuple[int, ...], n: int) -> list[int]:
     key, and a run creates at most 2^n - 1 of them; past CYCLE_COVER_BUDGET
     keys it raises TruncatedProfileError, checked after every expanded set
     so that no level overshoots.  So the budget never binds at n <= 20, and
-    dense input at orders up to 64 fails within seconds.  Every
-    cycle-profile caller but the ``cycles`` verb and the census uses it: the
-    bound suite (n <= 16), verify_thm33's attainment notes and the iso
-    invariants (n <= 14), which read the lengths and the per-vertex bit-sets
-    straight from the cover; c_walk_distances and lemma22_bound, which feed
-    it to the c-walk BFS; and the thm36 converse (chord members) through
-    rows_cycle_lengths.  Johnson's search stays behind the ``cycles`` verb,
-    which counts cycles under its cap through count_cycles, and behind
-    simple_cycles, the test oracle.  The census (n <= 5) matches its codes
-    against a table of the simple-cycle arc masks of K_n, which the tests
-    check against this DP.  Independent of simple_cycles and of the BFS
-    girth, which search from the same least vertex s but keep one path or
-    one visited set per s instead of one state per vertex set, so they
-    cross-check.
+    dense input at orders up to 64 fails within seconds.  The single-matrix
+    cycle-profile callers use it: verify_thm33's attainment notes and the
+    iso invariants (n <= 14), which read the lengths and the per-vertex
+    bit-sets straight from the cover; c_walk_distances and lemma22_bound,
+    which feed it to the c-walk BFS; and the thm36 converse (chord members)
+    through rows_cycle_lengths.  The bound suite (n <= 16) reads its covers
+    from ``_lane_cycle_covers``, the same DP over a batch; one matrix, up to
+    order 64, would not repay a batch's slicing.  Johnson's search stays
+    behind the ``cycles`` verb, which counts cycles under its cap through
+    count_cycles, and behind simple_cycles, the test oracle.  The census
+    (n <= 5) matches its codes against a table of the simple-cycle arc masks
+    of K_n, which the tests check against this DP.  Independent of
+    simple_cycles and of the BFS girth, which search from the same least
+    vertex s but keep one path or one visited set per s instead of one
+    state per vertex set, so they cross-check.
     """
     into = transpose_rows(rows, n)
     full = (1 << n) - 1
@@ -223,6 +224,85 @@ def _cycle_cover(rows: tuple[int, ...], n: int) -> list[int]:
             level = grown
             size += 1
     return cover
+
+
+def _lane_cycle_covers(rowsets, n: int) -> list[list[int]]:
+    """``_cycle_cover`` of every successor-row tuple in ``rowsets``, in order.
+
+    The batch is bit-sliced as ``exponent._lane_exponents`` slices it (see
+    ``boolmat._lane_entries``), and ``_cycle_cover``'s DP runs once over
+    the union of its matrices.  A state is a vertex set and an end vertex,
+    and holds the lanes with a simple path from the least vertex s, through
+    that set, that ends there; it grows by one vertex above s at a time, on
+    the lanes that have the arc.  A state whose end has an arc back to s
+    closes a cycle on those lanes, so its set goes into their cover at its
+    size.  Only states with a lane are created, so a batch creates no more
+    states than its matrices would one by one, and far fewer where they
+    share paths.  Then one string per length turns the lanes back into per-matrix
+    covers.  Each state is one key, and past CYCLE_COVER_BUDGET keys it
+    raises TruncatedProfileError, checked as ``_cycle_cover`` checks.  Every
+    (set, end) pair is one state at most, with s the least vertex of the
+    set, so a batch creates fewer than n * 2^(n-1) keys, 524 288 at n = 16:
+    the budget never binds in the bound suite (n <= 16), which reads its
+    covers from here, one pass per chord universe and per random order.
+    """
+    lanes = len(rowsets)
+    if not lanes:
+        return []
+    arc = _lane_entries(rowsets, n)
+    # bit j of union[i] is set when some matrix has the arc i -> j.
+    union = [sum(1 << j for j, held in enumerate(row) if held) for row in arc]
+    into = transpose_rows(union, n)
+    full = (1 << n) - 1
+    everyone = (1 << lanes) - 1
+    # on[k][v]: the lanes with vertex v on a simple k-cycle.
+    on = [[0] * n for _ in range(n + 1)]
+    created = 0
+    for s in range(n):
+        if not into[s] >> s:
+            continue
+        above = full ^ ((2 << s) - 1)
+        back = [row[s] for row in arc]
+        level = {(1 << s, s): everyone}
+        size = 1
+        while level:
+            created += len(level)
+            closed: dict[int, int] = {}
+            grown: dict[tuple[int, int], int] = {}
+            for (members, end), held in level.items():
+                cycle = held & back[end]
+                if cycle:
+                    closed[members] = closed.get(members, 0) | cycle
+                out = arc[end]
+                reach = union[end] & above & ~members
+                while reach:
+                    low = reach & -reach
+                    w = low.bit_length() - 1
+                    path = held & out[w]
+                    if path:
+                        key = (members | low, w)
+                        grown[key] = grown.get(key, 0) | path
+                    reach ^= low
+                if created + len(grown) > CYCLE_COVER_BUDGET:
+                    raise TruncatedProfileError(
+                        f"lane cycle cover passed its budget of {CYCLE_COVER_BUDGET} states")
+            lane_on = on[size]
+            for members, cycle in closed.items():
+                while members:
+                    low = members & -members
+                    lane_on[low.bit_length() - 1] |= cycle
+                    members ^= low
+            level = grown
+            size += 1
+    covers = [[0] * (n + 1) for _ in range(lanes)]
+    width = f"0{lanes}b"
+    for k in range(1, n + 1):
+        if any(on[k]):
+            # Vertex n-1 first, so lane t's slice reads as its bit-set.
+            text = "".join([format(held, width) for held in reversed(on[k])])
+            for t, cover in enumerate(covers):
+                cover[k] = int(text[t::lanes], 2)
+    return covers
 
 
 def rows_cycle_lengths(rows: tuple[int, ...], n: int) -> tuple[int, ...]:

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from operator import and_, or_
 
-from .boolmat import mul_rows
+from .boolmat import _lane_entries, mul_rows
 from .digraph import (
     Digraph,
     TruncatedProfileError,
@@ -157,9 +157,8 @@ def _positive_lanes(entries: list[list[int]]) -> int:
 def _lane_exponents(rowsets, n: int) -> list[int | None]:
     """``exponent_of_rows`` of every successor-row tuple in ``rowsets``, in order.
 
-    The matrices are bit-sliced into lanes: the int of entry (i, j) holds
-    arc i -> j of every matrix, matrix t at bit len(rowsets)-1-t, so each
-    AND or OR acts on every matrix at once.  The search is
+    The matrices are bit-sliced into lanes (``boolmat._lane_entries``), so
+    each AND or OR acts on every matrix at once.  The search is
     ``_exponent_kernel``'s, lane by lane.  All lanes are squared together,
     keeping every square, until every lane is positive or the index reaches
     Wielandt's bound (n-1)^2 + 1; a lane not positive at the last square is
@@ -173,13 +172,7 @@ def _lane_exponents(rowsets, n: int) -> list[int | None]:
     lanes = len(rowsets)
     if not lanes:
         return []
-    nn = n * n
-    width = f"0{n}b"
-    text = "".join([format(row, width) for rows in rowsets for row in rows])
-    # Each row is written column n-1 first, so row i of the square is
-    # reversed out of the text.
-    entry = [int(text[e::nn], 2) for e in range(nn)]
-    square = [entry[i * n:i * n + n][::-1] for i in range(n)]
+    square = _lane_entries(rowsets, n)
     everyone = (1 << lanes) - 1
     cap = wielandt_bound(n)
     squares = []

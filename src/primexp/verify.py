@@ -49,12 +49,13 @@ universe and the random sweep keep a dict from key to fact list, and the
 distinct random matrix made 1 699) still build 619 lists.  The suite runs
 in two phases: it first collects every orbit representative (a chord
 universe's least dihedral masks, the random tries that are the first with
-their least pattern rotation), then evaluates them order by order, all
-exponents of one order from one ``_lane_exponents`` pass.  The cycle
-cover and the c-walk run on every representative, and the c-walk's
-distance rows are read only for their maximum.  Each instance adds one
-report entry that holds its label, its params and its key's fact list, so
-instances with equal keys share one list.
+their least pattern rotation), then evaluates them order by order: all
+exponents of one order come from one ``_lane_exponents`` pass, and all
+cycle covers from one ``_lane_cycle_covers`` pass.  The c-walk runs on
+every representative, and its distance rows are read only for their
+maximum.  Each instance adds one report entry that holds its label, its
+params and its key's fact list, so instances with equal keys share one
+list.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from .digraph import (
     Digraph,
     _bfs_levels,
     _cycle_cover,
+    _lane_cycle_covers,
     rows_cycle_lengths,
     rows_girth,
 )
@@ -226,21 +228,20 @@ def _fact_rows(n: int, exp: int, lengths: tuple[int, ...], cw: int | str) -> lis
             for claim, predicted, oracle, options in facts]
 
 
-def _bound_facts(rows: tuple[int, ...], n: int, exp: int | None,
+def _bound_facts(rows: tuple[int, ...], n: int, exp: int | None, cover: list[int],
                  memo: dict[tuple, list[VerificationRow]] | None = None) -> list[VerificationRow]:
     """``_fact_rows`` of a digraph's order, exponent, cycle lengths and c-walk.
 
     ``exp`` is the exponent of the successor rows, None when they are not
-    primitive, which raises NotPrimitiveError.  Every value is an
-    isomorphism invariant and does not change when every arc is reversed.
-    The cycle lengths and the c-walk come from one subset-DP cycle cover,
-    which has no cap.  The kernels run on every call; with ``memo`` the rows
-    are built once per key of those four values, and calls with equal keys
-    return one shared list.
+    primitive, which raises NotPrimitiveError, and ``cover`` is their
+    subset-DP cycle cover (``_cycle_cover``), which has no cap.  The cycle
+    lengths are read off the cover, and the c-walk runs on it on every
+    call.  Every value is an isomorphism invariant and does not change when
+    every arc is reversed.  With ``memo`` the rows are built once per key
+    of those four values, and calls with equal keys return one shared list.
     """
     if exp is None:
         raise NotPrimitiveError(f"digraph of order {n} is not primitive")
-    cover = _cycle_cover(rows, n)
     lengths = tuple([k for k in range(1, n + 1) if cover[k]])
     try:
         cw = max(map(max, _cwalk_rows(rows, n, cover)))
@@ -257,15 +258,22 @@ def _bound_facts(rows: tuple[int, ...], n: int, exp: int | None,
 
 def _batch_bound_facts(reps: list[tuple[object, tuple[int, ...]]], n: int,
                        memo: dict[tuple, list[VerificationRow]]) -> list[list[VerificationRow]]:
-    """``_bound_facts`` of each (key, successor rows) of order n, exponents read in one lane pass."""
-    exps = _lane_exponents([rows for _, rows in reps], n)
-    return [_bound_facts(rows, n, exp, memo) for (_, rows), exp in zip(reps, exps)]
+    """``_bound_facts`` of each (key, successor rows) of order n.
+
+    The exponents come from one ``_lane_exponents`` pass and the cycle
+    covers from one ``_lane_cycle_covers`` pass over the whole batch.
+    """
+    rowsets = [rows for _, rows in reps]
+    return [_bound_facts(rows, n, exp, cover, memo)
+            for rows, exp, cover in zip(rowsets, _lane_exponents(rowsets, n),
+                                        _lane_cycle_covers(rowsets, n))]
 
 
 def bound_rows_for(d: Digraph, instance: str, report: Report, **params) -> None:
     """Append one row per applicable established bound for one primitive digraph."""
     report.entries.append(
-        (instance, params, _bound_facts(d.rows, d.order, exponent_of_rows(d.rows, d.order))))
+        (instance, params, _bound_facts(d.rows, d.order, exponent_of_rows(d.rows, d.order),
+                                        _cycle_cover(d.rows, d.order))))
 
 
 def _mirror_mask(mask: int, n: int, g: int) -> int:
@@ -353,7 +361,7 @@ def verify_bounds(
     checked before any universe runs.  A universe has 2^n - 1 members, and
     its time and memory about double with each order: on 2 cores under
     Python 3.11, each of (16, 3), (16, 5), (16, 7), (16, 9) and (16, 15)
-    took 0.5-0.8 s, and (16, 7) 48 MB.  With jobs > 1 the chord universes run in
+    took 0.26-0.37 s and 49 MB.  With jobs > 1 the chord universes run in
     worker processes, one per (n, g) pair; the random sweep always runs
     here.
     """

@@ -512,6 +512,16 @@ def test_verify_bounds_on_imprimitive_chord_pairs_is_pinned(capsys, tmp_path):
         "628bd1c9eb19912d074efb9e73308dd9e9bf5983c9702fdc957bd6ae669313e1")
 
 
+def test_verify_bounds_at_random_orders_nine_and_ten_is_pinned(capsys):
+    # Two chord universes of orders 12 and 13, then a random sweep that
+    # reaches orders 9 and 10; each order's covers come from one lane pass.
+    code, out, _ = run_cli(capsys, "verify", "bounds", "--chord-pairs", "12:5,13:4",
+                           "--samples", "300", "--n-max", "10", "--seed", "7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "86e5ce3855ccef8715b898e656a8d836c064fe6d133cfc42982592c6efa9d209")
+
+
 def test_verify_census_verb(capsys, tmp_path):
     out = tmp_path / "census.jsonl"
     code, _, _ = run_cli(capsys, "verify", "census", "--n", "2", "--out", str(out))

@@ -18,6 +18,7 @@ from primexp.digraph import (
     TruncatedProfileError,
     _bfs_dist,
     _cycle_cover,
+    _lane_cycle_covers,
     _period_of_levels,
     digraph,
     from_matrix,
@@ -28,7 +29,7 @@ from primexp.digraph import (
     simple_cycles,
 )
 from primexp.exponent import wielandt_bound
-from primexp.families import d1, d2, d_gN, h_graph, q1, standard_cycle
+from primexp.families import _chord_rows, d1, d2, d_gN, h_graph, q1, standard_cycle
 
 from helpers import relabel
 
@@ -450,6 +451,99 @@ def test_cycle_cover_skips_a_start_whose_predecessors_all_lie_below_it(monkeypat
     module = importlib.import_module("primexp.digraph")
     monkeypatch.setattr(module, "CYCLE_COVER_BUDGET", 2047)
     assert _cycle_cover(rows, n) == [0, 0, full ^ 0b11] + [full] * (n - 2)
+
+
+# -- lane cycle covers against the per-matrix cover --------------------------------
+
+def _cover_batch(rng: random.Random, n: int) -> list[tuple[int, ...]]:
+    """Seeded rows of order n at several densities, with acyclic, looped,
+    period-2 and split rows mixed in."""
+    def draw(p: float, allowed=lambda v, w: True) -> tuple[int, ...]:
+        return tuple(sum(1 << w for w in range(n) if allowed(v, w) and rng.random() < p)
+                     for v in range(n))
+
+    side = [rng.getrandbits(1) for _ in range(n)]
+    inside = rng.randrange(1, (1 << n) - 1)
+    batch = [draw(p) for p in (0.1, 0.2, 0.35, 0.5) for _ in range(10)]
+    batch += [draw(0.5, lambda v, w: v < w) for _ in range(4)]
+    batch += [tuple(row | 1 << v for v, row in enumerate(draw(0.2))) for _ in range(4)]
+    batch += [draw(0.6, lambda v, w: side[v] != side[w]) for _ in range(4)]
+    batch += [draw(0.4, lambda v, w: not (inside >> w & 1) or inside >> v & 1) for _ in range(4)]
+    batch += [random_digraph(rng, n, 0.15).rows for _ in range(4)]
+    rng.shuffle(batch)
+    return batch
+
+
+def johnson_cover(rows: tuple[int, ...], n: int) -> list[int]:
+    """Oracle: per length, the bit-set of the vertices on Johnson's cycles of that length."""
+    cycles, profile = simple_cycles(Digraph(n, rows))
+    assert not profile.cap_hit
+    cover = [0] * (n + 1)
+    for cycle in cycles:
+        cover[len(cycle)] |= sum(1 << (v - 1) for v in cycle)
+    return cover
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lane_cycle_covers_match_cycle_cover_on_every_code(n):
+    width = (1 << n) - 1
+    codes = [tuple(code >> (n * i) & width for i in range(n)) for code in range(1 << (n * n))]
+    assert _lane_cycle_covers(codes, n) == [_cycle_cover(rows, n) for rows in codes]
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_lane_cycle_covers_match_cycle_cover_on_seeded_rows(n):
+    batch = _cover_batch(random.Random(8000 + n), n)
+    covers = _lane_cycle_covers(batch, n)
+    assert covers == [_cycle_cover(rows, n) for rows in batch]
+    assert [0] * (n + 1) in covers and len({tuple(cover) for cover in covers}) > 20
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_lane_cycle_covers_match_johnsons_cycles(n):
+    # An oracle that shares no DP code with either cover.
+    batch = _cover_batch(random.Random(9000 + n), n)
+    assert _lane_cycle_covers(batch, n) == [johnson_cover(rows, n) for rows in batch]
+
+
+@pytest.mark.parametrize("n, g", [(10, 3), (11, 3), (13, 5)])
+def test_lane_cycle_covers_of_a_chord_universe(n, g):
+    batch = [_chord_rows(n, g, mask) for mask in range(1, 1 << n)]
+    assert _lane_cycle_covers(batch, n) == [_cycle_cover(rows, n) for rows in batch]
+
+
+def test_lane_cycle_covers_of_complete_digraphs():
+    for n in range(2, 10):
+        full = (1 << n) - 1
+        assert _lane_cycle_covers([(full,) * n], n) == [[0] + [full] * n], n
+
+
+def test_lane_cycle_covers_of_empty_one_lane_and_shuffled_batches():
+    assert _lane_cycle_covers([], 5) == []
+    for d in (d1(12), d2(12), q1(12, 5), standard_cycle(12), Digraph(12, (0,) * 12)):
+        assert _lane_cycle_covers([d.rows], 12) == [_cycle_cover(d.rows, 12)]
+    rng = random.Random(43)
+    batch = _cover_batch(rng, 8)
+    covers = _lane_cycle_covers(batch, 8)
+    order = list(range(len(batch)))
+    rng.shuffle(order)
+    assert _lane_cycle_covers([batch[t] for t in order], 8) == [covers[t] for t in order]
+
+
+def test_lane_cycle_cover_budget_counts_the_batch_states(monkeypatch):
+    # The complete digraph of order 8 creates ({s}, s) and every (set, end)
+    # with end != s above its least vertex s: n + (n - 2) 2^(n-1) + 1 = 777
+    # states, under the n 2^(n-1) = 1024 of the docstring.  The cycle and d1
+    # add none, because the batch keeps one state per (set, end).
+    n = 8
+    full = (1 << n) - 1
+    batch = [(full,) * n, standard_cycle(n).rows, d1(n).rows]
+    module = importlib.import_module("primexp.digraph")
+    monkeypatch.setattr(module, "CYCLE_COVER_BUDGET", 777)
+    assert _lane_cycle_covers(batch, n) == [_cycle_cover(rows, n) for rows in batch]
+    monkeypatch.setattr(module, "CYCLE_COVER_BUDGET", 776)
+    with pytest.raises(TruncatedProfileError, match="budget of 776 "):
+        _lane_cycle_covers(batch, n)
 
 
 # -- primitivity -------------------------------------------------------------------

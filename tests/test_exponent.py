@@ -827,7 +827,7 @@ def test_cwalk_rows_raise_as_cwalk_of_cover_does():
     with pytest.raises(NotPrimitiveError):
         c_walk_distances(standard_cycle(64))
     with pytest.raises(NotPrimitiveError):
-        _bound_facts(rows, 64, exponent_of_rows(rows, 64))
+        _bound_facts(rows, 64, exponent_of_rows(rows, 64), cover)
     for kernel in (_cwalk_rows, cwalk_of_cover):
         with pytest.raises(NotPrimitiveError):
             kernel(SINK_CYCLE.rows, 6, [0b111111])

@@ -15,6 +15,7 @@ from primexp.boolmat import serialize_rows
 from primexp.digraph import (
     Digraph,
     _bfs_dist,
+    _cycle_cover,
     _period_of_levels,
     digraph,
     rows_cycle_lengths,
@@ -357,7 +358,9 @@ def test_per_orbit_with_mirror_evaluates_each_least_dihedral_mask_once(n, g, orb
     evaluated = []
 
     def facts(rows):
-        return _bound_facts(rows, n, exponent_of_rows(rows, n)) if rows_primitive(rows, n) else []
+        if not rows_primitive(rows, n):
+            return []
+        return _bound_facts(rows, n, exponent_of_rows(rows, n), _cycle_cover(rows, n))
 
     def evaluate(reps):
         assert not evaluated
@@ -438,7 +441,8 @@ def _memo_run():
 
 def test_memoized_bound_facts_equal_the_memo_less_facts():
     for instance, _, d, facts in _memo_run():
-        assert facts == _bound_facts(d.rows, d.order, exponent_of_rows(d.rows, d.order)), instance
+        assert facts == _bound_facts(d.rows, d.order, exponent_of_rows(d.rows, d.order),
+                                     _cycle_cover(d.rows, d.order)), instance
 
 
 def test_bound_suite_entries_share_one_fact_list_per_key():
@@ -487,7 +491,8 @@ def _random_sweep_oracle(seed: int, samples: int, n_max: int) -> Report:
     for idx, n, p, d in random_instances(seed, samples, n_max):
         if d.rows not in seen:
             digest = hashlib.sha256(serialize_rows(d.rows, n).encode()).hexdigest()[:12]
-            seen[d.rows] = digest, _bound_facts(d.rows, n, exponent_of_rows(d.rows, n))
+            seen[d.rows] = digest, _bound_facts(d.rows, n, exponent_of_rows(d.rows, n),
+                                                _cycle_cover(d.rows, n))
         digest, facts = seen[d.rows]
         report.entries.append((f"rand:{idx:06d}:{digest}", {"n": n, "p": p, "seed": seed}, facts))
     return report
@@ -531,6 +536,27 @@ def test_bound_suite_reads_exponents_in_one_lane_pass_per_order(monkeypatch):
         return lane_exponents(rowsets, n)
 
     monkeypatch.setattr(verify_module, "_lane_exponents", counting)
+    verify_bounds(n_max=8, samples=2000, seed=1)
+    chord, random_orders = passes[:4], passes[4:]
+    assert chord == [(10, 77), (10, 77), (10, 77), (11, 125)]
+    assert sorted(n for n, _ in random_orders) == list(range(2, 9))
+    assert sum(size for _, size in random_orders) == 962
+
+
+def test_bound_suite_reads_cycle_covers_in_one_lane_pass_per_order(monkeypatch):
+    # The same passes as the exponents', and no cover of one representative.
+    passes = []
+    lane_cycle_covers = verify_module._lane_cycle_covers
+
+    def counting(rowsets, n):
+        passes.append((n, len(rowsets)))
+        return lane_cycle_covers(rowsets, n)
+
+    def refuse(rows, n):
+        raise AssertionError("the bound suite built a cover of one representative")
+
+    monkeypatch.setattr(verify_module, "_lane_cycle_covers", counting)
+    monkeypatch.setattr(verify_module, "_cycle_cover", refuse)
     verify_bounds(n_max=8, samples=2000, seed=1)
     chord, random_orders = passes[:4], passes[4:]
     assert chord == [(10, 77), (10, 77), (10, 77), (11, 125)]
