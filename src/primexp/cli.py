@@ -2,7 +2,8 @@
 
 Computational verbs print a single machine-parsable line (value only)
 unless --verbose.  Exit codes: 0 success / all asserted rows agree,
-1 assertion failure, 2 usage error, 3 input error.
+1 assertion failure, 2 usage error, 3 input error (also a file that
+cannot be read or written).
 """
 
 from __future__ import annotations
@@ -60,11 +61,8 @@ _FAMILY_OPTIONS = {"n": "--n", "g": "--g", "N": "--N", "k": "--k", "chord_mask":
 
 
 def _load_digraph(path: str) -> Digraph:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     try:
         return from_matrix(parse_matrix(text))
     except MatrixParseError as exc:
@@ -329,8 +327,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:
-        # Every library error is a ValueError: an input the computation is undefined for.
+    except (ValueError, OSError) as exc:
+        # Every library error is a ValueError: an input the computation is undefined
+        # for.  An OSError is a file that cannot be read or written.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

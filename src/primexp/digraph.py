@@ -176,13 +176,13 @@ def _cycle_cover(rows: tuple[int, ...], n: int) -> list[int]:
     keys it raises TruncatedProfileError, checked after every expanded set
     so that no level overshoots.  So the budget never binds at n <= 20, and
     dense input at orders up to 64 fails within seconds.  The single-matrix
-    cycle-profile callers use it: verify_thm33's attainment notes and the
-    iso invariants (n <= 14), which read the lengths and the per-vertex
-    bit-sets straight from the cover; c_walk_distances and lemma22_bound,
-    which feed it to the c-walk BFS; and the thm36 converse (chord members)
-    through rows_cycle_lengths.  The bound suite (n <= 16) reads its covers
-    from ``_lane_cycle_covers``, the same DP over a batch; one matrix, up to
-    order 64, would not repay a batch's slicing.  Johnson's search stays
+    cycle-profile callers use it: the iso invariants (n <= 14), which read
+    the lengths and the per-vertex bit-sets straight from the cover;
+    c_walk_distances and lemma22_bound, which feed it to the c-walk BFS; and
+    verify's bound_rows_for.  The bound suite, the thm36 converse and the
+    chord-set sweeps read theirs from ``_lane_cycle_covers``, the same DP
+    over a batch; one matrix, up to order 64, would not repay a batch's
+    slicing.  Johnson's search stays
     behind the ``cycles`` verb, which counts cycles under its cap through
     count_cycles, and behind simple_cycles, the test oracle.  The census
     (n <= 5) matches its codes against a table of the simple-cycle arc masks
@@ -243,8 +243,9 @@ def _lane_cycle_covers(rowsets, n: int) -> list[list[int]]:
     raises TruncatedProfileError, checked as ``_cycle_cover`` checks.  Every
     (set, end) pair is one state at most, with s the least vertex of the
     set, so a batch creates fewer than n * 2^(n-1) keys, 524 288 at n = 16:
-    the budget never binds in the bound suite (n <= 16), which reads its
-    covers from here, one pass per chord universe and per random order.
+    the budget never binds in the bound suite or the thm36 converse (both
+    n <= 16).  The thm33 chord sets reach n = 20, past that argument; there
+    the margin is the measured count, at most 303 states (at (20, 11)).
     """
     lanes = len(rowsets)
     if not lanes:
@@ -303,12 +304,6 @@ def _lane_cycle_covers(rowsets, n: int) -> list[list[int]]:
             for t, cover in enumerate(covers):
                 cover[k] = int(text[t::lanes], 2)
     return covers
-
-
-def rows_cycle_lengths(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Sorted simple-cycle lengths by the subset DP of ``_cycle_cover``; () if acyclic."""
-    cover = _cycle_cover(rows, n)
-    return tuple(k for k in range(1, n + 1) if cover[k])
 
 
 def girth(d: Digraph) -> int | None:

@@ -18,12 +18,13 @@ relabeled, and every bound-suite fact survives transposition.  The thm36
 converse keeps rotation orbits, because the D^z index it reports does not.
 Both get each orbit's successor rows straight from its mask through
 ``families._chord_rows``, the only chorded-cycle constructor, and build no
-Digraph per member; so do ``verify_thm33`` and the thm36 forward sweep,
-which read the exponents of a pair's chord sets off their masks' rows in
-one lane pass (``_chord_sets``).  Every member of the (n, g) universe has
-period gcd(n, g), so primitivity is one gcd test per universe: the bound suite
-skips a universe with gcd(n, g) > 1, and thm36 refuses the pair.  In the
-same way the bound suite's random sweep, drawn on bit rows, evaluates each
+Digraph per member; so do ``verify_thm33`` and the thm36 forward sweep
+(``_chord_sets``).  Each batch of one order, orbit representatives or
+chord sets, gets its exponents and cycle covers from one lane pass each
+(``_lane_passes``), and the thm36 converse reads the girth off the cover.
+Every member of the (n, g) universe has period gcd(n, g), so primitivity
+is one gcd test per universe: the bound suite skips a universe with
+gcd(n, g) > 1, and thm36 refuses the pair.  In the same way the bound suite's random sweep, drawn on bit rows, evaluates each
 rotation orbit of its drawn Hamiltonian cycle once: a try's offset pattern
 (``_random_tries``) rebuilds it up to relabeling, so tries whose patterns
 have one least rotation are isomorphic and get the facts of the first.
@@ -74,8 +75,6 @@ from .digraph import (
     _bfs_levels,
     _cycle_cover,
     _lane_cycle_covers,
-    rows_cycle_lengths,
-    rows_girth,
 )
 from .exponent import (
     NotPrimitiveError,
@@ -256,17 +255,15 @@ def _bound_facts(rows: tuple[int, ...], n: int, exp: int | None, cover: list[int
     return facts
 
 
-def _batch_bound_facts(reps: list[tuple[object, tuple[int, ...]]], n: int,
-                       memo: dict[tuple, list[VerificationRow]]) -> list[list[VerificationRow]]:
-    """``_bound_facts`` of each (key, successor rows) of order n.
+def _lane_passes(reps: list[tuple[object, tuple[int, ...]]], n: int):
+    """((key, successor rows), exponent, cycle cover) of each item of ``reps``, of order n.
 
-    The exponents come from one ``_lane_exponents`` pass and the cycle
-    covers from one ``_lane_cycle_covers`` pass over the whole batch.
+    The exponents come from one ``_lane_exponents`` pass, None where the
+    rows are not primitive, and the cycle covers from one
+    ``_lane_cycle_covers`` pass over the whole batch.
     """
     rowsets = [rows for _, rows in reps]
-    return [_bound_facts(rows, n, exp, cover, memo)
-            for rows, exp, cover in zip(rowsets, _lane_exponents(rowsets, n),
-                                        _lane_cycle_covers(rowsets, n))]
+    return zip(reps, _lane_exponents(rowsets, n), _lane_cycle_covers(rowsets, n))
 
 
 def bound_rows_for(d: Digraph, instance: str, report: Report, **params) -> None:
@@ -344,8 +341,10 @@ def _chord_universe_rows(pair: tuple[int, int]) -> list[Entry]:
     memo: dict[tuple, list[VerificationRow]] = {}
     label = f"chord:n={n},g={g},mask="
     return [(label + str(mask), {"n": n, "g": g, "mask": mask}, facts)
-            for mask, facts in _per_orbit(n, g, lambda reps: _batch_bound_facts(reps, n, memo),
-                                          mirror=True)]
+            for mask, facts in _per_orbit(
+                n, g, lambda reps: [_bound_facts(rows, n, exp, cover, memo)
+                                    for (_, rows), exp, cover in _lane_passes(reps, n)],
+                mirror=True)]
 
 
 def verify_bounds(
@@ -396,8 +395,8 @@ def verify_bounds(
     orbit_facts: list[list[VerificationRow]] = [[]] * len(slot_of)
     memo: dict[tuple, list[VerificationRow]] = {}
     for n, reps in batches.items():
-        for (slot, _), facts in zip(reps, _batch_bound_facts(reps, n, memo)):
-            orbit_facts[slot] = facts
+        for (slot, rows), exp, cover in _lane_passes(reps, n):
+            orbit_facts[slot] = _bound_facts(rows, n, exp, cover, memo)
     report.entries += [(label, params, orbit_facts[slot]) for label, params, slot in pending]
     return report
 
@@ -508,28 +507,27 @@ def verify_lemma24(n: int = 4) -> Report:
 # -- chord-family exact formula ----------------------------------------------
 
 def _chord_sets(n: int, g: int):
-    """(mask, label, N, successor rows, exponent) of every chord set N within
-    1..t, t = ``chord_position_cap(n, g)``, masks ascending from 1.
+    """(mask, label, N, successor rows, exponent, cycle cover) of every chord
+    set N within 1..t, t = ``chord_position_cap(n, g)``, masks ascending from 1.
 
     Bit i - 1 of the mask is position i, so max(N) is its bit length.  All
-    exponents come from one ``_lane_exponents`` pass, made at the first
-    item.  Raises NotPrimitiveError on a member that is not primitive; none
-    is when gcd(n, g) = 1.
+    exponents and covers come from one ``_lane_passes`` call, made at the
+    first item.  Raises NotPrimitiveError on a member that is not primitive;
+    none is when gcd(n, g) = 1.
     """
-    masks = range(1, 1 << chord_position_cap(n, g))
-    rowsets = [_chord_rows(n, g, mask) for mask in masks]
-    exps = _lane_exponents(rowsets, n)
-    if None in exps:
+    facts = list(_lane_passes(
+        [(mask, _chord_rows(n, g, mask)) for mask in range(1, 1 << chord_position_cap(n, g))], n))
+    if any(oracle is None for _, oracle, _ in facts):
         raise NotPrimitiveError(f"digraph of order {n} is not primitive")
-    for mask, rows, oracle in zip(masks, rowsets, exps):
+    for (mask, rows), oracle, cover in facts:
         N = [i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1]
-        yield mask, f"d_gN:n={n},g={g},N=" + ",".join(map(str, N)), N, rows, oracle
+        yield mask, f"d_gN:n={n},g={g},N=" + ",".join(map(str, N)), N, rows, oracle, cover
 
 
-def _attainment_note(n: int, g: int, r: int, rows: tuple[int, ...]) -> str:
+def _attainment_note(n: int, g: int, r: int, rows: tuple[int, ...], cover: list[int]) -> str:
     """Claimed against computed cycle-meeting diameter and its attaining pair.
 
-    The rows must be primitive; the cycle cover comes from the subset DP.
+    The rows must be primitive, and ``cover`` is their cycle cover.
     """
     if r < n - g + 1:
         claimed_pair = (n, g + r)
@@ -537,7 +535,7 @@ def _attainment_note(n: int, g: int, r: int, rows: tuple[int, ...]) -> str:
     else:
         claimed_pair = (n, 1)
         claimed = n - 1
-    cw = cwalk_of_cover(rows, n, _cycle_cover(rows, n))
+    cw = cwalk_of_cover(rows, n, cover)
     mark = "match" if (cw.max == claimed and cw.arg_max == claimed_pair) else "differ"
     return (
         f"claimed dC={claimed}@{claimed_pair}; "
@@ -554,9 +552,9 @@ def verify_thm33(n_min: int = 5, n_max: int = 12) -> Report:
 
     Each coprime pair (n, g) has 2^min(n-g+1, g) - 1 chord sets, so n_max
     above THM33_ORDER_CAP = 20 raises ValueError before any work.  Order 20
-    alone took 0.3 s and orders 5..20 1.3 s (2-core VM, Python 3.11); order
-    23 alone took 4.6 s before the exponents came from one lane pass per
-    pair, and the cost keeps growing with the order.
+    alone took 0.18 s and orders 5..20 0.8-1.0 s (2-core VM, Python 3.11);
+    order 23 alone took 4.6 s before the exponents came from one lane pass
+    per pair, and the cost keeps growing with the order.
     """
     if n_max > THM33_ORDER_CAP:
         raise ValueError(f"n_max must be at most {THM33_ORDER_CAP}, got {n_max}")
@@ -566,11 +564,11 @@ def verify_thm33(n_min: int = 5, n_max: int = 12) -> Report:
         for g in range(2, n):
             if math.gcd(n, g) != 1:
                 continue
-            for mask, label, N, rows, oracle in _chord_sets(n, g):
+            for mask, label, N, rows, oracle, cover in _chord_sets(n, g):
                 r = mask.bit_length()
                 row = make_row(
                     "T3.3", label, formula_thm33(n, g, r), oracle,
-                    asserted=mask in (1, 3), notes=_attainment_note(n, g, r, rows),
+                    asserted=mask in (1, 3), notes=_attainment_note(n, g, r, rows, cover),
                     n=n, g=g, N=N, r=r,
                 )
                 report.add(row)
@@ -645,28 +643,28 @@ def proof_threshold_min_g(n: int) -> int:
     return g
 
 
-def _converse_facts(mask: int, rows: tuple[int, ...], n: int, g: int, low: int, high: int):
-    """Converse facts of ``mask``'s member, whose successor rows are ``rows``.
+def _converse_facts(mask: int, oracle: int, cover: list[int], n: int, g: int,
+                    low: int, high: int):
+    """Converse facts of ``mask``'s member from its exponent and cycle cover.
 
     The member must be primitive, as every member is when gcd(n, g) = 1.
-    None unless its girth is g; otherwise (exponent, cycle lengths from the
-    subset DP when the exponent exceeds low, window index z and the D^z
-    index when the exponent is in (low, high]).  D^z is the masks
-    2^(z-1) + i, i ascending, as the forward sweep lists them, so the index
-    of the first member isomorphic to this one is that of its least rotation
-    there.
+    The cover has every cycle length, so its least is the girth.  None
+    unless the girth is g; otherwise (exponent, cycle lengths
+    when the exponent exceeds low, window index z and the D^z index when the
+    exponent is in (low, high]).  D^z is the masks 2^(z-1) + i, i ascending,
+    as the forward sweep lists them, so the index of the first member
+    isomorphic to this one is that of its least rotation there.
     """
-    if rows_girth(rows, n) != g:
+    lengths = tuple([k for k in range(1, n + 1) if cover[k]])
+    if lengths[0] != g:
         return None
-    oracle = exponent_of_rows(rows, n)
-    lengths = rows_cycle_lengths(rows, n) if oracle > low else None
     z = match = None
     if low < oracle <= high:
         z = z_of_w(n, g, oracle)
         first = 1 << (z - 1)
         match = min((r - first for r in _rotations(mask, n) if first <= r < 2 * first),
                     default=None)
-    return oracle, lengths, z, match
+    return oracle, lengths if oracle > low else None, z, match
 
 
 def verify_thm36(n: int, g: int) -> Report:
@@ -681,7 +679,7 @@ def verify_thm36(n: int, g: int) -> Report:
 
     Phase b walks 2^n - 1 chord masks, so n above CHORD_ORDER_CAP = 16
     raises ValueError, as in the bound suite; each coprime g at n = 16 took
-    0.1-0.4 s (2-core VM, Python 3.11).  Phase c needs n >= 4, a chord
+    0.12-0.15 s (2-core VM, Python 3.11).  Phase c needs n >= 4, a chord
     span 2 <= g <= n - 1 and a primitive universe gcd(n, g) = 1.  Any other
     (n, g) raises ValueError before phase a, whose 2^t - 1 forward chord
     sets would otherwise run first.
@@ -699,7 +697,7 @@ def verify_thm36(n: int, g: int) -> Report:
 
     # Phase a: forward sweep over D^z, z = 1..t, the masks of bit length z.
     exps = {}
-    for mask, label, N, _, oracle in _chord_sets(n, g):
+    for mask, label, N, _, oracle, _ in _chord_sets(n, g):
         z = mask.bit_length()
         exps[mask] = oracle
         report.add(make_row(
@@ -716,8 +714,8 @@ def verify_thm36(n: int, g: int) -> Report:
     eligible = 0
     in_window = 0
     for mask, facts in _per_orbit(
-            n, g, lambda reps: [_converse_facts(least, rows, n, g, low, high)
-                                for least, rows in reps]):
+            n, g, lambda reps: [_converse_facts(least, oracle, cover, n, g, low, high)
+                                for (least, _), oracle, cover in _lane_passes(reps, n)]):
         processed += 1
         if facts is None:
             continue

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from operator import getitem
 
-from primexp.digraph import Digraph
+from primexp.digraph import Digraph, _cycle_cover
 from primexp.iso import find_isomorphism
 from primexp.verify import _random_primitive_rows
 
@@ -18,6 +18,12 @@ def relabeled_codes(rows: tuple[int, ...], tables) -> list[int]:
     automorphisms.
     """
     return list(map(sum, zip(*map(getitem, tables, rows))))
+
+
+def cover_lengths(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Sorted simple-cycle lengths read off the subset-DP cover ``_cycle_cover``; () if acyclic."""
+    cover = _cycle_cover(rows, n)
+    return tuple(k for k in range(1, n + 1) if cover[k])
 
 
 def canonical_code(rows: tuple[int, ...], tables) -> int:

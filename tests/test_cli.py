@@ -463,6 +463,20 @@ def test_missing_file_is_input_error(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("family", "cycle", "--n", "5", "-o"),
+    ("verify", "lemma24", "--n", "4", "--out"),
+    ("verify", "census", "--n", "3", "--out"),
+], ids=["family", "lemma24", "census"])
+def test_unwritable_output_path_is_input_error(capsys, tmp_path, argv):
+    # An output path that cannot be opened exits 3 with one error line, as
+    # an unreadable matrix file does, not 1 with a traceback.
+    path = tmp_path / "missing" / "out.jsonl"
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["bound", "lemma99", "--n", "4"])

@@ -23,7 +23,6 @@ from primexp.digraph import (
     digraph,
     from_matrix,
     girth,
-    rows_cycle_lengths,
     rows_girth,
     rows_primitive,
     simple_cycles,
@@ -31,7 +30,7 @@ from primexp.digraph import (
 from primexp.exponent import wielandt_bound
 from primexp.families import _chord_rows, d1, d2, d_gN, h_graph, q1, standard_cycle
 
-from helpers import relabel
+from helpers import cover_lengths, relabel
 
 
 def random_digraph(rng: random.Random, n: int, p: float) -> Digraph:
@@ -378,7 +377,7 @@ def test_johnson_matches_brute_force_enumeration():
 
 
 def assert_lengths_match_the_oracles(rows: tuple[int, ...], n: int) -> None:
-    lengths = rows_cycle_lengths(rows, n)
+    lengths = cover_lengths(rows, n)
     assert lengths == simple_cycles(from_matrix(BoolMatrix(n, rows)))[1].lengths
     assert (lengths[0] if lengths else None) == rows_girth(rows, n)
 

@@ -18,7 +18,6 @@ from primexp.digraph import (
     _cycle_cover,
     _period_of_levels,
     digraph,
-    rows_cycle_lengths,
     rows_primitive,
     simple_cycles,
 )
@@ -50,7 +49,7 @@ from primexp.families import chord_member, d1, d2, d_gN, h_graph, q1, q2, standa
 from primexp.semigroup import frobenius
 from primexp.verify import _bound_facts, _random_primitive_rows
 
-from helpers import random_primitive_digraph, relabel
+from helpers import cover_lengths, random_primitive_digraph, relabel
 
 
 def linear_exponent_scan(rows: tuple[int, ...], n: int) -> tuple[int, tuple[int, ...]] | None:
@@ -898,7 +897,7 @@ def test_too_many_cycle_lengths_falls_back_to_rows_primitive():
             evaluate(Digraph(n, ladder))
     # A sink vertex added below the ladder: not strongly connected.
     sink = Digraph(n + 1, (ladder[0] | 1 << n,) + ladder[1:] + (0,))
-    assert rows_cycle_lengths(sink.rows, n + 1) == tuple(range(1, n + 1))
+    assert cover_lengths(sink.rows, n + 1) == tuple(range(1, n + 1))
     assert not rows_primitive(sink.rows, n + 1)
     for evaluate in (c_walk_distances, lemma22_bound):
         with pytest.raises(NotPrimitiveError, match=f"^digraph of order {n + 1} is not primitive$"):

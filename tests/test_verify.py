@@ -18,7 +18,6 @@ from primexp.digraph import (
     _cycle_cover,
     _period_of_levels,
     digraph,
-    rows_cycle_lengths,
     rows_girth,
     rows_primitive,
     simple_cycles,
@@ -66,6 +65,7 @@ import random
 from helpers import (
     canonical_code,
     classify_against,
+    cover_lengths,
     degree_sorted_rows,
     pattern_rows,
     random_primitive_digraph,
@@ -564,6 +564,36 @@ def test_bound_suite_reads_cycle_covers_in_one_lane_pass_per_order(monkeypatch):
     assert sum(size for _, size in random_orders) == 962
 
 
+def test_chord_sweeps_read_their_facts_in_one_lane_pass_each(monkeypatch):
+    # verify_thm36 makes one pass over the forward chord sets and one over
+    # the 107 rotation-orbit representatives of the (10, 3) universe;
+    # verify_thm33 one per coprime pair, over its chord sets.  No member's
+    # exponent or cover is computed on its own.
+    passes = []
+
+    def counting(kernel):
+        def count(rowsets, n):
+            passes.append((kernel.__name__, n, len(rowsets)))
+            return kernel(rowsets, n)
+        return count
+
+    def refuse(rows, n):
+        raise AssertionError("a chord sweep computed one member on its own")
+
+    for name in ("_lane_exponents", "_lane_cycle_covers"):
+        monkeypatch.setattr(verify_module, name, counting(getattr(verify_module, name)))
+    monkeypatch.setattr(verify_module, "_cycle_cover", refuse)
+    monkeypatch.setattr(verify_module, "exponent_of_rows", refuse)
+    verify_thm36(10, 3)
+    assert passes == [(name, 10, lanes) for lanes in (7, 107)
+                      for name in ("_lane_exponents", "_lane_cycle_covers")]
+    passes.clear()
+    verify_thm33(5, 12)
+    pairs = [(n, g) for n in range(5, 13) for g in range(2, n) if math.gcd(n, g) == 1]
+    assert passes == [(name, n, (1 << chord_position_cap(n, g)) - 1) for n, g in pairs
+                      for name in ("_lane_exponents", "_lane_cycle_covers")]
+
+
 def test_run_blocks_starts_at_most_one_worker_per_cpu(monkeypatch):
     import concurrent.futures
 
@@ -846,8 +876,8 @@ def test_girth_floor_walk_at_order_five():
 
 def test_chord_sets_match_the_d_gN_constructor(monkeypatch):
     # The sweep of verify_thm33 and the thm36 forward phase against the
-    # public constructor, its exponent and the d_gN label format; each pair's
-    # exponents come from one lane pass.
+    # public constructor, its exponent, the subset DP and the d_gN label
+    # format; each pair's exponents come from one lane pass.
     passes = []
     lane_exponents = verify_module._lane_exponents
 
@@ -860,11 +890,12 @@ def test_chord_sets_match_the_d_gN_constructor(monkeypatch):
         sets = list(_chord_sets(n, g))
         assert passes.pop() == n and not passes
         assert [mask for mask, *_ in sets] == list(range(1, 1 << chord_position_cap(n, g)))
-        for mask, label, N, rows, oracle in sets:
+        for mask, label, N, rows, oracle, cover in sets:
             assert sum(1 << (i - 1) for i in N) == mask and max(N) == mask.bit_length()
             d = d_gN(n, g, N)
             assert label == f"d_gN:n={n},g={g},N=" + ",".join(map(str, N))
             assert rows == d.rows and oracle == exponent(d).value
+            assert cover == _cycle_cover(rows, n), (n, g, mask)
     # gcd(10, 4) = 2: no member is primitive, and the sweep says so as
     # exponent() does.
     with pytest.raises(NotPrimitiveError):
@@ -1017,18 +1048,30 @@ def test_verify_thm36_report_bytes_are_pinned_at_orders_fifteen_and_sixteen(n, g
 
 
 def test_verify_thm36_converse_rows_equal_the_per_member_loop():
-    # Every mask on its own, with no orbit cache, against the isomorphism
-    # search over the D^z members.  (10, 7) is among the pairs where
-    # dihedral orbits would change the report: the D^z index is not
-    # invariant under transposition.
+    # Every mask on its own, with no orbit cache and no lane pass: the girth
+    # by the BFS, the exponent by the squaring search and the lengths by the
+    # subset DP, against the isomorphism search over the D^z members.
+    # (10, 7) is among the pairs where dihedral orbits would change the
+    # report: the D^z index is not invariant under transposition.
     pairs = [(n, g) for n in range(5, 12) for g in range(2, n) if math.gcd(n, g) == 1]
     for n, g in pairs:
         low, high = thm36_range(n, g)
         expected = []
+        cyclesets = []
         for mask in range(1, 1 << n):
             member = chord_member(n, g, mask)
-            facts = _converse_facts(mask, member.rows, n, g, low, high)
-            if facts is not None and facts[2] is not None:
+            oracle = exponent_of_rows(member.rows, n)
+            cover = _cycle_cover(member.rows, n)
+            facts = _converse_facts(mask, oracle, cover, n, g, low, high)
+            if rows_girth(member.rows, n) != g:
+                assert facts is None, (n, g, mask)
+                continue
+            lengths = cover_lengths(member.rows, n)
+            assert facts[:2] == (oracle, lengths if oracle > low else None), (n, g, mask)
+            assert (facts[2] is not None) == (low < oracle <= high), (n, g, mask)
+            if oracle > low:
+                cyclesets.append((mask, list(lengths)))
+            if facts[2] is not None:
                 first = 1 << (facts[2] - 1)
                 family = [chord_member(n, g, m) for m in range(first, 2 * first)]
                 assert facts[3] == classify_against(member, family), (n, g, mask)
@@ -1036,6 +1079,9 @@ def test_verify_thm36_converse_rows_equal_the_per_member_loop():
         report = verify_thm36(n, g)
         converse = [(r.params["mask"], r.oracle) for r in rows_by_claim(report, "C3.7")]
         assert converse and sorted(converse) == expected, (n, g)
+        forced = [(r.params["mask"], r.oracle) for r in rows_by_claim(report, "T3.6")
+                  if r.instance.startswith("cycleset:")]
+        assert sorted(forced) == cyclesets, (n, g)
 
 
 def test_verify_thm36_rejects_gcd_violation():
@@ -1106,7 +1152,7 @@ def test_cycle_mask_table_sizes(n, size):
 def test_cycle_mask_lengths_match_the_dp_on_every_code(n):
     cycle_masks = verify_module._cycle_masks(n)
     for code in range(1 << (n * n)):
-        assert _table_lengths(code, cycle_masks) == rows_cycle_lengths(_msb_rows(code, n), n), code
+        assert _table_lengths(code, cycle_masks) == cover_lengths(_msb_rows(code, n), n), code
 
 
 def _planted_codes(n: int, count: int, seed: int) -> list[int]:
@@ -1129,7 +1175,7 @@ def test_cycle_mask_lengths_match_the_oracles_at_order_five():
     for t, code in enumerate(_planted_codes(n, 2000, 5)):
         rows = _msb_rows(code, n)
         lengths = _table_lengths(code, cycle_masks)
-        assert lengths == rows_cycle_lengths(rows, n), code
+        assert lengths == cover_lengths(rows, n), code
         if t % 10 == 0:
             assert lengths == simple_cycles(Digraph(n, rows))[1].lengths, code
 
@@ -1143,7 +1189,7 @@ def _check_lane_facts(codes: list[int], n: int) -> None:
         rows = _msb_rows(code, n)
         found = _exponent_kernel(rows, n)
         assert exp == (None if found is None else found[0]), code
-        assert lengths == rows_cycle_lengths(rows, n), code
+        assert lengths == cover_lengths(rows, n), code
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
