@@ -98,11 +98,16 @@ def transpose_rows(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 
 def _lane_entries(rowsets, n: int) -> list[list[int]]:
-    """A nonempty batch of order-n row tuples, bit-sliced into lanes.
+    """A batch of order-n row tuples, bit-sliced into lanes.
 
     Entry [i][j] is an int that holds entry (i, j) of every matrix, matrix t
     at bit len(rowsets)-1-t, so one AND or OR acts on every matrix at once.
+    The lane kernels (``exponent._lane_exponents`` and
+    ``digraph._lane_cycle_covers``) take these slices, so a batch read by
+    both is sliced once.  An empty batch gives all-zero entries.
     """
+    if not rowsets:
+        return [[0] * n for _ in range(n)]
     nn = n * n
     width = f"0{n}b"
     text = "".join([format(row, width) for rows in rowsets for row in rows])

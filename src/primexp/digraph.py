@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .boolmat import BoolMatrix, _check_order, _lane_entries, transpose_rows
+from .boolmat import BoolMatrix, _check_order, transpose_rows
 
 DEFAULT_CYCLE_CAP = 10**6
 # Keys one ``_cycle_cover`` or ``_lane_cycle_covers`` run may create.  A
@@ -226,12 +226,13 @@ def _cycle_cover(rows: tuple[int, ...], n: int) -> list[int]:
     return cover
 
 
-def _lane_cycle_covers(rowsets, n: int) -> list[list[int]]:
-    """``_cycle_cover`` of every successor-row tuple in ``rowsets``, in order.
+def _lane_cycle_covers(arc: list[list[int]], lanes: int) -> list[list[int]]:
+    """``_cycle_cover`` of each of the ``lanes`` matrices in ``arc``, in lane order.
 
-    The batch is bit-sliced as ``exponent._lane_exponents`` slices it (see
-    ``boolmat._lane_entries``), and ``_cycle_cover``'s DP runs once over
-    the union of its matrices.  A state is a vertex set and an end vertex,
+    ``arc`` is a batch of one order bit-sliced into lanes by
+    ``boolmat._lane_entries``, the slices ``exponent._lane_exponents``
+    takes, and ``_cycle_cover``'s DP runs once over the union of its
+    matrices.  A state is a vertex set and an end vertex,
     and holds the lanes with a simple path from the least vertex s, through
     that set, that ends there; it grows by one vertex above s at a time, on
     the lanes that have the arc.  A state whose end has an arc back to s
@@ -247,10 +248,9 @@ def _lane_cycle_covers(rowsets, n: int) -> list[list[int]]:
     n <= 16).  The thm33 chord sets reach n = 20, past that argument; there
     the margin is the measured count, at most 303 states (at (20, 11)).
     """
-    lanes = len(rowsets)
     if not lanes:
         return []
-    arc = _lane_entries(rowsets, n)
+    n = len(arc)
     # bit j of union[i] is set when some matrix has the arc i -> j.
     union = [sum(1 << j for j, held in enumerate(row) if held) for row in arc]
     into = transpose_rows(union, n)

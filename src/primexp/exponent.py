@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from operator import and_, or_
 
-from .boolmat import _lane_entries, mul_rows
+from .boolmat import mul_rows
 from .digraph import (
     Digraph,
     TruncatedProfileError,
@@ -154,11 +154,13 @@ def _positive_lanes(entries: list[list[int]]) -> int:
     return functools.reduce(and_, itertools.chain.from_iterable(entries))
 
 
-def _lane_exponents(rowsets, n: int) -> list[int | None]:
-    """``exponent_of_rows`` of every successor-row tuple in ``rowsets``, in order.
+def _lane_exponents(arc: list[list[int]], lanes: int) -> list[int | None]:
+    """``exponent_of_rows`` of each of the ``lanes`` matrices in ``arc``, in lane order.
 
-    The matrices are bit-sliced into lanes (``boolmat._lane_entries``), so
-    each AND or OR acts on every matrix at once.  The search is
+    ``arc`` is a batch of one order bit-sliced into lanes by
+    ``boolmat._lane_entries``, so each AND or OR acts on every matrix at
+    once; the caller slices a batch once and hands the same slices to
+    ``digraph._lane_cycle_covers`` as well.  The search is
     ``_exponent_kernel``'s, lane by lane.  All lanes are squared together,
     keeping every square, until every lane is positive or the index reaches
     Wielandt's bound (n-1)^2 + 1; a lane not positive at the last square is
@@ -169,10 +171,10 @@ def _lane_exponents(rowsets, n: int) -> list[int | None]:
     batch of a few hundred matrices of one order costs about as many
     products as one of them.
     """
-    lanes = len(rowsets)
     if not lanes:
         return []
-    square = _lane_entries(rowsets, n)
+    n = len(arc)
+    square = arc
     everyone = (1 << lanes) - 1
     cap = wielandt_bound(n)
     squares = []

@@ -20,11 +20,15 @@ Both get each orbit's successor rows straight from its mask through
 ``families._chord_rows``, the only chorded-cycle constructor, and build no
 Digraph per member; so do ``verify_thm33`` and the thm36 forward sweep
 (``_chord_sets``).  Each batch of one order, orbit representatives or
-chord sets, gets its exponents and cycle covers from one lane pass each
-(``_lane_passes``), and the thm36 converse reads the girth off the cover.
-Every member of the (n, g) universe has period gcd(n, g), so primitivity
-is one gcd test per universe: the bound suite skips a universe with
-gcd(n, g) > 1, and thm36 refuses the pair.  In the same way the bound suite's random sweep, drawn on bit rows, evaluates each
+chord sets, is bit-sliced once (``boolmat._lane_entries``), and its lane
+passes read the same slices: exponents (``_lane_exponents``) and cycle
+covers (``_lane_cycle_covers``), each only where it is read.  The thm36
+forward sweep makes the exponent pass alone; its converse makes the cover
+pass, reads the girth off each cover, and runs the exponent pass on the
+girth-g members only.  Every member of the (n, g) universe has period
+gcd(n, g), so primitivity is one gcd test per universe: the bound suite
+skips a universe with gcd(n, g) > 1, and thm36 refuses the pair.  In the
+same way the bound suite's random sweep, drawn on bit rows, evaluates each
 rotation orbit of its drawn Hamiltonian cycle once: a try's offset pattern
 (``_random_tries``) rebuilds it up to relabeling, so tries whose patterns
 have one least rotation are isomorphic and get the facts of the first.
@@ -48,15 +52,22 @@ universe and the random sweep keep a dict from key to fact list, and the
 1 318 evaluations of ``verify bounds --n-max 8 --samples 2000 --seed 1``
 (356 chord orbits and 962 random pattern orbits; one evaluation per
 distinct random matrix made 1 699) still build 619 lists.  The suite runs
-in two phases: it first collects every orbit representative (a chord
-universe's least dihedral masks, the random tries that are the first with
-their least pattern rotation), then evaluates them order by order: all
-exponents of one order come from one ``_lane_exponents`` pass, and all
-cycle covers from one ``_lane_cycle_covers`` pass.  The c-walk runs on
+in two phases.  It first collects every orbit representative, a chord
+universe's least dihedral masks and the random tries that are the first
+with their least pattern rotation, into one batch per order, whatever
+pair or sweep they come from: the default pairs (10, 3), (10, 7) and
+(10, 9) make one 231-lane batch.  Then each batch is bit-sliced once, and
+one ``_lane_exponents`` and one ``_lane_cycle_covers`` pass read the same
+slices (``_batch_keys``).  With ``--jobs`` N > 1 each batch is dealt
+round-robin into min(N, CPUs) blocks, one slicing and one pair of passes
+per block, and the blocks of every order run on one process pool, so the
+pairs of one order still spread over the workers.  The c-walk runs on
 every representative, and its distance rows are read only for their
 maximum.  Each instance adds one report entry that holds its label, its
 params and its key's fact list, so instances with equal keys share one
-list.
+list.  Five order-16 pairs, (16, 3), (16, 5), (16, 7), (16, 9) and
+(16, 15), take 1.4-1.8 s and 145 MB in process on one worker (2-core VM,
+Python 3.11).
 """
 
 from __future__ import annotations
@@ -69,7 +80,7 @@ import os
 import random
 from operator import add, and_, itemgetter, or_
 
-from .boolmat import MAX_ORDER, serialize_rows
+from .boolmat import MAX_ORDER, _lane_entries
 from .digraph import (
     Digraph,
     _bfs_levels,
@@ -81,6 +92,8 @@ from .exponent import (
     TooManyCycleLengthsError,
     _cwalk_rows,
     _lane_exponents,
+    _positive_lanes,
+    _set_lanes,
     cwalk_of_cover,
     exponent_of_rows,
     formula_thm33,
@@ -94,7 +107,7 @@ from .exponent import (
 )
 from .families import _chord_rows, chord_position_cap, standard_cycle
 from .iso import canonical_code_tables
-from .report import CensusRow, Entry, Report, VerificationRow, make_row
+from .report import CensusRow, Report, VerificationRow, make_row
 from .semigroup import frobenius
 
 BERNOULLI_SWEEP = (0.05, 0.1, 0.2)
@@ -191,8 +204,13 @@ def random_instances(seed: int, samples: int, n_max: int):
         yield idx, n, p, Digraph(n, rows)
 
 
-def matrix_digest(rows: tuple[int, ...], n: int) -> str:
-    text = serialize_rows(rows, n)
+def matrix_digest(rows: tuple[int, ...], n: int, lines: list[str]) -> str:
+    """The first 12 hex digits of the SHA-256 of the rows' text format.
+
+    ``lines[row]`` is the text of the order-n row value ``row`` with its
+    line feed, as ``serialize_rows`` writes it.
+    """
+    text = "".join([f"{n}\n", *map(lines.__getitem__, rows)])
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -227,17 +245,16 @@ def _fact_rows(n: int, exp: int, lengths: tuple[int, ...], cw: int | str) -> lis
             for claim, predicted, oracle, options in facts]
 
 
-def _bound_facts(rows: tuple[int, ...], n: int, exp: int | None, cover: list[int],
-                 memo: dict[tuple, list[VerificationRow]] | None = None) -> list[VerificationRow]:
-    """``_fact_rows`` of a digraph's order, exponent, cycle lengths and c-walk.
+def _bound_key(rows: tuple[int, ...], n: int, exp: int | None,
+               cover: list[int]) -> tuple[int, int, tuple[int, ...], int | str]:
+    """The ``_fact_rows`` arguments of a digraph: order, exponent, cycle lengths and c-walk.
 
     ``exp`` is the exponent of the successor rows, None when they are not
     primitive, which raises NotPrimitiveError, and ``cover`` is their
     subset-DP cycle cover (``_cycle_cover``), which has no cap.  The cycle
     lengths are read off the cover, and the c-walk runs on it on every
     call.  Every value is an isomorphism invariant and does not change when
-    every arc is reversed.  With ``memo`` the rows are built once per key
-    of those four values, and calls with equal keys return one shared list.
+    every arc is reversed, so equal keys give equal facts.
     """
     if exp is None:
         raise NotPrimitiveError(f"digraph of order {n} is not primitive")
@@ -246,24 +263,32 @@ def _bound_facts(rows: tuple[int, ...], n: int, exp: int | None, cover: list[int
         cw = max(map(max, _cwalk_rows(rows, n, cover)))
     except TooManyCycleLengthsError as exc:
         cw = f"skipped: {exc}"
-    key = (n, exp, lengths, cw)
-    if memo is None:
-        return _fact_rows(*key)
-    facts = memo.get(key)
-    if facts is None:
-        facts = memo[key] = _fact_rows(*key)
-    return facts
+    return n, exp, lengths, cw
 
 
-def _lane_passes(reps: list[tuple[object, tuple[int, ...]]], n: int):
-    """((key, successor rows), exponent, cycle cover) of each item of ``reps``, of order n.
+def _bound_facts(rows: tuple[int, ...], n: int, exp: int | None,
+                 cover: list[int]) -> list[VerificationRow]:
+    """``_fact_rows`` of a digraph's ``_bound_key``."""
+    return _fact_rows(*_bound_key(rows, n, exp, cover))
 
-    The exponents come from one ``_lane_exponents`` pass, None where the
-    rows are not primitive, and the cycle covers from one
-    ``_lane_cycle_covers`` pass over the whole batch.
+
+def _shared_facts(keys: list[tuple]) -> list[list[VerificationRow]]:
+    """The ``_fact_rows`` of each key, one list shared by every equal key."""
+    memo = {key: _fact_rows(*key) for key in dict.fromkeys(keys)}
+    return [memo[key] for key in keys]
+
+
+def _batch_keys(args: tuple[int, list[tuple[int, ...]]]) -> list[tuple]:
+    """The ``_bound_key`` of each successor-row tuple of a batch of order n, in order.
+
+    The batch is bit-sliced once (``_lane_entries``), and the same slices
+    feed one ``_lane_exponents`` pass and one ``_lane_cycle_covers`` pass.
     """
-    rowsets = [rows for _, rows in reps]
-    return zip(reps, _lane_exponents(rowsets, n), _lane_cycle_covers(rowsets, n))
+    n, rowsets = args
+    arc = _lane_entries(rowsets, n)
+    exps = _lane_exponents(arc, len(rowsets))
+    covers = _lane_cycle_covers(arc, len(rowsets))
+    return [_bound_key(rows, n, exp, cover) for rows, exp, cover in zip(rowsets, exps, covers)]
 
 
 def bound_rows_for(d: Digraph, instance: str, report: Report, **params) -> None:
@@ -298,18 +323,17 @@ def _rotations(mask: int, n: int) -> list[int]:
     return rotations
 
 
-def _per_orbit(n: int, g: int, evaluate, mirror: bool = False) -> list[tuple[int, object]]:
-    """(mask, its orbit's value) for every member of the (n, g) chord universe.
+def _orbits(n: int, g: int, mirror: bool = False):
+    """(reps, orbit) of the (n, g) chord universe, whose masks run from 1 to 2^n - 1.
 
-    Masks ascend from 1 to 2^n - 1.  The first mask of each rotation orbit
-    is its least, because masks ascend; ``evaluate`` is called once, on the
-    list of (least mask, successor rows) of every orbit (``_chord_rows``)
-    in ascending mask order, and returns one value per item, which must be
-    constant on the item's orbit.  Every member then gets its orbit's value.
+    ``reps`` lists (least mask, successor rows) of every rotation orbit
+    (``_chord_rows``) in ascending mask order: the first mask of an orbit
+    is its least, because masks ascend.  ``orbit[mask]`` is the index in
+    ``reps`` of mask's orbit (``orbit[0]`` is None).
 
-    With ``mirror`` the orbit also takes in every rotation of
+    With ``mirror`` an orbit also takes in every rotation of
     ``_mirror_mask``, whose member is the transpose of this one relabeled,
-    so ``evaluate`` sees one mask per dihedral orbit (77 instead of 107 at
+    so ``reps`` has one mask per dihedral orbit (77 instead of 107 at
     n = 10).  Only the bound suite turns it on: its facts do not change
     when every arc is reversed.  The thm36 converse must not, because the
     D^z index it stores is not invariant under transposition: with it on,
@@ -325,26 +349,20 @@ def _per_orbit(n: int, g: int, evaluate, mirror: bool = False) -> list[tuple[int
             for start in (mask, _mirror_mask(mask, n, g)) if mirror else (mask,):
                 orbit_of.update(dict.fromkeys(_rotations(start, n), len(reps)))
             reps.append((mask, _chord_rows(n, g, mask)))
-    values = evaluate(reps)
-    return [(mask, values[orbit_of[mask]]) for mask in range(1, 1 << n)]
+    # A list holds the index far more compactly than the dict.
+    return reps, list(map(orbit_of.get, range(1 << n)))
 
 
-def _chord_universe_rows(pair: tuple[int, int]) -> list[Entry]:
-    """Bound-suite report entries for every primitive member of the (n, g) chord universe.
+def _per_orbit(n: int, g: int, evaluate, mirror: bool = False) -> list[tuple[int, object]]:
+    """(mask, its orbit's value) for every member of the (n, g) chord universe.
 
-    Each chord closes a g-cycle with the n-cycle, so every member has
-    period gcd(n, g): all of them are primitive or none is.
+    ``evaluate`` is called once, on the ``_orbits`` representatives, and
+    returns one value per item, which must be constant on the item's orbit.
+    Every member then gets its orbit's value.
     """
-    n, g = pair
-    if math.gcd(n, g) != 1:
-        return []
-    memo: dict[tuple, list[VerificationRow]] = {}
-    label = f"chord:n={n},g={g},mask="
-    return [(label + str(mask), {"n": n, "g": g, "mask": mask}, facts)
-            for mask, facts in _per_orbit(
-                n, g, lambda reps: [_bound_facts(rows, n, exp, cover, memo)
-                                    for (_, rows), exp, cover in _lane_passes(reps, n)],
-                mirror=True)]
+    reps, orbit = _orbits(n, g, mirror)
+    values = evaluate(reps)
+    return [(mask, values[orbit[mask]]) for mask in range(1, 1 << n)]
 
 
 def verify_bounds(
@@ -357,12 +375,15 @@ def verify_bounds(
     """Bound suite over exhaustive chord families plus a seeded random sweep.
 
     Each chord pair (n, g) needs 2 <= g <= n-1 and n <= CHORD_ORDER_CAP,
-    checked before any universe runs.  A universe has 2^n - 1 members, and
-    its time and memory about double with each order: on 2 cores under
-    Python 3.11, each of (16, 3), (16, 5), (16, 7), (16, 9) and (16, 15)
-    took 0.26-0.37 s and 49 MB.  With jobs > 1 the chord universes run in
-    worker processes, one per (n, g) pair; the random sweep always runs
-    here.
+    checked before any work.  Every member of the (n, g) universe has
+    period gcd(n, g), so a pair with gcd(n, g) > 1 adds no entry.  The
+    suite collects every orbit representative into one batch per order
+    (``_chord_representatives``, ``_random_representatives``), bit-slices
+    each batch once for its two lane passes, dealt over min(jobs, CPUs)
+    worker processes when jobs > 1 (``_order_keys``), and gives each chord
+    pair and the random sweep one shared fact list per key
+    (``_shared_facts``); see the module docstring.  A universe has 2^n - 1
+    members, and its time and memory about double with each order.
     """
     if not 2 <= n_max <= 10:
         raise ValueError(f"n_max must be in 2..10, got {n_max}")
@@ -373,32 +394,88 @@ def verify_bounds(
         if not (2 <= g <= n - 1 and n <= CHORD_ORDER_CAP):
             raise ValueError(
                 f"chord pair {n}:{g} needs 2 <= g <= n-1 and n <= {CHORD_ORDER_CAP}")
+    batches: dict[int, list[tuple[int, ...]]] = {}
+    universes = _chord_representatives(chord_pairs, batches)
+    slots, pending = _random_representatives(seed, samples, n_max, batches)
+    keys = _order_keys(batches, jobs)
+    # The representatives' rows are not needed for the entries.
+    del batches
     report = Report()
-    for entries in _run_blocks(_chord_universe_rows, chord_pairs, jobs):
-        report.entries += entries
-    # Facts are keyed by the least rotation of the try's pattern, which is
-    # equal on isomorphic tries, so the 2 000 instances at seed 1 take 962
-    # evaluations.  Every try is drawn first, keeping the rows of the first
-    # try of each key only; then those are evaluated, one batch per order.
+    for n, g, start, stop, orbit in universes:
+        facts = _shared_facts(keys[n][start:stop])
+        label = f"chord:n={n},g={g},mask="
+        report.entries += [(label + str(mask), {"n": n, "g": g, "mask": mask}, facts[orbit[mask]])
+                           for mask in range(1, 1 << n)]
+    facts = _shared_facts([keys[n][i] for n, i in slots])
+    report.entries += [(label, params, facts[slot]) for label, params, slot in pending]
+    return report
+
+
+def _chord_representatives(chord_pairs, batches: dict[int, list[tuple[int, ...]]]):
+    """(n, g, start, stop, orbit) of each coprime chord pair, its least
+    dihedral masks' rows (``_orbits``) appended to ``batches[n]`` at start:stop.
+
+    Every member of the (n, g) universe has period gcd(n, g), so a pair
+    with gcd(n, g) > 1 has no primitive member and is left out.
+    """
+    universes = []
+    for n, g in chord_pairs:
+        if math.gcd(n, g) == 1:
+            reps, orbit = _orbits(n, g, mirror=True)
+            batch = batches.setdefault(n, [])
+            universes.append((n, g, len(batch), len(batch) + len(reps), orbit))
+            batch += [rows for _, rows in reps]
+    return universes
+
+
+def _random_representatives(seed: int, samples: int, n_max: int,
+                            batches: dict[int, list[tuple[int, ...]]]):
+    """(slots, pending) of the random sweep; each slot's rows are appended to ``batches``.
+
+    Facts are keyed by the least rotation of the try's pattern, which is
+    equal on isomorphic tries, so the 2 000 instances at seed 1 take 962
+    evaluations.  ``slots`` holds the (order, index in its batch) of the
+    first try with each least rotation, and ``pending`` the (label, params,
+    slot) of every instance.  Each digest reads its rows' text from its
+    order's table of row lines.
+    """
+    lines = {n: [format(row, f"0{n}b")[::-1] + "\n" for row in range(1 << n)]
+             for n in range(2, n_max + 1)}
     slot_of: dict[tuple[int, ...], int] = {}
-    batches: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    slots: list[tuple[int, int]] = []
     pending = []
     for idx, n, p, rows, pattern in _random_rows(seed, samples, n_max):
         twice = pattern + pattern
-        key = min(twice[s:s + n] for s in range(n))
-        slot = slot_of.get(key)
+        least = min(twice[s:s + n] for s in range(n))
+        slot = slot_of.get(least)
         if slot is None:
-            slot = slot_of[key] = len(slot_of)
-            batches.setdefault(n, []).append((slot, rows))
-        pending.append((f"rand:{idx:06d}:{matrix_digest(rows, n)}",
+            slot = slot_of[least] = len(slots)
+            batch = batches.setdefault(n, [])
+            slots.append((n, len(batch)))
+            batch.append(rows)
+        pending.append((f"rand:{idx:06d}:{matrix_digest(rows, n, lines[n])}",
                         {"n": n, "p": p, "seed": seed}, slot))
-    orbit_facts: list[list[VerificationRow]] = [[]] * len(slot_of)
-    memo: dict[tuple, list[VerificationRow]] = {}
-    for n, reps in batches.items():
-        for (slot, rows), exp, cover in _lane_passes(reps, n):
-            orbit_facts[slot] = _bound_facts(rows, n, exp, cover, memo)
-    report.entries += [(label, params, orbit_facts[slot]) for label, params, slot in pending]
-    return report
+    return slots, pending
+
+
+def _order_keys(batches: dict[int, list[tuple[int, ...]]], jobs: int) -> dict[int, list[tuple]]:
+    """The ``_bound_key`` of every row tuple of each order's batch, in order.
+
+    One batch per order is bit-sliced once and read by one pass of each
+    lane kernel (``_batch_keys``).  With jobs > 1 each batch is dealt
+    round-robin into min(jobs, CPUs) blocks, so the pairs of one order
+    still spread over the worker processes.
+    """
+    workers = max(1, min(jobs, os.cpu_count() or 1))
+    deals = {n: min(workers, len(batch)) for n, batch in batches.items()}
+    blocks = iter(_run_blocks(_batch_keys, [(n, batches[n][b::k]) for n, k in deals.items()
+                                            for b in range(k)], jobs))
+    keys: dict[int, list[tuple]] = {}
+    for n, k in deals.items():
+        keys[n] = [None] * len(batches[n])
+        for b in range(k):
+            keys[n][b::k] = next(blocks)
+    return keys
 
 
 # -- worker processes ---------------------------------------------------------
@@ -506,20 +583,25 @@ def verify_lemma24(n: int = 4) -> Report:
 
 # -- chord-family exact formula ----------------------------------------------
 
-def _chord_sets(n: int, g: int):
+def _chord_sets(n: int, g: int, covers: bool = False):
     """(mask, label, N, successor rows, exponent, cycle cover) of every chord
     set N within 1..t, t = ``chord_position_cap(n, g)``, masks ascending from 1.
 
-    Bit i - 1 of the mask is position i, so max(N) is its bit length.  All
-    exponents and covers come from one ``_lane_passes`` call, made at the
-    first item.  Raises NotPrimitiveError on a member that is not primitive;
-    none is when gcd(n, g) = 1.
+    Bit i - 1 of the mask is position i, so max(N) is its bit length.  The
+    batch is bit-sliced once, at the first item; all exponents come from
+    one ``_lane_exponents`` pass and, with ``covers``, all cycle covers
+    from one ``_lane_cycle_covers`` pass on the same slices (the cover is
+    None otherwise).  Raises NotPrimitiveError on a member that is not
+    primitive; none is when gcd(n, g) = 1.
     """
-    facts = list(_lane_passes(
-        [(mask, _chord_rows(n, g, mask)) for mask in range(1, 1 << chord_position_cap(n, g))], n))
-    if any(oracle is None for _, oracle, _ in facts):
+    masks = range(1, 1 << chord_position_cap(n, g))
+    rowsets = [_chord_rows(n, g, mask) for mask in masks]
+    arc = _lane_entries(rowsets, n)
+    exps = _lane_exponents(arc, len(rowsets))
+    if None in exps:
         raise NotPrimitiveError(f"digraph of order {n} is not primitive")
-    for (mask, rows), oracle, cover in facts:
+    cover_list = _lane_cycle_covers(arc, len(rowsets)) if covers else [None] * len(rowsets)
+    for mask, rows, oracle, cover in zip(masks, rowsets, exps, cover_list):
         N = [i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1]
         yield mask, f"d_gN:n={n},g={g},N=" + ",".join(map(str, N)), N, rows, oracle, cover
 
@@ -564,7 +646,7 @@ def verify_thm33(n_min: int = 5, n_max: int = 12) -> Report:
         for g in range(2, n):
             if math.gcd(n, g) != 1:
                 continue
-            for mask, label, N, rows, oracle, cover in _chord_sets(n, g):
+            for mask, label, N, rows, oracle, cover in _chord_sets(n, g, covers=True):
                 r = mask.bit_length()
                 row = make_row(
                     "T3.3", label, formula_thm33(n, g, r), oracle,
@@ -667,6 +749,24 @@ def _converse_facts(mask: int, oracle: int, cover: list[int], n: int, g: int,
     return oracle, lengths if oracle > low else None, z, match
 
 
+def _converse_pass(reps: list[tuple[int, tuple[int, ...]]], n: int, g: int,
+                   low: int, high: int) -> list[tuple | None]:
+    """``_converse_facts`` of each (least mask, successor rows) of ``reps``, in order.
+
+    One ``_lane_cycle_covers`` pass gives every cover, and the girth is the
+    least length on it.  Only the girth-g members have converse facts, so
+    only they are sliced again for one ``_lane_exponents`` pass: 2 of the
+    4 115 representatives at (16, 15).  The others get None.
+    """
+    covers = _lane_cycle_covers(_lane_entries([rows for _, rows in reps], n), len(reps))
+    girth_g = [t for t, cover in enumerate(covers) if cover[g] and not any(cover[1:g])]
+    exps = _lane_exponents(_lane_entries([reps[t][1] for t in girth_g], n), len(girth_g))
+    facts = [None] * len(reps)
+    for t, oracle in zip(girth_g, exps):
+        facts[t] = _converse_facts(reps[t][0], oracle, covers[t], n, g, low, high)
+    return facts
+
+
 def verify_thm36(n: int, g: int) -> Report:
     """Window characterization over the full rotational chord universe.
 
@@ -679,7 +779,7 @@ def verify_thm36(n: int, g: int) -> Report:
 
     Phase b walks 2^n - 1 chord masks, so n above CHORD_ORDER_CAP = 16
     raises ValueError, as in the bound suite; each coprime g at n = 16 took
-    0.12-0.15 s (2-core VM, Python 3.11).  Phase c needs n >= 4, a chord
+    0.09-0.12 s (2-core VM, Python 3.11).  Phase c needs n >= 4, a chord
     span 2 <= g <= n - 1 and a primitive universe gcd(n, g) = 1.  Any other
     (n, g) raises ValueError before phase a, whose 2^t - 1 forward chord
     sets would otherwise run first.
@@ -713,9 +813,7 @@ def verify_thm36(n: int, g: int) -> Report:
     processed = 0
     eligible = 0
     in_window = 0
-    for mask, facts in _per_orbit(
-            n, g, lambda reps: [_converse_facts(least, oracle, cover, n, g, low, high)
-                                for (least, _), oracle, cover in _lane_passes(reps, n)]):
+    for mask, facts in _per_orbit(n, g, lambda reps: _converse_pass(reps, n, g, low, high)):
         processed += 1
         if facts is None:
             continue
@@ -860,13 +958,10 @@ def _lane_facts(codes: list[int], n: int) -> list[tuple[int | None, tuple[int, .
     for k in range(1, (n - 1) ** 2 + 2):
         if k > 1:
             power = [[functools.reduce(or_, map(and_, row, col)) for col in columns] for row in power]
-        new = functools.reduce(and_, itertools.chain.from_iterable(power)) & ~done
+        new = _positive_lanes(power) & ~done
         if new:
-            bits = format(new, lane_width)
-            t = bits.find("1")
-            while t >= 0:
+            for t in _set_lanes(new, lanes):
                 exps[t] = k
-                t = bits.find("1", t + 1)
             done |= new
             if done == everyone:
                 break

@@ -5,7 +5,9 @@ from __future__ import annotations
 import itertools
 from operator import getitem
 
-from primexp.digraph import Digraph, _cycle_cover
+from primexp.boolmat import _lane_entries
+from primexp.digraph import Digraph, _cycle_cover, _lane_cycle_covers
+from primexp.exponent import _lane_exponents
 from primexp.iso import find_isomorphism
 from primexp.verify import _random_primitive_rows
 
@@ -18,6 +20,16 @@ def relabeled_codes(rows: tuple[int, ...], tables) -> list[int]:
     automorphisms.
     """
     return list(map(sum, zip(*map(getitem, tables, rows))))
+
+
+def lane_exponents(rowsets, n: int) -> list[int | None]:
+    """``_lane_exponents`` of a batch of order-n row tuples, sliced by ``_lane_entries``."""
+    return _lane_exponents(_lane_entries(rowsets, n), len(rowsets))
+
+
+def lane_cycle_covers(rowsets, n: int) -> list[list[int]]:
+    """``_lane_cycle_covers`` of a batch of order-n row tuples, sliced by ``_lane_entries``."""
+    return _lane_cycle_covers(_lane_entries(rowsets, n), len(rowsets))
 
 
 def cover_lengths(rows: tuple[int, ...], n: int) -> tuple[int, ...]:

@@ -18,7 +18,6 @@ from primexp.digraph import (
     TruncatedProfileError,
     _bfs_dist,
     _cycle_cover,
-    _lane_cycle_covers,
     _period_of_levels,
     digraph,
     from_matrix,
@@ -30,7 +29,7 @@ from primexp.digraph import (
 from primexp.exponent import wielandt_bound
 from primexp.families import _chord_rows, d1, d2, d_gN, h_graph, q1, standard_cycle
 
-from helpers import cover_lengths, relabel
+from helpers import cover_lengths, lane_cycle_covers, relabel
 
 
 def random_digraph(rng: random.Random, n: int, p: float) -> Digraph:
@@ -487,13 +486,13 @@ def johnson_cover(rows: tuple[int, ...], n: int) -> list[int]:
 def test_lane_cycle_covers_match_cycle_cover_on_every_code(n):
     width = (1 << n) - 1
     codes = [tuple(code >> (n * i) & width for i in range(n)) for code in range(1 << (n * n))]
-    assert _lane_cycle_covers(codes, n) == [_cycle_cover(rows, n) for rows in codes]
+    assert lane_cycle_covers(codes, n) == [_cycle_cover(rows, n) for rows in codes]
 
 
 @pytest.mark.parametrize("n", range(5, 13))
 def test_lane_cycle_covers_match_cycle_cover_on_seeded_rows(n):
     batch = _cover_batch(random.Random(8000 + n), n)
-    covers = _lane_cycle_covers(batch, n)
+    covers = lane_cycle_covers(batch, n)
     assert covers == [_cycle_cover(rows, n) for rows in batch]
     assert [0] * (n + 1) in covers and len({tuple(cover) for cover in covers}) > 20
 
@@ -502,31 +501,31 @@ def test_lane_cycle_covers_match_cycle_cover_on_seeded_rows(n):
 def test_lane_cycle_covers_match_johnsons_cycles(n):
     # An oracle that shares no DP code with either cover.
     batch = _cover_batch(random.Random(9000 + n), n)
-    assert _lane_cycle_covers(batch, n) == [johnson_cover(rows, n) for rows in batch]
+    assert lane_cycle_covers(batch, n) == [johnson_cover(rows, n) for rows in batch]
 
 
 @pytest.mark.parametrize("n, g", [(10, 3), (11, 3), (13, 5)])
 def test_lane_cycle_covers_of_a_chord_universe(n, g):
     batch = [_chord_rows(n, g, mask) for mask in range(1, 1 << n)]
-    assert _lane_cycle_covers(batch, n) == [_cycle_cover(rows, n) for rows in batch]
+    assert lane_cycle_covers(batch, n) == [_cycle_cover(rows, n) for rows in batch]
 
 
 def test_lane_cycle_covers_of_complete_digraphs():
     for n in range(2, 10):
         full = (1 << n) - 1
-        assert _lane_cycle_covers([(full,) * n], n) == [[0] + [full] * n], n
+        assert lane_cycle_covers([(full,) * n], n) == [[0] + [full] * n], n
 
 
 def test_lane_cycle_covers_of_empty_one_lane_and_shuffled_batches():
-    assert _lane_cycle_covers([], 5) == []
+    assert lane_cycle_covers([], 5) == []
     for d in (d1(12), d2(12), q1(12, 5), standard_cycle(12), Digraph(12, (0,) * 12)):
-        assert _lane_cycle_covers([d.rows], 12) == [_cycle_cover(d.rows, 12)]
+        assert lane_cycle_covers([d.rows], 12) == [_cycle_cover(d.rows, 12)]
     rng = random.Random(43)
     batch = _cover_batch(rng, 8)
-    covers = _lane_cycle_covers(batch, 8)
+    covers = lane_cycle_covers(batch, 8)
     order = list(range(len(batch)))
     rng.shuffle(order)
-    assert _lane_cycle_covers([batch[t] for t in order], 8) == [covers[t] for t in order]
+    assert lane_cycle_covers([batch[t] for t in order], 8) == [covers[t] for t in order]
 
 
 def test_lane_cycle_cover_budget_counts_the_batch_states(monkeypatch):
@@ -539,10 +538,10 @@ def test_lane_cycle_cover_budget_counts_the_batch_states(monkeypatch):
     batch = [(full,) * n, standard_cycle(n).rows, d1(n).rows]
     module = importlib.import_module("primexp.digraph")
     monkeypatch.setattr(module, "CYCLE_COVER_BUDGET", 777)
-    assert _lane_cycle_covers(batch, n) == [_cycle_cover(rows, n) for rows in batch]
+    assert lane_cycle_covers(batch, n) == [_cycle_cover(rows, n) for rows in batch]
     monkeypatch.setattr(module, "CYCLE_COVER_BUDGET", 776)
     with pytest.raises(TruncatedProfileError, match="budget of 776 "):
-        _lane_cycle_covers(batch, n)
+        lane_cycle_covers(batch, n)
 
 
 # -- primitivity -------------------------------------------------------------------

@@ -29,7 +29,6 @@ from primexp.exponent import (
     TruncatedProfileError,
     _cwalk_rows,
     _exponent_kernel,
-    _lane_exponents,
     c_walk_distances,
     cwalk_of_cover,
     exponent,
@@ -49,7 +48,7 @@ from primexp.families import chord_member, d1, d2, d_gN, h_graph, q1, q2, standa
 from primexp.semigroup import frobenius
 from primexp.verify import _bound_facts, _random_primitive_rows
 
-from helpers import cover_lengths, random_primitive_digraph, relabel
+from helpers import cover_lengths, lane_exponents, random_primitive_digraph, relabel
 
 
 def linear_exponent_scan(rows: tuple[int, ...], n: int) -> tuple[int, tuple[int, ...]] | None:
@@ -296,7 +295,7 @@ def test_kernel_at_power_of_two_boundaries(d, value):
 def test_lane_exponents_match_exponent_of_rows_on_every_code(n):
     width = (1 << n) - 1
     codes = [tuple(code >> (n * i) & width for i in range(n)) for code in range(1 << (n * n))]
-    exps = _lane_exponents(codes, n)
+    exps = lane_exponents(codes, n)
     assert exps == [exponent_of_rows(rows, n) for rows in codes]
     assert [exp is None for exp in exps] == [not rows_primitive(rows, n) for rows in codes]
 
@@ -305,7 +304,7 @@ def test_lane_exponents_of_d1_d2_and_the_all_ones_matrix():
     for n in range(3, 17):
         ones = ((1 << n) - 1,) * n
         batch = [d1(n).rows, d2(n).rows, ones, standard_cycle(n).rows]
-        assert _lane_exponents(batch, n) == [(n - 1) ** 2 + 1, (n - 1) ** 2, 1, None], n
+        assert lane_exponents(batch, n) == [(n - 1) ** 2 + 1, (n - 1) ** 2, 1, None], n
 
 
 def _mixed_rows(rng: random.Random, n: int) -> list[tuple[int, ...]]:
@@ -322,23 +321,23 @@ def _mixed_rows(rng: random.Random, n: int) -> list[tuple[int, ...]]:
 @pytest.mark.parametrize("n", range(5, 13))
 def test_lane_exponents_match_exponent_of_rows_on_seeded_rows(n):
     batch = _mixed_rows(random.Random(7000 + n), n)
-    exps = _lane_exponents(batch, n)
+    exps = lane_exponents(batch, n)
     assert exps == [exponent_of_rows(rows, n) for rows in batch]
     assert None in exps and len(set(exps)) > 5
 
 
 def test_lane_exponents_of_empty_one_lane_and_shuffled_batches():
-    assert _lane_exponents([], 5) == []
+    assert lane_exponents([], 5) == []
     for d, value in KERNEL_BOUNDARY_CASES:
-        assert _lane_exponents([d.rows], d.order) == [value], value
+        assert lane_exponents([d.rows], d.order) == [value], value
     for d in NONPRIMITIVE_EDGE_CASES.values():
-        assert _lane_exponents([d.rows], d.order) == [None]
+        assert lane_exponents([d.rows], d.order) == [None]
     rng = random.Random(41)
     batch = _mixed_rows(rng, 8)
-    exps = _lane_exponents(batch, 8)
+    exps = lane_exponents(batch, 8)
     order = list(range(len(batch)))
     rng.shuffle(order)
-    assert _lane_exponents([batch[t] for t in order], 8) == [exps[t] for t in order]
+    assert lane_exponents([batch[t] for t in order], 8) == [exps[t] for t in order]
 
 
 def _period_two_64() -> Digraph:

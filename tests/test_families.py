@@ -20,7 +20,7 @@ from primexp.families import (
     q2,
     standard_cycle,
 )
-from primexp.verify import _chord_universe_rows, valid_h_triples
+from primexp.verify import valid_h_triples, verify_bounds
 
 
 def test_standard_cycle_arcs():
@@ -131,7 +131,7 @@ def test_chord_family_singleton_matches_q1():
 
 
 def test_chord_family_size():
-    assert len(_chord_universe_rows((10, 3))) == 1023
+    assert len(verify_bounds(samples=0, chord_pairs=((10, 3),)).entries) == 1023
 
 
 def test_chord_family_contains_richer_cycle_sets():

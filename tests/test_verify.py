@@ -40,7 +40,6 @@ from primexp.verify import (
     CHORD_ORDER_CAP,
     _bound_facts,
     _chord_sets,
-    _chord_universe_rows,
     _converse_facts,
     _fixed_cycle_walk,
     _mirror_mask,
@@ -266,10 +265,11 @@ def test_verify_bounds_report_bytes_are_pinned_at_full_size():
     (dict(chord_pairs=((10, 3), (17, 5))), "chord pair 17:5"),
 ])
 def test_verify_bounds_rejects_bad_sizes_before_any_universe(monkeypatch, kwargs, option):
-    def no_universe(pair):
-        raise AssertionError("a chord universe ran before the input check")
+    def no_universe(*args, **kwargs):
+        raise AssertionError("a chord universe or the random sweep ran before the input check")
 
-    monkeypatch.setattr(verify_module, "_chord_universe_rows", no_universe)
+    monkeypatch.setattr(verify_module, "_orbits", no_universe)
+    monkeypatch.setattr(verify_module, "_random_rows", no_universe)
     with pytest.raises(ValueError, match=option):
         verify_bounds(seed=1, **kwargs)
 
@@ -389,7 +389,7 @@ def test_every_chord_member_has_period_gcd_n_g():
 def test_chord_universe_labels_and_params_on_every_mask():
     for n in range(3, 12):
         for g in range(2, n):
-            entries = _chord_universe_rows((n, g))
+            entries = verify_bounds(samples=0, chord_pairs=((n, g),)).entries
             if math.gcd(n, g) != 1:
                 assert entries == [], (n, g)
                 continue
@@ -467,7 +467,7 @@ def test_chord_universe_rows_equal_the_per_member_loop(pair):
         d = FamilySpec(kind="chord", n=n, g=g, chord_mask=mask).build()
         if rows_primitive(d.rows, n):
             bound_rows_for(d, f"chord:n={n},g={g},mask={mask}", oracle, n=n, g=g, mask=mask)
-    assert Report(_chord_universe_rows(pair)).to_jsonl() == oracle.to_jsonl()
+    assert verify_bounds(samples=0, chord_pairs=(pair,)).to_jsonl() == oracle.to_jsonl()
 
 
 def test_random_sweep_rows_equal_the_per_instance_loop():
@@ -511,14 +511,14 @@ def test_bound_suite_evaluation_count_is_pinned(monkeypatch):
     # `verify bounds --n-max 8 --samples 2000 --seed 1`: 356 chord orbits, and
     # 962 pattern orbits among the 1 343 distinct random rows.
     calls = 0
-    bound_facts = verify_module._bound_facts
+    bound_key = verify_module._bound_key
 
     def counting(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return bound_facts(*args, **kwargs)
+        return bound_key(*args, **kwargs)
 
-    monkeypatch.setattr(verify_module, "_bound_facts", counting)
+    monkeypatch.setattr(verify_module, "_bound_key", counting)
     verify_bounds(n_max=8, samples=0, seed=1)
     assert calls == 356
     verify_bounds(n_max=8, samples=2000, seed=1, chord_pairs=())
@@ -526,19 +526,20 @@ def test_bound_suite_evaluation_count_is_pinned(monkeypatch):
 
 
 def test_bound_suite_reads_exponents_in_one_lane_pass_per_order(monkeypatch):
-    # One pass per chord universe, then one per order of the random sweep,
-    # over the same 356 + 962 representatives the evaluation count pins.
+    # One pass per order: the three order-10 chord universes share one, then
+    # one per order of the random sweep, over the same 356 + 962
+    # representatives the evaluation count pins.
     passes = []
     lane_exponents = verify_module._lane_exponents
 
-    def counting(rowsets, n):
-        passes.append((n, len(rowsets)))
-        return lane_exponents(rowsets, n)
+    def counting(arc, lanes):
+        passes.append((len(arc), lanes))
+        return lane_exponents(arc, lanes)
 
     monkeypatch.setattr(verify_module, "_lane_exponents", counting)
     verify_bounds(n_max=8, samples=2000, seed=1)
-    chord, random_orders = passes[:4], passes[4:]
-    assert chord == [(10, 77), (10, 77), (10, 77), (11, 125)]
+    chord, random_orders = passes[:2], passes[2:]
+    assert chord == [(10, 3 * 77), (11, 125)]
     assert sorted(n for n, _ in random_orders) == list(range(2, 9))
     assert sum(size for _, size in random_orders) == 962
 
@@ -548,9 +549,9 @@ def test_bound_suite_reads_cycle_covers_in_one_lane_pass_per_order(monkeypatch):
     passes = []
     lane_cycle_covers = verify_module._lane_cycle_covers
 
-    def counting(rowsets, n):
-        passes.append((n, len(rowsets)))
-        return lane_cycle_covers(rowsets, n)
+    def counting(arc, lanes):
+        passes.append((len(arc), lanes))
+        return lane_cycle_covers(arc, lanes)
 
     def refuse(rows, n):
         raise AssertionError("the bound suite built a cover of one representative")
@@ -558,23 +559,61 @@ def test_bound_suite_reads_cycle_covers_in_one_lane_pass_per_order(monkeypatch):
     monkeypatch.setattr(verify_module, "_lane_cycle_covers", counting)
     monkeypatch.setattr(verify_module, "_cycle_cover", refuse)
     verify_bounds(n_max=8, samples=2000, seed=1)
-    chord, random_orders = passes[:4], passes[4:]
-    assert chord == [(10, 77), (10, 77), (10, 77), (11, 125)]
+    chord, random_orders = passes[:2], passes[2:]
+    assert chord == [(10, 3 * 77), (11, 125)]
     assert sorted(n for n, _ in random_orders) == list(range(2, 9))
     assert sum(size for _, size in random_orders) == 962
 
 
+def test_bound_suite_slices_each_order_once(monkeypatch):
+    # The exponent and cover passes of one order read the same slices.
+    sliced = []
+    lane_entries = verify_module._lane_entries
+
+    def counting(rowsets, n):
+        sliced.append(n)
+        return lane_entries(rowsets, n)
+
+    monkeypatch.setattr(verify_module, "_lane_entries", counting)
+    verify_bounds(n_max=8, samples=2000, seed=1)
+    assert sliced[:2] == [10, 11]
+    assert sorted(sliced[2:]) == list(range(2, 9))
+
+
+def test_lane_kernels_on_shared_slices_of_a_merged_batch():
+    # Every member of the (10, 3) and (10, 7) universes in one batch, sliced
+    # once: each lane's exponent and cover equal the one-matrix kernels'.
+    batch = [verify_module._chord_rows(10, g, mask) for g in (3, 7) for mask in range(1, 1 << 10)]
+    arc = verify_module._lane_entries(batch, 10)
+    exps = verify_module._lane_exponents(arc, len(batch))
+    covers = verify_module._lane_cycle_covers(arc, len(batch))
+    assert exps == [exponent_of_rows(rows, 10) for rows in batch]
+    assert covers == [_cycle_cover(rows, 10) for rows in batch]
+
+
+def test_verify_bounds_jobs_deal_same_order_pairs_without_changing_output():
+    # Two order-12 pairs share one batch, dealt over two workers; order 13
+    # and the random sweep's orders get their own.
+    kwargs = dict(n_max=8, samples=300, seed=2, chord_pairs=((12, 5), (12, 7), (13, 4)))
+    sequential = verify_bounds(**kwargs, jobs=1)
+    parallel = verify_bounds(**kwargs, jobs=2)
+    assert parallel.to_jsonl() == sequential.to_jsonl()
+    assert parallel.to_summary_csv() == sequential.to_summary_csv()
+
+
 def test_chord_sweeps_read_their_facts_in_one_lane_pass_each(monkeypatch):
-    # verify_thm36 makes one pass over the forward chord sets and one over
-    # the 107 rotation-orbit representatives of the (10, 3) universe;
-    # verify_thm33 one per coprime pair, over its chord sets.  No member's
-    # exponent or cover is computed on its own.
+    # verify_thm36's forward sweep makes one exponent pass over its chord
+    # sets and no cover pass; its converse makes one cover pass over the 107
+    # rotation-orbit representatives of the (10, g) universe, then one
+    # exponent pass over the girth-g ones only: all 107 at g = 3, 8 at g = 7.
+    # verify_thm33 makes one pass of each per coprime pair, over its chord
+    # sets.  No member's exponent or cover is computed on its own.
     passes = []
 
     def counting(kernel):
-        def count(rowsets, n):
-            passes.append((kernel.__name__, n, len(rowsets)))
-            return kernel(rowsets, n)
+        def count(arc, lanes):
+            passes.append((kernel.__name__, len(arc), lanes))
+            return kernel(arc, lanes)
         return count
 
     def refuse(rows, n):
@@ -584,10 +623,11 @@ def test_chord_sweeps_read_their_facts_in_one_lane_pass_each(monkeypatch):
         monkeypatch.setattr(verify_module, name, counting(getattr(verify_module, name)))
     monkeypatch.setattr(verify_module, "_cycle_cover", refuse)
     monkeypatch.setattr(verify_module, "exponent_of_rows", refuse)
-    verify_thm36(10, 3)
-    assert passes == [(name, 10, lanes) for lanes in (7, 107)
-                      for name in ("_lane_exponents", "_lane_cycle_covers")]
-    passes.clear()
+    for g, forward, girth_g in ((3, 7, 107), (7, 15, 8)):
+        verify_thm36(10, g)
+        assert passes == [("_lane_exponents", 10, forward), ("_lane_cycle_covers", 10, 107),
+                          ("_lane_exponents", 10, girth_g)], g
+        passes.clear()
     verify_thm33(5, 12)
     pairs = [(n, g) for n in range(5, 13) for g in range(2, n) if math.gcd(n, g) == 1]
     assert passes == [(name, n, (1 << chord_position_cap(n, g)) - 1) for n, g in pairs
@@ -877,18 +917,22 @@ def test_girth_floor_walk_at_order_five():
 def test_chord_sets_match_the_d_gN_constructor(monkeypatch):
     # The sweep of verify_thm33 and the thm36 forward phase against the
     # public constructor, its exponent, the subset DP and the d_gN label
-    # format; each pair's exponents come from one lane pass.
+    # format; each pair's exponents come from one lane pass, and its covers
+    # from one more only when asked for.
     passes = []
-    lane_exponents = verify_module._lane_exponents
 
-    def counting(rowsets, n):
-        passes.append(n)
-        return lane_exponents(rowsets, n)
+    def counting(kernel):
+        def count(arc, lanes):
+            passes.append((kernel.__name__, len(arc)))
+            return kernel(arc, lanes)
+        return count
 
-    monkeypatch.setattr(verify_module, "_lane_exponents", counting)
+    for name in ("_lane_exponents", "_lane_cycle_covers"):
+        monkeypatch.setattr(verify_module, name, counting(getattr(verify_module, name)))
     for n, g in ((10, 3), (11, 5), (13, 4)):
-        sets = list(_chord_sets(n, g))
-        assert passes.pop() == n and not passes
+        sets = list(_chord_sets(n, g, covers=True))
+        assert passes == [("_lane_exponents", n), ("_lane_cycle_covers", n)]
+        passes.clear()
         assert [mask for mask, *_ in sets] == list(range(1, 1 << chord_position_cap(n, g)))
         for mask, label, N, rows, oracle, cover in sets:
             assert sum(1 << (i - 1) for i in N) == mask and max(N) == mask.bit_length()
@@ -896,6 +940,10 @@ def test_chord_sets_match_the_d_gN_constructor(monkeypatch):
             assert label == f"d_gN:n={n},g={g},N=" + ",".join(map(str, N))
             assert rows == d.rows and oracle == exponent(d).value
             assert cover == _cycle_cover(rows, n), (n, g, mask)
+        bare = list(_chord_sets(n, g))
+        assert passes == [("_lane_exponents", n)]
+        passes.clear()
+        assert bare == [(*item[:5], None) for item in sets]
     # gcd(10, 4) = 2: no member is primitive, and the sweep says so as
     # exponent() does.
     with pytest.raises(NotPrimitiveError):
