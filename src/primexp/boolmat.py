@@ -152,9 +152,24 @@ def parse_matrix(text: str) -> BoolMatrix:
     return BoolMatrix(n, tuple(rows))
 
 
-def serialize_rows(rows: tuple[int, ...], n: int) -> str:
-    """The text format of the order-n matrix with these rows, unchecked."""
-    lines = [str(n)]
-    for row in rows:
-        lines.append(format(row, f"0{n}b")[::-1])
-    return "\n".join(lines) + "\n"
+def _row_line(row: int, n: int) -> str:
+    """One order-n row of the text format, column j at character j, with its line feed."""
+    return format(row, f"0{n}b")[::-1] + "\n"
+
+
+def _row_lines(n: int) -> list[str]:
+    """``_row_line`` of every order-n row value, indexed by the value: 2^n strings."""
+    return [_row_line(row, n) for row in range(1 << n)]
+
+
+def serialize_rows(rows: tuple[int, ...], n: int, lines: list[str] | None = None) -> str:
+    """The text format of the order-n matrix with these rows, unchecked.
+
+    ``lines``, when given, is ``_row_lines(n)``, and each row's text is read
+    from it instead of being formatted again.
+    """
+    if lines is None:
+        text = [_row_line(row, n) for row in rows]
+    else:
+        text = map(lines.__getitem__, rows)
+    return "".join([f"{n}\n", *text])

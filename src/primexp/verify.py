@@ -66,8 +66,8 @@ every representative, and its distance rows are read only for their
 maximum.  Each instance adds one report entry that holds its label, its
 params and its key's fact list, so instances with equal keys share one
 list.  Five order-16 pairs, (16, 3), (16, 5), (16, 7), (16, 9) and
-(16, 15), take 1.4-1.8 s and 145 MB in process on one worker (2-core VM,
-Python 3.11).
+(16, 15), take 1.7-1.9 s and 146 MB in process at jobs=1, and 1.5-1.6 s
+and 148 MB in the parent at jobs=2 (2-core VM, Python 3.11).
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ import os
 import random
 from operator import add, and_, itemgetter, or_
 
-from .boolmat import MAX_ORDER, _lane_entries
+from .boolmat import MAX_ORDER, _lane_entries, _row_lines, serialize_rows
 from .digraph import (
     Digraph,
     _bfs_levels,
@@ -204,13 +204,13 @@ def random_instances(seed: int, samples: int, n_max: int):
         yield idx, n, p, Digraph(n, rows)
 
 
-def matrix_digest(rows: tuple[int, ...], n: int, lines: list[str]) -> str:
+def matrix_digest(rows: tuple[int, ...], n: int, lines: list[str] | None = None) -> str:
     """The first 12 hex digits of the SHA-256 of the rows' text format.
 
-    ``lines[row]`` is the text of the order-n row value ``row`` with its
-    line feed, as ``serialize_rows`` writes it.
+    ``lines`` is an optional ``boolmat._row_lines(n)`` table, passed on to
+    ``serialize_rows``.
     """
-    text = "".join([f"{n}\n", *map(lines.__getitem__, rows)])
+    text = serialize_rows(rows, n, lines)
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -353,14 +353,14 @@ def _orbits(n: int, g: int, mirror: bool = False):
     return reps, list(map(orbit_of.get, range(1 << n)))
 
 
-def _per_orbit(n: int, g: int, evaluate, mirror: bool = False) -> list[tuple[int, object]]:
+def _per_orbit(n: int, g: int, evaluate) -> list[tuple[int, object]]:
     """(mask, its orbit's value) for every member of the (n, g) chord universe.
 
     ``evaluate`` is called once, on the ``_orbits`` representatives, and
     returns one value per item, which must be constant on the item's orbit.
     Every member then gets its orbit's value.
     """
-    reps, orbit = _orbits(n, g, mirror)
+    reps, orbit = _orbits(n, g)
     values = evaluate(reps)
     return [(mask, values[orbit[mask]]) for mask in range(1, 1 << n)]
 
@@ -437,10 +437,9 @@ def _random_representatives(seed: int, samples: int, n_max: int,
     evaluations.  ``slots`` holds the (order, index in its batch) of the
     first try with each least rotation, and ``pending`` the (label, params,
     slot) of every instance.  Each digest reads its rows' text from its
-    order's table of row lines.
+    order's ``_row_lines`` table, built once per call.
     """
-    lines = {n: [format(row, f"0{n}b")[::-1] + "\n" for row in range(1 << n)]
-             for n in range(2, n_max + 1)}
+    lines = {n: _row_lines(n) for n in range(2, n_max + 1)}
     slot_of: dict[tuple[int, ...], int] = {}
     slots: list[tuple[int, int]] = []
     pending = []
@@ -729,17 +728,15 @@ def _converse_facts(mask: int, oracle: int, cover: list[int], n: int, g: int,
                     low: int, high: int):
     """Converse facts of ``mask``'s member from its exponent and cycle cover.
 
-    The member must be primitive, as every member is when gcd(n, g) = 1.
-    The cover has every cycle length, so its least is the girth.  None
-    unless the girth is g; otherwise (exponent, cycle lengths
-    when the exponent exceeds low, window index z and the D^z index when the
-    exponent is in (low, high]).  D^z is the masks 2^(z-1) + i, i ascending,
-    as the forward sweep lists them, so the index of the first member
-    isomorphic to this one is that of its least rotation there.
+    The member must be primitive, as every member is when gcd(n, g) = 1,
+    and have girth g; ``_converse_pass`` picks those members.  The facts
+    are (exponent, cycle lengths when the exponent exceeds low, window
+    index z and the D^z index when the exponent is in (low, high]).  D^z is
+    the masks 2^(z-1) + i, i ascending, as the forward sweep lists them, so
+    the index of the first member isomorphic to this one is that of its
+    least rotation there.
     """
     lengths = tuple([k for k in range(1, n + 1) if cover[k]])
-    if lengths[0] != g:
-        return None
     z = match = None
     if low < oracle <= high:
         z = z_of_w(n, g, oracle)
@@ -756,7 +753,8 @@ def _converse_pass(reps: list[tuple[int, tuple[int, ...]]], n: int, g: int,
     One ``_lane_cycle_covers`` pass gives every cover, and the girth is the
     least length on it.  Only the girth-g members have converse facts, so
     only they are sliced again for one ``_lane_exponents`` pass: 2 of the
-    4 115 representatives at (16, 15).  The others get None.
+    4 115 representatives at (16, 15).  The others get None; this is the
+    only girth test of the converse.
     """
     covers = _lane_cycle_covers(_lane_entries([rows for _, rows in reps], n), len(reps))
     girth_g = [t for t, cover in enumerate(covers) if cover[g] and not any(cover[1:g])]

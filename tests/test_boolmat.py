@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from primexp.boolmat import (
     BoolMatrix,
     MatrixParseError,
+    _row_lines,
     mul_rows,
     parse_matrix,
     pow_rows,
@@ -186,6 +187,16 @@ def test_serialize_matrix_matches_the_per_bit_join():
         lines = [str(n)] + [
             "".join("1" if (row >> j) & 1 else "0" for j in range(n)) for row in m.rows]
         assert serialize_rows(m.rows, n) == "\n".join(lines) + "\n", n
+
+
+def test_serialize_from_the_row_line_table_matches_the_formatted_rows():
+    rng = random.Random(5)
+    for n in range(1, 11):
+        table = _row_lines(n)
+        assert len(table) == 1 << n
+        for _ in range(20):
+            rows = tuple(rng.getrandbits(n) for _ in range(n))
+            assert serialize_rows(rows, n, table) == serialize_rows(rows, n), (n, rows)
 
 
 @settings(max_examples=60)

