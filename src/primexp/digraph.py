@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .boolmat import BoolMatrix, _check_order, transpose_rows
 
 DEFAULT_CYCLE_CAP = 10**6
-# Keys one ``_cycle_cover`` or ``_lane_cycle_covers`` run may create.  A
+# Keys one ``_cycle_cover`` or ``_lane_cycle_sets`` run may create.  A
 # ``_cycle_cover`` run creates at most 2^n - 1, so the budget never binds at
 # n <= 20; the complete digraph of order 64 reaches it in a few seconds.
 CYCLE_COVER_BUDGET = 1 << 20
@@ -180,16 +180,14 @@ def _cycle_cover(rows: tuple[int, ...], n: int) -> list[int]:
     the lengths and the per-vertex bit-sets straight from the cover;
     c_walk_distances and lemma22_bound, which feed it to the c-walk BFS; and
     verify's bound_rows_for.  The bound suite, the thm36 converse and the
-    chord-set sweeps read theirs from ``_lane_cycle_covers``, the same DP
-    over a batch; one matrix, up to order 64, would not repay a batch's
-    slicing.  Johnson's search stays
-    behind the ``cycles`` verb, which counts cycles under its cap through
-    count_cycles, and behind simple_cycles, the test oracle.  The census
-    (n <= 5) matches its codes against a table of the simple-cycle arc masks
-    of K_n, which the tests check against this DP.  Independent of
-    simple_cycles and of the BFS girth, which search from the same least
-    vertex s but keep one path or one visited set per s instead of one
-    state per vertex set, so they cross-check.
+    chord-set sweeps read theirs from ``_lane_cycle_covers``, and the census
+    its lengths from ``_lane_cycle_sets``, the same DP over a batch; one
+    matrix, up to order 64, would not repay a batch's slicing.  Johnson's
+    search stays behind the ``cycles`` verb, which counts cycles under its
+    cap through count_cycles, and behind simple_cycles, the test oracle.
+    Independent of simple_cycles and of the BFS girth, which search from the
+    same least vertex s but keep one path or one visited set per s instead
+    of one state per vertex set, so they cross-check.
     """
     into = transpose_rows(rows, n)
     full = (1 << n) - 1
@@ -226,38 +224,38 @@ def _cycle_cover(rows: tuple[int, ...], n: int) -> list[int]:
     return cover
 
 
-def _lane_cycle_covers(arc: list[list[int]], lanes: int) -> list[list[int]]:
-    """``_cycle_cover`` of each of the ``lanes`` matrices in ``arc``, in lane order.
+def _lane_cycle_sets(arc: list[list[int]], lanes: int) -> list[list[int]]:
+    """on[k][v] is the set of lanes with vertex v on a simple k-cycle, k = 0..n.
 
-    ``arc`` is a batch of one order bit-sliced into lanes by
+    ``arc`` is a batch of ``lanes`` matrices of one order bit-sliced by
     ``boolmat._lane_entries``, the slices ``exponent._lane_exponents``
     takes, and ``_cycle_cover``'s DP runs once over the union of its
     matrices.  A state is a vertex set and an end vertex,
     and holds the lanes with a simple path from the least vertex s, through
     that set, that ends there; it grows by one vertex above s at a time, on
     the lanes that have the arc.  A state whose end has an arc back to s
-    closes a cycle on those lanes, so its set goes into their cover at its
-    size.  Only states with a lane are created, so a batch creates no more
+    closes a cycle on those lanes, so its set goes into their on[size].
+    Only states with a lane are created, so a batch creates no more
     states than its matrices would one by one, and far fewer where they
-    share paths.  Then one string per length turns the lanes back into per-matrix
-    covers.  Each state is one key, and past CYCLE_COVER_BUDGET keys it
+    share paths.  Each state is one key, and past CYCLE_COVER_BUDGET keys it
     raises TruncatedProfileError, checked as ``_cycle_cover`` checks.  Every
     (set, end) pair is one state at most, with s the least vertex of the
     set, so a batch creates fewer than n * 2^(n-1) keys, 524 288 at n = 16:
     the budget never binds in the bound suite or the thm36 converse (both
-    n <= 16).  The thm33 chord sets reach n = 20, past that argument; there
-    the margin is the measured count, at most 303 states (at (20, 11)).
+    n <= 16), nor in the census (n <= 5).  The thm33 chord sets reach
+    n = 20, past that argument; there the margin is the measured count, at
+    most 303 states (at (20, 11)).  The census reads only which lanes have
+    a k-cycle, the OR of on[k], and no per-lane cover.
     """
-    if not lanes:
-        return []
     n = len(arc)
+    on = [[0] * n for _ in range(n + 1)]
+    if not lanes:
+        return on
     # bit j of union[i] is set when some matrix has the arc i -> j.
     union = [sum(1 << j for j, held in enumerate(row) if held) for row in arc]
     into = transpose_rows(union, n)
     full = (1 << n) - 1
     everyone = (1 << lanes) - 1
-    # on[k][v]: the lanes with vertex v on a simple k-cycle.
-    on = [[0] * n for _ in range(n + 1)]
     created = 0
     for s in range(n):
         if not into[s] >> s:
@@ -295,6 +293,18 @@ def _lane_cycle_covers(arc: list[list[int]], lanes: int) -> list[list[int]]:
                     members ^= low
             level = grown
             size += 1
+    return on
+
+
+def _lane_cycle_covers(arc: list[list[int]], lanes: int) -> list[list[int]]:
+    """``_cycle_cover`` of each of the ``lanes`` matrices in ``arc``, in lane order.
+
+    The per-lane readout of ``_lane_cycle_sets``: one string per length
+    turns its lane sets back into per-matrix covers.  The bound suite, the
+    thm36 converse and the chord-set sweeps read these.
+    """
+    n = len(arc)
+    on = _lane_cycle_sets(arc, lanes)
     covers = [[0] * (n + 1) for _ in range(lanes)]
     width = f"0{lanes}b"
     for k in range(1, n + 1):

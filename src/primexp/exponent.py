@@ -11,8 +11,9 @@ witness pair.  A non-positive square equal to an earlier one means the
 matrix is not primitive: the bare 64-cycle is refused at its 7th square,
 where the Wielandt cap would take 12.  ``_lane_exponents`` runs the same
 search on a batch of matrices of one order at once, bit-sliced so that
-each AND or OR acts on every matrix; the bound suite and the chord-set
-sweeps read their exponents from it, one pass per order or per (n, g).
+each AND or OR acts on every matrix; the bound suite, the chord-set
+sweeps and the census read their exponents from it, one pass per order,
+per (n, g) or per census block.
 
 ``c_walk_distances`` computes, for every ordered vertex pair, the length of
 the shortest walk that shares a vertex with at least one simple cycle of
@@ -160,7 +161,8 @@ def _lane_exponents(arc: list[list[int]], lanes: int) -> list[int | None]:
     ``arc`` is a batch of one order bit-sliced into lanes by
     ``boolmat._lane_entries``, so each AND or OR acts on every matrix at
     once; the caller slices a batch once and hands the same slices to
-    ``digraph._lane_cycle_covers`` as well.  The search is
+    ``digraph._lane_cycle_sets`` (or its per-lane readout
+    ``_lane_cycle_covers``) as well.  The search is
     ``_exponent_kernel``'s, lane by lane.  All lanes are squared together,
     keeping every square, until every lane is positive or the index reaches
     Wielandt's bound (n-1)^2 + 1; a lane not positive at the last square is

@@ -25,7 +25,9 @@ passes read the same slices: exponents (``_lane_exponents``) and cycle
 covers (``_lane_cycle_covers``), each only where it is read.  The thm36
 forward sweep makes the exponent pass alone; its converse makes the cover
 pass, reads the girth off each cover, and runs the exponent pass on the
-girth-g members only.  Every member of the (n, g) universe has period
+girth-g members only.  A census block's classes get the same two passes,
+but read only which lanes have a k-cycle (``_lane_cycle_sets``), not each
+lane's cover.  Every member of the (n, g) universe has period
 gcd(n, g), so primitivity is one gcd test per universe: the bound suite
 skips a universe with gcd(n, g) > 1, and thm36 refuses the pair.  In the
 same way the bound suite's random sweep, drawn on bit rows, evaluates each
@@ -78,7 +80,7 @@ import itertools
 import math
 import os
 import random
-from operator import add, and_, itemgetter, or_
+from operator import add, itemgetter, or_
 
 from .boolmat import MAX_ORDER, _lane_entries, _row_lines, serialize_rows
 from .digraph import (
@@ -86,14 +88,13 @@ from .digraph import (
     _bfs_levels,
     _cycle_cover,
     _lane_cycle_covers,
+    _lane_cycle_sets,
 )
 from .exponent import (
     NotPrimitiveError,
     TooManyCycleLengthsError,
     _cwalk_rows,
     _lane_exponents,
-    _positive_lanes,
-    _set_lanes,
     cwalk_of_cover,
     exponent_of_rows,
     formula_thm33,
@@ -632,13 +633,16 @@ def verify_thm33(n_min: int = 5, n_max: int = 12) -> Report:
     N contains position 1 and whether it is a prefix 1..r.
 
     Each coprime pair (n, g) has 2^min(n-g+1, g) - 1 chord sets, so n_max
-    above THM33_ORDER_CAP = 20 raises ValueError before any work.  Order 20
-    alone took 0.18 s and orders 5..20 0.8-1.0 s (2-core VM, Python 3.11);
-    order 23 alone took 4.6 s before the exponents came from one lane pass
-    per pair, and the cost keeps growing with the order.
+    above THM33_ORDER_CAP = 20 raises ValueError before any work, as does
+    an empty range, n_min > n_max.  Order 20 alone took 0.18 s and orders
+    5..20 0.8-1.0 s (2-core VM, Python 3.11); order 23 alone took 4.6 s
+    before the exponents came from one lane pass per pair, and the cost
+    keeps growing with the order.
     """
     if n_max > THM33_ORDER_CAP:
         raise ValueError(f"n_max must be at most {THM33_ORDER_CAP}, got {n_max}")
+    if n_min > n_max:
+        raise ValueError(f"n_min must be at most n_max, got n_min={n_min}, n_max={n_max}")
     report = Report()
     stats = {"prefix": [0, 0], "has-1": [0, 0], "no-1": [0, 0]}
     for n in range(n_min, n_max + 1):
@@ -690,11 +694,14 @@ def verify_lemma34(n_max: int = 12) -> Report:
     Each exponent is read off the rows of mask {1, k}, the transpose of
     h(n, g, k): (A^T)^e = (A^e)^T.  Rotated by n - k + 1 it is mask
     {1, n - k + 2}, so h(n, g, n - k + 2) is isomorphic to h(n, g, k).
-    n_max above boolmat.MAX_ORDER = 64 raises ValueError before any work;
+    n_max above boolmat.MAX_ORDER = 64 raises ValueError before any work,
+    as does n_max below 2, which leaves no triple: the least is (2, 1, 2).
     n_max = 64 took 7 to 8 s through the CLI (2-core VM, Python 3.11).
     """
     if n_max > MAX_ORDER:
         raise ValueError(f"n_max must be at most {MAX_ORDER}, got {n_max}")
+    if n_max < 2:
+        raise ValueError(f"n_max must be at least 2, got {n_max}")
     report = Report()
     for n, g, k in valid_h_triples(n_max):
         bound = lemma34_bound(n, g)
@@ -871,26 +878,6 @@ def _degree_preserving(perms: list[tuple[int, ...]], degrees: tuple[int, ...]) -
     return [k for k, p in enumerate(perms) if itemgetter(*p)(degrees) == degrees]
 
 
-def _cycle_masks(n: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(k, the arc masks of the simple k-cycles of K_n with loops), k = 1..n.
-
-    The C(n,k)(k-1)! k-cycles are listed from their least vertex, and arc
-    i -> j sits at bit n*n-1-(i*n+j), the row-major, most-significant-first
-    convention of ``canonical_code_tables``: a digraph with that code has a
-    k-cycle iff ``code & m == m`` for one of the k-masks m.
-    """
-    top = n * n - 1
-    by_length = []
-    for k in range(1, n + 1):
-        masks = []
-        for members in itertools.combinations(range(n), k):
-            for rest in itertools.permutations(members[1:]):
-                cycle = (members[0], *rest, members[0])
-                masks.append(sum(1 << (top - i * n - j) for i, j in zip(cycle, cycle[1:])))
-        by_length.append((k, tuple(masks)))
-    return by_length
-
-
 def _row_group(tables, by_popcount: list[list[int]], first: int, degrees: tuple[int, ...]):
     """(union, identity code, codes) for each choice of the rows first,
     first + 1, ... (one or two of them) with popcounts ``degrees``, the
@@ -922,23 +909,12 @@ def _lane_facts(codes: list[int], n: int) -> list[tuple[int | None, tuple[int, .
     """(exponent or None, sorted cycle lengths) of each order-n code, in order.
 
     The codes are row-major and most-significant first, arc i -> j at bit
-    n*n-1-(i*n+j), and are bit-sliced into lanes: ``entry[i*n+j]`` holds
-    arc i -> j of every code, code t at bit len(codes)-1-t, so each AND or
-    OR below acts on every code at once.  The powers A^k are built by the
-    linear scan A^(k+1)[i][c] = OR_j A^k[i][j] & A[j][c], and a lane's
-    exponent is the least k at which all n*n of its entries are set.  The
-    scan stops once every lane is positive or at k = (n-1)^2 + 1, Wielandt's
-    bound, which ``d1(n)`` attains: a lane not positive by then is not
-    primitive, and its exponent is None.  A lane has a k-cycle iff it holds
-    every arc of one of the ``_cycle_masks`` k-masks.
-
-    The census keeps this linear scan rather than the squaring search of
-    ``exponent._lane_exponents``: its exponents are small, and the search
-    pays per-lane Python bookkeeping that the scan does not.  On the census
-    classes (2-core VM, Python 3.11, min of 15 and of 3 runs)
-    ``_lane_exponents`` took 2.0 ms at order 4 (1 918 lanes) against
-    1.0 ms for this pass, cycle masks included, and 0.33 s at order 5
-    (216 584 lanes) against 0.17 s.
+    n*n-1-(i*n+j), so the text of the codes slices straight into the
+    ``boolmat._lane_entries`` layout: arc[i][j] holds arc i -> j of every
+    code, code t at bit len(codes)-1-t.  One ``_lane_exponents`` pass gives
+    the exponents, None where a code is not primitive, and one
+    ``_lane_cycle_sets`` pass the cycles: the lanes with a k-cycle are the
+    OR of its on[k] over the vertices.
     """
     if not codes:
         return []
@@ -947,32 +923,14 @@ def _lane_facts(codes: list[int], n: int) -> list[tuple[int | None, tuple[int, .
     width, lane_width = f"0{nn}b", f"0{lanes}b"
     text = "".join([format(code, width) for code in codes])
     entry = [int(text[e::nn], 2) for e in range(nn)]
-    base = [entry[i * n:i * n + n] for i in range(n)]
-    columns = list(zip(*base))
-    everyone = (1 << lanes) - 1
-    exps: list[int | None] = [None] * lanes
-    power = base
-    done = 0
-    for k in range(1, (n - 1) ** 2 + 2):
-        if k > 1:
-            power = [[functools.reduce(or_, map(and_, row, col)) for col in columns] for row in power]
-        new = _positive_lanes(power) & ~done
-        if new:
-            for t in _set_lanes(new, lanes):
-                exps[t] = k
-            done |= new
-            if done == everyone:
-                break
-    hits = []
-    for _, masks in _cycle_masks(n):
-        hit = 0
-        for m in masks:
-            hit |= functools.reduce(and_, [entry[e] for e in range(nn) if m >> (nn - 1 - e) & 1])
-        hits.append(format(hit, lane_width))
+    arc = [entry[i * n:i * n + n] for i in range(n)]
+    # The lanes with a k-cycle, k = 1..n, as text: lane t is character t.
+    hits = [format(functools.reduce(or_, sets), lane_width)
+            for sets in _lane_cycle_sets(arc, lanes)[1:]]
     # One shared tuple per pattern of present lengths, read per lane.
     patterns = {bits: tuple(k for k, bit in enumerate(bits, 1) if bit == "1")
                 for bits in itertools.product("01", repeat=n)}
-    return list(zip(exps, map(patterns.__getitem__, zip(*hits))))
+    return list(zip(_lane_exponents(arc, lanes), map(patterns.__getitem__, zip(*hits))))
 
 
 def _census_block(args: tuple[int, tuple[tuple[int, ...], ...]]):
@@ -998,10 +956,11 @@ def _census_block(args: tuple[int, tuple[tuple[int, ...], ...]]):
     The codes of its ``_degree_preserving`` relabelings, which are all the
     codes of the class the scan can still meet, go into ``known``, reset
     for each degree sequence.  The scan records each class's identity code,
-    key and labeled count; after it, one ``_lane_facts`` pass gives every
-    class's exponent and cycle lengths at once, and the girth is the least
-    length.  Returns the rows of the primitive classes and the labeled
-    total of every class found, primitive or not.
+    key and labeled count; after it, ``_lane_facts`` slices the classes
+    once and reads every class's exponent and cycle lengths from one
+    ``_lane_exponents`` and one ``_lane_cycle_sets`` pass, and the girth is
+    the least length.  Returns the rows of the primitive classes and the
+    labeled total of every class found, primitive or not.
     """
     n, sequences = args
     full = (1 << n) - 1
@@ -1065,16 +1024,16 @@ def census(n: int, jobs: int = 1) -> list[CensusRow]:
     The sorted out-degree sequence is a class invariant, so the work splits
     by it into blocks with disjoint classes.  Each block scans its codes by
     row pairs, canonicalizes each of its classes once, and then finds every
-    class's exponent and cycle lengths in one lane-packed pass
-    (``_lane_facts``).  One worker runs one block, so its row groups,
-    permutations, popcount buckets and cycle masks are built once per call
-    and the lane pass runs once; more workers run 4 blocks each, to even out
-    their loads.
+    class's exponent and cycle lengths on lanes (``_lane_facts``): one
+    exponent pass and one cycle-set pass over the block's classes.  One
+    worker runs one block, so its row groups, permutations and popcount
+    buckets are built once per call and each lane pass runs once; more
+    workers run 4 blocks each, to even out their loads.
     The labeled class sizes must add up to the number of matrices with no
     zero row and no zero column, sum_k (-1)^k C(n,k) (2^(n-k) - 1)^n; a
     census that misses a class, counts one twice or miscounts one raises
-    RuntimeError.  Order 5 (155 452 classes) takes about 5 s on one
-    worker and 3.5 s on two through the CLI (2-core VM, Python 3.11).
+    RuntimeError.  Order 5 (155 452 classes) takes 4.3-5.1 s on one
+    worker and 3.2-4.4 s on two through the CLI (2-core VM, Python 3.11).
     """
     if n not in (2, 3, 4, 5):
         raise ValueError(f"census supports orders 2..5, got {n}")

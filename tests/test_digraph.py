@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primexp.boolmat import BoolMatrix, mul_rows, pow_rows, transpose_rows
+from primexp.boolmat import BoolMatrix, _lane_entries, mul_rows, pow_rows, transpose_rows
 from primexp.digraph import (
     CYCLE_COVER_BUDGET,
     CycleProfile,
@@ -18,6 +18,8 @@ from primexp.digraph import (
     TruncatedProfileError,
     _bfs_dist,
     _cycle_cover,
+    _lane_cycle_covers,
+    _lane_cycle_sets,
     _period_of_levels,
     digraph,
     from_matrix,
@@ -526,6 +528,23 @@ def test_lane_cycle_covers_of_empty_one_lane_and_shuffled_batches():
     order = list(range(len(batch)))
     rng.shuffle(order)
     assert lane_cycle_covers([batch[t] for t in order], 8) == [covers[t] for t in order]
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 11])
+def test_lane_cycle_sets_are_the_covers_read_by_vertex(n):
+    # Lane t sits at bit lanes-1-t of each on[k][v], and that bit is bit v
+    # of its cover's entry k; an empty batch has no lane in any set.
+    assert _lane_cycle_sets(_lane_entries([], n), 0) == [[0] * n for _ in range(n + 1)]
+    batch = _cover_batch(random.Random(7000 + n), n)
+    lanes = len(batch)
+    arc = _lane_entries(batch, n)
+    on = _lane_cycle_sets(arc, lanes)
+    covers = _lane_cycle_covers(arc, lanes)
+    assert len(on) == n + 1 and all(len(sets) == n for sets in on)
+    for t, cover in enumerate(covers):
+        for k in range(n + 1):
+            for v in range(n):
+                assert (on[k][v] >> (lanes - 1 - t) & 1) == (cover[k] >> v & 1), (t, k, v)
 
 
 def test_lane_cycle_cover_budget_counts_the_batch_states(monkeypatch):

@@ -979,6 +979,16 @@ def test_verify_thm33_refuses_orders_above_the_cap_before_any_work(monkeypatch):
             verify_thm33(n_min, n_max)
 
 
+def test_verify_thm33_refuses_an_empty_range_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a chord set was enumerated before the range check")
+
+    monkeypatch.setattr(verify_module, "_chord_rows", no_work)
+    for n_min, n_max in ((9, 5), (13, 12), (20, 19)):
+        with pytest.raises(ValueError, match=f"n_min must be at most n_max, got n_min={n_min}, n_max={n_max}"):
+            verify_thm33(n_min, n_max)
+
+
 def test_verify_thm33_at_the_cap_finishes_in_bounded_time():
     # The docstring states about 1 s for the cap order alone.
     cap = verify_module.THM33_ORDER_CAP
@@ -1028,6 +1038,19 @@ def test_verify_lemma34_refuses_orders_above_64_before_any_work(monkeypatch):
     monkeypatch.setattr(verify_module, "exponent_of_rows", no_work)
     for n_max in (65, 1000):
         with pytest.raises(ValueError, match=f"n_max must be at most 64, got {n_max}"):
+            verify_lemma34(n_max)
+
+
+def test_verify_lemma34_refuses_orders_below_2_before_any_work(monkeypatch):
+    # The least valid triple is (2, 1, 2), so n_max = 2 is the least range
+    # with a row.
+    def no_work(*args):
+        raise AssertionError("an exponent was computed before the order check")
+
+    assert next(valid_h_triples(64)) == (2, 1, 2)
+    monkeypatch.setattr(verify_module, "exponent_of_rows", no_work)
+    for n_max in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"n_max must be at least 2, got {n_max}"):
             verify_lemma34(n_max)
 
 
@@ -1173,30 +1196,9 @@ def test_census_order_two_classes():
     assert all(r.girth == 1 and r.cycle_lengths == (1, 2) for r in rows)
 
 
-def _table_lengths(code: int, cycle_masks) -> tuple[int, ...]:
-    return tuple(k for k, masks in cycle_masks if any(code & m == m for m in masks))
-
-
 def _msb_rows(code: int, n: int) -> tuple[int, ...]:
     """Successor rows of a row-major, most-significant-first code."""
     return _decode_rows(int(format(code, f"0{n * n}b")[::-1], 2), n)
-
-
-@pytest.mark.parametrize("n, size", [(2, 3), (3, 8), (4, 24), (5, 89)])
-def test_cycle_mask_table_sizes(n, size):
-    cycle_masks = verify_module._cycle_masks(n)
-    assert [k for k, _ in cycle_masks] == list(range(1, n + 1))
-    for k, masks in cycle_masks:
-        assert len(set(masks)) == len(masks) == math.comb(n, k) * math.factorial(k - 1)
-        assert all(m.bit_count() == k for m in masks)
-    assert sum(len(masks) for _, masks in cycle_masks) == size
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_cycle_mask_lengths_match_the_dp_on_every_code(n):
-    cycle_masks = verify_module._cycle_masks(n)
-    for code in range(1 << (n * n)):
-        assert _table_lengths(code, cycle_masks) == cover_lengths(_msb_rows(code, n), n), code
 
 
 def _planted_codes(n: int, count: int, seed: int) -> list[int]:
@@ -1213,27 +1215,19 @@ def _planted_codes(n: int, count: int, seed: int) -> list[int]:
     return codes
 
 
-def test_cycle_mask_lengths_match_the_oracles_at_order_five():
-    n = 5
-    cycle_masks = verify_module._cycle_masks(n)
-    for t, code in enumerate(_planted_codes(n, 2000, 5)):
-        rows = _msb_rows(code, n)
-        lengths = _table_lengths(code, cycle_masks)
-        assert lengths == cover_lengths(rows, n), code
-        if t % 10 == 0:
-            assert lengths == simple_cycles(Digraph(n, rows))[1].lengths, code
-
-
 def _check_lane_facts(codes: list[int], n: int) -> None:
     """``_lane_facts`` of the codes, packed in one batch, against the
-    logarithmic exponent kernel and the subset DP, code by code."""
+    single-matrix exponent kernel and the subset DP, code by code, and
+    every 10th code's lengths against Johnson's search."""
     facts = verify_module._lane_facts(codes, n)
     assert len(facts) == len(codes)
-    for code, (exp, lengths) in zip(codes, facts):
+    for t, (code, (exp, lengths)) in enumerate(zip(codes, facts)):
         rows = _msb_rows(code, n)
         found = _exponent_kernel(rows, n)
         assert exp == (None if found is None else found[0]), code
         assert lengths == cover_lengths(rows, n), code
+        if t % 10 == 0:
+            assert lengths == simple_cycles(Digraph(n, rows))[1].lengths, code
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -1249,7 +1243,7 @@ def test_lane_facts_match_the_oracles_at_order_five():
 def test_lane_facts_keep_the_lane_order():
     # Lane t of a batch is its t-th code, whatever the order of the codes,
     # and a batch whose lanes are all positive before Wielandt's bound stops
-    # its power scan early.
+    # its squaring early.
     n = 5
     codes = _planted_codes(n, 2000, 6)
     facts = dict(zip(codes, verify_module._lane_facts(codes, n)))
@@ -1262,9 +1256,9 @@ def test_lane_facts_keep_the_lane_order():
 
 
 def test_census_girth_and_cycle_lengths_match_the_oracles():
-    # The census reads the lengths from its cycle-mask table, one lane-packed
-    # pass per block, and the girth as the least of them; neither oracle
-    # runs inside it.
+    # The census reads the lengths from one ``_lane_cycle_sets`` pass per
+    # block, and the girth as the least of them; neither oracle runs inside
+    # it.
     for row in census(4):
         rows = _decode_rows(int(row.canonical_bits[::-1], 2), 4)
         assert row.girth == rows_girth(rows, 4)
@@ -1471,8 +1465,8 @@ def test_census_block_without_sequences_is_empty(n):
 
 
 def test_census_on_one_worker_runs_one_block(monkeypatch):
-    # One block builds the relabeling tables, permutations, popcount
-    # buckets and cycle masks once per call.
+    # One block builds the relabeling tables, permutations and popcount
+    # buckets once per call.
     real = verify_module._census_block
     blocks = []
 
@@ -1483,6 +1477,36 @@ def test_census_on_one_worker_runs_one_block(monkeypatch):
     monkeypatch.setattr(verify_module, "_census_block", counted)
     text = census_to_jsonl(census(4, jobs=1))
     assert len(blocks) == 1
+    assert _sha256(text) == "2beb86970af1df7fefc985939bbe42837f6c3f88afe06b12903ca21ef1898cb0"
+
+
+def test_census_reads_its_facts_in_one_lane_pass_each(monkeypatch):
+    # At jobs=1 the order-4 census slices its 1 918 classes once and makes
+    # one cycle-set pass and one exponent pass over them; no class's
+    # exponent or cycles are computed on their own, and no per-lane cover
+    # is read out.
+    import importlib
+
+    passes = []
+
+    def counting(kernel):
+        def count(arc, lanes):
+            passes.append((kernel.__name__, len(arc), lanes))
+            return kernel(arc, lanes)
+        return count
+
+    def refuse(*args):
+        raise AssertionError("the census computed a class's facts on their own")
+
+    for name in ("_lane_exponents", "_lane_cycle_sets"):
+        monkeypatch.setattr(verify_module, name, counting(getattr(verify_module, name)))
+    for module in (verify_module, importlib.import_module("primexp.digraph")):
+        monkeypatch.setattr(module, "_cycle_cover", refuse)
+        monkeypatch.setattr(module, "_lane_cycle_covers", refuse)
+    for module in (verify_module, importlib.import_module("primexp.exponent")):
+        monkeypatch.setattr(module, "exponent_of_rows", refuse)
+    text = census_to_jsonl(census(4, jobs=1))
+    assert passes == [("_lane_cycle_sets", 4, 1918), ("_lane_exponents", 4, 1918)]
     assert _sha256(text) == "2beb86970af1df7fefc985939bbe42837f6c3f88afe06b12903ca21ef1898cb0"
 
 
