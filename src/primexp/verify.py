@@ -18,16 +18,17 @@ relabeled, and every bound-suite fact survives transposition.  The thm36
 converse keeps rotation orbits, because the D^z index it reports does not.
 Both get each orbit's successor rows straight from its mask through
 ``families._chord_rows``, the only chorded-cycle constructor, and build no
-Digraph per member; so do ``verify_thm33`` and the thm36 forward sweep
+Digraph per member; so does ``verify_thm33`` over its chord sets
 (``_chord_sets``).  Each batch of one order, orbit representatives or
 chord sets, is bit-sliced once (``boolmat._lane_entries``), and its lane
 passes read the same slices: exponents (``_lane_exponents``) and cycle
 covers (``_lane_cycle_covers``), each only where it is read.  The thm36
-forward sweep makes the exponent pass alone; its converse makes the cover
-pass, reads the girth off each cover, and runs the exponent pass on the
-girth-g members only.  A census block's classes get the same two passes,
-but read only which lanes have a k-cycle (``_lane_cycle_sets``), not each
-lane's cover.  Every member of the (n, g) universe has period
+converse makes the cover pass, reads the girth off each cover, and runs
+the exponent pass on the girth-g members only; its forward sweep makes no
+pass of its own, since every forward chord set lies in a girth-g orbit and
+reads that orbit's exponent.  A census block's classes get the same two
+passes, but read only which lanes have a k-cycle (``_lane_cycle_sets``),
+not each lane's cover.  Every member of the (n, g) universe has period
 gcd(n, g), so primitivity is one gcd test per universe: the bound suite
 skips a universe with gcd(n, g) > 1, and thm36 refuses the pair.  In the
 same way the bound suite's random sweep, drawn on bit rows, evaluates each
@@ -354,18 +355,6 @@ def _orbits(n: int, g: int, mirror: bool = False):
     return reps, list(map(orbit_of.get, range(1 << n)))
 
 
-def _per_orbit(n: int, g: int, evaluate) -> list[tuple[int, object]]:
-    """(mask, its orbit's value) for every member of the (n, g) chord universe.
-
-    ``evaluate`` is called once, on the ``_orbits`` representatives, and
-    returns one value per item, which must be constant on the item's orbit.
-    Every member then gets its orbit's value.
-    """
-    reps, orbit = _orbits(n, g)
-    values = evaluate(reps)
-    return [(mask, values[orbit[mask]]) for mask in range(1, 1 << n)]
-
-
 def verify_bounds(
     n_max: int = 8,
     samples: int = 1000,
@@ -583,27 +572,15 @@ def verify_lemma24(n: int = 4) -> Report:
 
 # -- chord-family exact formula ----------------------------------------------
 
-def _chord_sets(n: int, g: int, covers: bool = False):
-    """(mask, label, N, successor rows, exponent, cycle cover) of every chord
-    set N within 1..t, t = ``chord_position_cap(n, g)``, masks ascending from 1.
+def _chord_sets(n: int, g: int):
+    """(mask, label, N) of every chord set N within 1..t,
+    t = ``chord_position_cap(n, g)``, masks ascending from 1.
 
-    Bit i - 1 of the mask is position i, so max(N) is its bit length.  The
-    batch is bit-sliced once, at the first item; all exponents come from
-    one ``_lane_exponents`` pass and, with ``covers``, all cycle covers
-    from one ``_lane_cycle_covers`` pass on the same slices (the cover is
-    None otherwise).  Raises NotPrimitiveError on a member that is not
-    primitive; none is when gcd(n, g) = 1.
+    Bit i - 1 of the mask is position i, so max(N) is its bit length.
     """
-    masks = range(1, 1 << chord_position_cap(n, g))
-    rowsets = [_chord_rows(n, g, mask) for mask in masks]
-    arc = _lane_entries(rowsets, n)
-    exps = _lane_exponents(arc, len(rowsets))
-    if None in exps:
-        raise NotPrimitiveError(f"digraph of order {n} is not primitive")
-    cover_list = _lane_cycle_covers(arc, len(rowsets)) if covers else [None] * len(rowsets)
-    for mask, rows, oracle, cover in zip(masks, rowsets, exps, cover_list):
+    for mask in range(1, 1 << chord_position_cap(n, g)):
         N = [i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1]
-        yield mask, f"d_gN:n={n},g={g},N=" + ",".join(map(str, N)), N, rows, oracle, cover
+        yield mask, f"d_gN:n={n},g={g},N=" + ",".join(map(str, N)), N
 
 
 def _attainment_note(n: int, g: int, r: int, rows: tuple[int, ...], cover: list[int]) -> str:
@@ -633,14 +610,19 @@ def verify_thm33(n_min: int = 5, n_max: int = 12) -> Report:
     N contains position 1 and whether it is a prefix 1..r.
 
     Each coprime pair (n, g) has 2^min(n-g+1, g) - 1 chord sets, so n_max
-    above THM33_ORDER_CAP = 20 raises ValueError before any work, as does
-    an empty range, n_min > n_max.  Order 20 alone took 0.18 s and orders
-    5..20 0.8-1.0 s (2-core VM, Python 3.11); order 23 alone took 4.6 s
-    before the exponents came from one lane pass per pair, and the cost
-    keeps growing with the order.
+    above THM33_ORDER_CAP = 20 raises ValueError before any work, as do
+    n_min below 3 and an empty range, n_min > n_max.  Every n >= 3 has the
+    coprime pair (n, n - 1), so every accepted range has a chord set.  A
+    pair's exponents and cycle covers come from one lane pass each, on one
+    bit-slicing of its chord sets' rows.  Order 20 alone took 0.18 s and
+    orders 5..20 0.8-1.0 s (2-core VM, Python 3.11); order 23 alone took
+    4.6 s before the exponents came from one lane pass per pair, and the
+    cost keeps growing with the order.
     """
     if n_max > THM33_ORDER_CAP:
         raise ValueError(f"n_max must be at most {THM33_ORDER_CAP}, got {n_max}")
+    if n_min < 3:
+        raise ValueError(f"n_min must be at least 3, got {n_min}")
     if n_min > n_max:
         raise ValueError(f"n_min must be at most n_max, got n_min={n_min}, n_max={n_max}")
     report = Report()
@@ -649,7 +631,12 @@ def verify_thm33(n_min: int = 5, n_max: int = 12) -> Report:
         for g in range(2, n):
             if math.gcd(n, g) != 1:
                 continue
-            for mask, label, N, rows, oracle, cover in _chord_sets(n, g, covers=True):
+            sets = list(_chord_sets(n, g))
+            rowsets = [_chord_rows(n, g, mask) for mask, _, _ in sets]
+            arc = _lane_entries(rowsets, n)
+            exps = _lane_exponents(arc, len(rowsets))
+            covers = _lane_cycle_covers(arc, len(rowsets))
+            for (mask, label, N), rows, oracle, cover in zip(sets, rowsets, exps, covers):
                 r = mask.bit_length()
                 row = make_row(
                     "T3.3", label, formula_thm33(n, g, r), oracle,
@@ -781,13 +768,23 @@ def verify_thm36(n: int, g: int) -> Report:
     classified against the corresponding max-z family, once per rotation
     orbit.  Phase c: audit of the two competing girth thresholds.  Only the
     forced cycle-set condition is asserted; everything else is reported.
+    The rows come in that order, but the facts of both sweeps come from one
+    ``_converse_pass`` over the rotation orbits, made before phase a.
+
+    Phase a reads each chord set's exponent from its orbit's converse
+    facts.  Its mask lies below 2^t, t = min(n - g + 1, g), so its chords
+    sit in one run of t positions.  A cycle through a chord returns over
+    the g - 1 places the chord skips (t <= g); any other chord there skips
+    back past the first one's landing vertex (t <= n - g + 1), so the cycle
+    takes one chord and has length g.  The member's cycle set is {g, n}:
+    its orbit is a girth-g representative of the converse, and the
+    exponent is a rotation invariant.
 
     Phase b walks 2^n - 1 chord masks, so n above CHORD_ORDER_CAP = 16
     raises ValueError, as in the bound suite; each coprime g at n = 16 took
-    0.09-0.12 s (2-core VM, Python 3.11).  Phase c needs n >= 4, a chord
-    span 2 <= g <= n - 1 and a primitive universe gcd(n, g) = 1.  Any other
-    (n, g) raises ValueError before phase a, whose 2^t - 1 forward chord
-    sets would otherwise run first.
+    0.09-0.21 s, best of 5 (2-core VM, Python 3.11).  Phase c needs n >= 4,
+    a chord span 2 <= g <= n - 1 and a primitive universe gcd(n, g) = 1.
+    Any other (n, g) raises ValueError before any chord member is built.
     """
     if n < 4:
         raise ValueError(f"n must be at least 4, got {n}")
@@ -799,31 +796,29 @@ def verify_thm36(n: int, g: int) -> Report:
         raise ValueError(f"need gcd(n, g) = 1, got gcd({n}, {g})")
     report = Report()
     low, high = thm36_range(n, g)
+    reps, orbit = _orbits(n, g)
+    facts = _converse_pass(reps, n, g, low, high)
 
     # Phase a: forward sweep over D^z, z = 1..t, the masks of bit length z.
-    exps = {}
-    for mask, label, N, _, oracle, _ in _chord_sets(n, g):
+    for mask, label, N in _chord_sets(n, g):
         z = mask.bit_length()
-        exps[mask] = oracle
         report.add(make_row(
-            "T3.6", f"forward:z={z}:{label}", formula_thm33(n, g, z), oracle,
+            "T3.6", f"forward:z={z}:{label}", formula_thm33(n, g, z), facts[orbit[mask]][0],
             asserted=False, n=n, g=g, N=N, z=z,
         ))
     # q1 and q2 are the chord sets {1} and {1, 2}, masks 1 and 3; with
     # 2 <= g <= n - 1, t = min(n - g + 1, g) >= 2 and the sweep has both.
-    report.add(make_row("C3.8", f"q1:n={n},g={g}", high, exps[1], asserted=True, n=n, g=g))
-    report.add(make_row("C3.8", f"q2:n={n},g={g}", high - 1, exps[3], asserted=True, n=n, g=g))
+    report.add(make_row("C3.8", f"q1:n={n},g={g}", high, facts[orbit[1]][0], asserted=True, n=n, g=g))
+    report.add(make_row("C3.8", f"q2:n={n},g={g}", high - 1, facts[orbit[3]][0], asserted=True, n=n, g=g))
 
     # Phase b: converse classification over the whole chord universe.
-    processed = 0
     eligible = 0
     in_window = 0
-    for mask, facts in _per_orbit(n, g, lambda reps: _converse_pass(reps, n, g, low, high)):
-        processed += 1
-        if facts is None:
+    for mask in range(1, 1 << n):
+        if facts[orbit[mask]] is None:
             continue
         eligible += 1
-        oracle, lengths, z, match = facts
+        oracle, lengths, z, match = facts[orbit[mask]]
         if lengths is not None:
             report.add(make_row(
                 "T3.6", f"cycleset:mask={mask:05d}", [g, n], list(lengths),
@@ -841,7 +836,7 @@ def verify_thm36(n: int, g: int) -> Report:
     report.add(make_row(
         "T3.6", "summary:universe", None, None, asserted=False, n=n, g=g,
         notes=(
-            f"processed {processed} chord subsets; {eligible} primitive with "
+            f"processed {(1 << n) - 1} chord subsets; {eligible} primitive with "
             f"girth {g}; {in_window} with exponent in ({low}, {high}]"
         ),
     ))

@@ -449,10 +449,13 @@ def test_verify_thm33_above_the_order_cap_is_input_error(capsys, monkeypatch):
     (("lemma34", "--n-max", "65"), "n_max must be at most 64, got 65"),
     (("lemma34", "--n-max", "1"), "n_max must be at least 2, got 1"),
     (("thm33", "--n-min", "9", "--n-max", "5"), "n_min must be at most n_max, got n_min=9, n_max=5"),
+    (("thm33", "--n-min", "2", "--n-max", "2"), "n_min must be at least 3, got 2"),
+    (("thm33", "--n-min", "-3", "--n-max", "3"), "n_min must be at least 3, got -3"),
     (("lemma24", "--n", "3"), "supported orders are 4..64, got 3"),
     (("lemma24", "--n", "65"), "supported orders are 4..64, got 65"),
 ], ids=["thm36-17", "thm36-40", "thm36-10-11", "thm36-10-1", "thm36-neg5", "thm36-3",
-        "lemma34-65", "lemma34-1", "thm33-9-5", "lemma24-3", "lemma24-65"])
+        "lemma34-65", "lemma34-1", "thm33-9-5", "thm33-2-2", "thm33--3-3", "lemma24-3",
+        "lemma24-65"])
 def test_verify_above_a_verb_order_cap_is_input_error_at_once(capsys, argv, message):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", *argv)

@@ -23,7 +23,6 @@ from primexp.digraph import (
     simple_cycles,
 )
 from primexp.exponent import (
-    NotPrimitiveError,
     _exponent_kernel,
     cwalk_of_cover,
     exponent,
@@ -44,7 +43,6 @@ from primexp.verify import (
     _fixed_cycle_walk,
     _mirror_mask,
     _orbits,
-    _per_orbit,
     _random_primitive_rows,
     _random_tries,
     _rotations,
@@ -338,19 +336,16 @@ def test_rotations_lists_the_n_rotations_from_the_mask_itself():
 
 @pytest.mark.parametrize("n, g", [(3, 2), (6, 5), (8, 3), (10, 3), (11, 4)])
 def test_per_orbit_evaluates_each_least_mask_once(n, g):
-    evaluated = []
-
-    def evaluate(reps):
-        assert not evaluated
-        evaluated.extend(reps)
-        return list(range(1, len(reps) + 1))
-
-    values = dict(_per_orbit(n, g, evaluate))
-    assert sorted(values) == list(range(1, 1 << n))
-    least = sorted({_least_rotation(mask, n) for mask in values})
-    assert evaluated == [(mask, chord_member(n, g, mask).rows) for mask in least]
-    for mask, value in values.items():
-        assert value == values[_least_rotation(mask, n)], mask
+    # verify_thm36 evaluates the rotation-orbit representatives of
+    # ``_orbits`` once and maps every member to its orbit's facts through
+    # ``orbit``, as this test does.  (The name is kept so the test ids do
+    # not change.)
+    reps, orbit = _orbits(n, g)
+    least = sorted({_least_rotation(mask, n) for mask in range(1, 1 << n)})
+    assert reps == [(mask, chord_member(n, g, mask).rows) for mask in least]
+    assert len(orbit) == 1 << n and orbit[0] is None
+    for mask in range(1, 1 << n):
+        assert reps[orbit[mask]][0] == _least_rotation(mask, n), mask
 
 
 @pytest.mark.parametrize("n, g, orbits", [(3, 2, 3), (6, 5, 12), (8, 3, 29), (10, 3, 77),
@@ -362,7 +357,8 @@ def test_per_orbit_with_mirror_evaluates_each_least_dihedral_mask_once(n, g, orb
         return _bound_facts(rows, n, exponent_of_rows(rows, n), _cycle_cover(rows, n))
 
     # The bound suite maps each member to its dihedral orbit's facts
-    # through ``_orbits`` itself, as this test does.
+    # through ``_orbits`` itself, as this test does.  (The name is kept so
+    # the test ids do not change.)
     reps, orbit = _orbits(n, g, mirror=True)
     least = sorted({_least_dihedral(mask, n, g) for mask in range(1, 1 << n)})
     assert len(least) == orbits
@@ -599,10 +595,10 @@ def test_verify_bounds_jobs_deal_same_order_pairs_without_changing_output():
 
 
 def test_chord_sweeps_read_their_facts_in_one_lane_pass_each(monkeypatch):
-    # verify_thm36's forward sweep makes one exponent pass over its chord
-    # sets and no cover pass; its converse makes one cover pass over the 107
-    # rotation-orbit representatives of the (10, g) universe, then one
-    # exponent pass over the girth-g ones only: all 107 at g = 3, 8 at g = 7.
+    # verify_thm36 makes one cover pass over the 107 rotation-orbit
+    # representatives of the (10, g) universe, then one exponent pass over
+    # the girth-g ones only: all 107 at g = 3, 8 at g = 7.  Its forward
+    # sweep reads those exponents and makes no pass of its own.
     # verify_thm33 makes one pass of each per coprime pair, over its chord
     # sets.  No member's exponent or cover is computed on its own.
     passes = []
@@ -620,10 +616,9 @@ def test_chord_sweeps_read_their_facts_in_one_lane_pass_each(monkeypatch):
         monkeypatch.setattr(verify_module, name, counting(getattr(verify_module, name)))
     monkeypatch.setattr(verify_module, "_cycle_cover", refuse)
     monkeypatch.setattr(verify_module, "exponent_of_rows", refuse)
-    for g, forward, girth_g in ((3, 7, 107), (7, 15, 8)):
+    for g, girth_g in ((3, 107), (7, 8)):
         verify_thm36(10, g)
-        assert passes == [("_lane_exponents", 10, forward), ("_lane_cycle_covers", 10, 107),
-                          ("_lane_exponents", 10, girth_g)], g
+        assert passes == [("_lane_cycle_covers", 10, 107), ("_lane_exponents", 10, girth_g)], g
         passes.clear()
     verify_thm33(5, 12)
     pairs = [(n, g) for n in range(5, 13) for g in range(2, n) if math.gcd(n, g) == 1]
@@ -912,39 +907,28 @@ def test_girth_floor_walk_at_order_five():
 # -- chord-set formula ------------------------------------------------------------
 
 def test_chord_sets_match_the_d_gN_constructor(monkeypatch):
-    # The sweep of verify_thm33 and the thm36 forward phase against the
-    # public constructor, its exponent, the subset DP and the d_gN label
-    # format; each pair's exponents come from one lane pass, and its covers
-    # from one more only when asked for.
-    passes = []
+    # The chord sets of verify_thm33 and the thm36 forward phase against the
+    # public constructor and the d_gN label format; the rows, exponent and
+    # cycle cover verify_thm33 reads for each from its lane passes against
+    # the constructor, its exponent and the subset DP.
+    covers = {}
+    note = verify_module._attainment_note
 
-    def counting(kernel):
-        def count(arc, lanes):
-            passes.append((kernel.__name__, len(arc)))
-            return kernel(arc, lanes)
-        return count
+    def recording(n, g, r, rows, cover):
+        covers[g, rows] = cover
+        return note(n, g, r, rows, cover)
 
-    for name in ("_lane_exponents", "_lane_cycle_covers"):
-        monkeypatch.setattr(verify_module, name, counting(getattr(verify_module, name)))
+    monkeypatch.setattr(verify_module, "_attainment_note", recording)
     for n, g in ((10, 3), (11, 5), (13, 4)):
-        sets = list(_chord_sets(n, g, covers=True))
-        assert passes == [("_lane_exponents", n), ("_lane_cycle_covers", n)]
-        passes.clear()
+        sets = list(_chord_sets(n, g))
         assert [mask for mask, *_ in sets] == list(range(1, 1 << chord_position_cap(n, g)))
-        for mask, label, N, rows, oracle, cover in sets:
+        by_label = {r.instance: r for r in rows_by_claim(verify_thm33(n, n), "T3.3")}
+        for mask, label, N in sets:
             assert sum(1 << (i - 1) for i in N) == mask and max(N) == mask.bit_length()
             d = d_gN(n, g, N)
             assert label == f"d_gN:n={n},g={g},N=" + ",".join(map(str, N))
-            assert rows == d.rows and oracle == exponent(d).value
-            assert cover == _cycle_cover(rows, n), (n, g, mask)
-        bare = list(_chord_sets(n, g))
-        assert passes == [("_lane_exponents", n)]
-        passes.clear()
-        assert bare == [(*item[:5], None) for item in sets]
-    # gcd(10, 4) = 2: no member is primitive, and the sweep says so as
-    # exponent() does.
-    with pytest.raises(NotPrimitiveError):
-        next(_chord_sets(10, 4))
+            assert by_label[label].oracle == exponent(d).value, (n, g, mask)
+            assert covers[g, d.rows] == _cycle_cover(d.rows, n), (n, g, mask)
 
 
 def test_verify_thm33_asserted_rows_pass_and_pattern_is_reported():
@@ -986,6 +970,11 @@ def test_verify_thm33_refuses_an_empty_range_before_any_work(monkeypatch):
     monkeypatch.setattr(verify_module, "_chord_rows", no_work)
     for n_min, n_max in ((9, 5), (13, 12), (20, 19)):
         with pytest.raises(ValueError, match=f"n_min must be at most n_max, got n_min={n_min}, n_max={n_max}"):
+            verify_thm33(n_min, n_max)
+    # Below order 3 there is no chord span g in 2..n-1; from 3 up, (n, n - 1)
+    # is a coprime pair, so every accepted range has a chord set.
+    for n_min, n_max in ((2, 2), (-3, 3), (2, 12)):
+        with pytest.raises(ValueError, match=f"^n_min must be at least 3, got {n_min}$"):
             verify_thm33(n_min, n_max)
 
 
@@ -1118,7 +1107,8 @@ def test_verify_thm36_report_bytes_are_pinned_at_orders_fifteen_and_sixteen(n, g
 def test_verify_thm36_converse_rows_equal_the_per_member_loop():
     # Every mask on its own, with no orbit cache and no lane pass: the girth
     # by the BFS, the exponent by the squaring search and the lengths by the
-    # subset DP, against the isomorphism search over the D^z members.
+    # subset DP, against the isomorphism search over the D^z members and
+    # against the forward rows.
     # (10, 7) is among the pairs where dihedral orbits would change the
     # report: the D^z index is not invariant under transposition.
     pairs = [(n, g) for n in range(5, 12) for g in range(2, n) if math.gcd(n, g) == 1]
@@ -1149,6 +1139,14 @@ def test_verify_thm36_converse_rows_equal_the_per_member_loop():
         forced = [(r.params["mask"], r.oracle) for r in rows_by_claim(report, "T3.6")
                   if r.instance.startswith("cycleset:")]
         assert sorted(forced) == cyclesets, (n, g)
+        # Phase a reads its exponents from the converse's orbit facts; each
+        # forward member on its own has girth g and cycle set {g, n}.
+        forward = [r for r in rows_by_claim(report, "T3.6") if r.instance.startswith("forward:")]
+        assert len(forward) == (1 << chord_position_cap(n, g)) - 1, (n, g)
+        for r in forward:
+            member = chord_member(n, g, sum(1 << (i - 1) for i in r.params["N"]))
+            assert r.oracle == exponent_of_rows(member.rows, n), (n, g, r.instance)
+            assert cover_lengths(member.rows, n) == (g, n), (n, g, r.instance)
 
 
 def test_verify_thm36_rejects_gcd_violation():
