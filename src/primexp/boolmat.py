@@ -102,9 +102,10 @@ def _lane_entries(rowsets, n: int) -> list[list[int]]:
 
     Entry [i][j] is an int that holds entry (i, j) of every matrix, matrix t
     at bit len(rowsets)-1-t, so one AND or OR acts on every matrix at once.
-    The lane kernels (``exponent._lane_exponents`` and
-    ``digraph._lane_cycle_sets``) take these slices, so a batch read by
-    both is sliced once.  An empty batch gives all-zero entries.
+    The lane kernels (``exponent._lane_exponents``,
+    ``digraph._lane_cycle_sets`` and ``exponent._lane_cwalk_diameters``)
+    take these slices, so a batch read by several is sliced once.  An empty
+    batch gives all-zero entries.
     """
     if not rowsets:
         return [[0] * n for _ in range(n)]

@@ -177,12 +177,13 @@ def _cycle_cover(rows: tuple[int, ...], n: int) -> list[int]:
     so that no level overshoots.  So the budget never binds at n <= 20, and
     dense input at orders up to 64 fails within seconds.  The single-matrix
     cycle-profile callers use it: the iso invariants (n <= 14), which read
-    the lengths and the per-vertex bit-sets straight from the cover;
-    c_walk_distances and lemma22_bound, which feed it to the c-walk BFS; and
-    verify's bound_rows_for.  The bound suite, the thm36 converse and the
-    chord-set sweeps read theirs from ``_lane_cycle_covers``, and the census
-    its lengths from ``_lane_cycle_sets``, the same DP over a batch; one
-    matrix, up to order 64, would not repay a batch's slicing.  Johnson's
+    the lengths and the per-vertex bit-sets straight from the cover; and
+    c_walk_distances and lemma22_bound, which feed it to the c-walk BFS.
+    The bound suite (and verify's bound_rows_for, a bound-suite batch of
+    one), the thm36 converse and the chord-set sweeps read theirs from
+    ``_lane_cycle_covers``, and the census its lengths from
+    ``_lane_cycle_sets``, the same DP over a batch; for the verbs' one
+    matrix, up to order 64, a batch's slicing would not pay.  Johnson's
     search stays behind the ``cycles`` verb, which counts cycles under its
     cap through count_cycles, and behind simple_cycles, the test oracle.
     Independent of simple_cycles and of the BFS girth, which search from the

@@ -24,7 +24,12 @@ separate primitivity test: the gcd of the cover's cycle lengths is the
 period, and the c-walk search fails from a start that cannot reach every
 vertex, so the two together are the verdict.  ``rows_primitive`` runs only
 when the cover or the search gives up, so dense non-primitive input is
-refused only after the cover's budget runs out, within seconds.
+refused only after the cover's budget runs out, within seconds.  The
+per-start search ``_cwalk_rows`` serves these single-matrix callers (the
+``cwalk`` and ``bound lemma22`` verbs).  ``_lane_cwalk_diameters`` runs the
+same search on a bit-sliced batch, every (matrix, start) pair at once, and
+gives only each matrix's maximum; the bound suite reads its c-walks from
+it, as it reads its exponents from ``_lane_exponents``.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import and_, or_
+from operator import and_, itemgetter, or_
 
 from .boolmat import mul_rows
 from .digraph import (
@@ -314,11 +319,15 @@ def _cwalk_result(per_row: list[list[int]]) -> CWalkResult:
 def _cwalk_rows(rows: tuple[int, ...], n: int, cover: list[int]) -> list[list[int]]:
     """Row u - 1 holds the c-walk distances from u of a primitive digraph, unchecked.
 
+    The kernel of ``c_walk_distances``, ``cwalk_of_cover`` and
+    ``lemma22_bound``; ``_lane_cwalk_diameters``, the bound suite's batch
+    kernel, is tested against its maximum.
+
     ``cover`` holds, per cycle length, the bit-set of vertices on some simple
     cycle of that length; empty entries are skipped, so the list that
     ``digraph._cycle_cover`` returns can be passed as it is.  A walk that
     meets a set meets every superset of it, so only the sets minimal under
-    inclusion are kept.
+    inclusion are kept (``_kept_sets``).
 
     A start u with exactly one successor w whose met-mask (the kept sets
     through it) includes u's is a chain start: every walk out of u goes
@@ -335,14 +344,9 @@ def _cwalk_rows(rows: tuple[int, ...], n: int, cover: list[int]) -> list[list[in
     raises NotPrimitiveError; a derived row is complete exactly when the
     row it comes from is, so the chains change no verdict.
     """
-    cover = [vertices for vertices in cover if vertices]
-    if len(cover) > MAX_CYCLE_LENGTHS:
-        raise TooManyCycleLengthsError(
-            f"{len(cover)} distinct cycle lengths exceeds {MAX_CYCLE_LENGTHS}")
-    minimal: list[int] = []
-    for vertices in sorted(cover, key=int.bit_count):
-        if all(kept & ~vertices for kept in minimal):
-            minimal.append(vertices)
+    minimal = _kept_sets(cover)
+    if minimal is None:
+        raise _too_many_lengths(cover)
     met = [0] * n
     for i, vertices in enumerate(minimal):
         while vertices:
@@ -386,6 +390,198 @@ def _cwalk_rows(rows: tuple[int, ...], n: int, cover: list[int]) -> list[list[in
                     row[v] = 0
                 per_row[v] = row
     return per_row
+
+
+def _too_many_lengths(cover: list[int]) -> TooManyCycleLengthsError:
+    """The refusal of a cover with more than MAX_CYCLE_LENGTHS cycle lengths."""
+    count = sum(1 for vertices in cover if vertices)
+    return TooManyCycleLengthsError(f"{count} distinct cycle lengths exceeds {MAX_CYCLE_LENGTHS}")
+
+
+def _kept_sets(cover: list[int]) -> list[int] | None:
+    """The non-empty sets of ``cover`` minimal under inclusion, smallest first.
+
+    None when the cover has more than MAX_CYCLE_LENGTHS cycle lengths.
+    """
+    if len(cover) - cover.count(0) > MAX_CYCLE_LENGTHS:
+        return None
+    minimal: list[int] = []
+    for vertices in sorted(set(cover).difference((0,)), key=int.bit_count):
+        for kept in minimal:
+            if not kept & ~vertices:
+                break
+        else:
+            minimal.append(vertices)
+    return minimal
+
+
+def _lane_cwalk_diameters(arc: list[list[int]], lanes: int,
+                          covers: list[list[int]]) -> list[int | None]:
+    """The c-walk maximum, ``max(map(max, _cwalk_rows(...)))``, of each lane, in lane order.
+
+    ``arc`` is a batch of ``lanes`` matrices of one order sliced by
+    ``boolmat._lane_entries`` and ``covers`` their cycle covers, as
+    ``digraph._lane_cycle_covers`` reads them off the same slices.  A lane
+    whose cover has more than MAX_CYCLE_LENGTHS lengths gets None.  The
+    other lanes are grouped by their count m of kept sets (``_kept_sets``),
+    each group's lanes are picked out of the slices, and each group makes
+    one ``_cwalk_pass``; the kept sets are numbered per lane, so only lanes
+    with equal m share a met-mask space.  A lane that cannot reach every
+    vertex with every kept set met raises NotPrimitiveError.
+    """
+    diameters: list[int | None] = [None] * lanes
+    groups: dict[int, list[tuple[int, list[int]]]] = {}
+    for t, cover in enumerate(covers):
+        kept = _kept_sets(cover)
+        if kept is not None:
+            groups.setdefault(len(kept), []).append((t, kept))
+    texts = None
+    for members in groups.values():
+        picked = [t for t, _ in members]
+        if len(picked) == lanes:
+            sub = arc
+        else:
+            if texts is None:
+                width = f"0{lanes}b"
+                texts = [[format(x, width) if x else "" for x in row] for row in arc]
+            # Character t of a slice's text is lane t; a one-lane pick is one character.
+            pick = itemgetter(*picked)
+            sub = [[int("".join(pick(text)), 2) if text else 0 for text in row] for row in texts]
+        for t, diameter in zip(picked, _cwalk_pass(sub, [kept for _, kept in members])):
+            diameters[t] = diameter
+    return diameters
+
+
+def _cwalk_pass(arc: list[list[int]], kept: list[list[int]]) -> list[int]:
+    """``_lane_cwalk_diameters`` of lanes that all have len(kept[t]) kept sets.
+
+    Bit u*L + L-1-t of a wide int stands for start u of lane t, L =
+    len(kept), lane t sitting at bit L-1-t of its block as in the slices:
+    each slice is replicated across the n start blocks by multiplying it by
+    R = sum of 1 << (u*L), so every start of every lane searches at once.
+    A state is a (vertex v, met-mask M) pair, as in ``_cwalk_search``, and
+    holds the (start, lane) bits that reach it.  The search is level by
+    level.  The bits of every state with mask M are first ORed into w on
+    the lanes with an arc v -> w, then split once per (w, M) by the lanes'
+    met-mask at w (``classes``), since the kept sets differ per lane;
+    lanes whose masks at w differ only in sets M already meets stay
+    together (``_merged``).  A state keeps only the bits that first reach
+    it.  A bit that has reached (w, full) is dropped from every other state
+    at w, which it dominates, and a (start, lane) bit leaves the search
+    once it has reached every vertex with the full mask.  The first level
+    at which a bit reaches (w, full) is the c-walk distance from its start
+    to w, so a lane's maximum is the last level at which any of its n
+    blocks first reaches a full state.  These prunings kept the
+    m >= 3 groups of ``verify bounds --n-max 8 --samples 2000 --seed 1``
+    (83 of its 1 318 lanes) about as fast as the per-start search,
+    2.6-3.0 ms against 2.7-2.8 ms at m = 3 and 0.7-0.8 ms against 0.3 ms at
+    m = 4, while the m = 1 and m = 2 groups run 4-5x faster (best of 7 in
+    process over two sessions, 2-core VM, Python 3.11).
+    """
+    n = len(arc)
+    lanes = len(kept)
+    m = len(kept[0])
+    full = (1 << m) - 1
+    lane_mask = (1 << lanes) - 1
+    blocks = [u * lanes for u in range(n)]
+    rep = sum(1 << shift for shift in blocks)
+    everyone = lane_mask * rep
+    # inside[i][w]: the lanes with w in their i-th kept set.
+    inside = []
+    for i in range(m):
+        text = "".join([format(sets[i], f"0{n}b") for sets in kept])
+        inside.append([int(text[n - 1 - w::n], 2) for w in range(n)])
+    # classes[w]: (met-mask at w, its lanes) for each mask some lane has at w.
+    classes = []
+    frontier: dict[tuple[int, int], int] = {}
+    for w in range(n):
+        parts = {0: lane_mask}
+        for i in range(m):
+            held = inside[i][w]
+            refined = {}
+            for mask, group in parts.items():
+                if group & held:
+                    refined[mask | 1 << i] = group & held
+                if group & ~held:
+                    refined[mask] = group & ~held
+            parts = refined
+        classes.append([(mask, group * rep) for mask, group in parts.items()])
+        for mask, group in parts.items():
+            frontier[w, mask] = group << blocks[w]
+    arc_rows = [[x * rep for x in row] for row in arc]
+    seen = dict(frontier)
+    reached = [seen.get((w, full), 0) for w in range(n)]
+    # found[k]: the (start, lane) bits that first reach a full state at level k.
+    found = [functools.reduce(or_, reached)]
+    done = functools.reduce(and_, reached)
+    # steps[w, mask]: (mask after stepping to w, its lanes) per distinct mask.
+    steps: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    while frontier and done != everyone:
+        # into[mask][w]: the bits that step to w from a state with that mask.
+        into: dict[int, list[int]] = {}
+        for (v, mask), bits in frontier.items():
+            bits &= ~done
+            if bits:
+                row = into.get(mask)
+                into[mask] = [x | bits & y for x, y in zip(row, arc_rows[v])] if row else [
+                    bits & y for y in arc_rows[v]]
+        grown: dict[tuple[int, int], int] = {}
+        for mask, row in into.items():
+            for w, bits in enumerate(row):
+                if not bits:
+                    continue
+                parts = steps.get((w, mask))
+                if parts is None:
+                    parts = steps[w, mask] = _merged(mask, classes[w])
+                if len(parts) == 1:
+                    key = (w, parts[0][0])
+                    grown[key] = grown.get(key, 0) | bits
+                    continue
+                for met, group in parts:
+                    hit = bits & group
+                    if hit:
+                        grown[w, met] = grown.get((w, met), 0) | hit
+        frontier = {}
+        new_full = 0
+        for key, bits in grown.items():
+            w, mask = key
+            # A bit that has reached (w, full) reaches everything from there
+            # no later than from any other mask at w.
+            bits &= ~reached[w]
+            if not bits:
+                continue
+            if mask == full:
+                reached[w] |= bits
+                new_full |= bits
+            else:
+                old = seen.get(key, 0)
+                bits &= ~old
+                if not bits:
+                    continue
+                seen[key] = old | bits
+            frontier[key] = bits
+        found.append(new_full)
+        done = functools.reduce(and_, reached)
+    if done != everyone:
+        raise NotPrimitiveError("product-state search could not reach every pair")
+    diameters = [0] * lanes
+    pending = lane_mask
+    for level in range(len(found) - 1, -1, -1):
+        hit = functools.reduce(or_, [found[level] >> shift for shift in blocks]) & pending
+        if hit:
+            for t in _set_lanes(hit, lanes):
+                diameters[t] = level
+            pending &= ~hit
+    return diameters
+
+
+def _merged(mask: int, classes: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """``classes`` of one vertex as seen from met-mask ``mask``: lanes whose
+    masks differ only in sets ``mask`` already meets land in one state."""
+    merged: dict[int, int] = {}
+    for met, group in classes:
+        merged[mask | met] = merged.get(mask | met, 0) | group
+    return list(merged.items())
 
 
 def _cwalk_search(start: int, n: int, succ: list, met: list[int], full: int) -> list[int]:

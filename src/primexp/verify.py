@@ -60,17 +60,20 @@ universe's least dihedral masks and the random tries that are the first
 with their least pattern rotation, into one batch per order, whatever
 pair or sweep they come from: the default pairs (10, 3), (10, 7) and
 (10, 9) make one 231-lane batch.  Then each batch is bit-sliced once, and
-one ``_lane_exponents`` and one ``_lane_cycle_covers`` pass read the same
-slices (``_batch_keys``).  With ``--jobs`` N > 1 each batch is dealt
-round-robin into min(N, CPUs) blocks, one slicing and one pair of passes
-per block, and the blocks of every order run on one process pool, so the
-pairs of one order still spread over the workers.  The c-walk runs on
-every representative, and its distance rows are read only for their
-maximum.  Each instance adds one report entry that holds its label, its
-params and its key's fact list, so instances with equal keys share one
-list.  Five order-16 pairs, (16, 3), (16, 5), (16, 7), (16, 9) and
-(16, 15), take 1.7-1.9 s and 146 MB in process at jobs=1, and 1.5-1.6 s
-and 148 MB in the parent at jobs=2 (2-core VM, Python 3.11).
+one ``_lane_exponents`` pass, one ``_lane_cycle_covers`` pass and the
+``_lane_cwalk_diameters`` passes over those covers, one per count of kept
+cycle-length sets, read the same slices (``_batch_keys``): the c-walk
+maximum of every (representative, start) pair comes from one search, and
+no representative gets a c-walk of its own.  With ``--jobs`` N > 1 each
+batch is dealt round-robin into min(N, CPUs) blocks, one slicing and one
+set of passes per block, and the blocks of every order run on one process
+pool, so the pairs of one order still spread over the workers.  Each
+instance adds one report entry that holds its label, its params and its
+key's fact list, so instances with equal keys share one list.  Five
+order-16 pairs, (16, 3), (16, 5), (16, 7), (16, 9) and (16, 15), take
+0.8-0.95 s and 145 MB in process at jobs=1 (1.3-1.7 s with a c-walk per
+representative), and 0.8-0.95 s and 148 MB in the parent at jobs=2
+(2-core VM, Python 3.11).
 """
 
 from __future__ import annotations
@@ -87,15 +90,14 @@ from .boolmat import MAX_ORDER, _lane_entries, _row_lines, serialize_rows
 from .digraph import (
     Digraph,
     _bfs_levels,
-    _cycle_cover,
     _lane_cycle_covers,
     _lane_cycle_sets,
 )
 from .exponent import (
     NotPrimitiveError,
-    TooManyCycleLengthsError,
-    _cwalk_rows,
+    _lane_cwalk_diameters,
     _lane_exponents,
+    _too_many_lengths,
     cwalk_of_cover,
     exponent_of_rows,
     formula_thm33,
@@ -247,31 +249,20 @@ def _fact_rows(n: int, exp: int, lengths: tuple[int, ...], cw: int | str) -> lis
             for claim, predicted, oracle, options in facts]
 
 
-def _bound_key(rows: tuple[int, ...], n: int, exp: int | None,
-               cover: list[int]) -> tuple[int, int, tuple[int, ...], int | str]:
+def _bound_key(n: int, exp: int, cover: list[int],
+               cw: int | None) -> tuple[int, int, tuple[int, ...], int | str]:
     """The ``_fact_rows`` arguments of a digraph: order, exponent, cycle lengths and c-walk.
 
-    ``exp`` is the exponent of the successor rows, None when they are not
-    primitive, which raises NotPrimitiveError, and ``cover`` is their
-    subset-DP cycle cover (``_cycle_cover``), which has no cap.  The cycle
-    lengths are read off the cover, and the c-walk runs on it on every
-    call.  Every value is an isomorphism invariant and does not change when
-    every arc is reversed, so equal keys give equal facts.
+    ``cover`` is the digraph's cycle cover and ``cw`` its c-walk maximum,
+    both read off its batch's lane passes (``_batch_keys``); ``cw`` is None
+    when the cover has more lengths than the c-walk supports, which gives
+    the skip note.  Every value is an isomorphism invariant and does not
+    change when every arc is reversed, so equal keys give equal facts.
     """
-    if exp is None:
-        raise NotPrimitiveError(f"digraph of order {n} is not primitive")
     lengths = tuple([k for k in range(1, n + 1) if cover[k]])
-    try:
-        cw = max(map(max, _cwalk_rows(rows, n, cover)))
-    except TooManyCycleLengthsError as exc:
-        cw = f"skipped: {exc}"
+    if cw is None:
+        cw = f"skipped: {_too_many_lengths(cover)}"
     return n, exp, lengths, cw
-
-
-def _bound_facts(rows: tuple[int, ...], n: int, exp: int | None,
-                 cover: list[int]) -> list[VerificationRow]:
-    """``_fact_rows`` of a digraph's ``_bound_key``."""
-    return _fact_rows(*_bound_key(rows, n, exp, cover))
 
 
 def _shared_facts(keys: list[tuple]) -> list[list[VerificationRow]]:
@@ -284,20 +275,29 @@ def _batch_keys(args: tuple[int, list[tuple[int, ...]]]) -> list[tuple]:
     """The ``_bound_key`` of each successor-row tuple of a batch of order n, in order.
 
     The batch is bit-sliced once (``_lane_entries``), and the same slices
-    feed one ``_lane_exponents`` pass and one ``_lane_cycle_covers`` pass.
+    feed one ``_lane_exponents`` pass, one ``_lane_cycle_covers`` pass and
+    the ``_lane_cwalk_diameters`` passes, one per kept-set count, that read
+    those covers.  A batch with a non-primitive member raises
+    NotPrimitiveError after the exponent pass.
     """
     n, rowsets = args
+    lanes = len(rowsets)
     arc = _lane_entries(rowsets, n)
-    exps = _lane_exponents(arc, len(rowsets))
-    covers = _lane_cycle_covers(arc, len(rowsets))
-    return [_bound_key(rows, n, exp, cover) for rows, exp, cover in zip(rowsets, exps, covers)]
+    exps = _lane_exponents(arc, lanes)
+    if None in exps:
+        raise NotPrimitiveError(f"digraph of order {n} is not primitive")
+    covers = _lane_cycle_covers(arc, lanes)
+    diameters = _lane_cwalk_diameters(arc, lanes, covers)
+    return [_bound_key(n, exp, cover, cw) for exp, cover, cw in zip(exps, covers, diameters)]
 
 
 def bound_rows_for(d: Digraph, instance: str, report: Report, **params) -> None:
-    """Append one row per applicable established bound for one primitive digraph."""
-    report.entries.append(
-        (instance, params, _bound_facts(d.rows, d.order, exponent_of_rows(d.rows, d.order),
-                                        _cycle_cover(d.rows, d.order))))
+    """Append one row per applicable established bound for one primitive digraph.
+
+    The digraph is a ``_batch_keys`` batch of one.
+    """
+    key, = _batch_keys((d.order, [d.rows]))
+    report.entries.append((instance, params, _fact_rows(*key)))
 
 
 def _mirror_mask(mask: int, n: int, g: int) -> int:
@@ -365,12 +365,13 @@ def verify_bounds(
     """Bound suite over exhaustive chord families plus a seeded random sweep.
 
     Each chord pair (n, g) needs 2 <= g <= n-1 and n <= CHORD_ORDER_CAP,
-    checked before any work.  Every member of the (n, g) universe has
-    period gcd(n, g), so a pair with gcd(n, g) > 1 adds no entry.  The
-    suite collects every orbit representative into one batch per order
-    (``_chord_representatives``, ``_random_representatives``), bit-slices
-    each batch once for its two lane passes, dealt over min(jobs, CPUs)
-    worker processes when jobs > 1 (``_order_keys``), and gives each chord
+    and no pair may be given twice, which would write its universe's rows
+    twice; both are checked before any work.  Every member of the (n, g)
+    universe has period gcd(n, g), so a pair with gcd(n, g) > 1 adds no
+    entry.  The suite collects every orbit representative into one batch
+    per order (``_chord_representatives``, ``_random_representatives``),
+    bit-slices each batch once for its lane passes, dealt over min(jobs,
+    CPUs) worker processes when jobs > 1 (``_order_keys``), and gives each chord
     pair and the random sweep one shared fact list per key
     (``_shared_facts``); see the module docstring.  A universe has 2^n - 1
     members, and its time and memory about double with each order.
@@ -380,10 +381,12 @@ def verify_bounds(
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
     chord_pairs = list(chord_pairs)
-    for n, g in chord_pairs:
+    for i, (n, g) in enumerate(chord_pairs):
         if not (2 <= g <= n - 1 and n <= CHORD_ORDER_CAP):
             raise ValueError(
                 f"chord pair {n}:{g} needs 2 <= g <= n-1 and n <= {CHORD_ORDER_CAP}")
+        if (n, g) in chord_pairs[:i]:
+            raise ValueError(f"chord pair {n}:{g} is repeated")
     batches: dict[int, list[tuple[int, ...]]] = {}
     universes = _chord_representatives(chord_pairs, batches)
     slots, pending = _random_representatives(seed, samples, n_max, batches)

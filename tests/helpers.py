@@ -7,9 +7,15 @@ from operator import getitem
 
 from primexp.boolmat import _lane_entries
 from primexp.digraph import Digraph, _cycle_cover, _lane_cycle_covers
-from primexp.exponent import _lane_exponents
+from primexp.exponent import (
+    NotPrimitiveError,
+    TooManyCycleLengthsError,
+    _cwalk_rows,
+    _lane_cwalk_diameters,
+    _lane_exponents,
+)
 from primexp.iso import find_isomorphism
-from primexp.verify import _random_primitive_rows
+from primexp.verify import _fact_rows, _random_primitive_rows
 
 
 def relabeled_codes(rows: tuple[int, ...], tables) -> list[int]:
@@ -30,6 +36,34 @@ def lane_exponents(rowsets, n: int) -> list[int | None]:
 def lane_cycle_covers(rowsets, n: int) -> list[list[int]]:
     """``_lane_cycle_covers`` of a batch of order-n row tuples, sliced by ``_lane_entries``."""
     return _lane_cycle_covers(_lane_entries(rowsets, n), len(rowsets))
+
+
+def lane_cwalk_diameters(rowsets, n: int) -> list[int | None]:
+    """``_lane_cwalk_diameters`` of a batch of order-n row tuples, on its lane covers."""
+    arc = _lane_entries(rowsets, n)
+    return _lane_cwalk_diameters(arc, len(rowsets), _lane_cycle_covers(arc, len(rowsets)))
+
+
+def cwalk_max(rows: tuple[int, ...], n: int, cover: list[int]) -> int:
+    """Oracle: the c-walk maximum by the per-start search ``_cwalk_rows``."""
+    return max(map(max, _cwalk_rows(rows, n, cover)))
+
+
+def bound_facts(rows: tuple[int, ...], n: int, exp: int | None, cover: list[int]) -> list:
+    """Oracle: the bound suite's template rows of one digraph, from per-matrix kernels.
+
+    ``exp`` is its exponent, None when it is not primitive, which raises
+    NotPrimitiveError, and ``cover`` its cycle cover.  The c-walk maximum
+    comes from ``_cwalk_rows``, not from the lane pass the suite reads.
+    """
+    if exp is None:
+        raise NotPrimitiveError(f"digraph of order {n} is not primitive")
+    lengths = tuple([k for k in range(1, n + 1) if cover[k]])
+    try:
+        cw = cwalk_max(rows, n, cover)
+    except TooManyCycleLengthsError as exc:
+        cw = f"skipped: {exc}"
+    return _fact_rows(n, exp, lengths, cw)
 
 
 def cover_lengths(rows: tuple[int, ...], n: int) -> tuple[int, ...]:

@@ -453,9 +453,11 @@ def test_verify_thm33_above_the_order_cap_is_input_error(capsys, monkeypatch):
     (("thm33", "--n-min", "-3", "--n-max", "3"), "n_min must be at least 3, got -3"),
     (("lemma24", "--n", "3"), "supported orders are 4..64, got 3"),
     (("lemma24", "--n", "65"), "supported orders are 4..64, got 65"),
+    (("bounds", "--chord-pairs", "7:3,7:3", "--samples", "0", "--seed", "1"),
+     "chord pair 7:3 is repeated"),
 ], ids=["thm36-17", "thm36-40", "thm36-10-11", "thm36-10-1", "thm36-neg5", "thm36-3",
         "lemma34-65", "lemma34-1", "thm33-9-5", "thm33-2-2", "thm33--3-3", "lemma24-3",
-        "lemma24-65"])
+        "lemma24-65", "bounds-7:3-twice"])
 def test_verify_above_a_verb_order_cap_is_input_error_at_once(capsys, argv, message):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", *argv)

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from primexp.boolmat import mul_rows, pow_rows, serialize_rows, transpose_rows
+from primexp.boolmat import _lane_entries, mul_rows, pow_rows, serialize_rows, transpose_rows
 from primexp.cli import main
 from primexp.digraph import (
     Digraph,
@@ -29,6 +29,8 @@ from primexp.exponent import (
     TruncatedProfileError,
     _cwalk_rows,
     _exponent_kernel,
+    _kept_sets,
+    _lane_cwalk_diameters,
     c_walk_distances,
     cwalk_of_cover,
     exponent,
@@ -45,10 +47,25 @@ from primexp.exponent import (
     z_of_w,
 )
 from primexp.families import chord_member, d1, d2, d_gN, h_graph, q1, q2, standard_cycle
+from primexp.report import Report
 from primexp.semigroup import frobenius
-from primexp.verify import _bound_facts, _random_primitive_rows
+from primexp.verify import (
+    DEFAULT_CHORD_PAIRS,
+    _chord_representatives,
+    _orbits,
+    _random_primitive_rows,
+    _random_representatives,
+    bound_rows_for,
+)
 
-from helpers import cover_lengths, lane_exponents, random_primitive_digraph, relabel
+from helpers import (
+    cover_lengths,
+    cwalk_max,
+    lane_cwalk_diameters,
+    lane_exponents,
+    random_primitive_digraph,
+    relabel,
+)
 
 
 def linear_exponent_scan(rows: tuple[int, ...], n: int) -> tuple[int, tuple[int, ...]] | None:
@@ -825,12 +842,77 @@ def test_cwalk_rows_raise_as_cwalk_of_cover_does():
     with pytest.raises(NotPrimitiveError):
         c_walk_distances(standard_cycle(64))
     with pytest.raises(NotPrimitiveError):
-        _bound_facts(rows, 64, exponent_of_rows(rows, 64), cover)
+        bound_rows_for(standard_cycle(64), "C64", Report())
     for kernel in (_cwalk_rows, cwalk_of_cover):
         with pytest.raises(NotPrimitiveError):
             kernel(SINK_CYCLE.rows, 6, [0b111111])
         with pytest.raises(TooManyCycleLengthsError):
             kernel(complete_with_loops(4).rows, 4, [0b1111] * (MAX_CYCLE_LENGTHS + 1))
+
+
+def _assert_lane_cwalk_is_the_per_start_search(rowsets, n):
+    covers = [_cycle_cover(rows, n) for rows in rowsets]
+    want = [cwalk_max(rows, n, cover) for rows, cover in zip(rowsets, covers)]
+    assert lane_cwalk_diameters(rowsets, n) == want, n
+    assert _lane_cwalk_diameters(_lane_entries(rowsets, n), len(rowsets), covers) == want, n
+
+
+@pytest.mark.parametrize("n_max", [8, 10])
+def test_lane_cwalk_equals_the_per_start_search_on_every_bound_suite_representative(n_max):
+    for seed in (1, 2, 3):
+        batches: dict[int, list[tuple[int, ...]]] = {}
+        _chord_representatives(DEFAULT_CHORD_PAIRS, batches)
+        _random_representatives(seed, 2000, n_max, batches)
+        assert sum(map(len, batches.values())) > 1000
+        for n, rowsets in batches.items():
+            _assert_lane_cwalk_is_the_per_start_search(rowsets, n)
+
+
+@pytest.mark.parametrize("pair", [(10, 3), (10, 7), (11, 4), (12, 5), (13, 4), (13, 5),
+                                  (16, 5), (16, 15)], ids="{0[0]}:{0[1]}".format)
+def test_lane_cwalk_equals_the_per_start_search_on_chord_universes(pair):
+    n, g = pair
+    reps, _ = _orbits(n, g, mirror=True)
+    _assert_lane_cwalk_is_the_per_start_search([rows for _, rows in reps], n)
+
+
+def test_lane_cwalk_on_one_batch_of_every_kept_set_count():
+    # Lanes with 1, 2, 3 and 4 or more kept sets share one batch, so the
+    # kernel picks each count's lanes out of the same slices.
+    rng = random.Random(42)
+    n = 9
+    by_count: dict[int, list[tuple[int, ...]]] = {}
+    while min(len(by_count.get(m, ())) for m in (1, 2, 3, 4)) < 12:
+        rows = random_primitive_digraph(rng, n, rng.choice([0.1, 0.2, 0.3, 0.5])).rows
+        by_count.setdefault(min(len(_kept_sets(_cycle_cover(rows, n))), 4), []).append(rows)
+    rowsets = [rows for m in (4, 1, 3, 2) for rows in by_count[m][:12]]
+    rng.shuffle(rowsets)
+    _assert_lane_cwalk_is_the_per_start_search(rowsets, n)
+
+
+def test_lane_cwalk_on_a_batch_of_one_and_on_the_empty_batch():
+    rows = d1(64).rows
+    assert lane_cwalk_diameters([rows], 64) == [c_walk_distances(d1(64)).max]
+    _assert_lane_cwalk_is_the_per_start_search([rows], 64)
+    assert lane_cwalk_diameters([], 5) == []
+
+
+def test_lane_cwalk_refuses_a_non_primitive_lane():
+    primitive = d1(6).rows
+    for rowsets in ([SINK_CYCLE.rows], [primitive, SINK_CYCLE.rows, primitive]):
+        arc = _lane_entries(rowsets, 6)
+        covers = [_cycle_cover(rows, 6) for rows in rowsets]
+        with pytest.raises(NotPrimitiveError):
+            _lane_cwalk_diameters(arc, len(rowsets), covers)
+
+
+def test_lane_cwalk_leaves_a_lane_with_too_many_lengths_to_the_caller():
+    # As _cwalk_rows refuses such a cover, the lane kernel gives it None and
+    # still measures the other lanes of the batch.
+    rowsets = [complete_with_loops(4).rows, d1(4).rows]
+    covers = [[0b1111] * (MAX_CYCLE_LENGTHS + 1), _cycle_cover(d1(4).rows, 4)]
+    assert _lane_cwalk_diameters(_lane_entries(rowsets, 4), 2, covers) == [
+        None, c_walk_distances(d1(4)).max]
 
 
 def _verdict_cases() -> list[tuple[tuple[int, ...], int]]:

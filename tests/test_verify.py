@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import importlib
 import itertools
 import math
 import operator
@@ -37,7 +38,6 @@ from primexp.semigroup import frobenius
 from primexp.verify import (
     BERNOULLI_SWEEP,
     CHORD_ORDER_CAP,
-    _bound_facts,
     _chord_sets,
     _converse_facts,
     _fixed_cycle_walk,
@@ -61,6 +61,7 @@ from primexp.verify import (
 import random
 
 from helpers import (
+    bound_facts,
     canonical_code,
     classify_against,
     cover_lengths,
@@ -273,6 +274,19 @@ def test_verify_bounds_rejects_bad_sizes_before_any_universe(monkeypatch, kwargs
         verify_bounds(seed=1, **kwargs)
 
 
+def test_verify_bounds_refuses_a_repeated_chord_pair_before_any_universe(monkeypatch):
+    # A pair given twice would write each of its universe's rows twice, and
+    # the summary would count each of its claims twice.
+    def no_universe(*args, **kwargs):
+        raise AssertionError("a chord universe or the random sweep ran before the input check")
+
+    monkeypatch.setattr(verify_module, "_orbits", no_universe)
+    monkeypatch.setattr(verify_module, "_random_rows", no_universe)
+    for pairs in (((7, 3), (7, 3)), ((7, 3), (5, 2), (7, 3)), ((10, 4), (10, 4))):
+        with pytest.raises(ValueError, match=f"chord pair {pairs[0][0]}:{pairs[0][1]} is repeated"):
+            verify_bounds(samples=0, seed=1, chord_pairs=pairs)
+
+
 def _rotate(mask: int, n: int) -> int:
     """The chord mask moved one position up: position i becomes i % n + 1."""
     return ((mask << 1) | (mask >> (n - 1))) & ((1 << n) - 1)
@@ -354,7 +368,7 @@ def test_per_orbit_with_mirror_evaluates_each_least_dihedral_mask_once(n, g, orb
     def facts(rows):
         if not rows_primitive(rows, n):
             return []
-        return _bound_facts(rows, n, exponent_of_rows(rows, n), _cycle_cover(rows, n))
+        return bound_facts(rows, n, exponent_of_rows(rows, n), _cycle_cover(rows, n))
 
     # The bound suite maps each member to its dihedral orbit's facts
     # through ``_orbits`` itself, as this test does.  (The name is kept so
@@ -399,7 +413,7 @@ def johnson_cwalk_max(d, profile) -> int:
 
 
 def test_lemma22_rows_equal_the_johnson_cwalk_oracle():
-    # Independent of _bound_facts: the c-walk takes its profile from Johnson's
+    # Independent of bound_facts: the c-walk takes its profile from Johnson's
     # enumerator, not from the subset-DP cover.
     seed, samples, n_max = 8, 150, 7
     report = verify_bounds(n_max=n_max, samples=samples, seed=seed,
@@ -434,7 +448,7 @@ def _memo_run():
 
 def test_memoized_bound_facts_equal_the_memo_less_facts():
     for instance, _, d, facts in _memo_run():
-        assert facts == _bound_facts(d.rows, d.order, exponent_of_rows(d.rows, d.order),
+        assert facts == bound_facts(d.rows, d.order, exponent_of_rows(d.rows, d.order),
                                      _cycle_cover(d.rows, d.order)), instance
 
 
@@ -478,13 +492,13 @@ def test_random_sweep_rows_equal_the_per_instance_loop():
 
 
 def _random_sweep_oracle(seed: int, samples: int, n_max: int) -> Report:
-    """The random sweep with one ``_bound_facts`` call per distinct rows."""
+    """The random sweep with one ``bound_facts`` call per distinct rows."""
     report = Report()
     seen = {}
     for idx, n, p, d in random_instances(seed, samples, n_max):
         if d.rows not in seen:
             digest = hashlib.sha256(serialize_rows(d.rows, n).encode()).hexdigest()[:12]
-            seen[d.rows] = digest, _bound_facts(d.rows, n, exponent_of_rows(d.rows, n),
+            seen[d.rows] = digest, bound_facts(d.rows, n, exponent_of_rows(d.rows, n),
                                                 _cycle_cover(d.rows, n))
         digest, facts = seen[d.rows]
         report.entries.append((f"rand:{idx:06d}:{digest}", {"n": n, "p": p, "seed": seed}, facts))
@@ -537,6 +551,35 @@ def test_bound_suite_reads_exponents_in_one_lane_pass_per_order(monkeypatch):
     assert sum(size for _, size in random_orders) == 962
 
 
+def test_bound_suite_reads_c_walks_in_one_lane_pass_per_kept_set_count(monkeypatch):
+    # No representative gets a per-start c-walk search of its own.  Each
+    # order's batch makes one lane pass per count of kept sets (minimal
+    # cycle-length vertex sets) among its lanes: 22 passes over the same
+    # 356 + 962 representatives the evaluation count pins.
+    exponent_module = importlib.import_module("primexp.exponent")
+    passes = []
+    cwalk_pass = exponent_module._cwalk_pass
+
+    def counting(arc, kept):
+        passes.append((len(arc), len(kept[0]), len(kept)))
+        return cwalk_pass(arc, kept)
+
+    def refuse(*args):
+        raise AssertionError("the bound suite ran a per-start c-walk search")
+
+    monkeypatch.setattr(exponent_module, "_cwalk_pass", counting)
+    for name in ("_cwalk_rows", "_cwalk_search"):
+        monkeypatch.setattr(exponent_module, name, refuse)
+    verify_bounds(n_max=8, samples=2000, seed=1)
+    counts: dict[int, list[int]] = {}
+    for n, m, _ in passes:
+        counts.setdefault(n, []).append(m)
+    assert {n: sorted(ms) for n, ms in counts.items()} == {
+        2: [1], 3: [1, 2], 4: [1, 2], 5: [1, 2, 3], 6: [1, 2, 3, 4], 7: [1, 2, 3, 4],
+        8: [1, 2, 3, 4], 10: [1], 11: [1]}
+    assert sum(lanes for _, _, lanes in passes) == 356 + 962
+
+
 def test_bound_suite_reads_cycle_covers_in_one_lane_pass_per_order(monkeypatch):
     # The same passes as the exponents', and no cover of one representative.
     passes = []
@@ -550,7 +593,8 @@ def test_bound_suite_reads_cycle_covers_in_one_lane_pass_per_order(monkeypatch):
         raise AssertionError("the bound suite built a cover of one representative")
 
     monkeypatch.setattr(verify_module, "_lane_cycle_covers", counting)
-    monkeypatch.setattr(verify_module, "_cycle_cover", refuse)
+    for name in ("primexp.digraph", "primexp.exponent"):
+        monkeypatch.setattr(importlib.import_module(name), "_cycle_cover", refuse)
     verify_bounds(n_max=8, samples=2000, seed=1)
     chord, random_orders = passes[:2], passes[2:]
     assert chord == [(10, 3 * 77), (11, 125)]
@@ -614,7 +658,8 @@ def test_chord_sweeps_read_their_facts_in_one_lane_pass_each(monkeypatch):
 
     for name in ("_lane_exponents", "_lane_cycle_covers"):
         monkeypatch.setattr(verify_module, name, counting(getattr(verify_module, name)))
-    monkeypatch.setattr(verify_module, "_cycle_cover", refuse)
+    for name in ("primexp.digraph", "primexp.exponent"):
+        monkeypatch.setattr(importlib.import_module(name), "_cycle_cover", refuse)
     monkeypatch.setattr(verify_module, "exponent_of_rows", refuse)
     for g, girth_g in ((3, 107), (7, 8)):
         verify_thm36(10, g)
@@ -1483,8 +1528,6 @@ def test_census_reads_its_facts_in_one_lane_pass_each(monkeypatch):
     # one cycle-set pass and one exponent pass over them; no class's
     # exponent or cycles are computed on their own, and no per-lane cover
     # is read out.
-    import importlib
-
     passes = []
 
     def counting(kernel):
@@ -1499,8 +1542,9 @@ def test_census_reads_its_facts_in_one_lane_pass_each(monkeypatch):
     for name in ("_lane_exponents", "_lane_cycle_sets"):
         monkeypatch.setattr(verify_module, name, counting(getattr(verify_module, name)))
     for module in (verify_module, importlib.import_module("primexp.digraph")):
-        monkeypatch.setattr(module, "_cycle_cover", refuse)
         monkeypatch.setattr(module, "_lane_cycle_covers", refuse)
+    for name in ("primexp.digraph", "primexp.exponent"):
+        monkeypatch.setattr(importlib.import_module(name), "_cycle_cover", refuse)
     for module in (verify_module, importlib.import_module("primexp.exponent")):
         monkeypatch.setattr(module, "exponent_of_rows", refuse)
     text = census_to_jsonl(census(4, jobs=1))
