@@ -191,7 +191,7 @@ def _csv_path(out: str) -> str:
 
 def _write_report(report: Report, out: str | None) -> int:
     if out is None:
-        sys.stdout.write(report.to_jsonl())
+        report.write_jsonl(sys.stdout)
     else:
         report.write(out, _csv_path(out))
     if not report.all_asserts_pass:
@@ -284,13 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = verb("bounds", "bound suite: chord families + random sweep", lambda a: verify_bounds(
         n_max=a.n_max, samples=a.samples, seed=a.seed,
-        chord_pairs=_parse_chord_pairs(a.chord_pairs), jobs=a.jobs))
+        chord_pairs=_parse_chord_pairs(a.chord_pairs)))
     v.add_argument("--n-max", dest="n_max", type=int, default=8)
     v.add_argument("--samples", type=int, default=1000)
     v.add_argument("--seed", type=int, required=True)
     v.add_argument("--chord-pairs", dest="chord_pairs",
                    default=",".join(f"{n}:{g}" for n, g in DEFAULT_CHORD_PAIRS))
-    v.add_argument("--jobs", type=_jobs, default=1)
+    v.add_argument("--jobs", type=_jobs, default=1,
+                   help="accepted for compatibility; has no effect, the check runs in one process")
 
     v = verb("lemma24", "exhaustive extremal-class check", lambda a: verify_lemma24(n=a.n))
     v.add_argument("--n", type=int, default=4)

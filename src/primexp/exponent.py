@@ -27,9 +27,11 @@ when the cover or the search gives up, so dense non-primitive input is
 refused only after the cover's budget runs out, within seconds.  The
 per-start search ``_cwalk_rows`` serves these single-matrix callers (the
 ``cwalk`` and ``bound lemma22`` verbs).  ``_lane_cwalk_diameters`` runs the
-same search on a bit-sliced batch, every (matrix, start) pair at once, and
-gives only each matrix's maximum; the bound suite reads its c-walks from
-it, as it reads its exponents from ``_lane_exponents``.
+same search on a bit-sliced batch, every (matrix, start) pair at once in
+one search, with each matrix's kept sets padded by the full vertex set to
+the batch's largest count, and gives only each matrix's maximum; the bound
+suite reads its c-walks from it, one search per order batch, as it reads
+its exponents from ``_lane_exponents``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import and_, itemgetter, or_
+from operator import and_, or_
 
 from .boolmat import mul_rows
 from .digraph import (
@@ -422,65 +424,41 @@ def _lane_cwalk_diameters(arc: list[list[int]], lanes: int,
     ``arc`` is a batch of ``lanes`` matrices of one order sliced by
     ``boolmat._lane_entries`` and ``covers`` their cycle covers, as
     ``digraph._lane_cycle_covers`` reads them off the same slices.  A lane
-    whose cover has more than MAX_CYCLE_LENGTHS lengths gets None.  The
-    other lanes are grouped by their count m of kept sets (``_kept_sets``),
-    each group's lanes are picked out of the slices, and each group makes
-    one ``_cwalk_pass``; the kept sets are numbered per lane, so only lanes
-    with equal m share a met-mask space.  A lane that cannot reach every
-    vertex with every kept set met raises NotPrimitiveError.
-    """
-    diameters: list[int | None] = [None] * lanes
-    groups: dict[int, list[tuple[int, list[int]]]] = {}
-    for t, cover in enumerate(covers):
-        kept = _kept_sets(cover)
-        if kept is not None:
-            groups.setdefault(len(kept), []).append((t, kept))
-    texts = None
-    for members in groups.values():
-        picked = [t for t, _ in members]
-        if len(picked) == lanes:
-            sub = arc
-        else:
-            if texts is None:
-                width = f"0{lanes}b"
-                texts = [[format(x, width) if x else "" for x in row] for row in arc]
-            # Character t of a slice's text is lane t; a one-lane pick is one character.
-            pick = itemgetter(*picked)
-            sub = [[int("".join(pick(text)), 2) if text else 0 for text in row] for row in texts]
-        for t, diameter in zip(picked, _cwalk_pass(sub, [kept for _, kept in members])):
-            diameters[t] = diameter
-    return diameters
+    whose cover has more than MAX_CYCLE_LENGTHS lengths gets None.  A lane
+    that cannot reach every vertex with every kept set met raises
+    NotPrimitiveError.
 
+    Every lane's kept sets (``_kept_sets``) are padded with the full vertex
+    set up to m, the batch's largest count of them, so all lanes share one
+    met-mask space and one search.  Every vertex lies in the full set, so
+    every start meets it at once, and the padding changes no distance.  A
+    lane with too many lengths is searched with m full sets, every set met
+    from the start, and still reports None.
 
-def _cwalk_pass(arc: list[list[int]], kept: list[list[int]]) -> list[int]:
-    """``_lane_cwalk_diameters`` of lanes that all have len(kept[t]) kept sets.
-
-    Bit u*L + L-1-t of a wide int stands for start u of lane t, L =
-    len(kept), lane t sitting at bit L-1-t of its block as in the slices:
-    each slice is replicated across the n start blocks by multiplying it by
-    R = sum of 1 << (u*L), so every start of every lane searches at once.
-    A state is a (vertex v, met-mask M) pair, as in ``_cwalk_search``, and
-    holds the (start, lane) bits that reach it.  The search is level by
-    level.  The bits of every state with mask M are first ORed into w on
-    the lanes with an arc v -> w, then split once per (w, M) by the lanes'
-    met-mask at w (``classes``), since the kept sets differ per lane;
-    lanes whose masks at w differ only in sets M already meets stay
-    together (``_merged``).  A state keeps only the bits that first reach
-    it.  A bit that has reached (w, full) is dropped from every other state
-    at w, which it dominates, and a (start, lane) bit leaves the search
-    once it has reached every vertex with the full mask.  The first level
-    at which a bit reaches (w, full) is the c-walk distance from its start
-    to w, so a lane's maximum is the last level at which any of its n
-    blocks first reaches a full state.  These prunings kept the
-    m >= 3 groups of ``verify bounds --n-max 8 --samples 2000 --seed 1``
-    (83 of its 1 318 lanes) about as fast as the per-start search,
-    2.6-3.0 ms against 2.7-2.8 ms at m = 3 and 0.7-0.8 ms against 0.3 ms at
-    m = 4, while the m = 1 and m = 2 groups run 4-5x faster (best of 7 in
-    process over two sessions, 2-core VM, Python 3.11).
+    Bit u*L + L-1-t of a wide int stands for start u of lane t, L = lanes,
+    lane t sitting at bit L-1-t of its block as in the slices: each slice
+    is replicated across the n start blocks by multiplying it by R = sum of
+    1 << (u*L), so every start of every lane searches at once.  A state is
+    a (vertex v, met-mask M) pair, as in ``_cwalk_search``, and holds the
+    (start, lane) bits that reach it.  The search is level by level.  The
+    bits of every state with mask M are first ORed into w on the lanes with
+    an arc v -> w, then split once per (w, M) by the lanes' met-mask at w
+    (``classes``), since the kept sets differ per lane; lanes whose masks
+    at w differ only in sets M already meets stay together (``_merged``).
+    A state keeps only the bits that first reach it.  A bit that has
+    reached (w, full) is dropped from every other state at w, which it
+    dominates, and a (start, lane) bit leaves the search once it has
+    reached every vertex with the full mask.  The first level at which a
+    bit reaches (w, full) is the c-walk distance from its start to w, so a
+    lane's maximum is the last level at which any of its n blocks first
+    reaches a full state.
     """
     n = len(arc)
-    lanes = len(kept)
-    m = len(kept[0])
+    own = [_kept_sets(cover) for cover in covers]
+    m = max([len(sets) for sets in own if sets is not None], default=0)
+    vertices = (1 << n) - 1
+    kept = [[vertices] * m if sets is None else sets + [vertices] * (m - len(sets))
+            for sets in own]
     full = (1 << m) - 1
     lane_mask = (1 << lanes) - 1
     blocks = [u * lanes for u in range(n)]
@@ -572,7 +550,7 @@ def _cwalk_pass(arc: list[list[int]], kept: list[list[int]]) -> list[int]:
             for t in _set_lanes(hit, lanes):
                 diameters[t] = level
             pending &= ~hit
-    return diameters
+    return [None if sets is None else d for sets, d in zip(own, diameters)]
 
 
 def _merged(mask: int, classes: list[tuple[int, int]]) -> list[tuple[int, int]]:

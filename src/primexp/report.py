@@ -283,10 +283,14 @@ class Report:
             writer.writerow([claim, agree, total, hard])
         return buffer.getvalue()
 
+    def write_jsonl(self, fh) -> None:
+        """Write ``to_jsonl`` to the text stream ``fh`` bucket by bucket, never joined."""
+        for bucket in self._jsonl_buckets():
+            fh.writelines(bucket)
+
     def write(self, jsonl_path: str, csv_path: str | None = None) -> None:
         with open(jsonl_path, "w", encoding="utf-8", newline="") as fh:
-            for bucket in self._jsonl_buckets():
-                fh.writelines(bucket)
+            self.write_jsonl(fh)
         if csv_path is not None:
             with open(csv_path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(self.to_summary_csv())

@@ -60,20 +60,17 @@ universe's least dihedral masks and the random tries that are the first
 with their least pattern rotation, into one batch per order, whatever
 pair or sweep they come from: the default pairs (10, 3), (10, 7) and
 (10, 9) make one 231-lane batch.  Then each batch is bit-sliced once, and
-one ``_lane_exponents`` pass, one ``_lane_cycle_covers`` pass and the
-``_lane_cwalk_diameters`` passes over those covers, one per count of kept
-cycle-length sets, read the same slices (``_batch_keys``): the c-walk
-maximum of every (representative, start) pair comes from one search, and
-no representative gets a c-walk of its own.  With ``--jobs`` N > 1 each
-batch is dealt round-robin into min(N, CPUs) blocks, one slicing and one
-set of passes per block, and the blocks of every order run on one process
-pool, so the pairs of one order still spread over the workers.  Each
-instance adds one report entry that holds its label, its params and its
-key's fact list, so instances with equal keys share one list.  Five
-order-16 pairs, (16, 3), (16, 5), (16, 7), (16, 9) and (16, 15), take
-0.8-0.95 s and 145 MB in process at jobs=1 (1.3-1.7 s with a c-walk per
-representative), and 0.8-0.95 s and 148 MB in the parent at jobs=2
-(2-core VM, Python 3.11).
+one ``_lane_exponents`` pass, one ``_lane_cycle_covers`` pass and one
+``_lane_cwalk_diameters`` search over those covers read the same slices
+(``_batch_keys``): the c-walk maximum of every (representative, start)
+pair comes from that one search, and no representative gets a c-walk of
+its own.  Every batch runs in the calling process.  The lane passes are
+about a third of an order-16 run and writing its report is serial, so
+dealing the batches over worker processes was no faster at any size
+measured.  Each instance adds one report entry that holds its label, its
+params and its key's fact list, so instances with equal keys share one
+list.  Five order-16 pairs, (16, 3), (16, 5), (16, 7), (16, 9) and
+(16, 15), take 0.8-0.9 s and 146 MB in process (2-core VM, Python 3.11).
 """
 
 from __future__ import annotations
@@ -271,16 +268,14 @@ def _shared_facts(keys: list[tuple]) -> list[list[VerificationRow]]:
     return [memo[key] for key in keys]
 
 
-def _batch_keys(args: tuple[int, list[tuple[int, ...]]]) -> list[tuple]:
+def _batch_keys(n: int, rowsets: list[tuple[int, ...]]) -> list[tuple]:
     """The ``_bound_key`` of each successor-row tuple of a batch of order n, in order.
 
     The batch is bit-sliced once (``_lane_entries``), and the same slices
     feed one ``_lane_exponents`` pass, one ``_lane_cycle_covers`` pass and
-    the ``_lane_cwalk_diameters`` passes, one per kept-set count, that read
-    those covers.  A batch with a non-primitive member raises
-    NotPrimitiveError after the exponent pass.
+    one ``_lane_cwalk_diameters`` search over those covers.  A batch with a
+    non-primitive member raises NotPrimitiveError after the exponent pass.
     """
-    n, rowsets = args
     lanes = len(rowsets)
     arc = _lane_entries(rowsets, n)
     exps = _lane_exponents(arc, lanes)
@@ -296,7 +291,7 @@ def bound_rows_for(d: Digraph, instance: str, report: Report, **params) -> None:
 
     The digraph is a ``_batch_keys`` batch of one.
     """
-    key, = _batch_keys((d.order, [d.rows]))
+    key, = _batch_keys(d.order, [d.rows])
     report.entries.append((instance, params, _fact_rows(*key)))
 
 
@@ -360,7 +355,6 @@ def verify_bounds(
     samples: int = 1000,
     seed: int = 0,
     chord_pairs=DEFAULT_CHORD_PAIRS,
-    jobs: int = 1,
 ) -> Report:
     """Bound suite over exhaustive chord families plus a seeded random sweep.
 
@@ -370,10 +364,9 @@ def verify_bounds(
     universe has period gcd(n, g), so a pair with gcd(n, g) > 1 adds no
     entry.  The suite collects every orbit representative into one batch
     per order (``_chord_representatives``, ``_random_representatives``),
-    bit-slices each batch once for its lane passes, dealt over min(jobs,
-    CPUs) worker processes when jobs > 1 (``_order_keys``), and gives each chord
-    pair and the random sweep one shared fact list per key
-    (``_shared_facts``); see the module docstring.  A universe has 2^n - 1
+    bit-slices each batch once for its lane passes (``_batch_keys``), all in
+    this process, and gives each chord pair and the random sweep one shared
+    fact list per key (``_shared_facts``); see the module docstring.  A universe has 2^n - 1
     members, and its time and memory about double with each order.
     """
     if not 2 <= n_max <= 10:
@@ -390,7 +383,7 @@ def verify_bounds(
     batches: dict[int, list[tuple[int, ...]]] = {}
     universes = _chord_representatives(chord_pairs, batches)
     slots, pending = _random_representatives(seed, samples, n_max, batches)
-    keys = _order_keys(batches, jobs)
+    keys = {n: _batch_keys(n, batch) for n, batch in batches.items()}
     # The representatives' rows are not needed for the entries.
     del batches
     report = Report()
@@ -448,26 +441,6 @@ def _random_representatives(seed: int, samples: int, n_max: int,
         pending.append((f"rand:{idx:06d}:{matrix_digest(rows, n, lines[n])}",
                         {"n": n, "p": p, "seed": seed}, slot))
     return slots, pending
-
-
-def _order_keys(batches: dict[int, list[tuple[int, ...]]], jobs: int) -> dict[int, list[tuple]]:
-    """The ``_bound_key`` of every row tuple of each order's batch, in order.
-
-    One batch per order is bit-sliced once and read by one pass of each
-    lane kernel (``_batch_keys``).  With jobs > 1 each batch is dealt
-    round-robin into min(jobs, CPUs) blocks, so the pairs of one order
-    still spread over the worker processes.
-    """
-    workers = max(1, min(jobs, os.cpu_count() or 1))
-    deals = {n: min(workers, len(batch)) for n, batch in batches.items()}
-    blocks = iter(_run_blocks(_batch_keys, [(n, batches[n][b::k]) for n, k in deals.items()
-                                            for b in range(k)], jobs))
-    keys: dict[int, list[tuple]] = {}
-    for n, k in deals.items():
-        keys[n] = [None] * len(batches[n])
-        for b in range(k):
-            keys[n][b::k] = next(blocks)
-    return keys
 
 
 # -- worker processes ---------------------------------------------------------

@@ -90,8 +90,7 @@ def test_cli_defaults_match_the_library_defaults():
 
     args = parser.parse_args(["verify", "bounds", "--seed", "1"])
     library = defaults(verify.verify_bounds)
-    assert (args.n_max, args.samples, args.jobs) == (
-        library["n_max"], library["samples"], library["jobs"])
+    assert (args.n_max, args.samples) == (library["n_max"], library["samples"])
     assert _parse_chord_pairs(args.chord_pairs) == library["chord_pairs"]
     assert parser.parse_args(["verify", "lemma24"]).n == defaults(verify.verify_lemma24)["n"]
     args = parser.parse_args(["verify", "thm33"])
@@ -383,7 +382,7 @@ def test_verify_bounds_chord_pair_out_of_range_is_input_error(capsys, monkeypatc
     def no_universe(*args):
         raise AssertionError("the chord universes ran before the input check")
 
-    monkeypatch.setattr(verify_module, "_run_blocks", no_universe)
+    monkeypatch.setattr(verify_module, "_chord_representatives", no_universe)
     code, out, err = run_cli(capsys, "verify", "bounds", "--samples", "0", "--seed", "1",
                              "--chord-pairs", pairs)
     bad = pairs.split(",")[-1]
@@ -401,7 +400,7 @@ def test_verify_bounds_bad_size_is_input_error(capsys, monkeypatch, option, valu
     def no_universe(*args):
         raise AssertionError("the chord universes ran before the input check")
 
-    monkeypatch.setattr(verify_module, "_run_blocks", no_universe)
+    monkeypatch.setattr(verify_module, "_chord_representatives", no_universe)
     code, out, err = run_cli(capsys, "verify", "bounds", "--seed", "1", option, value)
     assert (code, out, err) == (3, "", f"error: {message}\n")
 

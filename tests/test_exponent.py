@@ -876,9 +876,8 @@ def test_lane_cwalk_equals_the_per_start_search_on_chord_universes(pair):
     _assert_lane_cwalk_is_the_per_start_search([rows for _, rows in reps], n)
 
 
-def test_lane_cwalk_on_one_batch_of_every_kept_set_count():
-    # Lanes with 1, 2, 3 and 4 or more kept sets share one batch, so the
-    # kernel picks each count's lanes out of the same slices.
+def _every_kept_set_count_batch() -> list[tuple[int, ...]]:
+    """12 order-9 digraphs of each count 1, 2, 3 and 4 or more of kept sets, shuffled."""
     rng = random.Random(42)
     n = 9
     by_count: dict[int, list[tuple[int, ...]]] = {}
@@ -887,7 +886,14 @@ def test_lane_cwalk_on_one_batch_of_every_kept_set_count():
         by_count.setdefault(min(len(_kept_sets(_cycle_cover(rows, n))), 4), []).append(rows)
     rowsets = [rows for m in (4, 1, 3, 2) for rows in by_count[m][:12]]
     rng.shuffle(rowsets)
-    _assert_lane_cwalk_is_the_per_start_search(rowsets, n)
+    return rowsets
+
+
+def test_lane_cwalk_on_one_batch_of_every_kept_set_count():
+    # Lanes with 1, 2, 3 and 4 or more kept sets share one batch, so the
+    # kernel pads every lane's kept sets to the batch's largest count and
+    # searches them all at once.
+    _assert_lane_cwalk_is_the_per_start_search(_every_kept_set_count_batch(), 9)
 
 
 def test_lane_cwalk_on_a_batch_of_one_and_on_the_empty_batch():
@@ -898,8 +904,11 @@ def test_lane_cwalk_on_a_batch_of_one_and_on_the_empty_batch():
 
 
 def test_lane_cwalk_refuses_a_non_primitive_lane():
+    # An acyclic lane has no kept set; alone, the batch searches no set at all.
     primitive = d1(6).rows
-    for rowsets in ([SINK_CYCLE.rows], [primitive, SINK_CYCLE.rows, primitive]):
+    acyclic = tuple((1 << 6) - (2 << v) for v in range(6))  # every arc goes up
+    for rowsets in ([SINK_CYCLE.rows], [primitive, SINK_CYCLE.rows, primitive],
+                    [acyclic], [primitive, acyclic]):
         arc = _lane_entries(rowsets, 6)
         covers = [_cycle_cover(rows, 6) for rows in rowsets]
         with pytest.raises(NotPrimitiveError):
@@ -908,11 +917,23 @@ def test_lane_cwalk_refuses_a_non_primitive_lane():
 
 def test_lane_cwalk_leaves_a_lane_with_too_many_lengths_to_the_caller():
     # As _cwalk_rows refuses such a cover, the lane kernel gives it None and
-    # still measures the other lanes of the batch.
-    rowsets = [complete_with_loops(4).rows, d1(4).rows]
-    covers = [[0b1111] * (MAX_CYCLE_LENGTHS + 1), _cycle_cover(d1(4).rows, 4)]
+    # still measures the other lanes of the batch, whatever their counts of
+    # kept sets; a batch of such lanes only is all None.
+    complete = complete_with_loops(4).rows
+    too_many = [0b1111] * (MAX_CYCLE_LENGTHS + 1)
+    rowsets = [complete, d1(4).rows]
+    covers = [too_many, _cycle_cover(d1(4).rows, 4)]
     assert _lane_cwalk_diameters(_lane_entries(rowsets, 4), 2, covers) == [
         None, c_walk_distances(d1(4)).max]
+    assert _lane_cwalk_diameters(_lane_entries([complete] * 2, 4), 2, [too_many] * 2) == [
+        None, None]
+    rowsets = _every_kept_set_count_batch()
+    covers = [_cycle_cover(rows, 9) for rows in rowsets]
+    want = [cwalk_max(rows, 9, cover) for rows, cover in zip(rowsets, covers)]
+    rowsets.insert(17, complete_with_loops(9).rows)
+    covers.insert(17, [(1 << 9) - 1] * (MAX_CYCLE_LENGTHS + 1))
+    want.insert(17, None)
+    assert _lane_cwalk_diameters(_lane_entries(rowsets, 9), len(rowsets), covers) == want
 
 
 def _verdict_cases() -> list[tuple[tuple[int, ...], int]]:

@@ -221,15 +221,6 @@ def test_verify_bounds_small_run_passes_and_is_deterministic():
     assert chord_rows
 
 
-def test_verify_bounds_jobs_do_not_change_output():
-    kwargs = dict(n_max=5, samples=20, seed=11, chord_pairs=((7, 3), (7, 4), (6, 5)))
-    sequential = verify_bounds(**kwargs, jobs=1)
-    parallel = verify_bounds(**kwargs, jobs=2)
-    assert [r for r in sequential.rows if r.instance.startswith("chord:")]
-    assert parallel.to_jsonl() == sequential.to_jsonl()
-    assert parallel.to_summary_csv() == sequential.to_summary_csv()
-
-
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -551,33 +542,32 @@ def test_bound_suite_reads_exponents_in_one_lane_pass_per_order(monkeypatch):
     assert sum(size for _, size in random_orders) == 962
 
 
-def test_bound_suite_reads_c_walks_in_one_lane_pass_per_kept_set_count(monkeypatch):
-    # No representative gets a per-start c-walk search of its own.  Each
-    # order's batch makes one lane pass per count of kept sets (minimal
-    # cycle-length vertex sets) among its lanes: 22 passes over the same
-    # 356 + 962 representatives the evaluation count pins.
-    exponent_module = importlib.import_module("primexp.exponent")
+def test_bound_suite_reads_c_walks_in_one_lane_pass_per_order(monkeypatch):
+    # No representative gets a per-start c-walk search of its own, and no
+    # batch goes to a worker process.  Each order's batch makes one lane
+    # pass, whatever counts of kept sets (minimal cycle-length vertex sets)
+    # its lanes have: 9 passes over the same 356 + 962 representatives the
+    # evaluation count pins.
     passes = []
-    cwalk_pass = exponent_module._cwalk_pass
+    lane_cwalk_diameters = verify_module._lane_cwalk_diameters
 
-    def counting(arc, kept):
-        passes.append((len(arc), len(kept[0]), len(kept)))
-        return cwalk_pass(arc, kept)
+    def counting(arc, lanes, covers):
+        passes.append((len(arc), lanes))
+        return lane_cwalk_diameters(arc, lanes, covers)
 
     def refuse(*args):
-        raise AssertionError("the bound suite ran a per-start c-walk search")
+        raise AssertionError("the bound suite ran a per-start c-walk search or a worker pool")
 
-    monkeypatch.setattr(exponent_module, "_cwalk_pass", counting)
+    monkeypatch.setattr(verify_module, "_lane_cwalk_diameters", counting)
+    exponent_module = importlib.import_module("primexp.exponent")
     for name in ("_cwalk_rows", "_cwalk_search"):
         monkeypatch.setattr(exponent_module, name, refuse)
+    monkeypatch.setattr(verify_module, "_run_blocks", refuse)
     verify_bounds(n_max=8, samples=2000, seed=1)
-    counts: dict[int, list[int]] = {}
-    for n, m, _ in passes:
-        counts.setdefault(n, []).append(m)
-    assert {n: sorted(ms) for n, ms in counts.items()} == {
-        2: [1], 3: [1, 2], 4: [1, 2], 5: [1, 2, 3], 6: [1, 2, 3, 4], 7: [1, 2, 3, 4],
-        8: [1, 2, 3, 4], 10: [1], 11: [1]}
-    assert sum(lanes for _, _, lanes in passes) == 356 + 962
+    chord, random_orders = passes[:2], passes[2:]
+    assert chord == [(10, 3 * 77), (11, 125)]
+    assert sorted(n for n, _ in random_orders) == list(range(2, 9))
+    assert sum(size for _, size in random_orders) == 962
 
 
 def test_bound_suite_reads_cycle_covers_in_one_lane_pass_per_order(monkeypatch):
@@ -626,16 +616,6 @@ def test_lane_kernels_on_shared_slices_of_a_merged_batch():
     covers = verify_module._lane_cycle_covers(arc, len(batch))
     assert exps == [exponent_of_rows(rows, 10) for rows in batch]
     assert covers == [_cycle_cover(rows, 10) for rows in batch]
-
-
-def test_verify_bounds_jobs_deal_same_order_pairs_without_changing_output():
-    # Two order-12 pairs share one batch, dealt over two workers; order 13
-    # and the random sweep's orders get their own.
-    kwargs = dict(n_max=8, samples=300, seed=2, chord_pairs=((12, 5), (12, 7), (13, 4)))
-    sequential = verify_bounds(**kwargs, jobs=1)
-    parallel = verify_bounds(**kwargs, jobs=2)
-    assert parallel.to_jsonl() == sequential.to_jsonl()
-    assert parallel.to_summary_csv() == sequential.to_summary_csv()
 
 
 def test_chord_sweeps_read_their_facts_in_one_lane_pass_each(monkeypatch):
